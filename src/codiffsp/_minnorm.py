@@ -6,27 +6,16 @@ objective t -> 0.5*||V^T t||^2, terminated by the Wolfe certificate
 
 This is the package's hot kernel: it runs once per scenario per iteration
 inside the descent solver, once per vertex inside pruning, and inside both
-certification paths.  The same function body is compiled with numba and
-kept as a pure-numpy fallback; the active backend is selected at import
-time by the CODIFFSP_NUMBA environment flag:
-
-    unset / "auto"  use numba when importable, else numpy
-    "1" / "true"    require numba, fail loudly if missing
-    "0" / "false"   force the pure-numpy path
+certification paths.  It is plain numpy.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised via CODIFFSP_NUMBA=0
-    HAS_NUMBA = False
+# The kernel has no compiled backend; kept as a constant because the
+# benchmark harness records which backend ran.
+USING_NUMBA = False
 
 
 def _mnp_core(V: np.ndarray, eps: float, max_iter: int):
@@ -90,29 +79,6 @@ def _mnp_core(V: np.ndarray, eps: float, max_iter: int):
     return q, t, gap
 
 
-if HAS_NUMBA:
-    _mnp_jit = njit(cache=True)(_mnp_core)
-else:
-    _mnp_jit = None
-
-
-def _select_backend():
-    flag = os.environ.get("CODIFFSP_NUMBA", "").strip().lower()
-    if flag in ("", "auto"):
-        return _mnp_jit if HAS_NUMBA else _mnp_core
-    if flag in ("1", "true", "yes", "on"):
-        if not HAS_NUMBA:
-            raise RuntimeError("CODIFFSP_NUMBA requires numba but it is not importable")
-        return _mnp_jit
-    if flag in ("0", "false", "no", "off"):
-        return _mnp_core
-    raise RuntimeError(f"CODIFFSP_NUMBA={flag!r} not understood (use 0, 1 or auto)")
-
-
-_ACTIVE = _select_backend()
-USING_NUMBA = _mnp_jit is not None and _ACTIVE is _mnp_jit
-
-
 def _finish(V: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     t = np.maximum(t, 0.0)
     t /= t.sum()
@@ -133,28 +99,5 @@ def min_norm_point(
         raise ValueError("min_norm_point needs at least one vertex")
     if V.shape[0] == 1:
         return V[0].copy(), np.ones(1)
-    q, t, _gap = _ACTIVE(V, eps, max_iter)
-    return _finish(V, t)
-
-
-def min_norm_point_numpy(vertices, eps: float = 1e-10, max_iter: int = 20000):
-    """Pure-numpy variant, exposed for parity tests and benchmarks."""
-    V = np.ascontiguousarray(np.atleast_2d(np.asarray(vertices, dtype=np.float64)))
-    if V.shape[0] == 1:
-        return V[0].copy(), np.ones(1)
     q, t, _gap = _mnp_core(V, eps, max_iter)
-    return _finish(V, t)
-
-
-def min_norm_point_numba(vertices, eps: float = 1e-10, max_iter: int = 20000):
-    """Numba variant, exposed for parity tests and benchmarks.
-
-    Raises RuntimeError when numba is unavailable.
-    """
-    if _mnp_jit is None:
-        raise RuntimeError("numba backend not available")
-    V = np.ascontiguousarray(np.atleast_2d(np.asarray(vertices, dtype=np.float64)))
-    if V.shape[0] == 1:
-        return V[0].copy(), np.ones(1)
-    q, t, _gap = _mnp_jit(V, eps, max_iter)
     return _finish(V, t)

@@ -15,6 +15,12 @@ with error o(|D|).  The calculus rules below produce offsets that satisfy
 the zero-at-zero normalization exactly in floating point; the constructors
 assert it rather than renormalize.
 
+``codiff`` makes one forward pass over the expression's tape: branch values
+come from ``expr.node_values``, the evaluator behind ``evaluate``, so the
+vertex offsets f_i(z) - f(z) of a max/min/abs node are exact differences
+of the values ``evaluate`` returns; smooth nodes, marked by their structural
+flag, carry a gradient only.
+
 Quasidifferentials are the zero-offset slices of a codifferential and
 represent the directional derivative as max plus min of linear forms.
 """
@@ -27,7 +33,7 @@ import numpy as np
 
 from ._minnorm import min_norm_point
 from .errors import CodiffspError, DimensionMismatch, VertexCapExceeded
-from .expr import Expr, is_smooth_struct
+from .expr import Expr, node_values
 
 TOL_ZERO = 1e-9
 MEMBERSHIP_TOL = 1e-9
@@ -137,66 +143,13 @@ def codiff(expr: Expr, x, y=(), theta=()) -> CodiffPair:
     n = x.shape[0] + y.shape[0]
     z = np.concatenate((x, y))
     zero = np.zeros((1, 1 + n))
-
-    vals: dict[int, float] = {}
-    pairs: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-    def val(e: Expr) -> float:
-        key = id(e)
-        got = vals.get(key)
-        if got is not None:
-            return got
-        k = e.kind
-        if k == "constant":
-            v = e.value
-        elif k == "affine":
-            v = e.c0 + float(e.cx @ x) + float(e.cy @ y) + float(e.ct @ theta)
-        elif k == "quad":
-            v = 0.5 * float(z @ (e.Q @ z)) + float(e.lin @ z) + e.c0
-        elif k == "add":
-            v = 0.0
-            for ch in e.children:
-                v += val(ch)
-        elif k == "scale":
-            v = e.lam * val(e.children[0])
-        elif k == "max":
-            v = max(val(ch) for ch in e.children)
-        elif k == "min":
-            v = min(val(ch) for ch in e.children)
-        elif k == "abs":
-            v = abs(val(e.children[0]))
-        else:  # dc
-            v = val(e.children[0]) - val(e.children[1])
-        vals[key] = v
-        return v
-
-    grads: dict[int, np.ndarray] = {}
-
-    def grad(e: Expr) -> np.ndarray:
-        key = id(e)
-        got = grads.get(key)
-        if got is not None:
-            return got
-        k = e.kind
-        if k == "constant":
-            g = np.zeros(n)
-        elif k == "affine":
-            g = np.concatenate((e.cx, e.cy))
-        elif k == "quad":
-            g = e.Q @ z + e.lin
-        elif k == "add":
-            g = np.zeros(n)
-            for ch in e.children:
-                g = g + grad(ch)
-        else:  # scale; smooth subtrees contain no other kinds
-            g = e.lam * grad(e.children[0])
-        grads[key] = g
-        return g
+    tape = expr._tape
+    vals = node_values(expr, x.tolist() + y.tolist() + theta.tolist())
 
     def smooth_pair(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         hypo = np.zeros((1, 1 + n))
         hypo[0, 1:] = g
-        return hypo, zero.copy()
+        return hypo, zero
 
     def max_rule(
         parts: list[tuple[np.ndarray, np.ndarray]], values: list[float]
@@ -216,61 +169,67 @@ def codiff(expr: Expr, x, y=(), theta=()) -> CodiffPair:
             pieces.append(S)
         return np.vstack(pieces), hyper
 
-    def rec(e: Expr) -> tuple[np.ndarray, np.ndarray]:
-        key = id(e)
-        got = pairs.get(key)
-        if got is not None:
-            return got
-        # a smooth subtree is one atom: hypo {(0, grad)}, hyper {(0, 0)}.
-        # Collapsing here keeps negations of smooth pieces in atom form, so
-        # abs(x) yields the two-vertex hypo rather than a swapped hyper.
-        if is_smooth_struct(e):
-            out = smooth_pair(grad(e))
-            pairs[key] = out
-            return out
+    # One forward pass over the tape.  A smooth node gets a gradient only: a
+    # smooth subtree is one atom, hypo {(0, grad)}, hyper {(0, 0)}.  Keeping
+    # negations of smooth pieces in atom form makes abs(x) yield the
+    # two-vertex hypo rather than a swapped hyper.
+    grads: list = [None] * len(tape)
+    pairs: list = [None] * len(tape)
+
+    def part(j: int) -> tuple[np.ndarray, np.ndarray]:
+        return smooth_pair(grads[j]) if pairs[j] is None else pairs[j]
+
+    for i, (e, kids) in enumerate(tape):
         k = e.kind
+        if e.smooth:
+            if k == "constant":
+                g = np.zeros(n)
+            elif k == "affine":
+                g = np.concatenate((e.cx, e.cy))
+            elif k == "quad":
+                g = e.Q @ z + e.lin
+            elif k == "add":
+                g = np.zeros(n)
+                for j in kids:
+                    g = g + grads[j]
+            else:  # scale; smooth subtrees contain no other kinds
+                g = e.lam * grads[kids[0]]
+            grads[i] = g
+            continue
         if k == "add":
-            hypo, hyper = rec(e.children[0])
-            for ch in e.children[1:]:
-                h2, g2 = rec(ch)
+            hypo, hyper = part(kids[0])
+            for j in kids[1:]:
+                h2, g2 = part(j)
                 hypo = _minkowski(hypo, h2)
                 hyper = _minkowski(hyper, g2)
             out = _manage(hypo), _manage(hyper)
         elif k == "scale":
-            hypo, hyper = rec(e.children[0])
+            hypo, hyper = part(kids[0])
             if e.lam >= 0.0:
                 out = e.lam * hypo, e.lam * hyper
             else:
                 out = e.lam * hyper, e.lam * hypo
         elif k == "max":
-            parts = [rec(ch) for ch in e.children]
-            values = [val(ch) for ch in e.children]
-            hypo, hyper = max_rule(parts, values)
+            hypo, hyper = max_rule([part(j) for j in kids], [vals[j] for j in kids])
             out = _manage(hypo), _manage(hyper)
         elif k == "min":
             # mirror of max: min f_i = -max(-f_i)
-            parts = [rec(ch) for ch in e.children]
-            values = [val(ch) for ch in e.children]
-            neg_parts = [(-hyper_i, -hypo_i) for hypo_i, hyper_i in parts]
-            hypo_m, hyper_m = max_rule(neg_parts, [-v for v in values])
+            neg_parts = [(-hyper_j, -hypo_j) for hypo_j, hyper_j in map(part, kids)]
+            hypo_m, hyper_m = max_rule(neg_parts, [-vals[j] for j in kids])
             out = _manage(-hyper_m), _manage(-hypo_m)
         elif k == "abs":
             # rewrite as max(u, -u); a smooth u negates to the atom (-grad)
-            u = e.children[0]
-            v = val(u)
-            if is_smooth_struct(u):
-                part_p = smooth_pair(grad(u))
-                part_n = smooth_pair(-grad(u))
+            (j,) = kids
+            if tape[j][0].smooth:
+                part_n = smooth_pair(-grads[j])
             else:
-                hypo, hyper = rec(u)
-                part_p = (hypo, hyper)
+                hypo, hyper = pairs[j]
                 part_n = (-hyper, -hypo)
-            hm, gm = max_rule([part_p, part_n], [v, -v])
+            hm, gm = max_rule([part(j), part_n], [vals[j], -vals[j]])
             out = _manage(hm), _manage(gm)
         else:  # dc
-            plus, minus = e.children
-            hypo_p, hyper_p = rec(plus)
-            hypo_q, hyper_q = rec(minus)
+            hypo_p, hyper_p = part(kids[0])
+            hypo_q, hyper_q = part(kids[1])
             # convex children built by these rules carry hyper = {(0, 0)},
             # so this reduces to [hypo of plus, negated hypo of minus]
             hypo = _minkowski(hypo_p, -hyper_q)
@@ -282,10 +241,9 @@ def codiff(expr: Expr, x, y=(), theta=()) -> CodiffPair:
                 hyper = hyper.copy()
                 hyper[:, 0] -= shift
             out = _manage(hypo), _manage(hyper)
-        pairs[key] = out
-        return out
+        pairs[i] = out
 
-    hypo, hyper = rec(expr)
+    hypo, hyper = part(len(tape) - 1)
     return _pair(hypo, hyper)
 
 

@@ -2,15 +2,12 @@
 
 Its codifferential over the joint space factors scenario-blockwise: one
 CodiffPair per scenario, never the exponential product polytope.  All
-reductions run in ascending scenario order so results are bit-reproducible
-regardless of how many worker threads evaluate the scenarios.
+reductions run in ascending scenario order so results are bit-reproducible.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,28 +16,6 @@ from .codiff import CodiffPair, codiff, dirderiv, expansion_value, quasidiff
 from .errors import DimensionMismatch, NonFinite
 from .expr import evaluate
 from .model import Point, TwoStageProblem
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("CODIFFSP_THREADS", "0").strip()
-    try:
-        k = int(raw)
-    except ValueError:
-        k = 0
-    if k < 0:
-        k = 0
-    if k == 0:  # auto: scenario work is tiny; stay serial unless asked
-        return 1
-    return k
-
-
-def _scenario_map(fn, S: int) -> list:
-    """Apply fn to every scenario index; results returned in index order."""
-    k = _thread_count()
-    if k <= 1 or S <= 1:
-        return [fn(s) for s in range(S)]
-    with ThreadPoolExecutor(max_workers=min(k, S)) as pool:
-        return list(pool.map(fn, range(S)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,7 +45,7 @@ def eval_I(prob: TwoStageProblem, z: Point) -> float:
     """Probability-weighted sum of f over scenarios, ascending index order."""
     prob.check_point(z)
     th = prob.scenarios.params
-    vals = _scenario_map(lambda s: evaluate(prob.f, z.x, z.y[s], th[s]), prob.S)
+    vals = [evaluate(prob.f, z.x, z.y[s], th[s]) for s in range(prob.S)]
     total = 0.0
     for s, v in enumerate(vals):
         if not math.isfinite(v):
@@ -83,7 +58,7 @@ def block_codiff(prob: TwoStageProblem, z: Point) -> BlockCodiff:
     """codiff of f at (x, y_s, theta_s) for every scenario s."""
     prob.check_point(z)
     th = prob.scenarios.params
-    pairs = _scenario_map(lambda s: codiff(prob.f, z.x, z.y[s], th[s]), prob.S)
+    pairs = [codiff(prob.f, z.x, z.y[s], th[s]) for s in range(prob.S)]
     return BlockCodiff(
         per_scenario=tuple(pairs), probs=prob.scenarios.probs, d=prob.d, m=prob.m
     )

@@ -11,13 +11,18 @@ A quadratic node over z = (x, y) has the value 0.5 * z^T Q z + lin^T z + c0
 with Q symmetric; the ``psd`` flag marks structural convexity and is
 verified against the spectrum when set.
 
-``evaluate`` and ``evaluate_batch`` sum every atom in one fixed order, so
-they agree bit for bit at every point, whatever the batch size.
+Every node lists its distinct sub-nodes once, in post-order (``Expr._tape``),
+and carries its structural flags (``smooth``, ``convex``, ``affine``), set at
+construction from its children's flags.  One loop over the tape,
+``node_values``, evaluates every node; ``evaluate`` and ``evaluate_batch``
+return its last entry for one point or for a batch, and sum every atom in
+one fixed order, so they agree bit for bit at every point, whatever the
+batch size.  The codifferential calculus walks the same tape.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -25,8 +30,6 @@ import numpy as np
 from .errors import CodiffspError, DimensionMismatch, NotDC, ValidationError
 
 Dims = tuple[int, int, int]  # (d, m, q)
-
-_KINDS = ("constant", "affine", "quad", "add", "scale", "max", "min", "abs", "dc")
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,6 +48,30 @@ class Expr:
     lin: np.ndarray | None = None
     psd: bool = False
     lam: float = 1.0  # scale payload
+    # structural flags, set in __post_init__ from the children's flags
+    smooth: bool = field(init=False)  # no max/min/abs/dc node on any path
+    convex: bool = field(init=False)  # see is_convex_struct
+    affine: bool = field(init=False)  # no curvature, no kinks
+
+    def __post_init__(self):
+        k, ch = self.kind, self.children
+        if k in ("constant", "affine"):
+            smooth = convex = affine_ = True
+        elif k == "quad":
+            smooth, convex, affine_ = True, self.psd, False
+        else:
+            linear = k in ("add", "scale")
+            smooth = linear and all(c.smooth for c in ch)
+            affine_ = linear and all(c.affine for c in ch)
+            if k in ("add", "max"):
+                convex = all(c.convex for c in ch)
+            elif k == "scale":
+                convex = ch[0].convex if self.lam >= 0.0 else ch[0].affine
+            else:
+                convex = k == "abs" and ch[0].affine
+        object.__setattr__(self, "smooth", smooth)
+        object.__setattr__(self, "convex", convex)
+        object.__setattr__(self, "affine", affine_)
 
     # arithmetic sugar used by the generator and tests
     def __add__(self, other: "Expr") -> "Expr":
@@ -79,6 +106,26 @@ class Expr:
             return self.c0, nonzero(np.concatenate((self.cx, self.cy, self.ct)).tolist())
         rows = tuple((i, nonzero(row)) for i, row in enumerate(self.Q.tolist()))
         return tuple(r for r in rows if r[1]), nonzero(self.lin.tolist()), self.c0
+
+    @cached_property
+    def _tape(self) -> tuple:
+        """Distinct nodes of the DAG in post-order, each with the tape
+        positions of its children: ((node, (j, ...)), ...).  The root is last.
+        """
+        pos: dict[int, int] = {}
+        tape = []
+        stack = [(self, False)]
+        while stack:
+            e, expanded = stack.pop()
+            if id(e) in pos:
+                continue
+            if expanded:
+                pos[id(e)] = len(tape)
+                tape.append((e, tuple(pos[id(c)] for c in e.children)))
+                continue
+            stack.append((e, True))
+            stack.extend((c, False) for c in reversed(e.children))
+        return tuple(tape)
 
 
 def _frozen(a, shape_len: int | None = None) -> np.ndarray:
@@ -276,51 +323,66 @@ def _atom(e: Expr, w: list):
     return v + c0
 
 
+def node_values(expr: Expr, w: list, n: int | None = None) -> list:
+    """Value of every node of ``expr._tape`` at w = (x, y, theta), in tape order.
+
+    With ``n`` None, w holds floats (one point) and the values are floats.
+    Otherwise the x and y entries of w are (n,) columns (theta still floats)
+    and every value is an (n,) array.  Both cases apply the same operation at
+    every node (``_atom`` at the atoms; np.maximum/np.minimum where one point
+    uses the builtins), so a point's value has the same bits either way.
+    """
+    vals: list = []
+    for e, kids in expr._tape:
+        k = e.kind
+        if k == "constant":
+            v = e.value if n is None else np.full(n, e.value)
+        elif k in ("affine", "quad"):
+            v = _atom(e, w)
+            if n is not None and np.ndim(v) == 0:  # the atom reads theta only
+                v = np.full(n, v)
+        elif k == "add":
+            v = 0.0
+            for j in kids:
+                v = v + vals[j]
+        elif k == "scale":
+            v = e.lam * vals[kids[0]]
+        elif k == "max":
+            if n is None:
+                v = max(vals[j] for j in kids)
+            else:
+                v = vals[kids[0]]
+                for j in kids[1:]:
+                    v = np.maximum(v, vals[j])
+        elif k == "min":
+            if n is None:
+                v = min(vals[j] for j in kids)
+            else:
+                v = vals[kids[0]]
+                for j in kids[1:]:
+                    v = np.minimum(v, vals[j])
+        elif k == "abs":
+            v = abs(vals[kids[0]])
+        elif k == "dc":
+            v = vals[kids[0]] - vals[kids[1]]
+        else:  # pragma: no cover
+            raise CodiffspError("PARSE", f"unknown node kind {k!r}")
+        vals.append(v)
+    return vals
+
+
 def evaluate(expr: Expr, x, y=(), theta=()) -> float:
     """Evaluate the DAG at a single point.  Deterministic, total on finite input."""
     x, y, theta = _check_point(expr.dims, x, y, theta)
-    w = x.tolist() + y.tolist() + theta.tolist()
-    memo: dict[int, float] = {}
-
-    def rec(e: Expr) -> float:
-        key = id(e)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        k = e.kind
-        if k == "constant":
-            v = e.value
-        elif k in ("affine", "quad"):
-            v = _atom(e, w)
-        elif k == "add":
-            v = 0.0
-            for ch in e.children:
-                v += rec(ch)
-        elif k == "scale":
-            v = e.lam * rec(e.children[0])
-        elif k == "max":
-            v = max(rec(ch) for ch in e.children)
-        elif k == "min":
-            v = min(rec(ch) for ch in e.children)
-        elif k == "abs":
-            v = abs(rec(e.children[0]))
-        elif k == "dc":
-            v = rec(e.children[0]) - rec(e.children[1])
-        else:  # pragma: no cover
-            raise CodiffspError("PARSE", f"unknown node kind {k!r}")
-        memo[key] = v
-        return v
-
-    return rec(expr)
+    return node_values(expr, x.tolist() + y.tolist() + theta.tolist())[-1]
 
 
 def evaluate_batch(expr: Expr, X, Y, theta) -> np.ndarray:
     """Vectorized evaluation: X is (N, d), Y is (N, m), theta a single (q,) vector.
 
     Returns values with shape (N,).  Used by grid oracles and scans.  Each
-    value is bit-identical to ``evaluate`` at that point, for any N: both
-    paths sum every atom in the same fixed, N-independent order (see
-    ``_atom``) and apply the same elementwise operations above the atoms.
+    value is bit-identical to ``evaluate`` at that point, for any N (see
+    ``node_values``).
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
@@ -331,112 +393,27 @@ def evaluate_batch(expr: Expr, X, Y, theta) -> np.ndarray:
     if Y.shape[0] == 1 and n > 1:
         Y = np.broadcast_to(Y, (n, Y.shape[1]))
     w = list(X.T) + list(Y.T) + theta.tolist()
-    memo: dict[int, np.ndarray] = {}
-
-    def rec(e: Expr) -> np.ndarray:
-        key = id(e)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        k = e.kind
-        if k == "constant":
-            v = np.full(n, e.value)
-        elif k in ("affine", "quad"):
-            v = _atom(e, w)
-            if np.ndim(v) == 0:  # the atom reads theta only
-                v = np.full(n, v)
-        elif k == "add":
-            v = rec(e.children[0]).copy()
-            for ch in e.children[1:]:
-                v += rec(ch)
-        elif k == "scale":
-            v = e.lam * rec(e.children[0])
-        elif k == "max":
-            v = rec(e.children[0])
-            for ch in e.children[1:]:
-                v = np.maximum(v, rec(ch))
-        elif k == "min":
-            v = rec(e.children[0])
-            for ch in e.children[1:]:
-                v = np.minimum(v, rec(ch))
-        elif k == "abs":
-            v = np.abs(rec(e.children[0]))
-        elif k == "dc":
-            v = rec(e.children[0]) - rec(e.children[1])
-        else:  # pragma: no cover
-            raise CodiffspError("PARSE", f"unknown node kind {k!r}")
-        memo[key] = v
-        return v
-
-    return np.asarray(rec(expr), dtype=np.float64)
+    return np.asarray(node_values(expr, w, n)[-1], dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
 # structural predicates
 
 
-def _memo_pred(expr: Expr, fn) -> bool:
-    memo: dict[int, bool] = {}
-
-    def rec(e: Expr) -> bool:
-        key = id(e)
-        got = memo.get(key)
-        if got is None:
-            got = fn(e, rec)
-            memo[key] = got
-        return got
-
-    return rec(expr)
-
-
 def is_affine_struct(expr: Expr) -> bool:
     """True when the DAG is affine by construction (no curvature, no kinks)."""
-
-    def fn(e: Expr, rec) -> bool:
-        if e.kind in ("constant", "affine"):
-            return True
-        if e.kind == "add":
-            return all(rec(ch) for ch in e.children)
-        if e.kind == "scale":
-            return rec(e.children[0])
-        return False
-
-    return _memo_pred(expr, fn)
+    return expr.affine
 
 
 def is_convex_struct(expr: Expr) -> bool:
     """Structural convexity: affine atoms, psd quadratics, max of convex,
     nonnegative scales of convex, and sums of convex.  Sound, not complete."""
-
-    def fn(e: Expr, rec) -> bool:
-        if e.kind in ("constant", "affine"):
-            return True
-        if e.kind == "quad":
-            return e.psd
-        if e.kind == "add":
-            return all(rec(ch) for ch in e.children)
-        if e.kind == "scale":
-            if e.lam >= 0.0:
-                return rec(e.children[0])
-            return is_affine_struct(e.children[0])
-        if e.kind == "max":
-            return all(rec(ch) for ch in e.children)
-        if e.kind == "abs":
-            return is_affine_struct(e.children[0])
-        return False
-
-    return _memo_pred(expr, fn)
+    return expr.convex
 
 
 def is_smooth_struct(expr: Expr) -> bool:
     """True when no max/min/abs/dc node appears on any path."""
-
-    def fn(e: Expr, rec) -> bool:
-        if e.kind in ("max", "min", "abs", "dc"):
-            return False
-        return all(rec(ch) for ch in e.children)
-
-    return _memo_pred(expr, fn)
+    return expr.smooth
 
 
 def dc_parts(expr: Expr) -> tuple[Expr, Expr]:

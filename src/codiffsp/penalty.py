@@ -24,7 +24,7 @@ import numpy as np
 from ._minnorm import min_norm_point
 from .codiff import codiff, quasidiff
 from .errors import Unprojectable, ValidationError
-from .expectation import BlockCodiff, _scenario_map, eval_I
+from .expectation import BlockCodiff, eval_I
 from .expr import Expr, add, constant, evaluate, maximum, scale
 from .model import Point, TwoStageProblem
 
@@ -51,52 +51,36 @@ class PenaltySpec:
 # ---------------------------------------------------------------------------
 
 
-def _affine_coeffs(e: Expr, dims) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
-    """Fold an affine-structured DAG into (c0, cx, cy, ct)."""
-    d, m, q = dims
-    k = e.kind
-    if k == "constant":
-        return e.value, np.zeros(d), np.zeros(m), np.zeros(q)
-    if k == "affine":
-        return e.c0, e.cx.copy(), e.cy.copy(), e.ct.copy()
-    if k == "add":
-        c0, cx, cy, ct = 0.0, np.zeros(d), np.zeros(m), np.zeros(q)
-        for ch in e.children:
-            a, bx, by, bt = _affine_coeffs(ch, dims)
-            c0 += a
-            cx += bx
-            cy += by
-            ct += bt
-        return c0, cx, cy, ct
-    if k == "scale":
-        a, bx, by, bt = _affine_coeffs(e.children[0], dims)
-        return e.lam * a, e.lam * bx, e.lam * by, e.lam * bt
-    raise Unprojectable(f"constraint is not affine (found {k!r} node)")
-
-
 def _quad_coeffs(e: Expr, dims):
-    """Fold a smooth DAG into (Q, lin, ct, c0) over z = (x, y)."""
+    """Fold a smooth DAG into (Q, lin, ct, c0) over z = (x, y), one tape
+    node at a time."""
+    if not e.smooth:
+        raise Unprojectable("constraint is not smooth")
     d, m, q = dims
     n = d + m
-    k = e.kind
-    if k == "quad":
-        return e.Q.copy(), e.lin.copy(), np.zeros(q), e.c0
-    if k in ("constant", "affine"):
-        c0, cx, cy, ct = _affine_coeffs(e, dims)
-        return np.zeros((n, n)), np.concatenate((cx, cy)), ct, c0
-    if k == "add":
-        Q, lin, ct, c0 = np.zeros((n, n)), np.zeros(n), np.zeros(q), 0.0
-        for ch in e.children:
-            Q2, l2, t2, a2 = _quad_coeffs(ch, dims)
-            Q += Q2
-            lin += l2
-            ct += t2
-            c0 += a2
-        return Q, lin, ct, c0
-    if k == "scale":
-        Q, lin, ct, c0 = _quad_coeffs(e.children[0], dims)
-        return e.lam * Q, e.lam * lin, e.lam * ct, e.lam * c0
-    raise Unprojectable(f"constraint is not smooth (found {k!r} node)")
+    folds = []
+    for node, kids in e._tape:
+        k = node.kind
+        if k == "quad":
+            fold = node.Q.copy(), node.lin.copy(), np.zeros(q), node.c0
+        elif k == "constant":
+            fold = np.zeros((n, n)), np.zeros(n), np.zeros(q), node.value
+        elif k == "affine":
+            fold = np.zeros((n, n)), np.concatenate((node.cx, node.cy)), node.ct.copy(), node.c0
+        elif k == "add":
+            Q, lin, ct, c0 = np.zeros((n, n)), np.zeros(n), np.zeros(q), 0.0
+            for j in kids:
+                Q2, l2, t2, a2 = folds[j]
+                Q += Q2
+                lin += l2
+                ct += t2
+                c0 += a2
+            fold = Q, lin, ct, c0
+        else:  # scale; smooth DAGs contain no other kinds
+            Q, lin, ct, c0 = folds[kids[0]]
+            fold = node.lam * Q, node.lam * lin, node.lam * ct, node.lam * c0
+        folds.append(fold)
+    return folds[-1]
 
 
 def _detect_geometry(prob: TwoStageProblem):
@@ -111,7 +95,10 @@ def _detect_geometry(prob: TwoStageProblem):
     try:
         rows = []
         for i, gi in enumerate(prob.g):
-            c0, cx, cy, ct = _affine_coeffs(gi, dims)
+            if not gi.affine:
+                raise Unprojectable(f"g[{i}] is not affine")
+            _Q, lin, ct, c0 = _quad_coeffs(gi, dims)
+            cx, cy = lin[: prob.d], lin[prob.d :]
             nz = np.flatnonzero(np.abs(cy) > 1e-12)
             if nz.shape[0] != 1:
                 raise Unprojectable(
@@ -212,7 +199,7 @@ def penalty_codiff(prob: TwoStageProblem, spec: PenaltySpec, z: Point) -> BlockC
     prob.check_point(z)
     integrand = penalty_integrand(prob, spec.c)
     th = prob.scenarios.params
-    pairs = _scenario_map(lambda s: codiff(integrand, z.x, z.y[s], th[s]), prob.S)
+    pairs = [codiff(integrand, z.x, z.y[s], th[s]) for s in range(prob.S)]
     return BlockCodiff(
         per_scenario=tuple(pairs), probs=prob.scenarios.probs, d=prob.d, m=prob.m
     )

@@ -321,19 +321,6 @@ def convex_subsolve(
 # ---------------------------------------------------------------------------
 
 
-def _minus_subgrad(prob: TwoStageProblem, minus: Expr, z: Point):
-    """Probability-weighted subgradient of the convex minus expectation."""
-    th = prob.scenarios.params
-    xi_x = np.zeros(prob.d)
-    xi_y = np.zeros((prob.S, prob.m))
-    for s in range(prob.S):
-        qd = quasidiff(codiff(minus, z.x, z.y[s], th[s]))
-        v = qd.sub.mean(axis=0)
-        xi_x += float(prob.scenarios.probs[s]) * v[: prob.d]
-        xi_y[s] = float(prob.scenarios.probs[s]) * v[prob.d :]
-    return xi_x, xi_y
-
-
 def dca_solve(
     prob: TwoStageProblem, c: float, z0: Point, opts: SolveOpts | None = None
 ) -> SolveReport:
@@ -356,12 +343,19 @@ def dca_solve(
     while True:
         spec = PenaltySpec("l1_max", c_now)
         dec = dc_decompose(prob, c_now)
+        minus = ConvexExpectation(
+            integrand=dec.minus,
+            probs=prob.scenarios.probs,
+            params=prob.scenarios.params,
+            d=prob.d,
+            m=prob.m,
+        )
         val = Phi_c(prob, spec, z)
         history = [(val, phi_l1(prob, z), 0.0)]
         status = "iteration_cap"
         for _k in range(opts.max_iter):
             total_iters += 1
-            xi_x, xi_y = _minus_subgrad(prob, dec.minus, z)
+            xi_x, xi_y = minus.subgrad(z.x, z.y)
             ce = ConvexExpectation(
                 integrand=dec.plus,
                 probs=prob.scenarios.probs,

@@ -70,6 +70,24 @@ def test_zero_at_zero_normalization():
         assert abs(cd.hyper[:, 0].min()) <= 1e-12
 
 
+
+def test_offsets_match_evaluate():
+    # the offset of each max branch is a(z) - f(z) with both values exactly
+    # as evaluate returns them, not recomputed in another summation order
+    sp = Space(d=3, m=2, q=2)
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        a, b = (
+            sp.affine(c0=rng.normal(), cx=rng.normal(size=3), cy=rng.normal(size=2),
+                      ct=rng.normal(size=2))
+            for _ in range(2)
+        )
+        f = maximum(a, b)
+        z = (rng.uniform(-2, 2, 3), rng.uniform(-2, 2, 2), rng.uniform(-2, 2, 2))
+        fv = evaluate(f, *z)
+        want = sorted([evaluate(a, *z) - fv, evaluate(b, *z) - fv])
+        assert sorted(codiff(f, *z).hypo[:, 0].tolist()) == want, seed
+
 def test_expansion_values_abs():
     cd = codiff(absolute(SP1.x(0)), [0.0])
     assert expansion_value(cd, [0.5]) == 0.5

@@ -95,6 +95,34 @@ def test_dc_requires_convex_parts():
     assert ei.value.code == "DC_NOT_CONVEX"
 
 
+def _kinds(e):
+    return {e.kind}.union(*(_kinds(ch) for ch in e.children))
+
+
+def _ref_convex(e):
+    """Reference for is_convex_struct, straight from its rules."""
+    k, ch = e.kind, e.children
+    if k in ("constant", "affine"):
+        return True
+    if k == "quad":
+        return e.psd
+    if k in ("add", "max"):
+        return all(_ref_convex(c) for c in ch)
+    if k == "scale":
+        return _ref_convex(ch[0]) if e.lam >= 0.0 else _ref_affine(ch[0])
+    if k == "abs":
+        return _ref_affine(ch[0])
+    return False
+
+
+def _ref_affine(e):
+    return _kinds(e) <= {"constant", "affine", "add", "scale"}
+
+
+def _ref_smooth(e):
+    return not _kinds(e) & {"max", "min", "abs", "dc"}
+
+
 def test_structural_predicates():
     x = SP2.x(0)
     bowl = SP2.quad(np.eye(2), psd=True)
@@ -105,6 +133,18 @@ def test_structural_predicates():
     assert not is_convex_struct(scale(-1.0, bowl))
     assert is_smooth_struct(add(bowl, x))
     assert not is_smooth_struct(absolute(x))
+    # a shared node under both a max and a negative scale
+    cases = []
+    for shared, convex in ((add(x, bowl), False), (add(x, constant(1.0)), True)):
+        f = add(maximum(shared, SP2.y(0)), scale(-2.0, shared))
+        assert is_convex_struct(f) == convex
+        assert not is_affine_struct(f) and not is_smooth_struct(f)
+        cases.append(f)
+    cases += [random_case(np.random.default_rng(s), max_depth=4)[1] for s in range(50)]
+    for f in cases:
+        assert is_affine_struct(f) == _ref_affine(f)
+        assert is_convex_struct(f) == _ref_convex(f)
+        assert is_smooth_struct(f) == _ref_smooth(f)
 
 
 def test_dc_parts_of_convex():

@@ -1,4 +1,4 @@
-"""Minimum-norm point over a finite vertex hull, both backends."""
+"""Minimum-norm point over a finite vertex hull."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from codiffsp import min_norm_point
-from codiffsp._minnorm import HAS_NUMBA, min_norm_point_numba, min_norm_point_numpy
 
 
 def test_two_unit_vertices():
@@ -51,15 +50,3 @@ def test_wolfe_certificate(V):
     # optimality: the hull lies on the far side of the supporting hyperplane
     slack = (V - q) @ q
     assert slack.min() >= -1e-8
-
-
-def test_backend_parity():
-    if not HAS_NUMBA:
-        pytest.skip("numba not importable")
-    rng = np.random.default_rng(4)
-    for _ in range(20):
-        V = rng.normal(size=(rng.integers(1, 40), rng.integers(1, 7)))
-        qA, tA = min_norm_point_numpy(V)
-        qB, tB = min_norm_point_numba(V)
-        assert np.allclose(qA, qB, atol=1e-12)
-        assert np.allclose(tA, tB, atol=1e-12)
