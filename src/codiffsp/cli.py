@@ -54,17 +54,10 @@ def _say(msg: str) -> None:
 
 def _opts_from(args) -> SolveOpts:
     kw = {}
-    for flag, field in (
-        ("tol_obj", "tol_obj"),
-        ("tol_step", "tol_step"),
-        ("tol_feas", "tol_feas"),
-        ("tol_stat", "tol_stat"),
-        ("max_iter", "max_iter"),
-        ("cd_max_iter", "cd_max_iter"),
-    ):
-        v = getattr(args, flag, None)
+    for name in ("tol_obj", "tol_step", "tol_feas", "tol_stat", "max_iter", "cd_max_iter"):
+        v = getattr(args, name, None)
         if v is not None:
-            kw[field] = v
+            kw[name] = v
     if getattr(args, "no_escalate", False):
         kw["escalate"] = False
     return SolveOpts(**kw)

@@ -64,10 +64,6 @@ def block_codiff(prob: TwoStageProblem, z: Point) -> BlockCodiff:
     )
 
 
-def _join(dx: np.ndarray, dy_s: np.ndarray) -> np.ndarray:
-    return np.concatenate((dx, dy_s))
-
-
 def I_expansion(bc: BlockCodiff, dx, dy) -> float:
     """First-order expansion of I: sum_s p_s expansion_value(pair_s, (dx, dy_s))."""
     dx = np.asarray(dx, dtype=np.float64).ravel()
@@ -78,7 +74,8 @@ def I_expansion(bc: BlockCodiff, dx, dy) -> float:
         )
     total = 0.0
     for s in range(bc.S):
-        total += float(bc.probs[s]) * expansion_value(bc.per_scenario[s], _join(dx, dy[s]))
+        h_s = np.concatenate((dx, dy[s]))
+        total += float(bc.probs[s]) * expansion_value(bc.per_scenario[s], h_s)
     return total
 
 
@@ -95,5 +92,5 @@ def I_dirderiv(prob: TwoStageProblem, z: Point, hx, hy) -> float:
     total = 0.0
     for s in range(bc.S):
         qd = quasidiff(bc.per_scenario[s])
-        total += float(bc.probs[s]) * dirderiv(qd, _join(hx, hy[s]))
+        total += float(bc.probs[s]) * dirderiv(qd, np.concatenate((hx, hy[s])))
     return total

@@ -10,8 +10,10 @@ Three checks at a feasible point z = (x, y_1..y_S):
         vertices v, v_i.  The y-block residual of that inclusion is the
         stationarity measure; E[zeta] must lie in -N_A(x).
 
-    smooth_kkt_check: the same condition when every integrand is smooth,
-        reduced to a nonnegative least-squares system in the gradients.
+    smooth_kkt_check: the same condition when every integrand is smooth;
+        check_optimality then reduces each scenario to a nonnegative
+        least-squares system in the gradients, and smooth_kkt_check returns
+        that certificate without a penalty budget bound.
 
     inf_stationarity_measure: sampled lower estimate of the directional
         derivative of the penalized integrand over unit feasible directions;
@@ -20,15 +22,16 @@ Three checks at a feasible point z = (x, y_1..y_S):
         the same activity tolerance check_optimality applies to constraints.
 
 The condition quantifies over all superdifferential selections; selections
-are enumerated exhaustively only when their count is small, and the
-certificate records how many were checked.
+are enumerated exhaustively only when their count is at most ENUM_CAP,
+otherwise the smallest-norm vertex of each set is used, and the certificate
+records how many were checked.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import nnls
@@ -36,10 +39,9 @@ from scipy.optimize import nnls
 from ._minnorm import min_norm_point
 from .codiff import codiff, quasidiff
 from .errors import InfeasibleCandidate, NotSmooth
-from .expectation import block_codiff
 from .expr import evaluate, is_smooth_struct
 from .model import Point, TwoStageProblem, is_feasible
-from .penalty import ENUM_CAP, penalty_integrand
+from .penalty import ENUM_CAP, PenaltySpec, penalty_codiff
 
 FEAS_TOL = 1e-6
 ACT_TOL = 1e-6  # matches solver accuracy; a constraint this close to 0 is active
@@ -170,13 +172,7 @@ def _lambda_search(resfun, n_act: int, c: float):
     return best_l, best_r
 
 
-def _scenario_certificate(
-    prob: TwoStageProblem,
-    z: Point,
-    s: int,
-    c: float,
-    chosen: tuple[int, ...] | None,
-):
+def _scenario_certificate(prob: TwoStageProblem, z: Point, s: int, c: float):
     """Best (residual, zeta, lambdas, combos_checked, exhaustive, smooth)."""
     d, ell = prob.d, prob.ell
     th = prob.scenarios.params[s]
@@ -188,23 +184,12 @@ def _scenario_certificate(
     sup_sets = [qf.sup] + [qgs[i].sup for i in act]
     smooth = qf.sub.shape[0] == 1 and all(qgs[i].sub.shape[0] == 1 for i in act)
 
-    if chosen is not None:
-        combos = [tuple(chosen[t] for t in range(len(sup_sets)))]
-        exhaustive = False
-        fallback = False
+    exhaustive = math.prod(S.shape[0] for S in sup_sets) <= ENUM_CAP
+    if exhaustive:
+        combos = list(itertools.product(*(range(S.shape[0]) for S in sup_sets)))
     else:
-        n_sel = math.prod(S.shape[0] for S in sup_sets)
-        if n_sel <= ENUM_CAP:
-            combos = list(itertools.product(*(range(S.shape[0]) for S in sup_sets)))
-            exhaustive = True
-            fallback = False
-        else:
-            # default selection: the smallest-norm vertex of each set
-            combos = [
-                tuple(int(np.argmin((S * S).sum(axis=1))) for S in sup_sets)
-            ]
-            exhaustive = False
-            fallback = True
+        # default selection: the smallest-norm vertex of each set
+        combos = [tuple(int(np.argmin((S * S).sum(axis=1))) for S in sup_sets)]
 
     best = None
     for combo in combos:
@@ -236,29 +221,23 @@ def _scenario_certificate(
             best = (res, zeta, lam_full)
     res, zeta, lam_full = best
     comp = max((abs(lam_full[i] * gvals[i]) for i in range(ell)), default=0.0)
-    return res, zeta, lam_full, comp, len(combos), exhaustive, fallback, smooth
+    return res, zeta, lam_full, comp, len(combos), exhaustive, smooth
 
 
-def check_optimality(
-    prob: TwoStageProblem,
-    c: float,
-    z: Point,
-    selections=None,
-    feas_tol: float = FEAS_TOL,
-) -> Certificate:
-    """Verify the multiplier condition at a feasible candidate.
+def check_optimality(prob: TwoStageProblem, c: float, z: Point) -> Certificate:
+    """Verify the multiplier condition at a candidate feasible to FEAS_TOL.
 
-    selections, when given, is a per-scenario sequence of vertex indices:
-    first into the objective's superdifferential, then one per active
-    constraint in index order.  Without it, selections are enumerated when
-    their count is at most the enumeration cap, otherwise the smallest-norm
-    vertex of each set is used and the certificate is flagged as a fallback.
+    Per scenario, superdifferential selections are enumerated when their
+    count is at most ENUM_CAP, otherwise the smallest-norm vertex of each
+    set is used and the certificate is flagged as a fallback.  A scenario
+    whose objective and active constraints each have a single
+    subdifferential vertex is solved exactly by nonnegative least squares.
     """
-    ok, rep = is_feasible(prob, z, tol=feas_tol)
+    ok, rep = is_feasible(prob, z, tol=FEAS_TOL)
     if not ok:
         raise InfeasibleCandidate(
             f"candidate violates feasibility by {rep.max_violation:.3e} "
-            f"(tolerance {feas_tol:.1e})"
+            f"(tolerance {FEAS_TOL:.1e})"
         )
     c = float(c)
     S, ell = prob.S, prob.ell
@@ -268,18 +247,15 @@ def check_optimality(
     res_comp = 0.0
     checked = 0
     exhaustive_all = True
-    fallback_any = False
     smooth_all = True
     for s in range(S):
-        chosen = None if selections is None else tuple(selections[s])
-        res, zs, lam, comp, n, exh, fb, sm = _scenario_certificate(prob, z, s, c, chosen)
+        res, zs, lam, comp, n, exh, sm = _scenario_certificate(prob, z, s, c)
         lambdas[s] = lam
         zeta[s] = zs
         res_stat = max(res_stat, res)
         res_comp = max(res_comp, comp)
         checked += n
         exhaustive_all &= exh
-        fallback_any |= fb
         smooth_all &= sm
     e_zeta = prob.scenarios.probs @ zeta
     res_cone = prob.A.normal_residual(z.x, e_zeta, tol=CONE_TOL)
@@ -294,65 +270,21 @@ def check_optimality(
         budget_bound=c,
         checked_selections=checked,
         empirical=not (exhaustive_all and smooth_all),
-        fallback=fallback_any,
+        fallback=not exhaustive_all,
     )
 
 
-def smooth_kkt_check(prob: TwoStageProblem, z: Point, feas_tol: float = FEAS_TOL) -> Certificate:
-    """KKT reduction when every integrand is smooth.
+def smooth_kkt_check(prob: TwoStageProblem, z: Point) -> Certificate:
+    """check_optimality when every integrand is smooth, without a budget bound.
 
-    Per scenario, solves the nonnegative least-squares system
-    grad_y f + sum_i lambda_i grad_y g_i = 0 over the active constraints and
-    aggregates the x-condition through the normal cone of A.
+    Every scenario then takes check_optimality's exact route: the
+    nonnegative least-squares system grad_y f + sum_i lambda_i grad_y g_i = 0
+    over the active constraints, with the x-condition aggregated through
+    the normal cone of A.  The penalty weight does not enter that route.
     """
     if not is_smooth_struct(prob.f) or any(not is_smooth_struct(gi) for gi in prob.g):
         raise NotSmooth("smooth_kkt_check requires smooth f and g")
-    ok, rep = is_feasible(prob, z, tol=feas_tol)
-    if not ok:
-        raise InfeasibleCandidate(
-            f"candidate violates feasibility by {rep.max_violation:.3e} "
-            f"(tolerance {feas_tol:.1e})"
-        )
-    S, ell, d = prob.S, prob.ell, prob.d
-    lambdas = np.zeros((S, ell))
-    zeta = np.zeros((S, d))
-    res_stat = 0.0
-    res_comp = 0.0
-    for s in range(S):
-        th = prob.scenarios.params[s]
-        gf = quasidiff(codiff(prob.f, z.x, z.y[s], th)).sub[0]
-        grads = [quasidiff(codiff(gi, z.x, z.y[s], th)).sub[0] for gi in prob.g]
-        gvals = [float(evaluate(gi, z.x, z.y[s], th)) for gi in prob.g]
-        act = [i for i in range(ell) if gvals[i] >= -ACT_TOL]
-        if act:
-            G = np.stack([grads[i][d:] for i in act], axis=1)
-            lam_act, res = nnls(G, -gf[d:])
-            zs = gf[:d] + sum(lam_act[t] * grads[i][:d] for t, i in enumerate(act))
-            for t, i in enumerate(act):
-                lambdas[s, i] = lam_act[t]
-        else:
-            res = np.linalg.norm(gf[d:])
-            zs = gf[:d].copy()
-        zeta[s] = zs
-        res_stat = max(res_stat, float(res))
-        res_comp = max(
-            res_comp,
-            max((abs(lambdas[s, i] * gvals[i]) for i in range(ell)), default=0.0),
-        )
-    e_zeta = prob.scenarios.probs @ zeta
-    res_cone = prob.A.normal_residual(z.x, e_zeta, tol=CONE_TOL)
-    budget = float(lambdas.max(axis=0).sum()) if ell else 0.0
-    return Certificate(
-        lambdas=lambdas,
-        zeta=zeta,
-        residual_stationarity=res_stat,
-        residual_complementarity=res_comp,
-        residual_normal_cone=res_cone,
-        budget_sum=budget,
-        budget_bound=None,
-        checked_selections=S,
-        empirical=False,
-    )
+    return replace(check_optimality(prob, 0.0, z), budget_bound=None)
 
 
 def inf_stationarity_measure(
@@ -373,13 +305,10 @@ def inf_stationarity_measure(
     a point the certificate accepts is not rejected here for missing such a
     kink by a solver-accuracy margin.  eps is not scaled with the penalty
     weight c.  Both slices are nonempty by the zero-at-zero normalization.
+    The vertices are penalty_codiff's, so a negative or non-finite c raises
+    ValidationError (PENALTY_KIND).
     """
-    prob.check_point(z)
-    pen = penalty_integrand(prob, float(c))
-    shadow = TwoStageProblem(
-        d=prob.d, m=prob.m, A=prob.A, f=pen, g=(), scenarios=prob.scenarios
-    )
-    bc = block_codiff(shadow, z)
+    bc = penalty_codiff(prob, PenaltySpec("l1_max", float(c)), z)
     slices = [
         (cd.hypo[cd.hypo[:, 0] >= -ACT_TOL, 1:], cd.hyper[cd.hyper[:, 0] <= ACT_TOL, 1:])
         for cd in bc.per_scenario

@@ -125,7 +125,7 @@ def _detect_geometry(prob: TwoStageProblem):
     return "ball", (alpha, z0, lin[:d], ct, c0)
 
 
-def _scenario_dist(kind, data, prob, x, y_s, th_s) -> float:
+def _scenario_dist(kind, data, x, y_s, th_s) -> float:
     if kind == "box":
         worst = 0.0
         for j, coef, c0, cx, ct in data:
@@ -153,7 +153,7 @@ def phi_dist(prob: TwoStageProblem, z: Point) -> float:
     th = prob.scenarios.params
     total = 0.0
     for s in range(prob.S):
-        dist = _scenario_dist(kind, data, prob, z.x, z.y[s], th[s])
+        dist = _scenario_dist(kind, data, z.x, z.y[s], th[s])
         total += float(prob.scenarios.probs[s]) * dist**p
     return total ** (1.0 / p)
 

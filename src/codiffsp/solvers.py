@@ -14,6 +14,11 @@ Two routes, both driven by the l1_max penalty:
         scenario from min-norm points of translated hypodifferentials, and
         applies an Armijo line search.  The min-norm certificate doubles as
         an approximate inf-stationarity measure.
+
+Fixed settings, not exposed in SolveOpts: the convex subsolver runs at most
+INNER_ITERS projected-subgradient iterations with base step
+1/((k+1)^0.75 |g|); the Armijo search uses sufficient-decrease factor
+ARMIJO_SIGMA and at most ARMIJO_HALVINGS halvings.
 """
 
 from __future__ import annotations
@@ -24,12 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._minnorm import min_norm_point
-from .codiff import TOL_ZERO, codiff, quasidiff
+from .codiff import codiff, quasidiff
 from .errors import NotDC, VertexCapExceeded
 from .expr import (
     Expr,
     add,
-    constant,
     dc_parts,
     evaluate,
     is_convex_struct,
@@ -51,6 +55,10 @@ __all__ = [
     "min_norm_point",
 ]
 
+INNER_ITERS = 300
+ARMIJO_SIGMA = 1e-4
+ARMIJO_HALVINGS = 50
+
 
 @dataclass(frozen=True)
 class DCDecomposition:
@@ -67,13 +75,8 @@ class SolveOpts:
     tol_feas: float = 1e-6
     max_iter: int = 500
     escalate: bool = True
-    inner_iters: int = 300
-    step_a: float = 1.0
     tol_stat: float = 1e-6
     cd_max_iter: int = 1000
-    hyper_offset_cap: float = 0.0
-    armijo_sigma: float = 1e-4
-    armijo_halvings: int = 50
 
 
 @dataclass(frozen=True)
@@ -82,7 +85,9 @@ class SolveReport:
     final_point: Point
     final_value: float
     final_phi: float
-    status: str  # converged | iteration_cap | vertex_cap | penalty_escalated(k)
+    # converged | iteration_cap | stalled | vertex_cap | penalty_escalated(k);
+    # stalled: codiff_descent found no descent step while nu > 10 * tol_stat
+    status: str
     history: tuple[tuple[float, float, float], ...]  # (value, phi, step)
     c_final: float
 
@@ -196,8 +201,9 @@ def _golden_min(phi, a: float, b: float, iters: int = 40):
     return (c, fc) if fc <= fd else (d, fd)
 
 
-def _coordinate_polish(ce: ConvexExpectation, A: FirstStageSet, x, Y, fcur, sweeps=3):
-    """Improvement-only cyclic 1D minimization over every coordinate.
+def _coordinate_polish(value, A: FirstStageSet, x, Y, fcur, sweeps=3):
+    """Improvement-only cyclic 1D minimization of value(x, Y) over every
+    coordinate.
 
     Subgradient steps stall on the smooth coordinates once a kink
     coordinate locks in; per-coordinate golden-section search cleans
@@ -218,10 +224,10 @@ def _coordinate_polish(ce: ConvexExpectation, A: FirstStageSet, x, Y, fcur, swee
                 if block == "x":
                     x2 = x.copy()
                     x2[idx] += t
-                    return ce.value(A.project(x2), Y)
+                    return value(A.project(x2), Y)
                 Y2 = Y.copy()
                 Y2[idx] += t
-                return ce.value(x, Y2)
+                return value(x, Y2)
 
             a, b = -1.0, 1.0
             fa, fb = phi(a), phi(b)
@@ -245,44 +251,25 @@ def _coordinate_polish(ce: ConvexExpectation, A: FirstStageSet, x, Y, fcur, swee
     return x, Y, fcur
 
 
-class _PhiWrap:
-    """Adapts the penalized objective to the coordinate-polish interface."""
-
-    def __init__(self, prob: TwoStageProblem, spec: PenaltySpec):
-        self.prob = prob
-        self.spec = spec
-
-    def value(self, x: np.ndarray, Y: np.ndarray) -> float:
-        return Phi_c(self.prob, self.spec, Point(x=x, y=Y))
-
-
-def convex_subsolve(
-    ce: ConvexExpectation,
-    A: FirstStageSet,
-    z0: Point,
-    opts: SolveOpts | None = None,
-    lower_bound: float | None = None,
-) -> Point:
+def convex_subsolve(ce: ConvexExpectation, A: FirstStageSet, z0: Point) -> Point:
     """Projected subgradient descent returning the best iterate.
 
-    Base step: Polyak when a lower bound is supplied, else diminishing
-    a/(k+1)^0.75 normalized by the subgradient norm.  An improvement-only
+    Base step: diminishing 1/(k+1)^0.75 normalized by the subgradient
+    norm, for at most INNER_ITERS iterations.  An improvement-only
     line search along the projected arc runs first each iteration; when it
     fails (kinks), the base step keeps the classical convergence guarantee.
     A final coordinate polish sharpens the smooth coordinates.  The result
     never exceeds the objective at z0.
     """
-    opts = opts or SolveOpts()
     x = A.project(z0.x)
     Y = np.array(z0.y, dtype=np.float64)
     fcur = ce.value(x, Y)
     fbest, xbest, Ybest = fcur, x.copy(), Y.copy()
     t_ls = 1.0
     stall = 0
-    for k in range(opts.inner_iters):
+    for k in range(INNER_ITERS):
         gx, gY = ce.subgrad(x, Y)
-        gn2 = float(gx @ gx) + float((gY * gY).sum())
-        gn = math.sqrt(gn2)
+        gn = math.sqrt(float(gx @ gx) + float((gY * gY).sum()))
         if gn <= 1e-15:
             break
         accepted = False
@@ -300,10 +287,7 @@ def convex_subsolve(
                 break
             t *= 0.5
         if not accepted:
-            if lower_bound is not None and fcur > lower_bound:
-                step = (fcur - lower_bound) / gn2
-            else:
-                step = opts.step_a / (((k + 1) ** 0.75) * gn)
+            step = 1.0 / (((k + 1) ** 0.75) * gn)
             x = A.project(x - step * gx)
             Y = Y - step * gY
             fcur = ce.value(x, Y)
@@ -312,7 +296,7 @@ def convex_subsolve(
             fbest, xbest, Ybest = fcur, x.copy(), Y.copy()
         if stall >= 3:
             break
-    xbest, Ybest, _f = _coordinate_polish(ce, A, xbest, Ybest, fbest)
+    xbest, Ybest, _f = _coordinate_polish(ce.value, A, xbest, Ybest, fbest)
     return Point(x=xbest, y=Ybest)
 
 
@@ -365,7 +349,7 @@ def dca_solve(
                 tilt_x=xi_x,
                 tilt_y=xi_y,
             )
-            z_new = convex_subsolve(ce, prob.A, z, opts)
+            z_new = convex_subsolve(ce, prob.A, z)
             v_new = Phi_c(prob, spec, z_new)
             if v_new > val:  # fp guard; warm start makes this vacuous
                 z_new, v_new = z, val
@@ -402,15 +386,13 @@ def dca_solve(
 # ---------------------------------------------------------------------------
 
 
-def _steepest_block(cd, d: int, cap: float):
+def _steepest_block(cd):
     """Most-violated hyper selection for one scenario: the largest min-norm
     of the hypodifferential translated by a zero-offset hyper vertex.
     Returns (nu, q) with q the (1+d+m) augmented min-norm point."""
-    sel = np.abs(cd.hyper[:, 0]) <= max(cap, TOL_ZERO)
-    W = cd.hyper[sel, 1:]
     nu_best = -1.0
     q_best = None
-    for w in W:
+    for w in quasidiff(cd).sup:
         V = np.array(cd.hypo)
         V[:, 1:] += w
         q, _t = min_norm_point(V)
@@ -426,7 +408,12 @@ def codiff_descent(
 ) -> SolveReport:
     """Armijo descent along block min-norm directions of the penalized
     integrand's codifferential.  Stops when every scenario's stationarity
-    measure (the largest translated min-norm) falls below tol_stat."""
+    measure (the largest translated min-norm) falls below tol_stat.
+
+    When no step is found (the Armijo search and the coordinate pass both
+    fail, or the direction vanishes), the status is converged if nu is
+    within 10 * tol_stat and stalled otherwise; iteration_cap means
+    cd_max_iter iterations ran out."""
     opts = opts or SolveOpts()
     prob.check_point(z0)
     spec = PenaltySpec("l1_max", float(c))
@@ -447,7 +434,7 @@ def codiff_descent(
         hx = np.zeros(prob.d)
         hY = np.zeros((prob.S, prob.m))
         for s in range(prob.S):
-            _nu_s, q = _steepest_block(bc.per_scenario[s], prob.d, opts.hyper_offset_cap)
+            _nu_s, q = _steepest_block(bc.per_scenario[s])
             a_avg += float(prob.scenarios.probs[s]) * q[0]
             hx -= float(prob.scenarios.probs[s]) * q[1 : 1 + prob.d]
             hY[s] = -q[1 + prob.d :]
@@ -465,18 +452,18 @@ def codiff_descent(
         # ray keeps trial displacements useful.  Same ray, rescaled.
         hnorm = float(np.sqrt(hsq))
         if hnorm <= 1e-18:
-            status = "converged" if nu <= 10.0 * opts.tol_stat else "iteration_cap"
+            status = "converged" if nu <= 10.0 * opts.tol_stat else "stalled"
             break
         hx /= hnorm
         hY /= hnorm
         slope = nu * nu / hnorm
         t = t0
         accepted = False
-        for _ in range(opts.armijo_halvings):
+        for _ in range(ARMIJO_HALVINGS):
             z_t = Point(x=prob.A.project(z.x + t * hx), y=z.y + t * hY)
             v_t = Phi_c(prob, spec, z_t)
             # strict: a trial below the value's ulp must not pass as progress
-            if v_t < val - opts.armijo_sigma * t * slope:
+            if v_t < val - ARMIJO_SIGMA * t * slope:
                 accepted = True
                 break
             t *= 0.5
@@ -489,7 +476,9 @@ def codiff_descent(
             # The assembled direction can be blocked by an active face of A
             # while feasible descent still exists along the face.  Try an
             # improvement-only coordinate pass before giving up.
-            xb, Yb, vb = _coordinate_polish(_PhiWrap(prob, spec), prob.A, z.x, z.y, val)
+            xb, Yb, vb = _coordinate_polish(
+                lambda x, Y: Phi_c(prob, spec, Point(x=x, y=Y)), prob.A, z.x, z.y, val
+            )
             if vb < val - 1e-12 * (1.0 + abs(val)):
                 z = Point(x=xb, y=Yb)
                 val = vb
@@ -498,7 +487,7 @@ def codiff_descent(
                 t0 = 1.0
                 continue
             history.append((val, phi, 0.0))
-            status = "converged" if nu <= 10.0 * opts.tol_stat else "iteration_cap"
+            status = "converged" if nu <= 10.0 * opts.tol_stat else "stalled"
             break
     return SolveReport(
         iterates=it,

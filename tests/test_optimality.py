@@ -1,5 +1,7 @@
 """Multiplier certificates, smooth KKT reduction, inf-stationarity sampling."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -11,9 +13,11 @@ from codiffsp import (
     ScenarioSpace,
     Space,
     TwoStageProblem,
+    ValidationError,
     absolute,
     affine,
     constant,
+    generate,
     quad,
 )
 from codiffsp.optimality import (
@@ -21,7 +25,7 @@ from codiffsp.optimality import (
     inf_stationarity_measure,
     smooth_kkt_check,
 )
-from codiffsp.solvers import codiff_descent, dca_solve
+from codiffsp.solvers import SolveOpts, codiff_descent, dca_solve
 
 from conftest import coupled_1d, lambda_two_instance, one_scenario, smooth_free_1d
 
@@ -99,6 +103,17 @@ def test_smooth_kkt_agrees_with_codiff_route():
     assert abs(a.residual_stationarity - b.residual_stationarity) <= 1e-6
     assert abs(a.residual_normal_cone - b.residual_normal_cone) <= 1e-6
 
+    # smooth random instances, at the witness and at a descent end point:
+    # the same certificate, without the penalty budget bound
+    for s in range(10):
+        p = generate(s, d=2, m=2, S=2, l=1, smooth=True)
+        end = codiff_descent(p, 10.0, p.witness, SolveOpts(cd_max_iter=30)).final_point
+        for z in (p.witness, end):
+            want = check_optimality(p, 10.0, z).to_json()
+            want["budget"]["bound"] = None
+            got = smooth_kkt_check(p, z).to_json()
+            assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
 
 def test_smooth_kkt_positive_residual_off_optimum():
     p = _smooth_free()
@@ -147,6 +162,13 @@ def test_inf_stationarity_examples():
     kink = inf_stationarity_measure(pk, 1.0, Point(x=[0.0], y=[[0.0]]),
                                     directions=64, seed=0)
     assert kink >= 0.0
+
+
+def test_inf_stationarity_rejects_negative_c():
+    p = _smooth_free()
+    with pytest.raises(ValidationError) as exc:
+        inf_stationarity_measure(p, -1.0, Point(x=[0.0], y=[[0.0]]))
+    assert exc.value.code == "PENALTY_KIND"
 
 
 def test_converged_solver_points_certify():

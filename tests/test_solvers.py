@@ -13,6 +13,7 @@ from codiffsp import (
     affine,
     dc,
     evaluate,
+    generate,
     maximum,
     quad,
 )
@@ -219,6 +220,16 @@ def test_descent_iteration_cap():
                          SolveOpts(cd_max_iter=1))
     assert rep.status == "iteration_cap"
     assert rep.iterates == 1
+
+
+def test_descent_reports_stall_not_iteration_cap():
+    # the line search and the coordinate pass both fail well before the cap,
+    # at a point whose stationarity measure is far above tol_stat
+    p = generate(7, d=2, m=2, S=3, l=2, dc=True)
+    opts = SolveOpts()
+    rep = codiff_descent(p, 10.0, p.witness, opts)
+    assert rep.status == "stalled"
+    assert rep.iterates < opts.cd_max_iter
 
 
 def test_both_solvers_agree_on_coupled():
