@@ -36,6 +36,10 @@ from .errors import CodiffspError, DimensionMismatch, VertexCapExceeded
 from .expr import Expr, node_values
 
 TOL_ZERO = 1e-9
+# _prune_vertices drops a vertex whose distance to the hull of the others is
+# at most this absolute bound.  min_norm_point rounds at about 1e-15 times the
+# largest |entry|, so beyond entries of about 1e6 some interior vertices are
+# kept: the hull is the same, its vertex list longer.
 MEMBERSHIP_TOL = 1e-9
 MAX_VERTICES = 4096
 AUTO_PRUNE_AT = 256

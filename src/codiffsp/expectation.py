@@ -14,7 +14,7 @@ import numpy as np
 
 from .codiff import CodiffPair, codiff, dirderiv, expansion_value, quasidiff
 from .errors import DimensionMismatch, NonFinite
-from .expr import evaluate
+from .expr import Expr, evaluate
 from .model import Point, TwoStageProblem
 
 
@@ -56,9 +56,14 @@ def eval_I(prob: TwoStageProblem, z: Point) -> float:
 
 def block_codiff(prob: TwoStageProblem, z: Point) -> BlockCodiff:
     """codiff of f at (x, y_s, theta_s) for every scenario s."""
+    return _integrand_codiff(prob, prob.f, z)
+
+
+def _integrand_codiff(prob: TwoStageProblem, integrand: Expr, z: Point) -> BlockCodiff:
+    """codiff of a per-scenario integrand at (x, y_s, theta_s) for every s."""
     prob.check_point(z)
     th = prob.scenarios.params
-    pairs = [codiff(prob.f, z.x, z.y[s], th[s]) for s in range(prob.S)]
+    pairs = [codiff(integrand, z.x, z.y[s], th[s]) for s in range(prob.S)]
     return BlockCodiff(
         per_scenario=tuple(pairs), probs=prob.scenarios.probs, d=prob.d, m=prob.m
     )

@@ -5,15 +5,21 @@ Three checks at a feasible point z = (x, y_1..y_S):
     check_optimality: multiplier form of the first-order necessary condition.
         Per scenario, fix one zero-offset superdifferential vertex w of the
         objective integrand and one per active constraint; then nonnegative
-        multipliers lambda and a vector zeta_s must place (zeta_s, 0) inside
-        the hull of {v + w + sum_i lambda_i (v_i + w_i)} over subdifferential
-        vertices v, v_i.  The y-block residual of that inclusion is the
-        stationarity measure; E[zeta] must lie in -N_A(x).
+        multipliers lambda and a vector zeta_s must place (zeta_s, 0) in
+        co(sub f + w) + sum_i lambda_i co(sub g_i + w_i).  Over lambda >= 0
+        the sum is co(sub f + w) plus the cone spanned by the rows of every
+        sub g_i + w_i, so the y-block residual of the inclusion is the
+        distance from 0 to that set in the y-coordinates: one exact
+        nonnegative least-squares solve (_minnorm._least_norm).  Its nearest
+        point q is unique but the combination reaching it need not be, and
+        the combinations' x-parts differ; a second solve picks, among them,
+        one of least x-part (0 lies in every normal cone).  Its ray weights
+        sum per constraint to lambda_i, its x-part is zeta_s and the norm of
+        its y-part is the stationarity measure; E[zeta] must lie in -N_A(x).
 
-    smooth_kkt_check: the same condition when every integrand is smooth;
-        check_optimality then reduces each scenario to a nonnegative
-        least-squares system in the gradients, and smooth_kkt_check returns
-        that certificate without a penalty budget bound.
+    smooth_kkt_check: the same condition when every integrand is smooth,
+        returned without a penalty budget bound; each scenario's solve is
+        then the nonnegative least-squares system in the gradients.
 
     inf_stationarity_measure: sampled lower estimate of the directional
         derivative of the penalized integrand over unit feasible directions;
@@ -34,9 +40,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import nnls
 
-from ._minnorm import min_norm_point
+from ._minnorm import _least_norm
 from .codiff import codiff, quasidiff
 from .errors import InfeasibleCandidate, NotSmooth
 from .expr import evaluate, is_smooth_struct
@@ -46,16 +51,15 @@ from .penalty import ENUM_CAP, PenaltySpec, penalty_codiff
 FEAS_TOL = 1e-6
 ACT_TOL = 1e-6  # matches solver accuracy; a constraint this close to 0 is active
 CONE_TOL = 1e-6
-LAMBDA_GRID = 11
+# Weight of the y-offset from q against the x-part in the zeta solve.  The
+# weighting method (Lawson & Hanson, ch. 22) misses the exact tie-break by
+# O(1/Y_WEIGHT^2); about eps^(-1/2) puts that at rounding level.
+Y_WEIGHT = 1e8
 
 
 @dataclass(frozen=True)
 class Certificate:
-    """Multiplier certificate; residuals near zero certify the condition.
-
-    empirical is False only when every superdifferential selection was
-    enumerated and every scenario reduced to an exact least-squares solve.
-    """
+    """Multiplier certificate; residuals near zero certify the condition."""
 
     lambdas: np.ndarray  # (S, ell), nonnegative
     zeta: np.ndarray  # (S, d)
@@ -65,7 +69,6 @@ class Certificate:
     budget_sum: float  # sum_i max_s lambda_{i,s}
     budget_bound: float | None  # the penalty weight c, when one applies
     checked_selections: int
-    empirical: bool
     fallback: bool = False  # selection enumeration overflowed
 
     def __post_init__(self):
@@ -78,6 +81,12 @@ class Certificate:
         ):
             if r < 0:
                 raise ValueError("residuals must be nonnegative")
+
+    @property
+    def empirical(self) -> bool:
+        """Every selection's multiplier solve is exact, so the certificate
+        is empirical exactly when it is a fallback."""
+        return self.fallback
 
     @property
     def residuals(self) -> dict[str, float]:
@@ -99,81 +108,8 @@ class Certificate:
         }
 
 
-TIEBREAK = 1e-3  # x-block pull; squared it must clear the min-norm gap tol
-
-
-def _pairwise_sum(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    return (A[:, None, :] + B[None, :, :]).reshape(-1, A.shape[1])
-
-
-def _hull_residual(V: np.ndarray, d: int, tiebreak: bool = False) -> tuple[float, np.ndarray]:
-    """min ||u_y|| over u in co(V) and the x-block of an attaining u.
-
-    The minimizer's x-block is not unique; with tiebreak the solve also
-    weakly minimizes ||u_x||, which favors the normal-cone check (0 lies in
-    every normal cone).  The reported residual is the chosen u's ||u_y||.
-    """
-    if tiebreak:
-        W = V.copy()
-        W[:, :d] *= TIEBREAK
-        _, t = min_norm_point(W)
-        u = t @ V
-        return float(np.linalg.norm(u[d:])), u[:d]
-    q, t = min_norm_point(V[:, d:])
-    u = t @ V
-    return float(np.linalg.norm(q)), u[:d]
-
-
-def _selection_residual(
-    sub_f: np.ndarray,
-    subs: list[np.ndarray],
-    lam: np.ndarray,
-    d: int,
-    tiebreak: bool = False,
-) -> tuple[float, np.ndarray]:
-    """Residual for fixed multipliers; vertex sets already carry their w."""
-    V = sub_f
-    for t in range(lam.shape[0]):
-        if lam[t] > 0.0:
-            V = _pairwise_sum(V, lam[t] * subs[t])
-    return _hull_residual(V, d, tiebreak)
-
-
-def _lambda_search(resfun, n_act: int, c: float):
-    """Coarse grid on [0, 10c] then improvement-only coordinate descent."""
-    if n_act == 0:
-        lam = np.zeros(0)
-        return lam, resfun(lam)
-    hi = 10.0 * max(c, 1.0)
-    best_l = np.zeros(n_act)
-    best_r = resfun(best_l)
-    if n_act <= 3:
-        axes = [np.linspace(0.0, hi, LAMBDA_GRID)] * n_act
-        for combo in itertools.product(*axes):
-            lam = np.asarray(combo)
-            r = resfun(lam)
-            if r < best_r:
-                best_r, best_l = r, lam
-    step = hi / (LAMBDA_GRID - 1)
-    while step > 1e-12:
-        improved = True
-        while improved:
-            improved = False
-            for j in range(n_act):
-                for cand in (best_l[j] - step, best_l[j] + step):
-                    if cand < 0.0:
-                        continue
-                    trial = best_l.copy()
-                    trial[j] = cand
-                    r = resfun(trial)
-                    if r < best_r - 1e-15:
-                        best_r, best_l, improved = r, trial, True
-        step *= 0.5
-    return best_l, best_r
-
-
-def _scenario_certificate(prob: TwoStageProblem, z: Point, s: int, c: float):
-    """Best (residual, zeta, lambdas, combos_checked, exhaustive, smooth)."""
+def _scenario_certificate(prob: TwoStageProblem, z: Point, s: int):
+    """Best (residual, zeta, lambdas, complementarity, combos_checked, exhaustive)."""
     d, ell = prob.d, prob.ell
     th = prob.scenarios.params[s]
     qf = quasidiff(codiff(prob.f, z.x, z.y[s], th))
@@ -182,8 +118,6 @@ def _scenario_certificate(prob: TwoStageProblem, z: Point, s: int, c: float):
     act = [i for i in range(ell) if gvals[i] >= -ACT_TOL]
 
     sup_sets = [qf.sup] + [qgs[i].sup for i in act]
-    smooth = qf.sub.shape[0] == 1 and all(qgs[i].sub.shape[0] == 1 for i in act)
-
     exhaustive = math.prod(S.shape[0] for S in sup_sets) <= ENUM_CAP
     if exhaustive:
         combos = list(itertools.product(*(range(S.shape[0]) for S in sup_sets)))
@@ -191,37 +125,28 @@ def _scenario_certificate(prob: TwoStageProblem, z: Point, s: int, c: float):
         # default selection: the smallest-norm vertex of each set
         combos = [tuple(int(np.argmin((S * S).sum(axis=1))) for S in sup_sets)]
 
+    # lambda_i co(sub g_i + w_i) over lambda_i >= 0 is the cone of its rows;
+    # owner[r] is the constraint that ray r belongs to
+    owner = np.repeat(np.array(act, dtype=int), [qgs[i].sub.shape[0] for i in act])
     best = None
     for combo in combos:
-        wf = sup_sets[0][combo[0]]
-        shifted = [qgs[act[t]].sub + sup_sets[1 + t][combo[1 + t]] for t in range(len(act))]
-        base = qf.sub + wf
-        if smooth:
-            grad = base[0]
-            if act:
-                G = np.stack([sh[0][d:] for sh in shifted], axis=1)
-                lam_act, res = nnls(G, -grad[d:])
-                res = float(res)
-                zeta = grad[:d] + sum(
-                    lam_act[t] * shifted[t][0][:d] for t in range(len(act))
-                )
-            else:
-                lam_act = np.zeros(0)
-                res = float(np.linalg.norm(grad[d:]))
-                zeta = grad[:d].copy()
-        else:
-            lam_act, _ = _lambda_search(
-                lambda lam: _selection_residual(base, shifted, lam, d)[0], len(act), c
-            )
-            res, zeta = _selection_residual(base, shifted, lam_act, d, tiebreak=True)
+        V = qf.sub + sup_sets[0][combo[0]]
+        R = np.vstack(
+            [V[:0]] + [qgs[i].sub + sup_sets[1 + j][combo[1 + j]] for j, i in enumerate(act)]
+        )
+        q = _least_norm(V[:, d:], R[:, d:])[0]
+        # least x-part among the combinations whose y-part is q
+        _, t, mu = _least_norm(
+            np.hstack((Y_WEIGHT * (V[:, d:] - q), V[:, :d])),
+            np.hstack((Y_WEIGHT * R[:, d:], R[:, :d])),
+        )
+        u = t @ V + mu @ R
+        res = float(np.linalg.norm(u[d:]))
         if best is None or res < best[0]:
-            lam_full = np.zeros(ell)
-            for t, i in enumerate(act):
-                lam_full[i] = lam_act[t]
-            best = (res, zeta, lam_full)
-    res, zeta, lam_full = best
-    comp = max((abs(lam_full[i] * gvals[i]) for i in range(ell)), default=0.0)
-    return res, zeta, lam_full, comp, len(combos), exhaustive, smooth
+            best = (res, u[:d], np.bincount(owner, weights=mu, minlength=ell))
+    res, zeta, lam = best
+    comp = max((abs(lam[i] * gvals[i]) for i in range(ell)), default=0.0)
+    return res, zeta, lam, comp, len(combos), exhaustive
 
 
 def check_optimality(prob: TwoStageProblem, c: float, z: Point) -> Certificate:
@@ -229,9 +154,8 @@ def check_optimality(prob: TwoStageProblem, c: float, z: Point) -> Certificate:
 
     Per scenario, superdifferential selections are enumerated when their
     count is at most ENUM_CAP, otherwise the smallest-norm vertex of each
-    set is used and the certificate is flagged as a fallback.  A scenario
-    whose objective and active constraints each have a single
-    subdifferential vertex is solved exactly by nonnegative least squares.
+    set is used and the certificate is flagged as a fallback.  Each
+    selection is solved exactly; the scenario keeps the smallest residual.
     """
     ok, rep = is_feasible(prob, z, tol=FEAS_TOL)
     if not ok:
@@ -247,16 +171,14 @@ def check_optimality(prob: TwoStageProblem, c: float, z: Point) -> Certificate:
     res_comp = 0.0
     checked = 0
     exhaustive_all = True
-    smooth_all = True
     for s in range(S):
-        res, zs, lam, comp, n, exh, sm = _scenario_certificate(prob, z, s, c)
+        res, zs, lam, comp, n, exh = _scenario_certificate(prob, z, s)
         lambdas[s] = lam
         zeta[s] = zs
         res_stat = max(res_stat, res)
         res_comp = max(res_comp, comp)
         checked += n
         exhaustive_all &= exh
-        smooth_all &= sm
     e_zeta = prob.scenarios.probs @ zeta
     res_cone = prob.A.normal_residual(z.x, e_zeta, tol=CONE_TOL)
     budget = float(lambdas.max(axis=0).sum()) if ell else 0.0
@@ -269,7 +191,6 @@ def check_optimality(prob: TwoStageProblem, c: float, z: Point) -> Certificate:
         budget_sum=budget,
         budget_bound=c,
         checked_selections=checked,
-        empirical=not (exhaustive_all and smooth_all),
         fallback=not exhaustive_all,
     )
 
@@ -277,10 +198,10 @@ def check_optimality(prob: TwoStageProblem, c: float, z: Point) -> Certificate:
 def smooth_kkt_check(prob: TwoStageProblem, z: Point) -> Certificate:
     """check_optimality when every integrand is smooth, without a budget bound.
 
-    Every scenario then takes check_optimality's exact route: the
-    nonnegative least-squares system grad_y f + sum_i lambda_i grad_y g_i = 0
-    over the active constraints, with the x-condition aggregated through
-    the normal cone of A.  The penalty weight does not enter that route.
+    Each scenario's solve is then the nonnegative least-squares system
+    grad_y f + sum_i lambda_i grad_y g_i = 0 over the active constraints,
+    with the x-condition aggregated through the normal cone of A.  The
+    penalty weight does not enter the certificate apart from its bound.
     """
     if not is_smooth_struct(prob.f) or any(not is_smooth_struct(gi) for gi in prob.g):
         raise NotSmooth("smooth_kkt_check requires smooth f and g")

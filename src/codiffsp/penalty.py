@@ -24,7 +24,7 @@ import numpy as np
 from ._minnorm import min_norm_point
 from .codiff import codiff, quasidiff
 from .errors import Unprojectable, ValidationError
-from .expectation import BlockCodiff, eval_I
+from .expectation import BlockCodiff, _integrand_codiff, eval_I
 from .expr import Expr, add, constant, evaluate, maximum, scale
 from .model import Point, TwoStageProblem
 
@@ -196,13 +196,7 @@ def penalty_codiff(prob: TwoStageProblem, spec: PenaltySpec, z: Point) -> BlockC
         raise ValidationError(
             "PENALTY_UNSUPPORTED", "codifferential penalty requires kind = l1_max"
         )
-    prob.check_point(z)
-    integrand = penalty_integrand(prob, spec.c)
-    th = prob.scenarios.params
-    pairs = [codiff(integrand, z.x, z.y[s], th[s]) for s in range(prob.S)]
-    return BlockCodiff(
-        per_scenario=tuple(pairs), probs=prob.scenarios.probs, d=prob.d, m=prob.m
-    )
+    return _integrand_codiff(prob, penalty_integrand(prob, spec.c), z)
 
 
 # ---------------------------------------------------------------------------

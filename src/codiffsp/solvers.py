@@ -31,6 +31,7 @@ import numpy as np
 from ._minnorm import min_norm_point
 from .codiff import codiff, quasidiff
 from .errors import NotDC, VertexCapExceeded
+from .expectation import _integrand_codiff
 from .expr import (
     Expr,
     add,
@@ -41,7 +42,7 @@ from .expr import (
     scale,
 )
 from .model import FirstStageSet, Point, TwoStageProblem
-from .penalty import PenaltySpec, Phi_c, penalty_codiff, penalty_integrand, phi_l1
+from .penalty import PenaltySpec, Phi_c, penalty_integrand, phi_l1
 
 __all__ = [
     "DCDecomposition",
@@ -417,6 +418,7 @@ def codiff_descent(
     opts = opts or SolveOpts()
     prob.check_point(z0)
     spec = PenaltySpec("l1_max", float(c))
+    integrand = penalty_integrand(prob, spec.c)
     z = Point(x=prob.A.project(z0.x), y=z0.y)
     val = Phi_c(prob, spec, z)
     phi = phi_l1(prob, z)
@@ -426,7 +428,7 @@ def codiff_descent(
     it = 0
     for it in range(1, opts.cd_max_iter + 1):
         try:
-            bc = penalty_codiff(prob, spec, z)
+            bc = _integrand_codiff(prob, integrand, z)
         except VertexCapExceeded:
             status = "vertex_cap"
             break

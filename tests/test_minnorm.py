@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -45,8 +45,14 @@ def test_coefficients_are_simplex():
         elements=st.floats(-10, 10, allow_nan=False),
     )
 )
+@example(
+    np.array(
+        [[0.0, 1.5, 7.0, -1.0], [-1.0, -1.0, -1.0, 0.0], [10.0, 7.5, -1.0, 5.0], [0.0, 0.0, -1.0, -1.0]]
+        + [[-1.0, -1.0, -1.0, -1.0]] * 4
+    )
+)
 def test_wolfe_certificate(V):
-    q, _ = min_norm_point(V, eps=1e-10)
+    q, _ = min_norm_point(V)
     # optimality: the hull lies on the far side of the supporting hyperplane
     slack = (V - q) @ q
     assert slack.min() >= -1e-8

@@ -15,10 +15,15 @@ from codiffsp import (
     TwoStageProblem,
     ValidationError,
     absolute,
+    add,
     affine,
+    codiff,
     constant,
+    evaluate,
     generate,
+    min_norm_point,
     quad,
+    quasidiff,
 )
 from codiffsp.optimality import (
     check_optimality,
@@ -75,6 +80,18 @@ def test_free_x_gradient_splits_between_residuals():
     cert = check_optimality(p, 1.0, Point(x=[1.0], y=[[1.0]]))
     joint = np.hypot(cert.residual_stationarity, cert.residual_normal_cone)
     assert joint >= np.sqrt(8.0) - 1e-6
+
+
+def test_kink_in_x_certifies_true_minimum():
+    # f = |x| + y^2 has its minimum at 0; both subgradients (+-1, 0) reach
+    # the y-residual 0, and only their midpoint gives zeta = 0
+    f = add(absolute(affine(DIMS, cx=[1.0])), quad(DIMS, np.diag([0.0, 2.0]), psd=True))
+    p = TwoStageProblem(
+        d=1, m=1, A=FirstStageSet.free(), f=f, g=(), scenarios=one_scenario()
+    )
+    cert = check_optimality(p, 1.0, Point(x=[0.0], y=[[0.0]]))
+    assert cert.residual_stationarity <= 1e-9
+    assert cert.residual_normal_cone <= 1e-9
 
 
 def test_infeasible_candidate_rejected():
@@ -187,3 +204,48 @@ def test_smooth_converged_point_has_small_residuals():
     cert = check_optimality(p, 1.0, rep.final_point)
     assert cert.residual_stationarity <= 1e-3
     assert cert.residual_normal_cone <= 1e-3
+
+
+def _two_kink_point(p):
+    """Witness x and, per scenario, the y at which both branches of every
+    max-of-two-affines constraint vanish: both constraints active at a kink."""
+    x = p.witness.x
+    Y = []
+    for th in p.scenarios.params:
+        rows, rhs = [], []
+        for g in p.g:
+            mx, shift = g.children
+            for a in mx.children:
+                rows.append(a.cy)
+                rhs.append(-(a.c0 + a.cx @ x + a.ct @ th + shift.value))
+        Y.append(np.linalg.solve(np.array(rows), np.array(rhs)))
+    return Point(x=x, y=np.array(Y))
+
+
+def _minkowski_residual(p, z, s, lam):
+    """y-norm of the min-norm point of co(sub f + w) + sum_i lam_i co(sub g_i + w_i),
+    formed as Minkowski vertex sums."""
+    th = p.scenarios.params[s]
+    qf = quasidiff(codiff(p.f, z.x, z.y[s], th))
+    V = qf.sub + qf.sup[0]
+    for i, gi in enumerate(p.g):
+        if lam[i] > 0.0:
+            qg = quasidiff(codiff(gi, z.x, z.y[s], th))
+            W = lam[i] * (qg.sub + qg.sup[0])
+            V = (V[:, None, :] + W[None, :, :]).reshape(-1, V.shape[1])
+    q, _ = min_norm_point(V[:, p.d:])
+    return float(np.linalg.norm(q))
+
+
+def test_kink_certificate_is_exact():
+    for s in range(20):
+        p = generate(s, d=2, m=4, S=2, l=2, dc=False)
+        z = _two_kink_point(p)
+        for sc in range(p.S):
+            for gi in p.g:
+                assert abs(evaluate(gi, z.x, z.y[sc], p.scenarios.params[sc])) <= 1e-9
+        cert = check_optimality(p, 10.0, z)
+        assert cert.empirical is False
+        r = cert.residual_stationarity
+        ref = max(_minkowski_residual(p, z, sc, cert.lambdas[sc]) for sc in range(p.S))
+        assert abs(r - ref) <= 1e-9 * (1.0 + r)
