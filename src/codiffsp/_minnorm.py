@@ -1,4 +1,4 @@
-"""Point of least norm in a hull of vertices plus a cone of rays.
+"""Point of least norm in a sum of hulls plus a cone of rays.
 
 The nearest point to 0 in co(V) + cone(R) is a least-distance problem,
 solved exactly by one nonnegative least-squares system (Lawson & Hanson,
@@ -17,8 +17,17 @@ change under that scaling.  The active-set solve ends in finitely many
 steps; its optimality conditions are the Wolfe certificate <q, v - q> >= 0
 for every vertex v (and <q, r> >= 0 for every ray r), up to rounding.
 
-This kernel serves vertex pruning, the descent solver's per-scenario
-direction, the nondegeneracy constant and the multiplier certificate.
+Several hulls co(V_1) + ... + co(V_B) + cone(R) take one ones row per
+block.  The blocks' sums then need not share one sigma, so the rows are
+weighted by SIMPLEX_WEIGHT (the weighting method, ch. 22) only to find the
+support; the point is then solved exactly on that support, each block's
+weights held at sum 1 by writing one of its vertices as the pivot.
+
+This kernel serves vertex pruning, the joint descent direction and
+stationarity measure, the nondegeneracy constant and the certificate.  "0
+lies in the set" is one rule (``inside``): ||q|| within MEMBERSHIP_TOL of 0
+relative to the columns' largest |entry| (at least 1), since the solve
+rounds at about 1e-15 times that entry.
 """
 
 from __future__ import annotations
@@ -30,24 +39,83 @@ from scipy.optimize import nnls
 # benchmark harness records which backend ran.
 USING_NUMBA = False
 
+MEMBERSHIP_TOL = 1e-9
+# Weight of the per-block ones rows against coordinate rows scaled to at
+# most 1; it only has to put the weighted support on the exact one.
+SIMPLEX_WEIGHT = 1e3
 
-def _least_norm(V: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return (q, t, mu): q = V^T t + R^T mu of least norm, t on the simplex,
-    mu >= 0.  V is (k, n) float64 with k >= 1; R is (r, n), r >= 0."""
+
+def inside(q: np.ndarray, W: np.ndarray) -> bool:
+    """0 lies in the set whose least-norm point over the columns W is q."""
+    return float(np.linalg.norm(q)) <= MEMBERSHIP_TOL * max(1.0, float(np.abs(W).max()))
+
+
+def _least_norm(
+    V: np.ndarray, R: np.ndarray, sizes: tuple[int, ...] | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Return (q, t, mu): q = V^T t + R^T mu of least norm, t on the simplex
+    of every block, mu >= 0.  V is (k, n) float64 with k >= 1, its rows split
+    into consecutive blocks of the given sizes (default: one block); R is
+    (r, n), r >= 0."""
     k = V.shape[0]
-    if k == 1 and R.shape[0] == 0:
-        return V[0].copy(), np.ones(1), np.zeros(0)
+    sizes = (k,) if sizes is None else tuple(sizes)
+    nb = len(sizes)
+    if k == nb and R.shape[0] == 0:
+        return (V[0].copy() if k == 1 else V.sum(axis=0)), np.ones(k), np.zeros(0)
     W = np.vstack((V, R))
     n = W.shape[1]
-    E = np.zeros((n + 1, W.shape[0]))
+    owner = np.repeat(np.arange(nb), sizes)
+    weight = 1.0 if nb == 1 else SIMPLEX_WEIGHT
+    E = np.zeros((n + nb, W.shape[0]))
     E[:n] = W.T / (float(np.abs(W).max()) or 1.0)
-    E[n, :k] = 1.0
-    rhs = np.zeros(n + 1)
-    rhs[n] = 1.0
-    w, _ = nnls(E, rhs)
-    w /= w[:k].sum()
+    E[n + owner, np.arange(k)] = weight
+    rhs = np.zeros(n + nb)
+    rhs[n:] = weight
+    if nb == 1:
+        w, _ = nnls(E, rhs)
+        w /= w[:k].sum()
+    else:
+        # repeated columns can make nnls return weights that do not match
+        # its own residual; solve on the distinct columns only
+        _, first = np.unique(E, axis=1, return_index=True)
+        first.sort()
+        w = np.zeros(W.shape[0])
+        w[first] = nnls(E[:, first], rhs)[0]
+        w = _on_support(V, R, owner, w)
     t, mu = w[:k], w[k:]
     return t @ V + mu @ R, t, mu
+
+
+def _on_support(V: np.ndarray, R: np.ndarray, owner: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Exact weights on the support of the weighted solve w: each block's
+    largest weight is its pivot, and one least-squares solve over the other
+    vertices (less their pivot) and the rays gives the rest.  Negative
+    columns leave the support and the solve repeats; a negative pivot falls
+    back to w with each block rescaled to sum 1."""
+    k = V.shape[0]
+    nb = int(owner[-1]) + 1
+    hull = np.flatnonzero(w[:k] > 0.0)
+    piv = np.zeros(nb, dtype=int)
+    for j in hull[np.argsort(w[hull], kind="stable")]:
+        piv[owner[j]] = j  # ascending weight: the block's largest wins
+    use = w > 0.0
+    use[piv] = False
+    while True:
+        free = np.flatnonzero(use[:k])
+        rays = np.flatnonzero(use[k:])
+        D = np.vstack((V[free] - V[piv[owner[free]]], R[rays]))
+        c = np.linalg.lstsq(D.T, -V[piv].sum(axis=0), rcond=None)[0]
+        out = np.zeros_like(w)
+        out[free] = c[: free.shape[0]]
+        out[k + rays] = c[free.shape[0]:]
+        out[piv] = 1.0 - np.bincount(owner[free], weights=out[free], minlength=nb)
+        if out.min() >= 0.0:
+            return out
+        if out[piv].min() < 0.0:
+            out = w.copy()
+            out[:k] /= np.bincount(owner, weights=w[:k], minlength=nb)[owner]
+            return out
+        use &= out > 0.0
 
 
 def min_norm_point(vertices) -> tuple[np.ndarray, np.ndarray]:

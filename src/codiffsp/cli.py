@@ -143,9 +143,7 @@ def _cmd_certify(args) -> int:
     if args.inf_directions > 0:
         if args.c is None:
             raise CodiffspError("USAGE", "--inf-directions requires --c")
-        report["inf_stationarity"] = inf_stationarity_measure(
-            prob, args.c, z, directions=args.inf_directions, seed=args.seed
-        )
+        report["inf_stationarity"] = inf_stationarity_measure(prob, args.c, z)
     _emit(report, args.output)
     worst = max(cert.residuals.values())
     _say(f"certificate residuals: max {worst:.3e}, budget {cert.budget_sum:.3g}")
@@ -274,7 +272,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--c", type=float, default=None)
     sp.add_argument("--smooth", action="store_true", help="use the smooth KKT reduction")
     sp.add_argument("--inf-directions", dest="inf_directions", type=int, default=0)
-    sp.add_argument("--seed", type=int, default=0)
     sp.set_defaults(fn=_cmd_certify)
 
     sp = sub.add_parser("check-nondeg", help="sample the constraint nondegeneracy constant")

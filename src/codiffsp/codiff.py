@@ -31,16 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._minnorm import min_norm_point
+from ._minnorm import inside, min_norm_point
 from .errors import CodiffspError, DimensionMismatch, VertexCapExceeded
 from .expr import Expr, node_values
 
 TOL_ZERO = 1e-9
-# _prune_vertices drops a vertex whose distance to the hull of the others is
-# at most this absolute bound.  min_norm_point rounds at about 1e-15 times the
-# largest |entry|, so beyond entries of about 1e6 some interior vertices are
-# kept: the hull is the same, its vertex list longer.
-MEMBERSHIP_TOL = 1e-9
 MAX_VERTICES = 4096
 AUTO_PRUNE_AT = 256
 
@@ -124,9 +119,8 @@ def _prune_vertices(V: np.ndarray) -> np.ndarray:
         if others.shape[0] == 0:
             keep[j] = True
             continue
-        q, _t = min_norm_point(others - V[j])
-        inside = float(np.linalg.norm(q)) <= MEMBERSHIP_TOL
-        if not inside:
+        D = others - V[j]
+        if not inside(min_norm_point(D)[0], D):
             keep[j] = True
     return V[keep]
 

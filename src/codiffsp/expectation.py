@@ -3,19 +3,34 @@
 Its codifferential over the joint space factors scenario-blockwise: one
 CodiffPair per scenario, never the exponential product polytope.  All
 reductions run in ascending scenario order so results are bit-reproducible.
+
+The hypodifferential of I is the p-weighted Minkowski sum of the scenario
+hypodifferentials, each embedded in the (x, y_s) block of (x, y_1..y_S).
+BlockCodiff.least_norm returns its point of least norm over the eps-active
+vertices plus the normal cone of A: the steepest-descent direction and the
+inf-stationarity measure nu(eps) of the solvers and of the certifier.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._minnorm import _least_norm, inside
 from .codiff import CodiffPair, codiff, dirderiv, expansion_value, quasidiff
 from .errors import DimensionMismatch, NonFinite
 from .expr import Expr, evaluate
-from .model import Point, TwoStageProblem
+from .model import FirstStageSet, Point, TwoStageProblem
+
+# A vertex (or a constraint) within ACT_TOL of active counts as active; the
+# descent engine stops at eps = ACT_TOL and the certifier uses the same.
+ACT_TOL = 1e-6
+# Superdifferential selections are enumerated up to this many combinations;
+# beyond it each set contributes its smallest-norm vertex.
+ENUM_CAP = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,6 +54,56 @@ class BlockCodiff:
     @property
     def S(self) -> int:
         return len(self.per_scenario)
+
+    def least_norm(
+        self, A: FirstStageSet, x: np.ndarray, eps: float, tilt: np.ndarray | None = None
+    ) -> tuple[float, np.ndarray]:
+        """(nu, q) for the set D = sum_s co(G_s + w_s) + N of slopes, maximized
+        over the selections w_s of zero-offset hyper vertices.
+
+        G_s holds the slopes of scenario s's hypo vertices with offset >= -eps,
+        minus row s of tilt (S, d+m) when given; N is the cone of A's outward
+        normals within eps of x.  A slope g of scenario s acts on a direction
+        h as p_s <g, (h_x, h_ys)>, and directions carry the L2(P) norm
+        ||h||^2 = ||h_x||^2 + sum_s p_s ||h_ys||^2 of the second stage: nu is
+        the dual-norm distance from 0 to D, along -q the eps-active model
+        falls at rate at least nu^2.  Selections are enumerated up to
+        ENUM_CAP, else each scenario takes its smallest-norm hyper vertex.
+        When 0 lies in D (``_minnorm.inside``), nu = 0 and q = 0.
+        """
+        d, m, S = self.d, self.m, self.S
+        n = d + S * m
+        slopes, sups = [], []
+        for s, cd in enumerate(self.per_scenario):
+            G = cd.hypo[cd.hypo[:, 0] >= -eps, 1:]
+            slopes.append(G if tilt is None else G - tilt[s])
+            sups.append(quasidiff(cd).sup)
+        counts = [W.shape[0] for W in sups]
+        if math.prod(counts) <= ENUM_CAP:
+            combos = itertools.product(*map(range, counts))
+        else:
+            combos = [tuple(int(np.argmin((W * W).sum(axis=1))) for W in sups)]
+        normals = A.normal_rays(x, eps)
+        R = np.hstack((normals, np.zeros((normals.shape[0], S * m))))
+        sizes = [G.shape[0] for G in slopes]
+        rows = np.repeat(np.arange(S), sizes)
+        cols = d + rows[:, None] * m + np.arange(m)
+        p = self.probs[rows][:, None]
+        best = None
+        for combo in combos:
+            G = np.vstack([slopes[s] + sups[s][w] for s, w in enumerate(combo)])
+            V = np.zeros((G.shape[0], n))
+            V[:, :d] = p * G[:, :d]
+            np.put_along_axis(V, cols, np.sqrt(p) * G[:, d:], axis=1)
+            q = _least_norm(V, R, sizes)[0]
+            if inside(q, np.vstack((V, R))):
+                q = np.zeros(n)
+            nu = float(np.linalg.norm(q))
+            if best is None or nu > best[0]:
+                best = (nu, q)
+        nu, q = best
+        q[d:] /= np.repeat(np.sqrt(self.probs), m)
+        return nu, q
 
 
 def eval_I(prob: TwoStageProblem, z: Point) -> float:

@@ -89,9 +89,9 @@ class ScenarioSpace:
 class FirstStageSet:
     """First-stage feasible set: free, a box, or a closed ball.
 
-    All three admit exact projections, exact tangent-cone projections, and
-    an exact distance from a vector to -N_A(x); the solvers and the
-    certificate checker rely on that.
+    All three admit exact projections and a finite set of unit outward
+    normals generating N_A(x), from which the tangent-cone projection and the
+    distance to -N_A(x) follow; the solvers and the certifier rely on that.
     """
 
     kind: str  # free | box | ball
@@ -169,55 +169,32 @@ class FirstStageSet:
             return x.copy()
         return self.center + u * (self.radius / r)
 
-    def tangent_project(self, x, h, tol: float = 1e-9) -> np.ndarray:
-        """Euclidean projection of direction h onto the tangent cone at x in A."""
+    def normal_rays(self, x, tol: float = 1e-9) -> np.ndarray:
+        """Unit outward normals (r, d) of the faces of A within tol of x; their
+        cone is N_A(x) when tol covers only the faces through x."""
         x = np.asarray(x, dtype=np.float64)
-        h = np.asarray(h, dtype=np.float64).copy()
-        if self.kind == "free":
-            return h
+        eye = np.eye(x.shape[0])
         if self.kind == "box":
-            at_lo = x <= self.lower + tol
-            at_up = x >= self.upper - tol
-            h[at_lo] = np.maximum(h[at_lo], 0.0)
-            h[at_up] = np.minimum(h[at_up], 0.0)
-            return h
-        u = x - self.center
-        r = float(np.linalg.norm(u))
-        if r < self.radius - tol:
-            return h
-        # boundary: tangent cone is the halfspace <h, u> <= 0
-        s = float(h @ u)
-        if s > 0.0:
-            h = h - u * (s / float(u @ u))
-        return h
+            return np.vstack((-eye[x <= self.lower + tol], eye[x >= self.upper - tol]))
+        if self.kind == "ball":
+            u = x - self.center
+            r = float(np.linalg.norm(u))
+            if r >= self.radius - tol and r > 0.0:
+                return (u / r)[None, :]
+        return eye[:0]
+
+    def tangent_project(self, x, h, tol: float = 1e-9) -> np.ndarray:
+        """Euclidean projection of direction h onto the tangent cone at x in A.
+        The normals of a box or a ball are orthogonal or opposite in pairs, so
+        the projection subtracts each normal's positive part."""
+        R = self.normal_rays(x, tol)
+        h = np.asarray(h, dtype=np.float64)
+        return h - np.maximum(R @ h, 0.0) @ R
 
     def normal_residual(self, x, v, tol: float = 1e-9) -> float:
-        """Distance from v to -N_A(x).  Zero certifies v in -N_A(x)."""
-        x = np.asarray(x, dtype=np.float64)
-        v = np.asarray(v, dtype=np.float64)
-        if self.kind == "free":
-            return float(np.linalg.norm(v))
-        if self.kind == "box":
-            # -N_A(x) per coordinate: [0, inf) on a lower face, (-inf, 0] on an
-            # upper face, {0} strictly inside, all of R when the face collapses
-            dist = np.zeros_like(v)
-            at_lo = x <= self.lower + tol
-            at_up = x >= self.upper - tol
-            interior = ~(at_lo | at_up)
-            dist[interior] = np.abs(v[interior])
-            only_lo = at_lo & ~at_up
-            only_up = at_up & ~at_lo
-            dist[only_lo] = np.maximum(0.0, -v[only_lo])
-            dist[only_up] = np.maximum(0.0, v[only_up])
-            return float(np.linalg.norm(dist))
-        u = x - self.center
-        r = float(np.linalg.norm(u))
-        if r < self.radius - tol:
-            return float(np.linalg.norm(v))
-        w = self.center - x  # -N_A = cone{c - x} on the boundary
-        denom = float(w @ w)
-        t = max(0.0, float(v @ w) / denom) if denom > 0.0 else 0.0
-        return float(np.linalg.norm(v - t * w))
+        """Distance from v to -N_A(x), the norm of the tangent-cone projection
+        of -v (Moreau).  Zero certifies v in -N_A(x)."""
+        return float(np.linalg.norm(self.tangent_project(x, -np.asarray(v, dtype=np.float64), tol)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -10,22 +10,21 @@ Three checks at a feasible point z = (x, y_1..y_S):
         the sum is co(sub f + w) plus the cone spanned by the rows of every
         sub g_i + w_i, so the y-block residual of the inclusion is the
         distance from 0 to that set in the y-coordinates: one exact
-        nonnegative least-squares solve (_minnorm._least_norm).  Its nearest
-        point q is unique but the combination reaching it need not be, and
-        the combinations' x-parts differ; a second solve picks, among them,
-        one of least x-part (0 lies in every normal cone).  Its ray weights
-        sum per constraint to lambda_i, its x-part is zeta_s and the norm of
-        its y-part is the stationarity measure; E[zeta] must lie in -N_A(x).
+        nonnegative least-squares solve per scenario (_minnorm._least_norm).
+        Its nearest point q_s is unique but the combinations reaching it are
+        not, and their x-parts differ; one joint solve over all scenarios
+        picks them so that E[zeta] lies nearest to -N_A(x).  The ray weights
+        sum per constraint to lambda_i, the x-parts are zeta_s and the norms
+        of the y-parts the stationarity residuals.
 
     smooth_kkt_check: the same condition when every integrand is smooth,
         returned without a penalty budget bound; each scenario's solve is
         then the nonnegative least-squares system in the gradients.
 
-    inf_stationarity_measure: sampled lower estimate of the directional
-        derivative of the penalized integrand over unit feasible directions;
-        nonnegativity indicates approximate inf-stationarity.  The derivative
-        is taken over the eps-active codifferential vertices, eps = ACT_TOL,
-        the same activity tolerance check_optimality applies to constraints.
+    inf_stationarity_measure: -nu(ACT_TOL) of the penalized objective, the
+        exact least directional derivative of its ACT_TOL-active first-order
+        model over unit directions (BlockCodiff.least_norm), the value the
+        descent engine stops on; 0 means inf-stationary.
 
 The condition quantifies over all superdifferential selections; selections
 are enumerated exhaustively only when their count is at most ENUM_CAP,
@@ -46,10 +45,10 @@ from .codiff import codiff, quasidiff
 from .errors import InfeasibleCandidate, NotSmooth
 from .expr import evaluate, is_smooth_struct
 from .model import Point, TwoStageProblem, is_feasible
-from .penalty import ENUM_CAP, PenaltySpec, penalty_codiff
+from .expectation import ACT_TOL, ENUM_CAP
+from .penalty import PenaltySpec, penalty_codiff
 
 FEAS_TOL = 1e-6
-ACT_TOL = 1e-6  # matches solver accuracy; a constraint this close to 0 is active
 CONE_TOL = 1e-6
 # Weight of the y-offset from q against the x-part in the zeta solve.  The
 # weighting method (Lawson & Hanson, ch. 22) misses the exact tie-break by
@@ -108,8 +107,12 @@ class Certificate:
         }
 
 
-def _scenario_certificate(prob: TwoStageProblem, z: Point, s: int):
-    """Best (residual, zeta, lambdas, complementarity, combos_checked, exhaustive)."""
+def _scenario_solve(prob: TwoStageProblem, z: Point, s: int):
+    """Scenario s's selection of least y-residual: (V, R, q, owner, gvals,
+    combos_checked, exhaustive).  V holds the shifted objective vertices, R
+    the shifted rows of the active constraints (rays), owner[r] the
+    constraint of ray r, and q the least-norm point of co(V) + cone(R) in the
+    y-coordinates."""
     d, ell = prob.d, prob.ell
     th = prob.scenarios.params[s]
     qf = quasidiff(codiff(prob.f, z.x, z.y[s], th))
@@ -125,8 +128,7 @@ def _scenario_certificate(prob: TwoStageProblem, z: Point, s: int):
         # default selection: the smallest-norm vertex of each set
         combos = [tuple(int(np.argmin((S * S).sum(axis=1))) for S in sup_sets)]
 
-    # lambda_i co(sub g_i + w_i) over lambda_i >= 0 is the cone of its rows;
-    # owner[r] is the constraint that ray r belongs to
+    # lambda_i co(sub g_i + w_i) over lambda_i >= 0 is the cone of its rows
     owner = np.repeat(np.array(act, dtype=int), [qgs[i].sub.shape[0] for i in act])
     best = None
     for combo in combos:
@@ -135,18 +137,9 @@ def _scenario_certificate(prob: TwoStageProblem, z: Point, s: int):
             [V[:0]] + [qgs[i].sub + sup_sets[1 + j][combo[1 + j]] for j, i in enumerate(act)]
         )
         q = _least_norm(V[:, d:], R[:, d:])[0]
-        # least x-part among the combinations whose y-part is q
-        _, t, mu = _least_norm(
-            np.hstack((Y_WEIGHT * (V[:, d:] - q), V[:, :d])),
-            np.hstack((Y_WEIGHT * R[:, d:], R[:, :d])),
-        )
-        u = t @ V + mu @ R
-        res = float(np.linalg.norm(u[d:]))
-        if best is None or res < best[0]:
-            best = (res, u[:d], np.bincount(owner, weights=mu, minlength=ell))
-    res, zeta, lam = best
-    comp = max((abs(lam[i] * gvals[i]) for i in range(ell)), default=0.0)
-    return res, zeta, lam, comp, len(combos), exhaustive
+        if best is None or np.linalg.norm(q) < np.linalg.norm(best[2]):
+            best = (V, R, q)
+    return (*best, owner, gvals, len(combos), exhaustive)
 
 
 def check_optimality(prob: TwoStageProblem, c: float, z: Point) -> Certificate:
@@ -154,8 +147,10 @@ def check_optimality(prob: TwoStageProblem, c: float, z: Point) -> Certificate:
 
     Per scenario, superdifferential selections are enumerated when their
     count is at most ENUM_CAP, otherwise the smallest-norm vertex of each
-    set is used and the certificate is flagged as a fallback.  Each
-    selection is solved exactly; the scenario keeps the smallest residual.
+    set is used and the certificate is flagged as a fallback; each scenario
+    keeps its selection of least y-residual.  One joint solve then picks,
+    on every scenario's y-minimizing face, the combinations whose E[zeta]
+    lies nearest to -N_A(x).
     """
     ok, rep = is_feasible(prob, z, tol=FEAS_TOL)
     if not ok:
@@ -163,35 +158,42 @@ def check_optimality(prob: TwoStageProblem, c: float, z: Point) -> Certificate:
             f"candidate violates feasibility by {rep.max_violation:.3e} "
             f"(tolerance {FEAS_TOL:.1e})"
         )
-    c = float(c)
-    S, ell = prob.S, prob.ell
-    lambdas = np.zeros((S, ell))
-    zeta = np.zeros((S, prob.d))
-    res_stat = 0.0
-    res_comp = 0.0
-    checked = 0
-    exhaustive_all = True
-    for s in range(S):
-        res, zs, lam, comp, n, exh = _scenario_certificate(prob, z, s)
-        lambdas[s] = lam
-        zeta[s] = zs
-        res_stat = max(res_stat, res)
-        res_comp = max(res_comp, comp)
-        checked += n
-        exhaustive_all &= exh
-    e_zeta = prob.scenarios.probs @ zeta
-    res_cone = prob.A.normal_residual(z.x, e_zeta, tol=CONE_TOL)
-    budget = float(lambdas.max(axis=0).sum()) if ell else 0.0
+    S, d, m, ell = prob.S, prob.d, prob.m, prob.ell
+    Vs, Rs, qs, owners, gvals, ncombos, exhaustive = zip(
+        *(_scenario_solve(prob, z, s) for s in range(S))
+    )
+
+    # Columns over (y_1..y_S, x): scenario s's y-offset from q_s weighted by
+    # Y_WEIGHT and its p_s-weighted x-part, then A's outward normals, so the
+    # x-part of the least-norm point is E[zeta] + n with n in N_A(x).
+    def embed(s, M, shift):
+        C = np.zeros((M.shape[0], S * m + d))
+        C[:, s * m:(s + 1) * m] = Y_WEIGHT * (M[:, d:] - shift)
+        C[:, S * m:] = prob.scenarios.probs[s] * M[:, :d]
+        return C
+
+    normals = prob.A.normal_rays(z.x, CONE_TOL)
+    V = np.vstack([embed(s, Vs[s], qs[s]) for s in range(S)])
+    R = np.vstack([embed(s, Rs[s], 0.0) for s in range(S)]
+                  + [np.hstack((np.zeros((normals.shape[0], S * m)), normals))])
+    _, t, mu = _least_norm(V, R, [V_s.shape[0] for V_s in Vs])
+    ts = np.split(t, np.cumsum([V_s.shape[0] for V_s in Vs])[:-1])
+    mus = np.split(mu, np.cumsum([R_s.shape[0] for R_s in Rs]))
+
+    u = [t_s @ V_s + mu_s @ R_s for V_s, R_s, t_s, mu_s in zip(Vs, Rs, ts, mus)]
+    lambdas = np.array([np.bincount(o, weights=mu_s, minlength=ell) for o, mu_s in zip(owners, mus)])
+    zeta = np.array([u_s[:d] for u_s in u])
+    comp = [abs(lam * g) for lam_s, g_s in zip(lambdas, gvals) for lam, g in zip(lam_s, g_s)]
     return Certificate(
         lambdas=lambdas,
         zeta=zeta,
-        residual_stationarity=res_stat,
-        residual_complementarity=res_comp,
-        residual_normal_cone=res_cone,
-        budget_sum=budget,
-        budget_bound=c,
-        checked_selections=checked,
-        fallback=not exhaustive_all,
+        residual_stationarity=max(float(np.linalg.norm(u_s[d:])) for u_s in u),
+        residual_complementarity=max(comp, default=0.0),
+        residual_normal_cone=prob.A.normal_residual(z.x, prob.scenarios.probs @ zeta, tol=CONE_TOL),
+        budget_sum=float(lambdas.max(axis=0).sum()) if ell else 0.0,
+        budget_bound=float(c),
+        checked_selections=sum(ncombos),
+        fallback=not all(exhaustive),
     )
 
 
@@ -215,44 +217,17 @@ def inf_stationarity_measure(
     directions: int = 64,
     seed: int = 0,
 ) -> float:
-    """min over sampled unit feasible directions of the penalized integrand's
-    directional derivative at z; nonnegative means approximately
-    inf-stationary.
+    """-nu(ACT_TOL) of the l1_max penalized objective at z, or 0.0 when 0
+    lies in the set (inf-stationary).
 
-    The derivative along h is max <v, h> over hypo vertices with offset
-    >= -eps plus min <w, h> over hyper vertices with offset <= eps, with
-    eps = ACT_TOL: a kink within ACT_TOL of z counts as active, exactly as
-    check_optimality counts a constraint with g >= -ACT_TOL as active, so
-    a point the certificate accepts is not rejected here for missing such a
-    kink by a solver-accuracy margin.  eps is not scaled with the penalty
-    weight c.  Both slices are nonempty by the zero-at-zero normalization.
-    The vertices are penalty_codiff's, so a negative or non-finite c raises
-    ValidationError (PENALTY_KIND).
+    nu is the norm of BlockCodiff.least_norm at eps = ACT_TOL, the activity
+    tolerance check_optimality applies to constraints, not scaled with c:
+    the distance from 0 to the p-weighted sum of the scenarios'
+    ACT_TOL-active hypodifferentials, shifted by the worst zero-offset hyper
+    selection, plus N_A(x).  ``directions`` and ``seed`` are accepted and
+    ignored: the value is exact, not sampled.  A negative or non-finite c
+    raises ValidationError (PENALTY_KIND).
     """
     bc = penalty_codiff(prob, PenaltySpec("l1_max", float(c)), z)
-    slices = [
-        (cd.hypo[cd.hypo[:, 0] >= -ACT_TOL, 1:], cd.hyper[cd.hyper[:, 0] <= ACT_TOL, 1:])
-        for cd in bc.per_scenario
-    ]
-    rng = np.random.default_rng(seed)
-    n = prob.d + prob.S * prob.m
-    worst = math.inf
-    found = 0
-    attempts = 0
-    while found < directions and attempts < 50 * directions:
-        attempts += 1
-        h = rng.standard_normal(n)
-        hx = prob.A.tangent_project(z.x, h[: prob.d])
-        hY = h[prob.d :].reshape(prob.S, prob.m)
-        norm = math.sqrt(float(hx @ hx) + float((hY * hY).sum()))
-        if norm < 1e-12:
-            continue
-        hx /= norm
-        hY /= norm
-        val = 0.0
-        for s, (sub, sup) in enumerate(slices):
-            h_s = np.concatenate((hx, hY[s]))
-            val += float(bc.probs[s]) * float((sub @ h_s).max() + (sup @ h_s).min())
-        worst = min(worst, val)
-        found += 1
-    return worst
+    nu, _q = bc.least_norm(prob.A, z.x, ACT_TOL)
+    return -nu if nu > 0.0 else 0.0

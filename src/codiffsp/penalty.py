@@ -24,12 +24,11 @@ import numpy as np
 from ._minnorm import min_norm_point
 from .codiff import codiff, quasidiff
 from .errors import Unprojectable, ValidationError
-from .expectation import BlockCodiff, _integrand_codiff, eval_I
+from .expectation import ENUM_CAP, BlockCodiff, _integrand_codiff, eval_I
 from .expr import Expr, add, constant, evaluate, maximum, scale
 from .model import Point, TwoStageProblem
 
 TOL_ACT = 1e-9
-ENUM_CAP = 16
 
 
 @dataclass(frozen=True)

@@ -1,37 +1,34 @@
 """Solvers for the penalized problem min Phi_c over A x (R^m)^S.
 
-Two routes, both driven by the l1_max penalty:
+Both solvers step through one descent engine, _descend: at each iterate an
+Armijo step along -q, q the joint least-norm point of the objective's
+eps-active block codifferential plus the normal cone of A
+(BlockCodiff.least_norm), with eps shrinking from 0.1 to ACT_TOL.
 
     dca_solve: difference-of-convex iteration.  The penalized integrand
         splits into convex plus/minus parts; each step linearizes the minus
-        part at the current iterate and minimizes the resulting convex
-        expectation with a projected subgradient method.  Warm starts plus
-        best-iterate inner solves make the objective non-increasing by
-        construction.
+        part at the current iterate and minimizes plus minus that linear
+        tilt with the engine, which accepts only strict decreases, so the
+        objective is non-increasing.
 
-    codiff_descent: at each iterate builds the block codifferential of the
-        penalized integrand, extracts a steepest-descent direction per
-        scenario from min-norm points of translated hypodifferentials, and
-        applies an Armijo line search.  The min-norm certificate doubles as
-        an approximate inf-stationarity measure.
+    codiff_descent: the engine on Phi_c itself.
 
-Fixed settings, not exposed in SolveOpts: the convex subsolver runs at most
-INNER_ITERS projected-subgradient iterations with base step
-1/((k+1)^0.75 |g|); the Armijo search uses sufficient-decrease factor
-ARMIJO_SIGMA and at most ARMIJO_HALVINGS halvings.
+Fixed settings, not exposed in SolveOpts: the convex subproblem runs at most
+INNER_ITERS iterations to tolerance INNER_TOL; the Armijo search uses
+sufficient-decrease factor ARMIJO_SIGMA, at most ARMIJO_HALVINGS halvings,
+and counts no decrease within ARMIJO_ROUND * (1 + |value|) as progress.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._minnorm import min_norm_point
 from .codiff import codiff, quasidiff
 from .errors import NotDC, VertexCapExceeded
-from .expectation import _integrand_codiff
+from .expectation import ACT_TOL, BlockCodiff, _integrand_codiff
 from .expr import (
     Expr,
     add,
@@ -53,12 +50,13 @@ __all__ = [
     "convex_subsolve",
     "dca_solve",
     "codiff_descent",
-    "min_norm_point",
 ]
 
 INNER_ITERS = 300
+INNER_TOL = 1e-6
 ARMIJO_SIGMA = 1e-4
 ARMIJO_HALVINGS = 50
+ARMIJO_ROUND = 1e-14
 
 
 @dataclass(frozen=True)
@@ -86,8 +84,10 @@ class SolveReport:
     final_point: Point
     final_value: float
     final_phi: float
-    # converged | iteration_cap | stalled | vertex_cap | penalty_escalated(k);
-    # stalled: codiff_descent found no descent step while nu > 10 * tol_stat
+    # converged | iteration_cap | stalled | vertex_cap | penalty_escalated(k).
+    # codiff_descent: converged iff nu(ACT_TOL) <= tol_stat; stalled: no step
+    # passes at eps = ACT_TOL.  dca_solve: converged when an outer step falls
+    # below tol_obj or tol_step (a stall test, not stationarity).
     status: str
     history: tuple[tuple[float, float, float], ...]  # (value, phi, step)
     c_final: float
@@ -138,6 +138,67 @@ def dc_decompose(prob: TwoStageProblem, c: float) -> DCDecomposition:
 
 
 # ---------------------------------------------------------------------------
+# descent engine
+# ---------------------------------------------------------------------------
+
+
+def _armijo(value, A: FirstStageSet, z: Point, val: float, q: np.ndarray, nu: float, t: float):
+    """First (point, value, t) along z - t q, t halving, that decreases value
+    by at least ARMIJO_SIGMA * t * nu^2; None when none does."""
+    d = z.x.shape[0]
+    hx = -q[:d]
+    hY = -q[d:].reshape(z.y.shape)
+    slope = ARMIJO_SIGMA * nu * nu
+    noise = ARMIJO_ROUND * (1.0 + abs(val))  # rounding in val, not progress
+    for _ in range(ARMIJO_HALVINGS):
+        z_t = Point(x=A.project(z.x + t * hx), y=z.y + t * hY)
+        v_t = value(z_t)
+        if v_t < val - max(slope * t, noise):
+            return z_t, v_t, t
+        t *= 0.5
+    return None
+
+
+def _descend(value, block_codiff, A: FirstStageSet, z: Point, tol: float, max_iter: int,
+             tilt: np.ndarray | None = None):
+    """Armijo descent on value(z) along -q from BlockCodiff.least_norm of
+    block_codiff(z), with tilt; block_codiff returns None on a vertex cap.
+
+    eps starts at ACT_TOL * 1e5 = 0.1 and shrinks tenfold, never growing
+    back, when no Armijo step passes or nu(eps) <= tol * eps / ACT_TOL: the
+    threshold shrinks with eps (Bagirov & Ugon's paired sequences), because
+    a vertex up to eps from active can hold nu(eps) near 0 while nu at a
+    finer eps is large.  The first trial step is twice the last accepted
+    one, at most 1e3.  Returns (steps, status, iterations): steps lists
+    (point, value, t), from (z, value(z), 0.0), one entry per accepted step;
+    status is converged (nu(ACT_TOL) <= tol), stalled (no step passes at
+    eps = ACT_TOL), vertex_cap or iteration_cap.
+    """
+    val = value(z)
+    steps = [(z, val, 0.0)]
+    level = 5
+    t0 = 1.0
+    it = 0
+    for it in range(1, max_iter + 1):
+        bc = block_codiff(z)
+        if bc is None:
+            return steps, "vertex_cap", it
+        while True:
+            wide = 10.0**level
+            nu, q = bc.least_norm(A, z.x, ACT_TOL * wide, tilt)
+            step = _armijo(value, A, z, val, q, nu, t0) if nu > tol * wide else None
+            if step is not None:
+                break
+            if level == 0:
+                return steps, ("converged" if nu <= tol else "stalled"), it
+            level -= 1
+        steps.append(step)
+        z, val, t = step
+        t0 = min(t * 2.0, 1e3)
+    return steps, "iteration_cap", it
+
+
+# ---------------------------------------------------------------------------
 # convex subproblem
 # ---------------------------------------------------------------------------
 
@@ -169,12 +230,16 @@ class ConvexExpectation:
             total -= float((self.tilt_y * Y).sum())
         return total
 
+    def block_codiff(self, x: np.ndarray, Y: np.ndarray) -> BlockCodiff:
+        """The integrand's codifferential in every scenario (without the tilt)."""
+        pairs = [codiff(self.integrand, x, Y[s], self.params[s]) for s in range(self.S)]
+        return BlockCodiff(per_scenario=tuple(pairs), probs=self.probs, d=self.d, m=self.m)
+
     def subgrad(self, x: np.ndarray, Y: np.ndarray):
         gx = np.zeros(self.d)
         gY = np.zeros((self.S, self.m))
-        for s in range(self.S):
-            qd = quasidiff(codiff(self.integrand, x, Y[s], self.params[s]))
-            v = qd.sub.mean(axis=0)  # deterministic element of the subdifferential
+        for s, cd in enumerate(self.block_codiff(x, Y).per_scenario):
+            v = quasidiff(cd).sub.mean(axis=0)  # deterministic element of the subdifferential
             gx += float(self.probs[s]) * v[: self.d]
             gY[s] = float(self.probs[s]) * v[self.d :]
         if self.tilt_x is not None:
@@ -183,122 +248,19 @@ class ConvexExpectation:
         return gx, gY
 
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_min(phi, a: float, b: float, iters: int = 40):
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = phi(c), phi(d)
-    for _ in range(iters):
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = phi(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = phi(d)
-    return (c, fc) if fc <= fd else (d, fd)
-
-
-def _coordinate_polish(value, A: FirstStageSet, x, Y, fcur, sweeps=3):
-    """Improvement-only cyclic 1D minimization of value(x, Y) over every
-    coordinate.
-
-    Subgradient steps stall on the smooth coordinates once a kink
-    coordinate locks in; per-coordinate golden-section search cleans
-    those up without ever accepting a worse point.  Exact on convex
-    lines, a safe heuristic otherwise (only strict improvements pass).
-    """
-    x = x.copy()
-    Y = Y.copy()
-    S, m = Y.shape
-    coords = [("x", j) for j in range(x.shape[0])] + [
-        ("y", (s, j)) for s in range(S) for j in range(m)
-    ]
-    for _ in range(sweeps):
-        improved = False
-        for block, idx in coords:
-
-            def phi(t: float) -> float:
-                if block == "x":
-                    x2 = x.copy()
-                    x2[idx] += t
-                    return value(A.project(x2), Y)
-                Y2 = Y.copy()
-                Y2[idx] += t
-                return value(x, Y2)
-
-            a, b = -1.0, 1.0
-            fa, fb = phi(a), phi(b)
-            while fa < fcur and a > -1e6:
-                a *= 4.0
-                fa = phi(a)
-            while fb < fcur and b < 1e6:
-                b *= 4.0
-                fb = phi(b)
-            t, ft = _golden_min(phi, a, b)
-            if ft < fcur - 1e-15 * (1.0 + abs(fcur)):
-                if block == "x":
-                    x[idx] += t
-                    x = A.project(x)
-                else:
-                    Y[idx] += t
-                fcur = ft
-                improved = True
-        if not improved:
-            break
-    return x, Y, fcur
-
-
 def convex_subsolve(ce: ConvexExpectation, A: FirstStageSet, z0: Point) -> Point:
-    """Projected subgradient descent returning the best iterate.
-
-    Base step: diminishing 1/(k+1)^0.75 normalized by the subgradient
-    norm, for at most INNER_ITERS iterations.  An improvement-only
-    line search along the projected arc runs first each iteration; when it
-    fails (kinks), the base step keeps the classical convergence guarantee.
-    A final coordinate polish sharpens the smooth coordinates.  The result
-    never exceeds the objective at z0.
+    """Minimize ce over A x (R^m)^S from z0 (x projected onto A) with the
+    descent engine: at most INNER_ITERS iterations to nu(ACT_TOL) <= INNER_TOL.
+    The tilt is subtracted from every scenario's slopes, as (tilt_x,
+    tilt_y[s] / p_s), whose p-weighted sum is the tilt.  The result never
+    exceeds the objective at the projected start.
     """
-    x = A.project(z0.x)
-    Y = np.array(z0.y, dtype=np.float64)
-    fcur = ce.value(x, Y)
-    fbest, xbest, Ybest = fcur, x.copy(), Y.copy()
-    t_ls = 1.0
-    stall = 0
-    for k in range(INNER_ITERS):
-        gx, gY = ce.subgrad(x, Y)
-        gn = math.sqrt(float(gx @ gx) + float((gY * gY).sum()))
-        if gn <= 1e-15:
-            break
-        accepted = False
-        t = t_ls
-        for _ in range(20):
-            x2 = A.project(x - t * gx)
-            Y2 = Y - t * gY
-            f2 = ce.value(x2, Y2)
-            if f2 < fcur - 1e-15 * (1.0 + abs(fcur)):
-                gain = fcur - f2
-                x, Y, fcur = x2, Y2, f2
-                t_ls = min(t * 2.0, 1e6)
-                accepted = True
-                stall = stall + 1 if gain <= 1e-13 * (1.0 + abs(fcur)) else 0
-                break
-            t *= 0.5
-        if not accepted:
-            step = 1.0 / (((k + 1) ** 0.75) * gn)
-            x = A.project(x - step * gx)
-            Y = Y - step * gY
-            fcur = ce.value(x, Y)
-            t_ls = max(t_ls * 0.5, 1e-12)
-        if fcur < fbest:
-            fbest, xbest, Ybest = fcur, x.copy(), Y.copy()
-        if stall >= 3:
-            break
-    xbest, Ybest, _f = _coordinate_polish(ce.value, A, xbest, Ybest, fbest)
-    return Point(x=xbest, y=Ybest)
+    tilt = None if ce.tilt_x is None else np.hstack(
+        (np.tile(ce.tilt_x, (ce.S, 1)), ce.tilt_y / ce.probs[:, None]))
+    z = Point(x=A.project(z0.x), y=z0.y)
+    steps, _status, _it = _descend(lambda z: ce.value(z.x, z.y), lambda z: ce.block_codiff(z.x, z.y),
+                                   A, z, INNER_TOL, INNER_ITERS, tilt)
+    return steps[-1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -341,15 +303,7 @@ def dca_solve(
         for _k in range(opts.max_iter):
             total_iters += 1
             xi_x, xi_y = minus.subgrad(z.x, z.y)
-            ce = ConvexExpectation(
-                integrand=dec.plus,
-                probs=prob.scenarios.probs,
-                params=prob.scenarios.params,
-                d=prob.d,
-                m=prob.m,
-                tilt_x=xi_x,
-                tilt_y=xi_y,
-            )
+            ce = replace(minus, integrand=dec.plus, tilt_x=xi_x, tilt_y=xi_y)
             z_new = convex_subsolve(ce, prob.A, z)
             v_new = Phi_c(prob, spec, z_new)
             if v_new > val:  # fp guard; warm start makes this vacuous
@@ -387,116 +341,35 @@ def dca_solve(
 # ---------------------------------------------------------------------------
 
 
-def _steepest_block(cd):
-    """Most-violated hyper selection for one scenario: the largest min-norm
-    of the hypodifferential translated by a zero-offset hyper vertex.
-    Returns (nu, q) with q the (1+d+m) augmented min-norm point."""
-    nu_best = -1.0
-    q_best = None
-    for w in quasidiff(cd).sup:
-        V = np.array(cd.hypo)
-        V[:, 1:] += w
-        q, _t = min_norm_point(V)
-        nu = float(np.linalg.norm(q))
-        if nu > nu_best:
-            nu_best = nu
-            q_best = q
-    return nu_best, q_best
-
-
 def codiff_descent(
     prob: TwoStageProblem, c: float, z0: Point, opts: SolveOpts | None = None
 ) -> SolveReport:
-    """Armijo descent along block min-norm directions of the penalized
-    integrand's codifferential.  Stops when every scenario's stationarity
-    measure (the largest translated min-norm) falls below tol_stat.
-
-    When no step is found (the Armijo search and the coordinate pass both
-    fail, or the direction vanishes), the status is converged if nu is
-    within 10 * tol_stat and stalled otherwise; iteration_cap means
-    cd_max_iter iterations ran out."""
+    """The descent engine on Phi_c with the l1_max penalty, from z0 with x
+    projected onto A: converged when nu(ACT_TOL) <= tol_stat, stalled when
+    no Armijo step passes at eps = ACT_TOL, iteration_cap after cd_max_iter
+    iterations.  The history's step is the multiple t of -q taken."""
     opts = opts or SolveOpts()
     prob.check_point(z0)
     spec = PenaltySpec("l1_max", float(c))
     integrand = penalty_integrand(prob, spec.c)
-    z = Point(x=prob.A.project(z0.x), y=z0.y)
-    val = Phi_c(prob, spec, z)
-    phi = phi_l1(prob, z)
-    history = [(val, phi, 0.0)]
-    t0 = 1.0
-    status = "iteration_cap"
-    it = 0
-    for it in range(1, opts.cd_max_iter + 1):
+
+    def block_codiff(z):
         try:
-            bc = _integrand_codiff(prob, integrand, z)
+            return _integrand_codiff(prob, integrand, z)
         except VertexCapExceeded:
-            status = "vertex_cap"
-            break
-        a_avg = 0.0
-        hx = np.zeros(prob.d)
-        hY = np.zeros((prob.S, prob.m))
-        for s in range(prob.S):
-            _nu_s, q = _steepest_block(bc.per_scenario[s])
-            a_avg += float(prob.scenarios.probs[s]) * q[0]
-            hx -= float(prob.scenarios.probs[s]) * q[1 : 1 + prob.d]
-            hY[s] = -q[1 + prob.d :]
-        hx = prob.A.tangent_project(z.x, hx)
-        # Stationarity of the expectation: per-scenario x-gradients may cancel,
-        # so measure the assembled element (averaged offset and x-part,
-        # per-scenario y-parts) after removing directions blocked by A.
-        hsq = float(hx @ hx + (hY * hY).sum())
-        nu = float(np.sqrt(a_avg * a_avg + hsq))
-        if nu <= opts.tol_stat:
-            status = "converged"
-            break
-        # Near a kink the min-norm mass sits in the offset coordinate and the
-        # gradient part of h shrinks quadratically; searching along the unit
-        # ray keeps trial displacements useful.  Same ray, rescaled.
-        hnorm = float(np.sqrt(hsq))
-        if hnorm <= 1e-18:
-            status = "converged" if nu <= 10.0 * opts.tol_stat else "stalled"
-            break
-        hx /= hnorm
-        hY /= hnorm
-        slope = nu * nu / hnorm
-        t = t0
-        accepted = False
-        for _ in range(ARMIJO_HALVINGS):
-            z_t = Point(x=prob.A.project(z.x + t * hx), y=z.y + t * hY)
-            v_t = Phi_c(prob, spec, z_t)
-            # strict: a trial below the value's ulp must not pass as progress
-            if v_t < val - ARMIJO_SIGMA * t * slope:
-                accepted = True
-                break
-            t *= 0.5
-        if accepted:
-            z, val = z_t, v_t
-            phi = phi_l1(prob, z)
-            history.append((val, phi, t))
-            t0 = min(t * 2.0, 1e3)
-        else:
-            # The assembled direction can be blocked by an active face of A
-            # while feasible descent still exists along the face.  Try an
-            # improvement-only coordinate pass before giving up.
-            xb, Yb, vb = _coordinate_polish(
-                lambda x, Y: Phi_c(prob, spec, Point(x=x, y=Y)), prob.A, z.x, z.y, val
-            )
-            if vb < val - 1e-12 * (1.0 + abs(val)):
-                z = Point(x=xb, y=Yb)
-                val = vb
-                phi = phi_l1(prob, z)
-                history.append((val, phi, 0.0))
-                t0 = 1.0
-                continue
-            history.append((val, phi, 0.0))
-            status = "converged" if nu <= 10.0 * opts.tol_stat else "stalled"
-            break
+            return None
+
+    z = Point(x=prob.A.project(z0.x), y=z0.y)
+    steps, status, it = _descend(lambda z: Phi_c(prob, spec, z), block_codiff,
+                                 prob.A, z, opts.tol_stat, opts.cd_max_iter)
+    history = tuple((v, phi_l1(prob, z), t) for z, v, t in steps)
+    z, val, _t = steps[-1]
     return SolveReport(
         iterates=it,
         final_point=z,
         final_value=val,
-        final_phi=phi,
+        final_phi=history[-1][1],
         status=status,
-        history=tuple(history),
+        history=history,
         c_final=float(c),
     )

@@ -173,6 +173,19 @@ def test_prune_collinear_cloud():
     assert slim.hypo.shape[0] == 2
 
 
+def test_prune_scaled_hull_drops_interior():
+    # membership is judged relative to the vertex scale, so a hull scaled by
+    # 1e8 sheds its interior points as the unit hull does
+    rng = np.random.default_rng(3)
+    corners = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0]])
+    inner = rng.uniform(-0.9, 0.9, size=(10, 2))
+    for scale_ in (1.0, 1e8):
+        pts = scale_ * np.vstack((corners, inner))
+        hypo = np.hstack((np.zeros((pts.shape[0], 1)), pts))
+        slim = prune(CodiffPair(hypo=hypo, hyper=np.zeros((1, 3)), dim=2))
+        assert _rows(slim.hypo / scale_) == _rows(np.hstack((np.zeros((4, 1)), corners)))
+
+
 def test_vertex_cap_exceeded():
     sp = Space(d=6, m=0, q=0)
     z = np.zeros(6)

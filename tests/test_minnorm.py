@@ -1,4 +1,6 @@
-"""Minimum-norm point over a finite vertex hull."""
+"""Minimum-norm point over a finite vertex hull and over sums of hulls."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from codiffsp import min_norm_point
+from codiffsp._minnorm import _least_norm
 
 
 def test_two_unit_vertices():
@@ -56,3 +59,28 @@ def test_wolfe_certificate(V):
     # optimality: the hull lies on the far side of the supporting hyperplane
     slack = (V - q) @ q
     assert slack.min() >= -1e-8
+
+
+def test_blocks_match_minkowski_sum():
+    # co(V_1) + co(V_2) (+ co(V_3)) + cone(R) against one hull over every
+    # sum of one vertex per block; integer draws repeat rows and tie
+    rng = np.random.default_rng(11)
+    for i in range(300):
+        n = int(rng.integers(1, 6))
+        scale = 10.0 ** rng.uniform(-4, 4)
+        if i % 2:
+            draw = lambda k: rng.integers(-2, 3, size=(k, n)).astype(float)
+        else:
+            draw = lambda k: rng.normal(size=(k, n))
+        blocks = [scale * draw(int(rng.integers(1, 5))) for _ in range(int(rng.integers(2, 4)))]
+        R = scale * draw(int(rng.integers(0, 3)))
+        sizes = [b.shape[0] for b in blocks]
+        V = np.vstack(blocks)
+        q, t, mu = _least_norm(V, R, sizes)
+        assert t.min() >= 0.0 and (mu.size == 0 or mu.min() >= 0.0)
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        assert np.allclose(np.bincount(owner, weights=t), 1.0, atol=1e-12)
+        assert np.allclose(q, t @ V + mu @ R, atol=1e-12 * scale)
+        P = np.array([sum(c) for c in itertools.product(*blocks)])
+        ref = _least_norm(P, R)[0]
+        assert abs(np.linalg.norm(q) - np.linalg.norm(ref)) <= 1e-12 * scale

@@ -24,6 +24,7 @@ from codiffsp import (
     min_norm_point,
     quad,
     quasidiff,
+    scale,
 )
 from codiffsp.optimality import (
     check_optimality,
@@ -179,6 +180,23 @@ def test_inf_stationarity_examples():
     kink = inf_stationarity_measure(pk, 1.0, Point(x=[0.0], y=[[0.0]]),
                                     directions=64, seed=0)
     assert kink >= 0.0
+
+
+def test_inf_stationarity_is_exact_in_a_narrow_cone():
+    # f = 10|y| - 0.01x descends only inside a narrow cone around +x: the
+    # measure is -dist(0, co{(-0.01, 10), (-0.01, -10)}) = -0.01
+    f = add(scale(10.0, absolute(affine(DIMS, cy=[1.0]))), affine(DIMS, cx=[-0.01]))
+    p = TwoStageProblem(d=1, m=1, A=FirstStageSet.free(), f=f, g=(),
+                        scenarios=one_scenario())
+    z = Point(x=[0.0], y=[[0.0]])
+    assert inf_stationarity_measure(p, 1.0, z) == pytest.approx(-0.01, abs=1e-12)
+
+
+def test_descent_end_points_are_nearly_stationary():
+    for s in range(4):
+        p = generate(s, d=2, m=2, S=3, l=2, dc=True)
+        end = codiff_descent(p, 10.0, p.witness).final_point
+        assert inf_stationarity_measure(p, 10.0, end) >= -1e-3
 
 
 def test_inf_stationarity_rejects_negative_c():
