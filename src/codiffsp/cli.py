@@ -54,7 +54,7 @@ def _say(msg: str) -> None:
 
 def _opts_from(args) -> SolveOpts:
     kw = {}
-    for name in ("tol_obj", "tol_step", "tol_feas", "tol_stat", "max_iter", "cd_max_iter"):
+    for name in ("tol_feas", "tol_stat", "max_iter", "cd_max_iter"):
         v = getattr(args, name, None)
         if v is not None:
             kw[name] = v
@@ -211,6 +211,7 @@ def _cmd_selftest(args) -> int:
     def t_solve_and_certify():
         prob = generate(5, d=2, m=2, S=2, l=1, dc=False, smooth=True)
         rep = dca_solve(prob, 10.0, prob.witness)
+        assert rep.status == "converged"
         vals = [h[0] for h in rep.history]
         assert all(b <= a + 1e-10 for a, b in zip(vals, vals[1:]))
         cert = check_optimality(prob, 10.0, rep.final_point)
@@ -260,8 +261,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--point-out", dest="point_out", default=None, help="also write the final point")
     sp.add_argument("--max-iter", dest="max_iter", type=int, default=None)
     sp.add_argument("--cd-max-iter", dest="cd_max_iter", type=int, default=None)
-    sp.add_argument("--tol-obj", dest="tol_obj", type=float, default=None)
-    sp.add_argument("--tol-step", dest="tol_step", type=float, default=None)
     sp.add_argument("--tol-feas", dest="tol_feas", type=float, default=None)
     sp.add_argument("--tol-stat", dest="tol_stat", type=float, default=None)
     sp.add_argument("--no-escalate", dest="no_escalate", action="store_true")

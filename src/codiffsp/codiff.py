@@ -22,7 +22,8 @@ of the values ``evaluate`` returns; smooth nodes, marked by their structural
 flag, carry a gradient only.
 
 Quasidifferentials are the zero-offset slices of a codifferential and
-represent the directional derivative as max plus min of linear forms.
+represent the directional derivative as max plus min of linear forms;
+``quasidiff(cd, eps)`` widens the hypo slice to the eps-active vertices.
 """
 
 from __future__ import annotations
@@ -255,9 +256,11 @@ def expansion_value(cd: CodiffPair, delta) -> float:
     return float(up.max() + dn.min())
 
 
-def quasidiff(cd: CodiffPair) -> QuasidiffPair:
-    """Zero-offset slices; nonempty by the zero-at-zero normalization."""
-    sub = cd.hypo[np.abs(cd.hypo[:, 0]) <= TOL_ZERO, 1:]
+def quasidiff(cd: CodiffPair, eps: float = TOL_ZERO) -> QuasidiffPair:
+    """The hypo vertices with offset >= -eps and the zero-offset hyper
+    vertices, without their offsets; nonempty by the zero-at-zero
+    normalization.  At the default eps both are the zero-offset slices."""
+    sub = cd.hypo[cd.hypo[:, 0] >= -eps, 1:]
     sup = cd.hyper[np.abs(cd.hyper[:, 0]) <= TOL_ZERO, 1:]
     if sub.shape[0] == 0 or sup.shape[0] == 0:
         raise CodiffspError(

@@ -28,9 +28,18 @@ from .model import FirstStageSet, Point, TwoStageProblem
 # A vertex (or a constraint) within ACT_TOL of active counts as active; the
 # descent engine stops at eps = ACT_TOL and the certifier uses the same.
 ACT_TOL = 1e-6
-# Superdifferential selections are enumerated up to this many combinations;
-# beyond it each set contributes its smallest-norm vertex.
+# Superdifferential selections are enumerated up to this many (selections).
 ENUM_CAP = 16
+
+
+def selections(sups: list[np.ndarray]) -> tuple[list[tuple[int, ...]], bool]:
+    """(combos, exhaustive): every choice of one row from each vertex set of
+    ``sups`` when there are at most ENUM_CAP of them, else the single choice
+    of each set's smallest-norm row."""
+    counts = [W.shape[0] for W in sups]
+    if math.prod(counts) <= ENUM_CAP:
+        return list(itertools.product(*map(range, counts))), True
+    return [tuple(int(np.argmin((W * W).sum(axis=1))) for W in sups)], False
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,22 +76,15 @@ class BlockCodiff:
         h as p_s <g, (h_x, h_ys)>, and directions carry the L2(P) norm
         ||h||^2 = ||h_x||^2 + sum_s p_s ||h_ys||^2 of the second stage: nu is
         the dual-norm distance from 0 to D, along -q the eps-active model
-        falls at rate at least nu^2.  Selections are enumerated up to
-        ENUM_CAP, else each scenario takes its smallest-norm hyper vertex.
+        falls at rate at least nu^2, over the selections of ``selections``.
         When 0 lies in D (``_minnorm.inside``), nu = 0 and q = 0.
         """
         d, m, S = self.d, self.m, self.S
         n = d + S * m
-        slopes, sups = [], []
-        for s, cd in enumerate(self.per_scenario):
-            G = cd.hypo[cd.hypo[:, 0] >= -eps, 1:]
-            slopes.append(G if tilt is None else G - tilt[s])
-            sups.append(quasidiff(cd).sup)
-        counts = [W.shape[0] for W in sups]
-        if math.prod(counts) <= ENUM_CAP:
-            combos = itertools.product(*map(range, counts))
-        else:
-            combos = [tuple(int(np.argmin((W * W).sum(axis=1))) for W in sups)]
+        qds = [quasidiff(cd, eps) for cd in self.per_scenario]
+        slopes = [qd.sub if tilt is None else qd.sub - tilt[s] for s, qd in enumerate(qds)]
+        sups = [qd.sup for qd in qds]
+        combos, _exhaustive = selections(sups)
         normals = A.normal_rays(x, eps)
         R = np.hstack((normals, np.zeros((normals.shape[0], S * m))))
         sizes = [G.shape[0] for G in slopes]

@@ -6,16 +6,17 @@ Three checks at a feasible point z = (x, y_1..y_S):
         Per scenario, fix one zero-offset superdifferential vertex w of the
         objective integrand and one per active constraint; then nonnegative
         multipliers lambda and a vector zeta_s must place (zeta_s, 0) in
-        co(sub f + w) + sum_i lambda_i co(sub g_i + w_i).  Over lambda >= 0
-        the sum is co(sub f + w) plus the cone spanned by the rows of every
-        sub g_i + w_i, so the y-block residual of the inclusion is the
-        distance from 0 to that set in the y-coordinates: one exact
-        nonnegative least-squares solve per scenario (_minnorm._least_norm).
-        Its nearest point q_s is unique but the combinations reaching it are
-        not, and their x-parts differ; one joint solve over all scenarios
-        picks them so that E[zeta] lies nearest to -N_A(x).  The ray weights
-        sum per constraint to lambda_i, the x-parts are zeta_s and the norms
-        of the y-parts the stationarity residuals.
+        co(sub f + w) + sum_i lambda_i co(sub g_i + w_i), sub sliced at
+        ACT_TOL (quasidiff(., ACT_TOL)) like nu, constraint activity and
+        N_A(x).  Over lambda >= 0 the sum is co(sub f + w) plus the cone
+        spanned by the rows of every sub g_i + w_i, so the y-block residual
+        of the inclusion is the distance from 0 to that set in the
+        y-coordinates: one exact nonnegative least-squares solve per scenario
+        (_minnorm._least_norm).  Its nearest point q_s is unique but the
+        combinations reaching it are not, and their x-parts differ; one joint
+        solve over all scenarios picks them so that E[zeta] lies nearest to
+        -N_A(x).  The ray weights sum per constraint to lambda_i, the x-parts
+        are zeta_s and the norms of the y-parts the stationarity residuals.
 
     smooth_kkt_check: the same condition when every integrand is smooth,
         returned without a penalty budget bound; each scenario's solve is
@@ -23,19 +24,16 @@ Three checks at a feasible point z = (x, y_1..y_S):
 
     inf_stationarity_measure: -nu(ACT_TOL) of the penalized objective, the
         exact least directional derivative of its ACT_TOL-active first-order
-        model over unit directions (BlockCodiff.least_norm), the value the
-        descent engine stops on; 0 means inf-stationary.
+        model over unit directions (BlockCodiff.least_norm), the value both
+        solvers stop on; 0 means inf-stationary.
 
-The condition quantifies over all superdifferential selections; selections
-are enumerated exhaustively only when their count is at most ENUM_CAP,
-otherwise the smallest-norm vertex of each set is used, and the certificate
-records how many were checked.
+The condition quantifies over all superdifferential selections; those of
+``expectation.selections`` are checked (all up to ENUM_CAP, else the
+smallest-norm vertex of each set) and the certificate records how many.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -45,11 +43,10 @@ from .codiff import codiff, quasidiff
 from .errors import InfeasibleCandidate, NotSmooth
 from .expr import evaluate, is_smooth_struct
 from .model import Point, TwoStageProblem, is_feasible
-from .expectation import ACT_TOL, ENUM_CAP
+from .expectation import ACT_TOL, selections
 from .penalty import PenaltySpec, penalty_codiff
 
 FEAS_TOL = 1e-6
-CONE_TOL = 1e-6
 # Weight of the y-offset from q against the x-part in the zeta solve.  The
 # weighting method (Lawson & Hanson, ch. 22) misses the exact tie-break by
 # O(1/Y_WEIGHT^2); about eps^(-1/2) puts that at rounding level.
@@ -115,18 +112,13 @@ def _scenario_solve(prob: TwoStageProblem, z: Point, s: int):
     y-coordinates."""
     d, ell = prob.d, prob.ell
     th = prob.scenarios.params[s]
-    qf = quasidiff(codiff(prob.f, z.x, z.y[s], th))
-    qgs = [quasidiff(codiff(gi, z.x, z.y[s], th)) for gi in prob.g]
+    qf = quasidiff(codiff(prob.f, z.x, z.y[s], th), ACT_TOL)
+    qgs = [quasidiff(codiff(gi, z.x, z.y[s], th), ACT_TOL) for gi in prob.g]
     gvals = [float(evaluate(gi, z.x, z.y[s], th)) for gi in prob.g]
     act = [i for i in range(ell) if gvals[i] >= -ACT_TOL]
 
     sup_sets = [qf.sup] + [qgs[i].sup for i in act]
-    exhaustive = math.prod(S.shape[0] for S in sup_sets) <= ENUM_CAP
-    if exhaustive:
-        combos = list(itertools.product(*(range(S.shape[0]) for S in sup_sets)))
-    else:
-        # default selection: the smallest-norm vertex of each set
-        combos = [tuple(int(np.argmin((S * S).sum(axis=1))) for S in sup_sets)]
+    combos, exhaustive = selections(sup_sets)
 
     # lambda_i co(sub g_i + w_i) over lambda_i >= 0 is the cone of its rows
     owner = np.repeat(np.array(act, dtype=int), [qgs[i].sub.shape[0] for i in act])
@@ -172,7 +164,7 @@ def check_optimality(prob: TwoStageProblem, c: float, z: Point) -> Certificate:
         C[:, S * m:] = prob.scenarios.probs[s] * M[:, :d]
         return C
 
-    normals = prob.A.normal_rays(z.x, CONE_TOL)
+    normals = prob.A.normal_rays(z.x, ACT_TOL)
     V = np.vstack([embed(s, Vs[s], qs[s]) for s in range(S)])
     R = np.vstack([embed(s, Rs[s], 0.0) for s in range(S)]
                   + [np.hstack((np.zeros((normals.shape[0], S * m)), normals))])
@@ -189,7 +181,7 @@ def check_optimality(prob: TwoStageProblem, c: float, z: Point) -> Certificate:
         zeta=zeta,
         residual_stationarity=max(float(np.linalg.norm(u_s[d:])) for u_s in u),
         residual_complementarity=max(comp, default=0.0),
-        residual_normal_cone=prob.A.normal_residual(z.x, prob.scenarios.probs @ zeta, tol=CONE_TOL),
+        residual_normal_cone=prob.A.normal_residual(z.x, prob.scenarios.probs @ zeta, tol=ACT_TOL),
         budget_sum=float(lambdas.max(axis=0).sum()) if ell else 0.0,
         budget_bound=float(c),
         checked_selections=sum(ncombos),
@@ -220,8 +212,8 @@ def inf_stationarity_measure(
     """-nu(ACT_TOL) of the l1_max penalized objective at z, or 0.0 when 0
     lies in the set (inf-stationary).
 
-    nu is the norm of BlockCodiff.least_norm at eps = ACT_TOL, the activity
-    tolerance check_optimality applies to constraints, not scaled with c:
+    nu is the norm of BlockCodiff.least_norm at eps = ACT_TOL, the slice
+    check_optimality uses, not scaled with c:
     the distance from 0 to the p-weighted sum of the scenarios'
     ACT_TOL-active hypodifferentials, shifted by the worst zero-offset hyper
     selection, plus N_A(x).  ``directions`` and ``seed`` are accepted and

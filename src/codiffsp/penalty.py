@@ -15,7 +15,6 @@ the sufficient condition under which the l1_max penalty is exact.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -24,7 +23,7 @@ import numpy as np
 from ._minnorm import min_norm_point
 from .codiff import codiff, quasidiff
 from .errors import Unprojectable, ValidationError
-from .expectation import ENUM_CAP, BlockCodiff, _integrand_codiff, eval_I
+from .expectation import BlockCodiff, _integrand_codiff, eval_I, selections
 from .expr import Expr, add, constant, evaluate, maximum, scale
 from .model import Point, TwoStageProblem
 
@@ -220,8 +219,8 @@ def _best_selection_distance(subs: list[np.ndarray], sups: list[np.ndarray]) -> 
     """max over superdifferential selections of dist(0, co{sub_i + w_i}).
 
     The exactness condition is existential in the selection, so the least
-    conservative empirical constant takes the best one.  Full enumeration
-    when the product of vertex counts is small; greedy ascent otherwise.
+    conservative empirical constant takes the best one: every selection of
+    ``selections`` when it enumerates them, greedy ascent otherwise.
     """
 
     def hull_dist(choice: tuple[int, ...]) -> float:
@@ -229,14 +228,11 @@ def _best_selection_distance(subs: list[np.ndarray], sups: list[np.ndarray]) -> 
         q, _t = min_norm_point(Q)
         return float(np.linalg.norm(q))
 
-    counts = [W.shape[0] for W in sups]
-    total = 1
-    for k in counts:
-        total *= k
-    if total <= ENUM_CAP:
-        return max(hull_dist(choice) for choice in itertools.product(*map(range, counts)))
+    combos, exhaustive = selections(sups)
+    if exhaustive:
+        return max(hull_dist(choice) for choice in combos)
     # greedy coordinate ascent from the smallest-norm vertex of each sup set
-    choice = [int(np.argmin(np.linalg.norm(W, axis=1))) for W in sups]
+    choice = list(combos[0])
     best = hull_dist(tuple(choice))
     for _sweep in range(5):
         improved = False

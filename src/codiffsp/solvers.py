@@ -13,15 +13,16 @@ eps-active block codifferential plus the normal cone of A
 
     codiff_descent: the engine on Phi_c itself.
 
-Fixed settings, not exposed in SolveOpts: the convex subproblem runs at most
-INNER_ITERS iterations to tolerance INNER_TOL; the Armijo search uses
-sufficient-decrease factor ARMIJO_SIGMA, at most ARMIJO_HALVINGS halvings,
-and counts no decrease within ARMIJO_ROUND * (1 + |value|) as progress.
+Both are converged when nu(ACT_TOL) of Phi_c, inf_stationarity_measure, is
+at most tol_stat.  Fixed settings, not exposed in SolveOpts: the convex
+subproblem runs at most INNER_ITERS iterations to tolerance INNER_TOL; the
+Armijo search starts at t = 1 with sufficient-decrease factor ARMIJO_SIGMA,
+takes at most ARMIJO_HALVINGS halvings, and counts no decrease within
+ARMIJO_ROUND * (1 + |value|) as progress.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -39,6 +40,7 @@ from .expr import (
     scale,
 )
 from .model import FirstStageSet, Point, TwoStageProblem
+from .optimality import inf_stationarity_measure
 from .penalty import PenaltySpec, Phi_c, penalty_integrand, phi_l1
 
 __all__ = [
@@ -69,8 +71,6 @@ class DCDecomposition:
 
 @dataclass(frozen=True)
 class SolveOpts:
-    tol_obj: float = 1e-8
-    tol_step: float = 1e-8
     tol_feas: float = 1e-6
     max_iter: int = 500
     escalate: bool = True
@@ -85,9 +85,9 @@ class SolveReport:
     final_value: float
     final_phi: float
     # converged | iteration_cap | stalled | vertex_cap | penalty_escalated(k).
-    # codiff_descent: converged iff nu(ACT_TOL) <= tol_stat; stalled: no step
-    # passes at eps = ACT_TOL.  dca_solve: converged when an outer step falls
-    # below tol_obj or tol_step (a stall test, not stationarity).
+    # Both solvers: converged iff nu(ACT_TOL) of Phi_c <= tol_stat.  stalled:
+    # codiff_descent finds no Armijo step at eps = ACT_TOL; dca_solve takes an
+    # outer step without strict decrease.
     status: str
     history: tuple[tuple[float, float, float], ...]  # (value, phi, step)
     c_final: float
@@ -142,10 +142,11 @@ def dc_decompose(prob: TwoStageProblem, c: float) -> DCDecomposition:
 # ---------------------------------------------------------------------------
 
 
-def _armijo(value, A: FirstStageSet, z: Point, val: float, q: np.ndarray, nu: float, t: float):
-    """First (point, value, t) along z - t q, t halving, that decreases value
-    by at least ARMIJO_SIGMA * t * nu^2; None when none does."""
+def _armijo(value, A: FirstStageSet, z: Point, val: float, q: np.ndarray, nu: float):
+    """First (point, value, t) along z - t q, t = 1 halving, that decreases
+    value by at least ARMIJO_SIGMA * t * nu^2; None when none does."""
     d = z.x.shape[0]
+    t = 1.0
     hx = -q[:d]
     hY = -q[d:].reshape(z.y.shape)
     slope = ARMIJO_SIGMA * nu * nu
@@ -168,16 +169,15 @@ def _descend(value, block_codiff, A: FirstStageSet, z: Point, tol: float, max_it
     back, when no Armijo step passes or nu(eps) <= tol * eps / ACT_TOL: the
     threshold shrinks with eps (Bagirov & Ugon's paired sequences), because
     a vertex up to eps from active can hold nu(eps) near 0 while nu at a
-    finer eps is large.  The first trial step is twice the last accepted
-    one, at most 1e3.  Returns (steps, status, iterations): steps lists
-    (point, value, t), from (z, value(z), 0.0), one entry per accepted step;
-    status is converged (nu(ACT_TOL) <= tol), stalled (no step passes at
-    eps = ACT_TOL), vertex_cap or iteration_cap.
+    finer eps is large.  Every Armijo search starts at t = 1.  Returns
+    (steps, status, iterations): steps lists (point, value, t), from
+    (z, value(z), 0.0), one entry per accepted step; status is converged
+    (nu(ACT_TOL) <= tol), stalled (no step passes at eps = ACT_TOL),
+    vertex_cap or iteration_cap.
     """
     val = value(z)
     steps = [(z, val, 0.0)]
     level = 5
-    t0 = 1.0
     it = 0
     for it in range(1, max_iter + 1):
         bc = block_codiff(z)
@@ -186,15 +186,14 @@ def _descend(value, block_codiff, A: FirstStageSet, z: Point, tol: float, max_it
         while True:
             wide = 10.0**level
             nu, q = bc.least_norm(A, z.x, ACT_TOL * wide, tilt)
-            step = _armijo(value, A, z, val, q, nu, t0) if nu > tol * wide else None
+            step = _armijo(value, A, z, val, q, nu) if nu > tol * wide else None
             if step is not None:
                 break
             if level == 0:
                 return steps, ("converged" if nu <= tol else "stalled"), it
             level -= 1
         steps.append(step)
-        z, val, t = step
-        t0 = min(t * 2.0, 1e3)
+        z, val, _t = step
     return steps, "iteration_cap", it
 
 
@@ -274,12 +273,14 @@ def dca_solve(
     """DCA on Phi_c with the l1_max penalty.
 
     Each outer iteration minimizes plus-expectation minus the linearization
-    of the minus-expectation, warm-started at the current point; since the
-    inner solver never returns a worse point than its start, the penalized
-    objective is non-increasing.  When the final iterate stays infeasible
-    beyond tol_feas and escalation is enabled, c grows tenfold (at most 5
-    times) and the iteration restarts from the current point; the report's
-    history covers the final penalty segment.
+    of the minus-expectation, warm-started at the current point, and takes
+    the result only when it strictly decreases Phi_c.  After each outer
+    step the run is converged when nu(ACT_TOL) <= tol_stat
+    (inf_stationarity_measure), else stalled when the step did not move.
+    When the final iterate stays infeasible beyond tol_feas and escalation
+    is enabled, c grows tenfold (at most 5 times) and the iteration restarts
+    from the current point; the report's history covers the final penalty
+    segment.
     """
     opts = opts or SolveOpts()
     prob.check_point(z0)
@@ -306,16 +307,16 @@ def dca_solve(
             ce = replace(minus, integrand=dec.plus, tilt_x=xi_x, tilt_y=xi_y)
             z_new = convex_subsolve(ce, prob.A, z)
             v_new = Phi_c(prob, spec, z_new)
-            if v_new > val:  # fp guard; warm start makes this vacuous
-                z_new, v_new = z, val
-            step = math.sqrt(
-                float(np.sum((z_new.x - z.x) ** 2)) + float(np.sum((z_new.y - z.y) ** 2))
-            )
-            history.append((v_new, phi_l1(prob, z_new), step))
-            decrease = val - v_new
-            z, val = z_new, v_new
-            if decrease < opts.tol_obj or step < opts.tol_step:
+            moved = v_new < val
+            if moved:
+                step = np.hypot(np.linalg.norm(z_new.x - z.x), np.linalg.norm(z_new.y - z.y))
+                history.append((v_new, phi_l1(prob, z_new), float(step)))
+                z, val = z_new, v_new
+            if -inf_stationarity_measure(prob, c_now, z) <= opts.tol_stat:
                 status = "converged"
+                break
+            if not moved:
+                status = "stalled"
                 break
         phi = phi_l1(prob, z)
         if phi > opts.tol_feas and opts.escalate and escalations < 5:

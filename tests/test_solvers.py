@@ -13,7 +13,6 @@ from codiffsp import (
     affine,
     dc,
     evaluate,
-    generate,
     maximum,
     quad,
 )
@@ -162,6 +161,9 @@ def test_dca_coupled_instance():
     vals = [h[0] for h in rep.history]
     assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
     assert rep.history[0][0] == pytest.approx(4.0)  # value at the start point
+    # restarted at its stationary end point, DCA reads converged, not stalled
+    again = dca_solve(p, 10.0, rep.final_point)
+    assert again.status == "converged" and again.iterates == 1
 
 
 def test_dca_escalates_then_converges():
@@ -223,13 +225,18 @@ def test_descent_iteration_cap():
 
 
 def test_descent_reports_stall_not_iteration_cap():
-    # the line search and the coordinate pass both fail well before the cap,
-    # at a point whose stationarity measure is far above tol_stat
-    p = generate(7, d=2, m=2, S=3, l=2, dc=True)
-    opts = SolveOpts()
-    rep = codiff_descent(p, 10.0, p.witness, opts)
+    # tol_stat below what rounding in Phi_c lets a step resolve: near the
+    # minimum no Armijo step clears the rounding floor, so both solvers stop
+    # stalled well before their caps instead of reporting converged
+    p = smooth_free_1d()
+    z0 = Point(x=[0.3], y=[[0.2]])
+    opts = SolveOpts(tol_stat=1e-12)
+    rep = codiff_descent(p, 1.0, z0, opts)
     assert rep.status == "stalled"
     assert rep.iterates < opts.cd_max_iter
+    rep = dca_solve(p, 1.0, z0, opts)
+    assert rep.status == "stalled"
+    assert rep.iterates < opts.max_iter
 
 
 def test_both_solvers_agree_on_coupled():
