@@ -3,6 +3,9 @@
 Its codifferential over the joint space factors scenario-blockwise: one
 CodiffPair per scenario, never the exponential product polytope.  All
 reductions run in ascending scenario order so results are bit-reproducible.
+Every per-scenario integrand, f or a solver's penalized or DC part, goes
+through the same two scenario sums: expect for the value and
+_integrand_codiff for the codifferential.
 
 The hypodifferential of I is the p-weighted Minkowski sum of the scenario
 hypodifferentials, each embedded in the (x, y_s) block of (x, y_1..y_S).
@@ -108,17 +111,23 @@ class BlockCodiff:
         return nu, q
 
 
-def eval_I(prob: TwoStageProblem, z: Point) -> float:
-    """Probability-weighted sum of f over scenarios, ascending index order."""
+def expect(prob: TwoStageProblem, integrand: Expr, z: Point) -> float:
+    """sum_s p_s integrand(x, y_s, theta_s), summed in ascending scenario
+    order; NonFinite when a scenario's term is not finite."""
     prob.check_point(z)
     th = prob.scenarios.params
-    vals = [evaluate(prob.f, z.x, z.y[s], th[s]) for s in range(prob.S)]
     total = 0.0
-    for s, v in enumerate(vals):
+    for s in range(prob.S):
+        v = evaluate(integrand, z.x, z.y[s], th[s])
         if not math.isfinite(v):
             raise NonFinite(f"integrand not finite in scenario {s}")
         total += float(prob.scenarios.probs[s]) * v
     return total
+
+
+def eval_I(prob: TwoStageProblem, z: Point) -> float:
+    """I(x, y): expect of the problem's objective f."""
+    return expect(prob, prob.f, z)
 
 
 def block_codiff(prob: TwoStageProblem, z: Point) -> BlockCodiff:

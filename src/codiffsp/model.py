@@ -11,6 +11,7 @@ checking, and a seeded random instance generator.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -183,18 +184,14 @@ class FirstStageSet:
                 return (u / r)[None, :]
         return eye[:0]
 
-    def tangent_project(self, x, h, tol: float = 1e-9) -> np.ndarray:
-        """Euclidean projection of direction h onto the tangent cone at x in A.
-        The normals of a box or a ball are orthogonal or opposite in pairs, so
-        the projection subtracts each normal's positive part."""
-        R = self.normal_rays(x, tol)
-        h = np.asarray(h, dtype=np.float64)
-        return h - np.maximum(R @ h, 0.0) @ R
-
     def normal_residual(self, x, v, tol: float = 1e-9) -> float:
         """Distance from v to -N_A(x), the norm of the tangent-cone projection
-        of -v (Moreau).  Zero certifies v in -N_A(x)."""
-        return float(np.linalg.norm(self.tangent_project(x, -np.asarray(v, dtype=np.float64), tol)))
+        h of -v (Moreau).  Zero certifies v in -N_A(x).  The normals of a box
+        or a ball are orthogonal or opposite in pairs, so h is -v minus each
+        normal's positive part."""
+        R = self.normal_rays(x, tol)
+        h = -np.asarray(v, dtype=np.float64)
+        return float(np.linalg.norm(h - np.maximum(R @ h, 0.0) @ R))
 
 
 @dataclass(frozen=True, eq=False)
@@ -352,6 +349,22 @@ def _set_to_json(A: FirstStageSet) -> dict:
     return {"kind": "ball", "center": A.center.tolist(), "radius": A.radius}
 
 
+def _parse_errors(load):
+    """Report a malformed value that a loader meets (the ValueError or
+    TypeError of a failed conversion) as ParseError; CodiffspErrors, such as
+    validation codes, pass through unchanged."""
+
+    @functools.wraps(load)
+    def wrapped(source):
+        try:
+            return load(source)
+        except (ValueError, TypeError) as e:
+            raise ParseError(f"malformed value: {e}") from None
+
+    return wrapped
+
+
+@_parse_errors
 def load_point(source) -> Point:
     obj = _read_obj(source)
     return Point(x=np.asarray(_require(obj, "x")), y=np.asarray(_require(obj, "y")))
@@ -361,6 +374,7 @@ def serialize_point(z: Point) -> dict:
     return {"x": z.x.tolist(), "y": z.y.tolist()}
 
 
+@_parse_errors
 def load_problem(source) -> TwoStageProblem:
     """Build a fully validated problem from a dict, a JSON text, or a file path."""
     obj = _read_obj(source)

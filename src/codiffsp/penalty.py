@@ -28,6 +28,9 @@ from .expr import Expr, add, constant, evaluate, maximum, scale
 from .model import Point, TwoStageProblem
 
 TOL_ACT = 1e-9
+# Rounds of check_nondegeneracy, each with a tenfold radius bound, after a
+# first round that finds no infeasible point.
+NONDEG_WIDENINGS = 3
 
 
 @dataclass(frozen=True)
@@ -256,11 +259,17 @@ def check_nondegeneracy(
     """Sample infeasible points around the witness and report the smallest
     hull distance dist(0, co{y-part sub-vertices of active g_i + w_i}).
 
-    A reported value bounded away from zero supports (never proves) the
-    uniform nondegeneracy condition behind l1_max exactness.
+    Each round draws ``samples`` points at log-spaced radii up to a bound,
+    2 (1 + ||witness y||) at first; a round that finds no infeasible point
+    is followed by another from the same generator with the bound ten times
+    larger, at most NONDEG_WIDENINGS times.  A reported value bounded away
+    from zero supports (never proves) the uniform nondegeneracy condition
+    behind l1_max exactness.
     """
     if prob.ell == 0:
         raise ValidationError("NO_CONSTRAINTS", "nondegeneracy needs l >= 1")
+    if samples < 1:
+        raise ValidationError("NONDEG_SAMPLES", f"samples must be at least 1, got {samples}")
     rng = np.random.default_rng(seed)
     base = prob.witness
     if base is None:
@@ -274,32 +283,36 @@ def check_nondegeneracy(
     best = math.inf
     wx = wy = None
     ws = -1
-    for k in range(samples):
-        # log-spaced radii reach both far-out points and razor-thin
-        # boundary crossings where several constraints tie as active
-        r = 10.0 ** rng.uniform(-10.0, math.log10(scale_r))
-        x = prob.A.project(base.x + rng.normal(size=d) * 0.1)
-        for s in range(prob.S):
-            u = rng.normal(size=prob.m)
-            nu = float(np.linalg.norm(u))
-            if nu == 0.0:
-                continue
-            y_s = base.y[s] + (r / nu) * u
-            vals = np.array([evaluate(gi, x, y_s, th[s]) for gi in prob.g])
-            vmax = float(vals.max())
-            if vmax <= 0.0:
-                continue
-            found += 1
-            active = np.flatnonzero(vals >= vmax - TOL_ACT)
-            subs, sups = [], []
-            for i in active:
-                qd = quasidiff(codiff(prob.g[i], x, y_s, th[s]))
-                subs.append(np.unique(qd.sub[:, d:], axis=0))
-                sups.append(np.unique(qd.sup[:, d:], axis=0))
-            dist = _best_selection_distance(subs, sups)
-            if dist < best:
-                best = dist
-                wx, wy, ws = x.copy(), y_s.copy(), s
+    for _round in range(1 + NONDEG_WIDENINGS):
+        for _ in range(samples):
+            # log-spaced radii reach both far-out points and razor-thin
+            # boundary crossings where several constraints tie as active
+            r = 10.0 ** rng.uniform(-10.0, math.log10(scale_r))
+            x = prob.A.project(base.x + rng.normal(size=d) * 0.1)
+            for s in range(prob.S):
+                u = rng.normal(size=prob.m)
+                nu = float(np.linalg.norm(u))
+                if nu == 0.0:
+                    continue
+                y_s = base.y[s] + (r / nu) * u
+                vals = np.array([evaluate(gi, x, y_s, th[s]) for gi in prob.g])
+                vmax = float(vals.max())
+                if vmax <= 0.0:
+                    continue
+                found += 1
+                active = np.flatnonzero(vals >= vmax - TOL_ACT)
+                subs, sups = [], []
+                for i in active:
+                    qd = quasidiff(codiff(prob.g[i], x, y_s, th[s]))
+                    subs.append(np.unique(qd.sub[:, d:], axis=0))
+                    sups.append(np.unique(qd.sup[:, d:], axis=0))
+                dist = _best_selection_distance(subs, sups)
+                if dist < best:
+                    best = dist
+                    wx, wy, ws = x.copy(), y_s.copy(), s
+        if found:
+            break
+        scale_r *= 10.0
     return NondegReport(
         sampled_points=found,
         min_hull_distance=best,

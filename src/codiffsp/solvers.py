@@ -7,9 +7,11 @@ eps-active block codifferential plus the normal cone of A
 
     dca_solve: difference-of-convex iteration.  The penalized integrand
         splits into convex plus/minus parts; each step linearizes the minus
-        part at the current iterate and minimizes plus minus that linear
-        tilt with the engine, which accepts only strict decreases, so the
-        objective is non-increasing.
+        part at the current iterate, one mean subgradient per scenario as a
+        row of the tilt, and minimizes E[plus] minus that linear tilt with
+        the engine on the problem's own expectation layer (expect,
+        _integrand_codiff).  The engine accepts only strict decreases, so
+        the objective is non-increasing.
 
     codiff_descent: the engine on Phi_c itself.
 
@@ -23,13 +25,13 @@ ARMIJO_ROUND * (1 + |value|) as progress.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .codiff import codiff, quasidiff
+from .codiff import quasidiff
 from .errors import NotDC, VertexCapExceeded
-from .expectation import ACT_TOL, BlockCodiff, _integrand_codiff
+from .expectation import ACT_TOL, _integrand_codiff, expect
 from .expr import (
     Expr,
     add,
@@ -47,7 +49,6 @@ __all__ = [
     "DCDecomposition",
     "SolveOpts",
     "SolveReport",
-    "ConvexExpectation",
     "dc_decompose",
     "convex_subsolve",
     "dca_solve",
@@ -160,10 +161,10 @@ def _armijo(value, A: FirstStageSet, z: Point, val: float, q: np.ndarray, nu: fl
     return None
 
 
-def _descend(value, block_codiff, A: FirstStageSet, z: Point, tol: float, max_iter: int,
-             tilt: np.ndarray | None = None):
-    """Armijo descent on value(z) along -q from BlockCodiff.least_norm of
-    block_codiff(z), with tilt; block_codiff returns None on a vertex cap.
+def _descend(prob: TwoStageProblem, integrand: Expr, value, z: Point, tol: float,
+             max_iter: int, tilt: np.ndarray | None = None):
+    """Armijo descent on value(z) along -q from BlockCodiff.least_norm of the
+    integrand's block codifferential at z (_integrand_codiff), with tilt.
 
     eps starts at ACT_TOL * 1e5 = 0.1 and shrinks tenfold, never growing
     back, when no Armijo step passes or nu(eps) <= tol * eps / ACT_TOL: the
@@ -173,20 +174,22 @@ def _descend(value, block_codiff, A: FirstStageSet, z: Point, tol: float, max_it
     (steps, status, iterations): steps lists (point, value, t), from
     (z, value(z), 0.0), one entry per accepted step; status is converged
     (nu(ACT_TOL) <= tol), stalled (no step passes at eps = ACT_TOL),
-    vertex_cap or iteration_cap.
+    vertex_cap (a codifferential outgrew codiff.MAX_VERTICES) or
+    iteration_cap.
     """
     val = value(z)
     steps = [(z, val, 0.0)]
     level = 5
     it = 0
     for it in range(1, max_iter + 1):
-        bc = block_codiff(z)
-        if bc is None:
+        try:
+            bc = _integrand_codiff(prob, integrand, z)
+        except VertexCapExceeded:
             return steps, "vertex_cap", it
         while True:
             wide = 10.0**level
-            nu, q = bc.least_norm(A, z.x, ACT_TOL * wide, tilt)
-            step = _armijo(value, A, z, val, q, nu) if nu > tol * wide else None
+            nu, q = bc.least_norm(prob.A, z.x, ACT_TOL * wide, tilt)
+            step = _armijo(value, prob.A, z, val, q, nu) if nu > tol * wide else None
             if step is not None:
                 break
             if level == 0:
@@ -202,63 +205,26 @@ def _descend(value, block_codiff, A: FirstStageSet, z: Point, tol: float, max_it
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConvexExpectation:
-    """Objective sum_s p_s integrand(x, y_s, theta_s) - <tilt, (x, y)>."""
+def convex_subsolve(prob: TwoStageProblem, integrand: Expr, tilt: np.ndarray, z0: Point) -> Point:
+    """Minimize sum_s p_s (integrand(x, y_s, theta_s) - <tilt[s], (x, y_s)>)
+    over A x (R^m)^S from z0 (x projected onto A) with the descent engine:
+    at most INNER_ITERS iterations to nu(ACT_TOL) <= INNER_TOL.
 
-    integrand: Expr
-    probs: np.ndarray
-    params: np.ndarray
-    d: int
-    m: int
-    tilt_x: np.ndarray | None = None
-    tilt_y: np.ndarray | None = None  # (S, m)
-
-    @property
-    def S(self) -> int:
-        return self.probs.shape[0]
-
-    def value(self, x: np.ndarray, Y: np.ndarray) -> float:
-        total = 0.0
-        for s in range(self.S):
-            total += float(self.probs[s]) * evaluate(
-                self.integrand, x, Y[s], self.params[s]
-            )
-        if self.tilt_x is not None:
-            total -= float(self.tilt_x @ x)
-            total -= float((self.tilt_y * Y).sum())
-        return total
-
-    def block_codiff(self, x: np.ndarray, Y: np.ndarray) -> BlockCodiff:
-        """The integrand's codifferential in every scenario (without the tilt)."""
-        pairs = [codiff(self.integrand, x, Y[s], self.params[s]) for s in range(self.S)]
-        return BlockCodiff(per_scenario=tuple(pairs), probs=self.probs, d=self.d, m=self.m)
-
-    def subgrad(self, x: np.ndarray, Y: np.ndarray):
-        gx = np.zeros(self.d)
-        gY = np.zeros((self.S, self.m))
-        for s, cd in enumerate(self.block_codiff(x, Y).per_scenario):
-            v = quasidiff(cd).sub.mean(axis=0)  # deterministic element of the subdifferential
-            gx += float(self.probs[s]) * v[: self.d]
-            gY[s] = float(self.probs[s]) * v[self.d :]
-        if self.tilt_x is not None:
-            gx -= self.tilt_x
-            gY -= self.tilt_y
-        return gx, gY
-
-
-def convex_subsolve(ce: ConvexExpectation, A: FirstStageSet, z0: Point) -> Point:
-    """Minimize ce over A x (R^m)^S from z0 (x projected onto A) with the
-    descent engine: at most INNER_ITERS iterations to nu(ACT_TOL) <= INNER_TOL.
-    The tilt is subtracted from every scenario's slopes, as (tilt_x,
-    tilt_y[s] / p_s), whose p-weighted sum is the tilt.  The result never
-    exceeds the objective at the projected start.
+    Row s of tilt (S, d+m) is a slope of scenario s, subtracted from every
+    slope of the integrand's codifferential in that scenario, so the model
+    is the problem's own expectation layer (expect, _integrand_codiff)
+    tilted scenario by scenario.  A vertex cap ends the descent at its last
+    point, so the result never exceeds the objective at the projected start.
     """
-    tilt = None if ce.tilt_x is None else np.hstack(
-        (np.tile(ce.tilt_x, (ce.S, 1)), ce.tilt_y / ce.probs[:, None]))
-    z = Point(x=A.project(z0.x), y=z0.y)
-    steps, _status, _it = _descend(lambda z: ce.value(z.x, z.y), lambda z: ce.block_codiff(z.x, z.y),
-                                   A, z, INNER_TOL, INNER_ITERS, tilt)
+    probs = prob.scenarios.probs
+    d = prob.d
+
+    def value(z: Point) -> float:
+        lin = tilt[:, :d] @ z.x + (tilt[:, d:] * z.y).sum(axis=1)
+        return expect(prob, integrand, z) - float(probs @ lin)
+
+    z = Point(x=prob.A.project(z0.x), y=z0.y)
+    steps, _status, _it = _descend(prob, integrand, value, z, INNER_TOL, INNER_ITERS, tilt)
     return steps[-1][0]
 
 
@@ -291,21 +257,15 @@ def dca_solve(
     while True:
         spec = PenaltySpec("l1_max", c_now)
         dec = dc_decompose(prob, c_now)
-        minus = ConvexExpectation(
-            integrand=dec.minus,
-            probs=prob.scenarios.probs,
-            params=prob.scenarios.params,
-            d=prob.d,
-            m=prob.m,
-        )
         val = Phi_c(prob, spec, z)
         history = [(val, phi_l1(prob, z), 0.0)]
         status = "iteration_cap"
         for _k in range(opts.max_iter):
             total_iters += 1
-            xi_x, xi_y = minus.subgrad(z.x, z.y)
-            ce = replace(minus, integrand=dec.plus, tilt_x=xi_x, tilt_y=xi_y)
-            z_new = convex_subsolve(ce, prob.A, z)
+            # row s: the mean zero-offset subgradient of minus in scenario s
+            tilt = np.array([quasidiff(cd).sub.mean(axis=0)
+                             for cd in _integrand_codiff(prob, dec.minus, z).per_scenario])
+            z_new = convex_subsolve(prob, dec.plus, tilt, z)
             v_new = Phi_c(prob, spec, z_new)
             moved = v_new < val
             if moved:
@@ -352,17 +312,9 @@ def codiff_descent(
     opts = opts or SolveOpts()
     prob.check_point(z0)
     spec = PenaltySpec("l1_max", float(c))
-    integrand = penalty_integrand(prob, spec.c)
-
-    def block_codiff(z):
-        try:
-            return _integrand_codiff(prob, integrand, z)
-        except VertexCapExceeded:
-            return None
-
     z = Point(x=prob.A.project(z0.x), y=z0.y)
-    steps, status, it = _descend(lambda z: Phi_c(prob, spec, z), block_codiff,
-                                 prob.A, z, opts.tol_stat, opts.cd_max_iter)
+    steps, status, it = _descend(prob, penalty_integrand(prob, spec.c),
+                                 lambda z: Phi_c(prob, spec, z), z, opts.tol_stat, opts.cd_max_iter)
     history = tuple((v, phi_l1(prob, z), t) for z, v, t in steps)
     z, val, _t = steps[-1]
     return SolveReport(

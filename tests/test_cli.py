@@ -97,8 +97,7 @@ def test_solve_then_certify_round_trip(prob_file, tmp_path):
     r = run("solve", "-i", str(prob_file), "--c", "10", "--solver", "dca",
             "--point-out", str(pt))
     assert r.returncode == 0, r.stderr
-    r2 = run("certify", "-i", str(prob_file), "--point", str(pt), "--c", "10",
-             "--inf-directions", "64")
+    r2 = run("certify", "-i", str(prob_file), "--point", str(pt), "--c", "10")
     assert r2.returncode == 0, r2.stderr
     cert = json.loads(r2.stdout)
     assert set(cert) >= {"lambdas", "zeta", "residuals", "budget",
@@ -166,6 +165,12 @@ def test_missing_input_is_exit_2(tmp_path):
     r = run("eval", "-i", str(tmp_path / "nope.json"),
             "--point", str(tmp_path / "nope2.json"))
     assert r.returncode == 2
+    # a malformed value is a structured parse error, not a traceback
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"d": "two", "m": 1}))
+    r = run("check-nondeg", "-i", str(bad))
+    assert r.returncode == 2
+    assert "[PARSE]" in r.stderr and "Traceback" not in r.stderr
 
 
 def test_selftest_passes():

@@ -71,6 +71,21 @@ def test_load_missing_key():
         load_problem(bad)
 
 
+@pytest.mark.parametrize("load, source", [
+    (load_problem, dict(MINIMAL, d="one")),
+    (load_problem, dict(MINIMAL, p="two")),
+    (load_problem, dict(MINIMAL, scenarios={"probs": [0.5, "half"], "params": [[0.0], [1.0]]})),
+    (load_problem, dict(MINIMAL, g=[dict(MINIMAL["g"][0], c0="zero")])),
+    (load_problem, dict(MINIMAL, A={"kind": "box", "lower": ["low"], "upper": [1.0]})),
+    (load_problem, dict(MINIMAL, g=5)),
+    (load_point, {"x": [0.0], "y": [[1.0], [1.0, 2.0]]}),
+    (load_point, {"x": ["zero"], "y": [[1.0]]}),
+], ids=["d", "p", "probs", "c0", "A.lower", "g-not-list", "ragged-y", "text-x"])
+def test_load_malformed_value_is_parse_error(load, source):
+    with pytest.raises(ParseError):
+        load(source)
+
+
 def test_load_from_json_text_and_path(tmp_path):
     text = json.dumps(MINIMAL)
     p1 = load_problem(text)
@@ -151,10 +166,11 @@ def test_first_stage_projections():
 
 
 def test_tangent_projection_box():
+    # normal_residual(x, v) is the norm of -v projected onto the tangent cone
     A = FirstStageSet.box([0.0], [1.0])
-    assert A.tangent_project([0.0], [-2.0]).tolist() == [0.0]
-    assert A.tangent_project([0.0], [2.0]).tolist() == [2.0]
-    assert A.tangent_project([0.5], [-2.0]).tolist() == [-2.0]
+    assert A.normal_residual([0.0], [2.0]) == 0.0
+    assert A.normal_residual([0.0], [-2.0]) == 2.0
+    assert A.normal_residual([0.5], [2.0]) == 2.0
 
 
 def test_point_copies_input():

@@ -244,3 +244,20 @@ def test_nondeg_abs_constraint():
 def test_nondeg_needs_constraints():
     with pytest.raises(ValidationError):
         check_nondegeneracy(_prob(()), samples=10, seed=0)
+
+
+def test_nondeg_rejects_no_samples():
+    g = (affine(SP.dims, -1.0, [0.0], [1.7], []),)
+    for samples in (0, -5):
+        with pytest.raises(ValidationError) as ei:
+            check_nondegeneracy(_prob(g), samples=samples, seed=0)
+        assert ei.value.code == "NONDEG_SAMPLES"
+
+
+def test_nondeg_widens_radius_when_every_draw_is_feasible():
+    # the first round's radius bound 2 (1 + |witness y|) stays feasible here;
+    # a tenfold wider round must find infeasible points
+    p = generate(1003, d=2, m=2, S=3, l=2, dc=True)
+    rep = check_nondegeneracy(p, samples=200, seed=1003)
+    assert rep.sampled_points > 0
+    assert np.isfinite(rep.min_hull_distance)

@@ -1,11 +1,15 @@
 """DC decomposition, the DCA loop, descent on the penalized codifferential."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from codiffsp import (
     FirstStageSet,
     NotDC,
+    PenaltySpec,
+    Phi_c,
     Point,
     ScenarioSpace,
     Space,
@@ -13,11 +17,11 @@ from codiffsp import (
     affine,
     dc,
     evaluate,
+    generate,
     maximum,
     quad,
 )
 from codiffsp.solvers import (
-    ConvexExpectation,
     SolveOpts,
     codiff_descent,
     convex_subsolve,
@@ -107,47 +111,51 @@ def test_decompose_rejects_non_dc():
         dc_decompose(_free_prob(f), 1.0)
 
 
+def _subsolve(integrand, A, z0):
+    # one scenario, no tilt: plain minimization of the integrand over A x R
+    p = TwoStageProblem(d=1, m=1, A=A, f=integrand, g=(), scenarios=one_scenario())
+    return convex_subsolve(p, integrand, np.zeros((1, 2)), z0)
+
+
 def test_subsolve_quadratic_hits_target():
-    ce = ConvexExpectation(
-        integrand=quad(DIMS, np.eye(2), lin=[-0.7, 1.3], psd=True),
-        probs=np.array([1.0]), params=np.zeros((1, 0)), d=1, m=1,
-    )
-    z = convex_subsolve(ce, FirstStageSet.free(), Point(x=[5.0], y=[[-5.0]]))
+    z = _subsolve(quad(DIMS, np.eye(2), lin=[-0.7, 1.3], psd=True),
+                  FirstStageSet.free(), Point(x=[5.0], y=[[-5.0]]))
     assert z.x[0] == pytest.approx(0.7, abs=1e-6)
     assert z.y[0, 0] == pytest.approx(-1.3, abs=1e-6)
 
 
 def test_subsolve_linear_pins_box_vertex():
-    ce = ConvexExpectation(
-        integrand=affine(DIMS, 0.0, [1.0], [0.0], []),
-        probs=np.array([1.0]), params=np.zeros((1, 0)), d=1, m=1,
-    )
-    z = convex_subsolve(ce, FirstStageSet.box([-1.0], [2.0]),
-                        Point(x=[0.0], y=[[0.0]]))
+    z = _subsolve(affine(DIMS, 0.0, [1.0], [0.0], []),
+                  FirstStageSet.box([-1.0], [2.0]), Point(x=[0.0], y=[[0.0]]))
     assert z.x[0] == pytest.approx(-1.0, abs=1e-6)
 
 
 def test_subsolve_max_of_affines_finds_crossing():
-    ce = ConvexExpectation(
-        integrand=maximum(affine(DIMS, 0.0, [1.0], [0.0], []),
+    z = _subsolve(maximum(affine(DIMS, 0.0, [1.0], [0.0], []),
                           affine(DIMS, 1.0, [-2.0], [0.0], [])),
-        probs=np.array([1.0]), params=np.zeros((1, 0)), d=1, m=1,
-    )
-    z = convex_subsolve(ce, FirstStageSet.free(), Point(x=[3.0], y=[[0.0]]))
+                  FirstStageSet.free(), Point(x=[3.0], y=[[0.0]]))
     assert z.x[0] == pytest.approx(1.0 / 3.0, abs=1e-4)
 
 
 def test_subsolve_never_worse_than_start():
     rng = np.random.default_rng(8)
-    ce = ConvexExpectation(
-        integrand=maximum(affine(DIMS, 0.0, [1.0], [1.0], []),
-                          quad(DIMS, np.eye(2), psd=True)),
-        probs=np.array([1.0]), params=np.zeros((1, 0)), d=1, m=1,
-    )
+    f = maximum(affine(DIMS, 0.0, [1.0], [1.0], []), quad(DIMS, np.eye(2), psd=True))
     for _ in range(10):
         z0 = Point(x=rng.uniform(-3, 3, 1), y=rng.uniform(-3, 3, (1, 1)))
-        z = convex_subsolve(ce, FirstStageSet.free(), z0)
-        assert ce.value(z.x, z.y) <= ce.value(z0.x, z0.y) + 1e-12
+        z = _subsolve(f, FirstStageSet.free(), z0)
+        assert evaluate(f, z.x, z.y[0], []) <= evaluate(f, z0.x, z0.y[0], []) + 1e-12
+
+
+def test_subsolve_tilt_rows_are_scenario_slopes():
+    # sum_s p_s (|(x, y_s)|^2 / 2 - <tilt[s], (x, y_s)>) is least at
+    # x = sum_s p_s tilt[s, 0] and y_s = tilt[s, 1]
+    f = quad(DIMS, np.eye(2), psd=True)
+    sc = ScenarioSpace(probs=[0.25, 0.75], params=np.zeros((2, 0)))
+    p = TwoStageProblem(d=1, m=1, A=FirstStageSet.free(), f=f, g=(), scenarios=sc)
+    tilt = np.array([[1.0, -2.0], [3.0, 0.5]])
+    z = convex_subsolve(p, f, tilt, Point(x=[0.0], y=[[0.0], [0.0]]))
+    assert z.x[0] == pytest.approx(2.5, abs=1e-5)
+    assert z.y[:, 0] == pytest.approx([-2.0, 0.5], abs=1e-5)
 
 
 def test_dca_coupled_instance():
@@ -237,6 +245,16 @@ def test_descent_reports_stall_not_iteration_cap():
     rep = dca_solve(p, 1.0, z0, opts)
     assert rep.status == "stalled"
     assert rep.iterates < opts.max_iter
+
+
+def test_descent_reports_vertex_cap(monkeypatch):
+    # codiffsp.codiff names the re-exported function; patch the module's cap
+    monkeypatch.setattr(sys.modules["codiffsp.codiff"], "MAX_VERTICES", 8)
+    p = generate(7, d=2, m=2, S=3, l=2, dc=True)
+    rep = codiff_descent(p, 10.0, p.witness)
+    assert rep.status == "vertex_cap"
+    assert rep.iterates == 1
+    assert rep.final_value == Phi_c(p, PenaltySpec("l1_max", 10.0), rep.final_point)
 
 
 def test_both_solvers_agree_on_coupled():
