@@ -10,7 +10,12 @@ Two penalty terms are supported:
 The nondegeneracy checker estimates the uniform constant a > 0 bounding
 dist(0, co{sub-vertices of active g_i shifted by a superdifferential
 selection}) from below at infeasible points; positivity of that constant is
-the sufficient condition under which the l1_max penalty is exact.
+the sufficient condition under which the l1_max penalty is exact.  It draws
+its samples in blocks, in the order a one-sample loop would draw them,
+evaluates each constraint once per scenario over a block with
+``evaluate_batch``, and computes codifferentials only at the infeasible
+draws.  Ray norms use vecdot because it reproduces ``np.linalg.norm`` of each
+ray bit for bit, so the report is that of a one-sample-at-a-time loop.
 """
 
 from __future__ import annotations
@@ -24,13 +29,16 @@ from ._minnorm import min_norm_point
 from .codiff import codiff, quasidiff
 from .errors import Unprojectable, ValidationError
 from .expectation import BlockCodiff, _integrand_codiff, eval_I, selections
-from .expr import Expr, add, constant, evaluate, maximum, scale
+from .expr import Expr, add, constant, evaluate, evaluate_batch, maximum, scale
 from .model import Point, TwoStageProblem
 
 TOL_ACT = 1e-9
 # Rounds of check_nondegeneracy, each with a tenfold radius bound, after a
 # first round that finds no infeasible point.
 NONDEG_WIDENINGS = 3
+# Samples check_nondegeneracy draws and evaluates together; its arrays hold
+# at most NONDEG_BLOCK * S * (m + l) floats whatever the sample count.
+NONDEG_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -253,6 +261,16 @@ def _best_selection_distance(subs: list[np.ndarray], sups: list[np.ndarray]) -> 
     return best
 
 
+def _unique_rows(a: np.ndarray) -> np.ndarray:
+    """The sorted distinct rows of a, as ``np.unique(a, axis=0)`` gives them
+    (rows equal up to the sign of a zero count as one) at a fraction of its
+    cost on the small vertex sets of one constraint."""
+    a = a[np.lexsort(a.T[::-1])]
+    keep = np.ones(a.shape[0], dtype=bool)
+    keep[1:] = (a[1:] != a[:-1]).any(axis=1)
+    return a[keep]
+
+
 def check_nondegeneracy(
     prob: TwoStageProblem, samples: int = 200, seed: int = 0
 ) -> NondegReport:
@@ -265,6 +283,16 @@ def check_nondegeneracy(
     larger, at most NONDEG_WIDENINGS times.  A reported value bounded away
     from zero supports (never proves) the uniform nondegeneracy condition
     behind l1_max exactness.
+
+    A round runs in blocks of at most NONDEG_BLOCK samples.  Each sample
+    draws its radius, its x step and its S rays, in that order, so the
+    generator stream and every point are those of a one-sample-at-a-time
+    loop.  Each constraint is evaluated once per scenario over the whole
+    block (``evaluate_batch``, bit-identical to ``evaluate``), and only the
+    infeasible (sample, scenario) pairs, visited sample by sample, get a
+    codifferential.  Ray norms are sqrt(vecdot(u, u)), which has the bits of
+    ``np.linalg.norm(u)`` of each ray; ``np.linalg.norm(U, axis=-1)`` and
+    sqrt of the summed squares differ from it in the last bit on some rays.
     """
     if prob.ell == 0:
         raise ValidationError("NO_CONSTRAINTS", "nondegeneracy needs l >= 1")
@@ -276,7 +304,7 @@ def check_nondegeneracy(
         x0 = prob.A.project(np.zeros(prob.d))
         base = Point(x=x0, y=np.zeros((prob.S, prob.m)))
     th = prob.scenarios.params
-    d = prob.d
+    d, m, S = prob.d, prob.m, prob.S
     scale_r = 2.0 * (1.0 + float(np.linalg.norm(base.y)))
 
     found = 0
@@ -284,28 +312,34 @@ def check_nondegeneracy(
     wx = wy = None
     ws = -1
     for _round in range(1 + NONDEG_WIDENINGS):
-        for _ in range(samples):
-            # log-spaced radii reach both far-out points and razor-thin
-            # boundary crossings where several constraints tie as active
-            r = 10.0 ** rng.uniform(-10.0, math.log10(scale_r))
-            x = prob.A.project(base.x + rng.normal(size=d) * 0.1)
-            for s in range(prob.S):
-                u = rng.normal(size=prob.m)
-                nu = float(np.linalg.norm(u))
-                if nu == 0.0:
-                    continue
-                y_s = base.y[s] + (r / nu) * u
-                vals = np.array([evaluate(gi, x, y_s, th[s]) for gi in prob.g])
-                vmax = float(vals.max())
-                if vmax <= 0.0:
-                    continue
+        for start in range(0, samples, NONDEG_BLOCK):
+            n = min(NONDEG_BLOCK, samples - start)
+            r = np.empty(n)
+            X = np.empty((n, d))
+            U = np.empty((n, S, m))
+            for k in range(n):
+                # log-spaced radii reach both far-out points and razor-thin
+                # boundary crossings where several constraints tie as active
+                r[k] = 10.0 ** rng.uniform(-10.0, math.log10(scale_r))
+                X[k] = prob.A.project(base.x + rng.normal(size=d) * 0.1)
+                U[k] = rng.normal(size=(S, m))
+            nu = np.sqrt(np.vecdot(U, U))
+            drawn = nu != 0.0  # a zero ray has no direction: not a sample
+            Y = base.y + (r[:, None] / np.where(drawn, nu, 1.0))[:, :, None] * U
+            vals = np.empty((n, S, prob.ell))
+            for s in range(S):
+                for i, gi in enumerate(prob.g):
+                    vals[:, s, i] = evaluate_batch(gi, X, Y[:, s], th[s])
+            vmax = vals.max(axis=2)
+            for k, s in np.argwhere(drawn & (vmax > 0.0)).tolist():
                 found += 1
-                active = np.flatnonzero(vals >= vmax - TOL_ACT)
+                x, y_s = X[k], Y[k, s]
+                active = np.flatnonzero(vals[k, s] >= vmax[k, s] - TOL_ACT)
                 subs, sups = [], []
                 for i in active:
                     qd = quasidiff(codiff(prob.g[i], x, y_s, th[s]))
-                    subs.append(np.unique(qd.sub[:, d:], axis=0))
-                    sups.append(np.unique(qd.sup[:, d:], axis=0))
+                    subs.append(_unique_rows(qd.sub[:, d:]))
+                    sups.append(_unique_rows(qd.sup[:, d:]))
                 dist = _best_selection_distance(subs, sups)
                 if dist < best:
                     best = dist

@@ -25,12 +25,14 @@ ARMIJO_ROUND * (1 + |value|) as progress.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .codiff import quasidiff
-from .errors import NotDC, VertexCapExceeded
+from .errors import NotDC, ValidationError, VertexCapExceeded
 from .expectation import ACT_TOL, _integrand_codiff, expect
 from .expr import (
     Expr,
@@ -77,6 +79,16 @@ class SolveOpts:
     escalate: bool = True
     tol_stat: float = 1e-6
     cd_max_iter: int = 1000
+
+    def __post_init__(self):
+        for name in ("max_iter", "cd_max_iter"):
+            v = getattr(self, name)
+            if not (isinstance(v, numbers.Integral) and v >= 1):
+                raise ValidationError("SOLVE_OPTS", f"{name} must be an integer >= 1, got {v!r}")
+        for name in ("tol_feas", "tol_stat"):
+            v = getattr(self, name)
+            if not (isinstance(v, numbers.Real) and math.isfinite(v) and v >= 0.0):
+                raise ValidationError("SOLVE_OPTS", f"{name} must be finite and >= 0, got {v!r}")
 
 
 @dataclass(frozen=True)

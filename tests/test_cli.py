@@ -92,6 +92,12 @@ def test_solve_iteration_cap_exit_code(prob_file):
     assert rep["status"] == "iteration_cap"
 
 
+def test_solve_rejects_bad_iteration_count(prob_file):
+    r = run("solve", "-i", str(prob_file), "--c", "10", "--max-iter", "-3")
+    assert r.returncode == 2
+    assert "[SOLVE_OPTS]" in r.stderr and "Traceback" not in r.stderr
+
+
 def test_solve_then_certify_round_trip(prob_file, tmp_path):
     pt = tmp_path / "final.json"
     r = run("solve", "-i", str(prob_file), "--c", "10", "--solver", "dca",

@@ -1,5 +1,7 @@
 """Penalty terms, the penalized objective, and the nondegeneracy check."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,16 @@ from codiffsp import (
     quad,
     quasidiff,
 )
-from codiffsp.penalty import PenaltySpec
+from codiffsp import codiff, evaluate
+from codiffsp.penalty import (
+    NONDEG_BLOCK,
+    NONDEG_WIDENINGS,
+    TOL_ACT,
+    NondegReport,
+    PenaltySpec,
+    _best_selection_distance,
+    _unique_rows,
+)
 
 from conftest import ball_problem, box_bounds, box_problem
 
@@ -261,3 +272,87 @@ def test_nondeg_widens_radius_when_every_draw_is_feasible():
     rep = check_nondegeneracy(p, samples=200, seed=1003)
     assert rep.sampled_points > 0
     assert np.isfinite(rep.min_hull_distance)
+
+
+def test_unique_rows_matches_np_unique():
+    rng = np.random.default_rng(40)
+    for _ in range(200):
+        a = rng.integers(-2, 3, size=(rng.integers(1, 12), rng.integers(1, 4))) * 0.5
+        assert np.array_equal(_unique_rows(a), np.unique(a, axis=0))
+
+
+def _scalar_nondeg(prob, samples, seed):
+    """check_nondegeneracy one sample, scenario and constraint at a time."""
+    rng = np.random.default_rng(seed)
+    base = prob.witness
+    if base is None:
+        base = Point(x=prob.A.project(np.zeros(prob.d)), y=np.zeros((prob.S, prob.m)))
+    th = prob.scenarios.params
+    d = prob.d
+    scale_r = 2.0 * (1.0 + float(np.linalg.norm(base.y)))
+    found, best, wx, wy, ws = 0, math.inf, None, None, -1
+    for _round in range(1 + NONDEG_WIDENINGS):
+        for _ in range(samples):
+            r = 10.0 ** rng.uniform(-10.0, math.log10(scale_r))
+            x = prob.A.project(base.x + rng.normal(size=d) * 0.1)
+            for s in range(prob.S):
+                u = rng.normal(size=prob.m)
+                nu = float(np.linalg.norm(u))
+                if nu == 0.0:
+                    continue
+                y_s = base.y[s] + (r / nu) * u
+                vals = np.array([evaluate(gi, x, y_s, th[s]) for gi in prob.g])
+                vmax = float(vals.max())
+                if vmax <= 0.0:
+                    continue
+                found += 1
+                subs, sups = [], []
+                for i in np.flatnonzero(vals >= vmax - TOL_ACT):
+                    qd = quasidiff(codiff(prob.g[i], x, y_s, th[s]))
+                    subs.append(np.unique(qd.sub[:, d:], axis=0))
+                    sups.append(np.unique(qd.sup[:, d:], axis=0))
+                dist = _best_selection_distance(subs, sups)
+                if dist < best:
+                    best, wx, wy, ws = dist, x.copy(), y_s.copy(), s
+        if found:
+            break
+        scale_r *= 10.0
+    return NondegReport(found, best, best, wx, wy, ws)
+
+
+def _report_bits(rep):
+    def arr(a):
+        return None if a is None else (a.dtype.str, a.shape, a.tobytes())
+
+    return (rep.sampled_points, np.float64(rep.min_hull_distance).tobytes(),
+            np.float64(rep.threshold_a).tobytes(), arr(rep.witness_x),
+            arr(rep.witness_y), type(rep.witness_scenario), rep.witness_scenario,
+            rep.empirical)
+
+
+@pytest.mark.parametrize("seed, S, m, samples", [
+    (1000, 3, 2, 200),
+    (1003, 3, 2, 200),  # every first-round draw is feasible: widening rounds
+    (1014, 3, 2, 100),  # tied distances: the first in sample order is the witness
+    (1000, 20, 2, 100),  # a row norm off by an ulp moves the witness
+    (1017, 20, 2, 100),
+    (1003, 5, 4, 100),
+    (1004, 3, 2, NONDEG_BLOCK + 7),  # crosses a block boundary
+])
+def test_nondeg_matches_scalar_reference(seed, S, m, samples):
+    p = generate(seed, d=2, m=m, S=S, l=2, dc=True)
+    rep = check_nondegeneracy(p, samples=samples, seed=seed)
+    ref = _scalar_nondeg(p, samples, seed)
+    assert type(rep.witness_scenario) is int
+    assert _report_bits(rep) == _report_bits(ref)
+
+
+def test_nondeg_never_evaluates_point_by_point(monkeypatch):
+    p = generate(1000, d=2, m=2, S=3, l=2, dc=True)
+    want = _report_bits(check_nondegeneracy(p, samples=50, seed=5))
+
+    def scalar_evaluate(*args, **kwargs):
+        raise AssertionError("check_nondegeneracy evaluated one point at a time")
+
+    monkeypatch.setattr("codiffsp.penalty.evaluate", scalar_evaluate)
+    assert _report_bits(check_nondegeneracy(p, samples=50, seed=5)) == want

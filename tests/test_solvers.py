@@ -14,6 +14,7 @@ from codiffsp import (
     ScenarioSpace,
     Space,
     TwoStageProblem,
+    ValidationError,
     affine,
     dc,
     evaluate,
@@ -230,6 +231,18 @@ def test_descent_iteration_cap():
                          SolveOpts(cd_max_iter=1))
     assert rep.status == "iteration_cap"
     assert rep.iterates == 1
+
+
+@pytest.mark.parametrize("bad", [
+    {"max_iter": -3}, {"max_iter": 0}, {"max_iter": 2.5},
+    {"cd_max_iter": -3}, {"cd_max_iter": 0},
+    {"tol_stat": float("nan")}, {"tol_stat": -1e-6},
+    {"tol_feas": float("inf")}, {"tol_feas": -1.0},
+])
+def test_solve_opts_rejects_bad_values(bad):
+    with pytest.raises(ValidationError) as ei:
+        SolveOpts(**bad)
+    assert ei.value.code == "SOLVE_OPTS"
 
 
 def test_descent_reports_stall_not_iteration_cap():
