@@ -185,6 +185,8 @@ def _cmd_generate(args) -> int:
 
 def _cmd_selftest(args) -> int:
     from ._minnorm import min_norm_point
+    from .codiff import codiff, codiff_rows
+    from .penalty import penalty_integrand
 
     failures = []
 
@@ -220,11 +222,29 @@ def _cmd_selftest(args) -> int:
         rep = codiff_descent(prob, 10.0, prob.witness)
         assert rep.status == "converged"
 
-    check("min_norm_point", t_minnorm)
-    check("generate_roundtrip", t_generate_roundtrip)
-    check("solve_and_certify", t_solve_and_certify)
-    check("codiff_descent", t_descent)
-    report = {"command": "selftest", "passed": 4 - len(failures), "failed": failures}
+    def t_rows_pass():
+        # one rows pass over the scenarios has the bits of codiff at each
+        prob = generate(11, d=2, m=2, S=5, l=2)
+        f = penalty_integrand(prob, 10.0)
+        x, th = prob.witness.x, prob.scenarios.params
+        y_out = prob.witness.y + 3.0 * np.random.default_rng(11).normal(size=prob.witness.y.shape)
+        for y in (prob.witness.y, y_out):
+            rows = codiff_rows(f, np.broadcast_to(x, (prob.S, prob.d)), y, th)
+            for s, cd in enumerate(rows):
+                one = codiff(f, x, y[s], th[s])
+                assert cd.hypo.tobytes() == one.hypo.tobytes(), f"hypo differs in scenario {s}"
+                assert cd.hyper.tobytes() == one.hyper.tobytes(), f"hyper differs in scenario {s}"
+
+    checks = [
+        ("min_norm_point", t_minnorm),
+        ("generate_roundtrip", t_generate_roundtrip),
+        ("solve_and_certify", t_solve_and_certify),
+        ("codiff_descent", t_descent),
+        ("codiff_rows", t_rows_pass),
+    ]
+    for name, fn in checks:
+        check(name, fn)
+    report = {"command": "selftest", "passed": len(checks) - len(failures), "failed": failures}
     _emit(report, args.output)
     _say("selftest: " + ("ok" if not failures else f"{len(failures)} failed"))
     return 0 if not failures else 1

@@ -15,11 +15,26 @@ with error o(|D|).  The calculus rules below produce offsets that satisfy
 the zero-at-zero normalization exactly in floating point; the constructors
 assert it rather than renormalize.
 
-``codiff`` makes one forward pass over the expression's tape: branch values
-come from ``expr.node_values``, the evaluator behind ``evaluate``, so the
-vertex offsets f_i(z) - f(z) of a max/min/abs node are exact differences
-of the values ``evaluate`` returns; smooth nodes, marked by their structural
-flag, carry a gradient only.
+``codiff_rows`` differentiates an expression at N points in one forward
+pass over its tape.  Row r of (X, Y, Theta) is one point with its own
+theta, and every vertex set is an (N, k, 1+n) array: the max/min/abs/dc
+rules keep every branch whatever its value, so until a prune runs the
+vertex counts depend only on the DAG and the rows share them.  A Minkowski
+sum is (A[:, :, None] + B[:, None]).reshape(N, -1, 1+n), in the vertex
+order of a one-point sum.  Branch values come from ``expr.node_values``,
+the evaluator behind ``evaluate``, so the vertex offsets f_i(z) - f(z) of a
+max/min/abs node are exact differences of the values ``evaluate`` returns.
+Smooth nodes, marked by their structural flag, carry a gradient only; a
+quad's is the stacked product (Q @ Z[:, :, None])[..., 0] + lin, which has
+the bits of the one-point Q @ z + lin, where Z @ Q.T and einsum sum in
+another order.
+
+Pruning makes the counts differ from row to row.  Where a Minkowski
+product or a node set exceeds min(AUTO_PRUNE_AT, MAX_VERTICES), above which
+a one-point pass may prune or raise, the expression is differentiated one
+row at a time instead, and each row prunes and raises VertexCapExceeded as
+a one-point pass does.  ``codiff`` is the one-row call, so every row of a
+rows pass has the bits of ``codiff`` at that point.
 
 Quasidifferentials are the zero-offset slices of a codifferential and
 represent the directional derivative as max plus min of linear forms;
@@ -79,32 +94,44 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _pair(hypo: np.ndarray, hyper: np.ndarray) -> CodiffPair:
-    hypo = _manage(hypo)
-    hyper = _manage(hyper)
-    return CodiffPair(hypo=_freeze(hypo), hyper=_freeze(hyper), dim=hypo.shape[1] - 1)
+class _Ragged(Exception):
+    """A rows pass reached a set that a one-point pass could prune, so the
+    rows may no longer share one vertex count."""
 
 
 def _minkowski(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    if A.shape[0] * B.shape[0] > MAX_VERTICES:
+    """Row-wise Minkowski sums of (N, ka, c) and (N, kb, c) vertex sets, in
+    the vertex order of a one-point sum (A's index outer)."""
+    N, ka, c = A.shape
+    kb = B.shape[1]
+    if N != 1 and ka * kb > min(AUTO_PRUNE_AT, MAX_VERTICES):
+        raise _Ragged
+    if ka * kb > MAX_VERTICES:
         # pruning first keeps desk-scale models exact without silent loss
         A = _manage(A)
         B = _manage(B)
-        if A.shape[0] * B.shape[0] > MAX_VERTICES:
-            raise VertexCapExceeded(A.shape[0] * B.shape[0], MAX_VERTICES)
-    return (A[:, None, :] + B[None, :, :]).reshape(-1, A.shape[1])
+        if A.shape[1] * B.shape[1] > MAX_VERTICES:
+            raise VertexCapExceeded(A.shape[1] * B.shape[1], MAX_VERTICES)
+    return (A[:, :, None] + B[:, None]).reshape(N, -1, c)
 
 
 def _manage(V: np.ndarray) -> np.ndarray:
-    if V.shape[0] > MAX_VERTICES:
-        raise VertexCapExceeded(V.shape[0], MAX_VERTICES)
-    if V.shape[0] > AUTO_PRUNE_AT:
-        V = np.unique(V, axis=0)
-        if V.shape[0] > AUTO_PRUNE_AT:
-            V = _prune_vertices(V)
-        if V.shape[0] > MAX_VERTICES:  # pragma: no cover - prune only shrinks
-            raise VertexCapExceeded(V.shape[0], MAX_VERTICES)
-    return V
+    """V (N, k, c) as it is up to min(AUTO_PRUNE_AT, MAX_VERTICES) vertices;
+    above, a single row is refused beyond MAX_VERTICES and pruned beyond
+    AUTO_PRUNE_AT."""
+    N, k, _c = V.shape
+    if k <= min(AUTO_PRUNE_AT, MAX_VERTICES):
+        return V
+    if N != 1:
+        raise _Ragged
+    if k > MAX_VERTICES:
+        raise VertexCapExceeded(k, MAX_VERTICES)
+    W = np.unique(V[0], axis=0)
+    if W.shape[0] > AUTO_PRUNE_AT:
+        W = _prune_vertices(W)
+    if W.shape[0] > MAX_VERTICES:  # pragma: no cover - prune only shrinks
+        raise VertexCapExceeded(W.shape[0], MAX_VERTICES)
+    return W[None]
 
 
 def _prune_vertices(V: np.ndarray) -> np.ndarray:
@@ -126,34 +153,36 @@ def _prune_vertices(V: np.ndarray) -> np.ndarray:
     return V[keep]
 
 
-def codiff(expr: Expr, x, y=(), theta=()) -> CodiffPair:
-    """Codifferential of the DAG at (x, y) in the joint space of dimension
-    len(x) + len(y).  theta enters as a fixed parameter."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    y = np.asarray(y, dtype=np.float64).ravel()
-    theta = np.asarray(theta, dtype=np.float64).ravel()
-    if expr.dims is not None:
-        d, m, q = expr.dims
-        if (x.shape[0], y.shape[0], theta.shape[0]) != (d, m, q):
-            raise DimensionMismatch(
-                f"point blocks ({x.shape[0]}, {y.shape[0]}, {theta.shape[0]}) "
-                f"do not match declared dims ({d}, {m}, {q})"
-            )
-    n = x.shape[0] + y.shape[0]
-    z = np.concatenate((x, y))
-    zero = np.zeros((1, 1 + n))
+def _rows_pass(
+    expr: Expr, X: np.ndarray, Y: np.ndarray, TH: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(hypo, hyper) of shapes (N, k1, 1+n) and (N, k2, 1+n) at the N rows;
+    raises _Ragged when N != 1 and a set outgrows the unpruned range."""
+    N = X.shape[0]
+    n = X.shape[1] + Y.shape[1]
+    Z = np.hstack((X, Y))
+    zero = np.zeros((N, 1, 1 + n))
     tape = expr._tape
-    vals = node_values(expr, x.tolist() + y.tolist() + theta.tolist())
+    # one row takes the float path of node_values, which has the same bits
+    # at a small fraction of the cost of (1,) columns
+    if N == 1:
+        vals = node_values(expr, Z[0].tolist() + TH[0].tolist())
+    else:
+        vals = node_values(expr, list(Z.T) + list(TH.T), N)
 
     def smooth_pair(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        hypo = np.zeros((1, 1 + n))
-        hypo[0, 1:] = g
+        hypo = np.zeros((N, 1, 1 + n))
+        hypo[:, 0, 1:] = g
         return hypo, zero
 
     def max_rule(
-        parts: list[tuple[np.ndarray, np.ndarray]], values: list[float]
+        parts: list[tuple[np.ndarray, np.ndarray]], values: list
     ) -> tuple[np.ndarray, np.ndarray]:
-        f = max(values)
+        # the builtin max's tie rule (the first maximal value wins), which
+        # keeps the sign of a 0.0 / -0.0 tie where np.maximum may not
+        f = values[0]
+        for v in values[1:]:
+            f = np.where(v > f, v, f)
         hyper = parts[0][1]
         for _hypo_k, hyper_k in parts[1:]:
             hyper = _minkowski(hyper, hyper_k)
@@ -164,14 +193,16 @@ def codiff(expr: Expr, x, y=(), theta=()) -> CodiffPair:
                 if k2 != i:
                     S = _minkowski(S, -hyper_k)
             S = S.copy()
-            S[:, 0] += values[i] - f
+            off = S[:, :, 0].T  # (k, N) view; a float value broadcasts too
+            off += values[i] - f
             pieces.append(S)
-        return np.vstack(pieces), hyper
+        return np.concatenate(pieces, axis=1), hyper
 
     # One forward pass over the tape.  A smooth node gets a gradient only: a
     # smooth subtree is one atom, hypo {(0, grad)}, hyper {(0, 0)}.  Keeping
     # negations of smooth pieces in atom form makes abs(x) yield the
-    # two-vertex hypo rather than a swapped hyper.
+    # two-vertex hypo rather than a swapped hyper.  A gradient is (n,) when
+    # it is the same in every row, else (N, n).
     grads: list = [None] * len(tape)
     pairs: list = [None] * len(tape)
 
@@ -186,7 +217,7 @@ def codiff(expr: Expr, x, y=(), theta=()) -> CodiffPair:
             elif k == "affine":
                 g = np.concatenate((e.cx, e.cy))
             elif k == "quad":
-                g = e.Q @ z + e.lin
+                g = (e.Q @ Z[:, :, None])[..., 0] + e.lin
             elif k == "add":
                 g = np.zeros(n)
                 for j in kids:
@@ -233,17 +264,63 @@ def codiff(expr: Expr, x, y=(), theta=()) -> CodiffPair:
             # so this reduces to [hypo of plus, negated hypo of minus]
             hypo = _minkowski(hypo_p, -hyper_q)
             hyper = _minkowski(hyper_p, -hypo_q)
-            # restore min-offset normalization; exact no-op when the minus
-            # child's max hypo offset is exactly 0
-            shift = hyper[:, 0].min()
-            if shift != 0.0:
+            # restore min-offset normalization; a row whose minus child has
+            # max hypo offset exactly 0 subtracts +0.0, which changes no bit
+            shift = hyper[:, :, 0].min(axis=1)
+            if (shift != 0.0).any():
                 hyper = hyper.copy()
-                hyper[:, 0] -= shift
+                hyper[:, :, 0] -= np.where(shift != 0.0, shift, 0.0)[:, None]
             out = _manage(hypo), _manage(hyper)
         pairs[i] = out
 
     hypo, hyper = part(len(tape) - 1)
-    return _pair(hypo, hyper)
+    return _manage(hypo), _manage(hyper)
+
+
+def codiff_rows(expr: Expr, X, Y, TH) -> list[CodiffPair]:
+    """Codifferentials of the DAG at the N points (X[r], Y[r]) in the joint
+    space of dimension d + m, row r with the fixed parameter TH[r]; X, Y and
+    TH are (N, d), (N, m) and (N, q).  Row r has the bits of
+    codiff(expr, X[r], Y[r], TH[r])."""
+    X = np.asarray(X, dtype=np.float64)
+    Y = np.asarray(Y, dtype=np.float64)
+    TH = np.asarray(TH, dtype=np.float64)
+    if X.ndim != 2 or Y.ndim != 2 or TH.ndim != 2 or not (
+        X.shape[0] == Y.shape[0] == TH.shape[0]
+    ):
+        raise DimensionMismatch(
+            f"row blocks {X.shape}, {Y.shape}, {TH.shape} are not (N, .) arrays of one N"
+        )
+    if expr.dims is not None:
+        d, m, q = expr.dims
+        if (X.shape[1], Y.shape[1], TH.shape[1]) != (d, m, q):
+            raise DimensionMismatch(
+                f"point blocks ({X.shape[1]}, {Y.shape[1]}, {TH.shape[1]}) "
+                f"do not match declared dims ({d}, {m}, {q})"
+            )
+    if X.shape[0] == 0:
+        return []
+    try:
+        blocks = [_rows_pass(expr, X, Y, TH)]
+    except _Ragged:
+        blocks = [_rows_pass(expr, X[r:r + 1], Y[r:r + 1], TH[r:r + 1])
+                  for r in range(X.shape[0])]
+    dim = X.shape[1] + Y.shape[1]
+    return [
+        CodiffPair(hypo=hypo, hyper=hyper, dim=dim)
+        for H, G in blocks
+        for hypo, hyper in zip(_freeze(H), _freeze(G))
+    ]
+
+
+def codiff(expr: Expr, x, y=(), theta=()) -> CodiffPair:
+    """Codifferential of the DAG at (x, y) in the joint space of dimension
+    len(x) + len(y).  theta enters as a fixed parameter.  The one-row call
+    of codiff_rows."""
+    x = np.asarray(x, dtype=np.float64).ravel()
+    y = np.asarray(y, dtype=np.float64).ravel()
+    theta = np.asarray(theta, dtype=np.float64).ravel()
+    return codiff_rows(expr, x[None], y[None], theta[None])[0]
 
 
 def expansion_value(cd: CodiffPair, delta) -> float:

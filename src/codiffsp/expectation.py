@@ -5,7 +5,13 @@ CodiffPair per scenario, never the exponential product polytope.  All
 reductions run in ascending scenario order so results are bit-reproducible.
 Every per-scenario integrand, f or a solver's penalized or DC part, goes
 through the same two scenario sums: expect for the value and
-_integrand_codiff for the codifferential.
+_integrand_codiff for the codifferential.  _integrand_codiff differentiates
+all S scenarios in one rows pass (``codiff.codiff_rows``), row s being
+(x, y_s) with theta_s, as (S, k, 1+n) vertex arrays; each scenario's pair
+has the bits of ``codiff`` at its point, and an integrand large enough to
+be pruned falls back to one scenario at a time.  The value path stays one
+``evaluate`` per scenario: at S = 3, the common size, a rows evaluation
+costs more than the scalar loop.
 
 The hypodifferential of I is the p-weighted Minkowski sum of the scenario
 hypodifferentials, each embedded in the (x, y_s) block of (x, y_1..y_S).
@@ -23,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._minnorm import _least_norm, inside
-from .codiff import CodiffPair, codiff, dirderiv, expansion_value, quasidiff
+from .codiff import CodiffPair, codiff_rows, dirderiv, expansion_value, quasidiff
 from .errors import DimensionMismatch, NonFinite
 from .expr import Expr, evaluate
 from .model import FirstStageSet, Point, TwoStageProblem
@@ -136,10 +142,11 @@ def block_codiff(prob: TwoStageProblem, z: Point) -> BlockCodiff:
 
 
 def _integrand_codiff(prob: TwoStageProblem, integrand: Expr, z: Point) -> BlockCodiff:
-    """codiff of a per-scenario integrand at (x, y_s, theta_s) for every s."""
+    """codiff of a per-scenario integrand at (x, y_s, theta_s) for every s,
+    in one rows pass with a row per scenario."""
     prob.check_point(z)
-    th = prob.scenarios.params
-    pairs = [codiff(integrand, z.x, z.y[s], th[s]) for s in range(prob.S)]
+    X = np.broadcast_to(z.x, (prob.S, prob.d))
+    pairs = codiff_rows(integrand, X, z.y, prob.scenarios.params)
     return BlockCodiff(
         per_scenario=tuple(pairs), probs=prob.scenarios.probs, d=prob.d, m=prob.m
     )

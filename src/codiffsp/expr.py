@@ -296,7 +296,7 @@ def _check_point(dims: Dims | None, x, y, theta):
 def _atom(e: Expr, w: list):
     """Value of an affine or quad atom at w = (x, y, theta), whose entries are
     all floats (one point) or (N,) arrays for the x and y coordinates (N
-    points, theta still floats).
+    points; theta floats or (N,) arrays).
 
     The order of operations is fixed and independent of N: start from c0 and
     add coefficient * coordinate one coordinate at a time; for a quad,
@@ -327,10 +327,12 @@ def node_values(expr: Expr, w: list, n: int | None = None) -> list:
     """Value of every node of ``expr._tape`` at w = (x, y, theta), in tape order.
 
     With ``n`` None, w holds floats (one point) and the values are floats.
-    Otherwise the x and y entries of w are (n,) columns (theta still floats)
-    and every value is an (n,) array.  Both cases apply the same operation at
-    every node (``_atom`` at the atoms; np.maximum/np.minimum where one point
-    uses the builtins), so a point's value has the same bits either way.
+    Otherwise every x and y entry of w is an (n,) column, each theta entry a
+    float or an (n,) column, and every value is an (n,) array.  Both cases
+    apply the same operation at every node (``_atom`` at the atoms; at max
+    and min, np.where keeps the builtins' first extreme value, so a 0.0 /
+    -0.0 tie keeps its sign, where np.maximum and np.minimum return the
+    second), so a point's value has the same bits either way.
     """
     vals: list = []
     for e, kids in expr._tape:
@@ -353,14 +355,14 @@ def node_values(expr: Expr, w: list, n: int | None = None) -> list:
             else:
                 v = vals[kids[0]]
                 for j in kids[1:]:
-                    v = np.maximum(v, vals[j])
+                    v = np.where(vals[j] > v, vals[j], v)
         elif k == "min":
             if n is None:
                 v = min(vals[j] for j in kids)
             else:
                 v = vals[kids[0]]
                 for j in kids[1:]:
-                    v = np.minimum(v, vals[j])
+                    v = np.where(vals[j] < v, vals[j], v)
         elif k == "abs":
             v = abs(vals[kids[0]])
         elif k == "dc":

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,6 +35,13 @@ from .expr import (
 )
 
 PROB_TOL = 1e-12
+
+
+def check_int(value, low: int, code: str, name: str) -> None:
+    """ValidationError(code) unless value is an integer >= low, as a seed of
+    np.random.default_rng (low = 0) or a count must be."""
+    if not (isinstance(value, numbers.Integral) and value >= low):
+        raise ValidationError(code, f"{name} must be an integer >= {low}, got {value!r}")
 
 
 def _freeze(arr, dtype=np.float64) -> np.ndarray:
@@ -457,6 +465,7 @@ def generate(
     """
     if min(d, m, S) < 1 or l < 0:
         raise ValidationError("GEN_SPEC", "need d, m, S >= 1 and l >= 0")
+    check_int(seed, 0, "GEN_SPEC", "seed")
     rng = np.random.default_rng(seed)
     q = m
     n = d + m

@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ._minnorm import _least_norm
-from .codiff import codiff, quasidiff
+from .codiff import CodiffPair, codiff_rows, quasidiff
 from .errors import InfeasibleCandidate, NotSmooth
 from .expr import evaluate, is_smooth_struct
 from .model import Point, TwoStageProblem, is_feasible
@@ -104,16 +104,17 @@ class Certificate:
         }
 
 
-def _scenario_solve(prob: TwoStageProblem, z: Point, s: int):
+def _scenario_solve(prob: TwoStageProblem, z: Point, s: int, cf: CodiffPair, cgs: list):
     """Scenario s's selection of least y-residual: (V, R, q, owner, gvals,
-    combos_checked, exhaustive).  V holds the shifted objective vertices, R
+    combos_checked, exhaustive), from the codifferentials cf of f and cgs of
+    the g_i at (x, y_s, theta_s).  V holds the shifted objective vertices, R
     the shifted rows of the active constraints (rays), owner[r] the
     constraint of ray r, and q the least-norm point of co(V) + cone(R) in the
     y-coordinates."""
     d, ell = prob.d, prob.ell
     th = prob.scenarios.params[s]
-    qf = quasidiff(codiff(prob.f, z.x, z.y[s], th), ACT_TOL)
-    qgs = [quasidiff(codiff(gi, z.x, z.y[s], th), ACT_TOL) for gi in prob.g]
+    qf = quasidiff(cf, ACT_TOL)
+    qgs = [quasidiff(cg, ACT_TOL) for cg in cgs]
     gvals = [float(evaluate(gi, z.x, z.y[s], th)) for gi in prob.g]
     act = [i for i in range(ell) if gvals[i] >= -ACT_TOL]
 
@@ -151,8 +152,12 @@ def check_optimality(prob: TwoStageProblem, c: float, z: Point) -> Certificate:
             f"(tolerance {FEAS_TOL:.1e})"
         )
     S, d, m, ell = prob.S, prob.d, prob.m, prob.ell
+    # one rows pass per function, a row per scenario
+    X, Y, TH = np.broadcast_to(z.x, (S, d)), z.y, prob.scenarios.params
+    cf = codiff_rows(prob.f, X, Y, TH)
+    cg = [codiff_rows(gi, X, Y, TH) for gi in prob.g]
     Vs, Rs, qs, owners, gvals, ncombos, exhaustive = zip(
-        *(_scenario_solve(prob, z, s) for s in range(S))
+        *(_scenario_solve(prob, z, s, cf[s], [cg_i[s] for cg_i in cg]) for s in range(S))
     )
 
     # Columns over (y_1..y_S, x): scenario s's y-offset from q_s weighted by

@@ -14,7 +14,8 @@ the sufficient condition under which the l1_max penalty is exact.  It draws
 its samples in blocks, in the order a one-sample loop would draw them,
 evaluates each constraint once per scenario over a block with
 ``evaluate_batch``, and computes codifferentials only at the infeasible
-draws.  Ray norms use vecdot because it reproduces ``np.linalg.norm`` of each
+draws, in one rows pass per constraint over a block's draws where it is
+active.  Ray norms use vecdot because it reproduces ``np.linalg.norm`` of each
 ray bit for bit, so the report is that of a one-sample-at-a-time loop.
 """
 
@@ -26,11 +27,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._minnorm import min_norm_point
-from .codiff import codiff, quasidiff
+from .codiff import codiff_rows, quasidiff
 from .errors import Unprojectable, ValidationError
 from .expectation import BlockCodiff, _integrand_codiff, eval_I, selections
 from .expr import Expr, add, constant, evaluate, evaluate_batch, maximum, scale
-from .model import Point, TwoStageProblem
+from .model import Point, TwoStageProblem, check_int
 
 TOL_ACT = 1e-9
 # Rounds of check_nondegeneracy, each with a tenfold radius bound, after a
@@ -290,14 +291,18 @@ def check_nondegeneracy(
     loop.  Each constraint is evaluated once per scenario over the whole
     block (``evaluate_batch``, bit-identical to ``evaluate``), and only the
     infeasible (sample, scenario) pairs, visited sample by sample, get a
-    codifferential.  Ray norms are sqrt(vecdot(u, u)), which has the bits of
-    ``np.linalg.norm(u)`` of each ray; ``np.linalg.norm(U, axis=-1)`` and
-    sqrt of the summed squares differ from it in the last bit on some rays.
+    codifferential: one ``codiff_rows`` pass per constraint over the pairs
+    where it is active, each row with its scenario's theta.  Ray norms are
+    sqrt(vecdot(u, u)), which has the bits of ``np.linalg.norm(u)`` of each
+    ray; ``np.linalg.norm(U, axis=-1)`` and sqrt of the summed squares
+    differ from it in the last bit on some rays.
+    ``samples`` must be an integer >= 1 (NONDEG_SAMPLES) and ``seed`` an
+    integer >= 0 (NONDEG_SEED).
     """
     if prob.ell == 0:
         raise ValidationError("NO_CONSTRAINTS", "nondegeneracy needs l >= 1")
-    if samples < 1:
-        raise ValidationError("NONDEG_SAMPLES", f"samples must be at least 1, got {samples}")
+    check_int(samples, 1, "NONDEG_SAMPLES", "samples")
+    check_int(seed, 0, "NONDEG_SEED", "seed")
     rng = np.random.default_rng(seed)
     base = prob.witness
     if base is None:
@@ -331,13 +336,22 @@ def check_nondegeneracy(
                 for i, gi in enumerate(prob.g):
                     vals[:, s, i] = evaluate_batch(gi, X, Y[:, s], th[s])
             vmax = vals.max(axis=2)
-            for k, s in np.argwhere(drawn & (vmax > 0.0)).tolist():
+            hits = np.argwhere(drawn & (vmax > 0.0))
+            K, Sh = hits[:, 0], hits[:, 1]
+            active = vals[K, Sh] >= vmax[K, Sh][:, None] - TOL_ACT
+            # one rows pass per constraint over the hits where it is active;
+            # cds[i][h] is constraint i's codifferential at hit h
+            cds = []
+            for gi, col in zip(prob.g, active.T):
+                rows = np.flatnonzero(col)
+                pairs = codiff_rows(gi, X[K[rows]], Y[K[rows], Sh[rows]], th[Sh[rows]])
+                cds.append(dict(zip(rows.tolist(), pairs)))
+            for h, (k, s) in enumerate(hits.tolist()):
                 found += 1
                 x, y_s = X[k], Y[k, s]
-                active = np.flatnonzero(vals[k, s] >= vmax[k, s] - TOL_ACT)
                 subs, sups = [], []
-                for i in active:
-                    qd = quasidiff(codiff(prob.g[i], x, y_s, th[s]))
+                for i in np.flatnonzero(active[h]).tolist():
+                    qd = quasidiff(cds[i][h])
                     subs.append(_unique_rows(qd.sub[:, d:]))
                     sups.append(_unique_rows(qd.sup[:, d:]))
                 dist = _best_selection_distance(subs, sups)

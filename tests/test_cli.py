@@ -183,4 +183,17 @@ def test_selftest_passes():
     r = run("selftest")
     assert r.returncode == 0, r.stderr
     rep = json.loads(r.stdout)
-    assert rep["passed"] == 4 and rep["failed"] == []
+    assert rep["passed"] == 5 and rep["failed"] == []
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("generate", "--seed", "-1", "--d", "2", "--m", "2", "--S", "3", "--l", "2"), "[GEN_SPEC]"),
+    (("check-nondeg", "--seed", "-1"), "[NONDEG_SEED]"),
+    (("check-nondeg", "--samples", "0"), "[NONDEG_SAMPLES]"),
+])
+def test_bad_seed_or_samples_is_exit_2(prob_file, argv, code):
+    if argv[0] == "check-nondeg":
+        argv += ("-i", str(prob_file))
+    r = run(*argv)
+    assert r.returncode == 2
+    assert code in r.stderr and "Traceback" not in r.stderr

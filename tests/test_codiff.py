@@ -1,5 +1,7 @@
 """Codifferential calculus: vertex sets, expansions, quasidifferentials, pruning."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +9,11 @@ from hypothesis import strategies as st
 
 from codiffsp import (
     CodiffPair,
+    DimensionMismatch,
     Space,
     VertexCapExceeded,
     absolute,
+    add,
     affine,
     codiff,
     dc,
@@ -23,7 +27,9 @@ from codiffsp import (
     scale,
 )
 
-from conftest import random_case
+from codiffsp.codiff import AUTO_PRUNE_AT, codiff_rows
+
+from conftest import kinkify, random_case
 
 SP1 = Space(d=1, m=0, q=0)
 
@@ -236,3 +242,148 @@ def test_expansion_dominates_first_order(seed):
     lhs = evaluate(f, x + a * h[:d], y + a * h[d:], th)
     rhs = evaluate(f, x, y, th) + expansion_value(cd, a * h)
     assert abs(lhs - rhs) <= 0.5 * K * a * a + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# rows pass against the one-point calculus
+
+
+def _pair_bits(cd):
+    return cd.hypo.shape, cd.hypo.tobytes(), cd.hyper.shape, cd.hyper.tobytes()
+
+
+def _rows_match_points(f, X, Y, TH):
+    """codiff_rows gives every row the bits of codiff at that row (returns
+    the pairs), or raises the VertexCapExceeded of the first row whose codiff
+    raises (returns None)."""
+    want = []
+    for x, y, th in zip(X, Y, TH):
+        try:
+            want.append(codiff(f, x, y, th))
+        except VertexCapExceeded as e:
+            with pytest.raises(VertexCapExceeded) as ei:
+                codiff_rows(f, X, Y, TH)
+            assert str(ei.value) == str(e)
+            return None
+    assert list(map(_pair_bits, codiff_rows(f, X, Y, TH))) == list(map(_pair_bits, want))
+    return want
+
+
+def _rows_around(rng, dims, x, y, th, n):
+    """The point (x, y, th) and n - 1 random points, each row its own theta."""
+    d, m, q = dims
+    X = np.vstack((x, rng.uniform(-2.0, 2.0, (n - 1, d))))
+    Y = np.vstack((y, rng.uniform(-2.0, 2.0, (n - 1, m))))
+    TH = np.vstack((th, rng.uniform(-2.0, 2.0, (n - 1, q))))
+    return X, Y, TH
+
+
+def _random_rows_cases(count):
+    cases = []
+    for seed in range(count):
+        rng = np.random.default_rng(seed)
+        dims, f, _K, x, y, th = random_case(rng, max_depth=4)
+        # g has a kink active at the first row
+        g = kinkify(rng, dims, f, x, y, th)
+        X, Y, TH = _rows_around(rng, dims, x, y, th, int(rng.integers(2, 7)))
+        cases += [(f, X, Y, TH), (g, X, Y, TH)]
+        # every point twice, the second time with another theta
+        TH2 = np.repeat(TH, 2, axis=0)
+        TH2[1::2] = rng.uniform(-2.0, 2.0, TH.shape)
+        cases.append((g, np.repeat(X, 2, axis=0), np.repeat(Y, 2, axis=0), TH2))
+    return cases
+
+
+def test_rows_match_one_point_codiff():
+    for f, X, Y, TH in _random_rows_cases(40):
+        assert _rows_match_points(f, X, Y, TH) is not None
+
+
+def _fan(sp, phase, k):
+    # k affines tangent to a circle: every hypo vertex of their max is extreme
+    terms = []
+    for i in range(k):
+        t = phase + 2.0 * np.pi * i / k
+        cx = np.zeros(sp.d)
+        cx[0], cx[1] = np.cos(t), np.sin(t)
+        terms.append(sp.affine(cx=cx))
+    return maximum(*terms)
+
+
+def test_rows_fall_back_where_a_point_prunes():
+    rng = np.random.default_rng(3)
+    sp = Space(d=6, m=0, q=0)
+    X = np.vstack((np.zeros(6), rng.uniform(-1.0, 1.0, (2, 6))))
+    none = np.zeros((3, 0))
+    # 70 x 70 exceeds MAX_VERTICES in every row
+    assert _rows_match_points(_fan(sp, 0.0, 70) + _fan(sp, 0.013, 70), X, none, none) is None
+    # 70 x 4 lies between AUTO_PRUNE_AT and MAX_VERTICES: each row prunes
+    f = _fan(sp, 0.0, 70) + _fan(sp, 0.013, 4)
+    assert all(cd.hypo.shape[0] < 280 for cd in _rows_match_points(f, X, none, none))
+    # a sum of 9 abs terms, 2^9 hypo vertices before pruning, five of them
+    # at their kinks in the first row: the rows prune to different counts
+    sp = Space(d=2, m=1, q=1)
+    X, Y, TH = rng.normal(size=(3, 2)), rng.normal(size=(3, 1)), rng.normal(size=(3, 1))
+    terms = []
+    for i in range(9):
+        cx, cy, ct = rng.normal(size=2), rng.normal(size=1), rng.normal(size=1)
+        c0 = -float(cx @ X[0] + cy @ Y[0] + ct @ TH[0]) if i < 5 else rng.normal()
+        terms.append(absolute(sp.affine(c0, cx, cy, ct)))
+    f = add(*terms)
+    assert 2**9 > AUTO_PRUNE_AT
+    counts = [cd.hypo.shape[0] for cd in _rows_match_points(f, X, Y, TH)]
+    assert max(counts) < 2**9 and counts[0] < counts[1]
+
+
+def test_rows_raise_vertex_cap_like_one_point(monkeypatch):
+    cases = _random_rows_cases(40)
+    monkeypatch.setattr(sys.modules["codiffsp.codiff"], "MAX_VERTICES", 8)
+    raised = [_rows_match_points(f, X, Y, TH) is None for f, X, Y, TH in cases]
+    assert any(raised) and not all(raised)
+
+
+def test_quad_gradient_has_matrix_vector_bits():
+    # the stacked product (Q @ Z[:, :, None])[..., 0] + lin of the rows pass
+    # against Q @ z + lin at each point; Z @ Q.T sums in another order
+    rng = np.random.default_rng(5)
+    for n in range(2, 7):
+        sp = Space(d=1, m=n - 1, q=0)
+        B = rng.normal(size=(n, n))
+        f = sp.quad(B + B.T, lin=rng.normal(size=n))
+        Z = rng.normal(size=(8, n)) * 10.0 ** rng.uniform(-3, 3, (8, 1))
+        rows = codiff_rows(f, Z[:, :1], Z[:, 1:], np.zeros((8, 0)))
+        for z, cd in zip(Z, rows):
+            assert cd.hypo[0, 1:].tobytes() == (f.Q @ z + f.lin).tobytes()
+
+
+def test_sum_lists_vertices_first_term_outer():
+    # hypo of max(a, b) + max(c, e) is [a+c, a+e, b+c, b+e]: the vertex
+    # order, and so the bytes, of the calculus before rows
+    sp = Space(d=2, m=0, q=0)
+    a, b, c, e = ([1.0, 0.0], [2.0, 0.0], [0.0, 10.0], [0.0, 20.0])
+    f = maximum(sp.affine(cx=a), sp.affine(cx=b)) + maximum(sp.affine(cx=c), sp.affine(cx=e))
+    for cd in [codiff(f, [0.0, 0.0])] + codiff_rows(f, np.zeros((2, 2)), np.zeros((2, 0)),
+                                                     np.zeros((2, 0))):
+        assert cd.hypo[:, 1:].tolist() == [[1.0, 10.0], [1.0, 20.0], [2.0, 10.0], [2.0, 20.0]]
+
+
+def test_zero_tie_offsets_follow_builtin_max():
+    # at x = 0 the outer max compares -0.0 (the concave child, whose hypo
+    # offset is -0.0) with 0.0; the builtin max keeps -0.0 and the offset
+    # shift -0.0 - (-0.0) = 0.0 clears the sign, where np.maximum's 0.0 would
+    # leave a -0.0 offset.  Likewise in rows.
+    x = SP1.x(0)
+    f = maximum(scale(-1.0, maximum(x, scale(-1.0, x))), SP1.constant(0.0))
+    X = np.array([[0.0], [0.0], [1.0]])
+    for cd in [codiff(f, [0.0])] + codiff_rows(f, X, np.zeros((3, 0)), np.zeros((3, 0)))[:2]:
+        assert not np.signbit(cd.hypo[:, 0]).any()
+
+
+def test_rows_check_blocks():
+    sp = Space(d=1, m=1, q=1)
+    f = absolute(sp.affine(0.0, [1.0], [1.0], [1.0]))
+    with pytest.raises(DimensionMismatch):
+        codiff_rows(f, np.zeros((2, 1)), np.zeros((2, 1)), np.zeros((2, 2)))
+    with pytest.raises(DimensionMismatch):
+        codiff_rows(f, np.zeros((2, 1)), np.zeros((3, 1)), np.zeros((2, 1)))
+    assert codiff_rows(f, np.zeros((0, 1)), np.zeros((0, 1)), np.zeros((0, 1))) == []

@@ -1,5 +1,8 @@
 """Expectation functional over finite scenario spaces."""
 
+import dataclasses
+import sys
+
 import numpy as np
 import pytest
 
@@ -13,13 +16,18 @@ from codiffsp import (
     absolute,
     affine,
     block_codiff,
+    check_nondegeneracy,
+    codiff,
     evaluate,
     eval_I,
     generate,
     I_dirderiv,
     I_expansion,
+    penalty_codiff,
     quasidiff,
 )
+from codiffsp.optimality import check_optimality, inf_stationarity_measure
+from codiffsp.penalty import PenaltySpec
 
 from conftest import one_sided_richardson
 
@@ -184,3 +192,53 @@ def test_sampled_lipschitz_bound():
         gap = abs(eval_I(p, z1) - eval_I(p, z2))
         dist = np.sqrt(np.sum((z1.x - z2.x) ** 2) + np.sum((z1.y - z2.y) ** 2))
         assert gap <= Lhat * dist + 1e-12
+
+
+def _bits(*objs):
+    """Every array and number in objs, through dataclasses and sequences,
+    with its bytes."""
+    out = []
+    for o in objs:
+        if dataclasses.is_dataclass(o):
+            out.append(_bits(*(getattr(o, f.name) for f in dataclasses.fields(o))))
+        elif isinstance(o, (tuple, list)):
+            out.append(_bits(*o))
+        elif isinstance(o, (np.ndarray, float)):
+            a = np.asarray(o)
+            out.append((a.dtype.str, a.shape, a.tobytes()))
+        else:
+            out.append((type(o), o))
+    return tuple(out)
+
+
+def _one_point_rows(expr, X, Y, TH):
+    """The scenario loop of one codiff call per row that the rows pass replaced."""
+    return [codiff(expr, x, y, th) for x, y, th in zip(X, Y, TH)]
+
+
+def test_scenario_layers_never_differentiate_point_by_point(monkeypatch):
+    p = generate(1000, d=2, m=2, S=5, l=2, dc=True)
+    y_out = p.witness.y + 2.0 * np.random.default_rng(0).normal(size=(5, 2))
+    z_out = Point(x=p.witness.x, y=y_out)
+    spec = PenaltySpec("l1_max", 10.0)
+    layers = ("codiffsp.expectation", "codiffsp.optimality", "codiffsp.penalty")
+
+    def results():
+        return _bits(
+            [penalty_codiff(p, spec, z) for z in (p.witness, z_out)],
+            check_optimality(p, 10.0, p.witness),
+            [inf_stationarity_measure(p, 10.0, z) for z in (p.witness, z_out)],
+            check_nondegeneracy(p, samples=100, seed=3),
+        )
+
+    with monkeypatch.context() as mp:
+        for mod in layers:
+            mp.setattr(f"{mod}.codiff_rows", _one_point_rows)
+        want = results()
+
+    def one_point(*args, **kwargs):
+        raise AssertionError("a scenario layer called codiff one point at a time")
+
+    for mod in layers:
+        monkeypatch.setattr(sys.modules[mod], "codiff", one_point, raising=False)
+    assert results() == want

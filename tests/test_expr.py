@@ -195,6 +195,19 @@ def test_batch_matches_scalar():
             assert vals[i] == evaluate(f, X[i], Y[i], th), (seed, i)
 
 
+def test_batch_keeps_sign_of_zero_ties():
+    # max and min of 0.0 and -0.0 return the first, as the builtins do
+    sp = Space(d=1, m=0, q=0)
+    neg_zero = scale(-1.0, sp.x(0))  # -0.0 at x = 0
+    zero = constant(0.0)
+    for f in (maximum(neg_zero, zero), maximum(zero, neg_zero),
+              minimum(neg_zero, zero), minimum(zero, neg_zero)):
+        v = evaluate(f, [0.0])
+        assert v == 0.0
+        assert np.signbit(evaluate_batch(f, np.zeros((3, 1)), np.zeros((3, 0)), ())).tolist() == [
+            bool(np.signbit(v))] * 3
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_combinators_evaluate_pointwise(seed):

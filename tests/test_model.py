@@ -119,6 +119,18 @@ def test_generate_is_deterministic():
     )
 
 
+@pytest.mark.parametrize("seed", [-1, 2.5, "7", None])
+def test_generate_rejects_bad_seed(seed):
+    with pytest.raises(ValidationError) as ei:
+        generate(seed, d=2, m=1, S=2, l=2)
+    assert ei.value.code == "GEN_SPEC"
+
+
+def test_generate_accepts_numpy_integer_seed():
+    a = serialize_problem(generate(np.int64(42), d=2, m=1, S=2, l=2))
+    assert a == serialize_problem(generate(42, d=2, m=1, S=2, l=2))
+
+
 def test_generate_witness_strictly_feasible():
     for seed in range(8):
         p = generate(seed, d=1 + seed % 3, m=1 + seed % 2, S=1 + seed % 3,

@@ -265,6 +265,20 @@ def test_nondeg_rejects_no_samples():
         assert ei.value.code == "NONDEG_SAMPLES"
 
 
+@pytest.mark.parametrize("kwargs, code", [
+    ({"samples": 2.5}, "NONDEG_SAMPLES"),
+    ({"samples": 200.0}, "NONDEG_SAMPLES"),
+    ({"seed": -1}, "NONDEG_SEED"),
+    ({"seed": 0.5}, "NONDEG_SEED"),
+    ({"seed": None}, "NONDEG_SEED"),
+])
+def test_nondeg_rejects_bad_samples_and_seed(kwargs, code):
+    g = (affine(SP.dims, -1.0, [0.0], [1.7], []),)
+    with pytest.raises(ValidationError) as ei:
+        check_nondegeneracy(_prob(g), **{"samples": 10, "seed": 0, **kwargs})
+    assert ei.value.code == code
+
+
 def test_nondeg_widens_radius_when_every_draw_is_feasible():
     # the first round's radius bound 2 (1 + |witness y|) stays feasible here;
     # a tenfold wider round must find infeasible points
