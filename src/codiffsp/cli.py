@@ -29,7 +29,7 @@ from .model import (
     serialize_point,
     serialize_problem,
 )
-from .optimality import check_optimality, inf_stationarity_measure, smooth_kkt_check
+from .optimality import check_optimality, inf_stationarity_measure
 from .penalty import PenaltySpec, Phi_c, check_nondegeneracy, phi_dist, phi_l1
 from .solvers import SolveOpts, codiff_descent, dca_solve
 
@@ -133,15 +133,9 @@ def _cmd_solve(args) -> int:
 def _cmd_certify(args) -> int:
     prob = load_problem(args.input)
     z = load_point(args.point)
-    if args.smooth:
-        cert = smooth_kkt_check(prob, z)
-    else:
-        if args.c is None:
-            raise CodiffspError("USAGE", "certify requires --c unless --smooth")
-        cert = check_optimality(prob, args.c, z)
-    report = {"command": "certify", **cert.to_json()}
-    if args.c is not None:
-        report["inf_stationarity"] = inf_stationarity_measure(prob, args.c, z)
+    cert = check_optimality(prob, args.c, z)
+    report = {"command": "certify", **cert.to_json(),
+              "inf_stationarity": inf_stationarity_measure(prob, args.c, z)}
     _emit(report, args.output)
     worst = max(cert.residuals.values())
     _say(f"certificate residuals: max {worst:.3e}, budget {cert.budget_sum:.3g}")
@@ -153,12 +147,10 @@ def _cmd_check_nondeg(args) -> int:
     rep = check_nondegeneracy(prob, samples=args.samples, seed=args.seed)
     # no infeasible sample found leaves the distance at +inf; strict JSON has no inf
     dist = rep.min_hull_distance if math.isfinite(rep.min_hull_distance) else None
-    thresh = rep.threshold_a if math.isfinite(rep.threshold_a) else None
     report = {
         "command": "check-nondeg",
         "sampled_points": rep.sampled_points,
         "min_hull_distance": dist,
-        "threshold_a": thresh,
         "witness_scenario": rep.witness_scenario,
         "empirical": rep.empirical,
     }
@@ -186,6 +178,8 @@ def _cmd_generate(args) -> int:
 def _cmd_selftest(args) -> int:
     from ._minnorm import min_norm_point
     from .codiff import codiff, codiff_rows
+    from .expr import Space, affine, quad
+    from .model import FirstStageSet, ScenarioSpace, TwoStageProblem
     from .penalty import penalty_integrand
 
     failures = []
@@ -235,12 +229,28 @@ def _cmd_selftest(args) -> int:
                 assert cd.hypo.tobytes() == one.hypo.tobytes(), f"hypo differs in scenario {s}"
                 assert cd.hyper.tobytes() == one.hyper.tobytes(), f"hyper differs in scenario {s}"
 
+    def t_escalation():
+        # min (x-2)^2 + (x-y)^2 s.t. y <= 1, x in [-5, 5]: c = 0.01 is too
+        # small to hold a stationary point feasible; both solvers raise c
+        # tenfold until (1.5, 1) is stationary
+        dims = Space(d=1, m=1, q=0).dims
+        f = quad(dims, [[4.0, -2.0], [-2.0, 2.0]], lin=[-4.0, 0.0], c0=4.0, psd=True)
+        prob = TwoStageProblem(d=1, m=1, A=FirstStageSet.box([-5.0], [5.0]), f=f,
+                               g=(affine(dims, -1.0, [0.0], [1.0], []),),
+                               scenarios=ScenarioSpace(probs=[1.0], params=np.zeros((1, 0))))
+        z0 = Point(x=[0.0], y=[[0.0]])
+        for solve in (dca_solve, codiff_descent):
+            rep = solve(prob, 0.01, z0)
+            assert rep.status == "converged" and rep.c_final == 1.0 and rep.final_phi <= 1e-6, (
+                f"{solve.__name__}: {rep.status} at c {rep.c_final}, phi {rep.final_phi:.3g}")
+
     checks = [
         ("min_norm_point", t_minnorm),
         ("generate_roundtrip", t_generate_roundtrip),
         ("solve_and_certify", t_solve_and_certify),
         ("codiff_descent", t_descent),
         ("codiff_rows", t_rows_pass),
+        ("escalation", t_escalation),
     ]
     for name, fn in checks:
         check(name, fn)
@@ -281,13 +291,14 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--cd-max-iter", dest="cd_max_iter", type=int, default=None)
     sp.add_argument("--tol-feas", dest="tol_feas", type=float, default=None)
     sp.add_argument("--tol-stat", dest="tol_stat", type=float, default=None)
-    sp.add_argument("--no-escalate", dest="no_escalate", action="store_true")
+    sp.add_argument("--no-escalate", dest="no_escalate", action="store_true",
+                    help="keep c fixed; by default c grows tenfold (at most 5 times) "
+                         "while a solve ends stationary but infeasible")
     sp.set_defaults(fn=_cmd_solve)
 
     sp = sub.add_parser("certify", help="check optimality conditions at a point")
     add_io(sp, point=True)
-    sp.add_argument("--c", type=float, default=None)
-    sp.add_argument("--smooth", action="store_true", help="use the smooth KKT reduction")
+    sp.add_argument("--c", type=float, required=True)
     sp.set_defaults(fn=_cmd_certify)
 
     sp = sub.add_parser("check-nondeg", help="sample the constraint nondegeneracy constant")

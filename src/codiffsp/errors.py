@@ -52,11 +52,6 @@ class NotDC(CodiffspError):
         super().__init__("NOT_DC", message)
 
 
-class NotSmooth(CodiffspError):
-    def __init__(self, message: str):
-        super().__init__("NOT_SMOOTH", message)
-
-
 class Unprojectable(CodiffspError):
     def __init__(self, message: str):
         super().__init__("UNPROJECTABLE", message)

@@ -1,6 +1,6 @@
 """Candidate certification.
 
-Three checks at a feasible point z = (x, y_1..y_S):
+Two checks at a feasible point z = (x, y_1..y_S):
 
     check_optimality: multiplier form of the first-order necessary condition.
         Per scenario, fix one zero-offset superdifferential vertex w of the
@@ -18,10 +18,6 @@ Three checks at a feasible point z = (x, y_1..y_S):
         -N_A(x).  The ray weights sum per constraint to lambda_i, the x-parts
         are zeta_s and the norms of the y-parts the stationarity residuals.
 
-    smooth_kkt_check: the same condition when every integrand is smooth,
-        returned without a penalty budget bound; each scenario's solve is
-        then the nonnegative least-squares system in the gradients.
-
     inf_stationarity_measure: -nu(ACT_TOL) of the penalized objective, the
         exact least directional derivative of its ACT_TOL-active first-order
         model over unit directions (BlockCodiff.least_norm), the value both
@@ -34,14 +30,14 @@ smallest-norm vertex of each set) and the certificate records how many.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._minnorm import _least_norm
 from .codiff import CodiffPair, codiff_rows, quasidiff
-from .errors import InfeasibleCandidate, NotSmooth
-from .expr import evaluate, is_smooth_struct
+from .errors import InfeasibleCandidate
+from .expr import evaluate
 from .model import Point, TwoStageProblem, is_feasible
 from .expectation import ACT_TOL, selections
 from .penalty import PenaltySpec, penalty_codiff
@@ -79,12 +75,6 @@ class Certificate:
                 raise ValueError("residuals must be nonnegative")
 
     @property
-    def empirical(self) -> bool:
-        """Every selection's multiplier solve is exact, so the certificate
-        is empirical exactly when it is a fallback."""
-        return self.fallback
-
-    @property
     def residuals(self) -> dict[str, float]:
         return {
             "stationarity": self.residual_stationarity,
@@ -99,7 +89,6 @@ class Certificate:
             "residuals": self.residuals,
             "budget": {"sum": self.budget_sum, "bound": self.budget_bound},
             "checked_selections": self.checked_selections,
-            "empirical": self.empirical,
             "fallback": self.fallback,
         }
 
@@ -192,19 +181,6 @@ def check_optimality(prob: TwoStageProblem, c: float, z: Point) -> Certificate:
         checked_selections=sum(ncombos),
         fallback=not all(exhaustive),
     )
-
-
-def smooth_kkt_check(prob: TwoStageProblem, z: Point) -> Certificate:
-    """check_optimality when every integrand is smooth, without a budget bound.
-
-    Each scenario's solve is then the nonnegative least-squares system
-    grad_y f + sum_i lambda_i grad_y g_i = 0 over the active constraints,
-    with the x-condition aggregated through the normal cone of A.  The
-    penalty weight does not enter the certificate apart from its bound.
-    """
-    if not is_smooth_struct(prob.f) or any(not is_smooth_struct(gi) for gi in prob.g):
-        raise NotSmooth("smooth_kkt_check requires smooth f and g")
-    return replace(check_optimality(prob, 0.0, z), budget_bound=None)
 
 
 def inf_stationarity_measure(

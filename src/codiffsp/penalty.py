@@ -220,7 +220,6 @@ class NondegReport:
 
     sampled_points: int
     min_hull_distance: float
-    threshold_a: float
     witness_x: np.ndarray | None
     witness_y: np.ndarray | None
     witness_scenario: int
@@ -364,7 +363,6 @@ def check_nondegeneracy(
     return NondegReport(
         sampled_points=found,
         min_hull_distance=best,
-        threshold_a=best,
         witness_x=wx,
         witness_y=wy,
         witness_scenario=ws,

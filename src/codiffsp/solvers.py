@@ -15,11 +15,18 @@ eps-active block codifferential plus the normal cone of A
 
     codiff_descent: the engine on Phi_c itself.
 
-Both are converged when nu(ACT_TOL) of Phi_c, inf_stationarity_measure, is
-at most tol_stat.  Fixed settings, not exposed in SolveOpts: the convex
-subproblem runs at most INNER_ITERS iterations to tolerance INNER_TOL; the
-Armijo search starts at t = 1 with sufficient-decrease factor ARMIJO_SIGMA,
-takes at most ARMIJO_HALVINGS halvings, and counts no decrease within
+Both run inside one penalty loop, _solve, which owns the start point, the
+status and the report.  A penalty segment is converged when nu(ACT_TOL) of
+Phi_c, inf_stationarity_measure, is at most tol_stat.  When a segment ends
+stationary (converged or stalled) with phi > tol_feas, the exact-penalty
+result says c is too small: c grows tenfold, at most 5 times, unless
+escalation is off.  Capped segments end the solve as they are.  Both
+solvers' history covers the final penalty segment.
+
+Fixed settings, not exposed in SolveOpts: the convex subproblem runs at
+most INNER_ITERS iterations to tolerance INNER_TOL; the Armijo search
+starts at t = 1 with sufficient-decrease factor ARMIJO_SIGMA, takes at most
+ARMIJO_HALVINGS halvings, and counts no decrease within
 ARMIJO_ROUND * (1 + |value|) as progress.
 """
 
@@ -100,7 +107,8 @@ class SolveReport:
     # converged | iteration_cap | stalled | vertex_cap | penalty_escalated(k).
     # Both solvers: converged iff nu(ACT_TOL) of Phi_c <= tol_stat.  stalled:
     # codiff_descent finds no Armijo step at eps = ACT_TOL; dca_solve takes an
-    # outer step without strict decrease.
+    # outer step without strict decrease.  penalty_escalated(k): k tenfold
+    # raises of c after stationary infeasible segments, still infeasible.
     status: str
     history: tuple[tuple[float, float, float], ...]  # (value, phi, step)
     c_final: float
@@ -241,25 +249,16 @@ def convex_subsolve(prob: TwoStageProblem, integrand: Expr, tilt: np.ndarray, z0
 
 
 # ---------------------------------------------------------------------------
-# DCA
+# the penalty loop both solvers share
 # ---------------------------------------------------------------------------
 
 
-def dca_solve(
-    prob: TwoStageProblem, c: float, z0: Point, opts: SolveOpts | None = None
-) -> SolveReport:
-    """DCA on Phi_c with the l1_max penalty.
-
-    Each outer iteration minimizes plus-expectation minus the linearization
-    of the minus-expectation, warm-started at the current point, and takes
-    the result only when it strictly decreases Phi_c.  After each outer
-    step the run is converged when nu(ACT_TOL) <= tol_stat
-    (inf_stationarity_measure), else stalled when the step did not move.
-    When the final iterate stays infeasible beyond tol_feas and escalation
-    is enabled, c grows tenfold (at most 5 times) and the iteration restarts
-    from the current point; the report's history covers the final penalty
-    segment.
-    """
+def _solve(prob: TwoStageProblem, c: float, z0: Point, opts: SolveOpts | None, run) -> SolveReport:
+    """Minimize Phi_c from z0, x projected onto A, one penalty segment at a
+    time, escalating c as the module docstring says.  run(spec, z, opts)
+    runs one segment from z and returns (steps, status, iterations) in the
+    shape of _descend.  Iterations sum over the segments; the history
+    covers the final one."""
     opts = opts or SolveOpts()
     prob.check_point(z0)
     z = Point(x=prob.A.project(z0.x), y=z0.y)
@@ -267,35 +266,15 @@ def dca_solve(
     escalations = 0
     total_iters = 0
     while True:
-        spec = PenaltySpec("l1_max", c_now)
-        dec = dc_decompose(prob, c_now)
-        val = Phi_c(prob, spec, z)
-        history = [(val, phi_l1(prob, z), 0.0)]
-        status = "iteration_cap"
-        for _k in range(opts.max_iter):
-            total_iters += 1
-            # row s: the mean zero-offset subgradient of minus in scenario s
-            tilt = np.array([quasidiff(cd).sub.mean(axis=0)
-                             for cd in _integrand_codiff(prob, dec.minus, z).per_scenario])
-            z_new = convex_subsolve(prob, dec.plus, tilt, z)
-            v_new = Phi_c(prob, spec, z_new)
-            moved = v_new < val
-            if moved:
-                step = np.hypot(np.linalg.norm(z_new.x - z.x), np.linalg.norm(z_new.y - z.y))
-                history.append((v_new, phi_l1(prob, z_new), float(step)))
-                z, val = z_new, v_new
-            if -inf_stationarity_measure(prob, c_now, z) <= opts.tol_stat:
-                status = "converged"
-                break
-            if not moved:
-                status = "stalled"
-                break
+        steps, status, it = run(PenaltySpec("l1_max", c_now), z, opts)
+        total_iters += it
+        z, val, _t = steps[-1]
         phi = phi_l1(prob, z)
-        if phi > opts.tol_feas and opts.escalate and escalations < 5:
-            escalations += 1
-            c_now *= 10.0
-            continue
-        break
+        if not (phi > opts.tol_feas and status in ("converged", "stalled")
+                and opts.escalate and escalations < 5):
+            break
+        escalations += 1
+        c_now *= 10.0
     if phi > opts.tol_feas and escalations > 0:
         status = f"penalty_escalated({escalations})"
     return SolveReport(
@@ -304,37 +283,60 @@ def dca_solve(
         final_value=val,
         final_phi=phi,
         status=status,
-        history=tuple(history),
+        history=tuple((v, phi_l1(prob, zk), t) for zk, v, t in steps),
         c_final=c_now,
     )
 
 
-# ---------------------------------------------------------------------------
-# codifferential descent
-# ---------------------------------------------------------------------------
+def dca_solve(
+    prob: TwoStageProblem, c: float, z0: Point, opts: SolveOpts | None = None
+) -> SolveReport:
+    """DCA on Phi_c with the l1_max penalty, escalating c as _solve does.
+
+    Each outer iteration minimizes plus-expectation minus the linearization
+    of the minus-expectation, warm-started at the current point, and takes
+    the result only when it strictly decreases Phi_c.  After each outer
+    step the segment is converged when nu(ACT_TOL) <= tol_stat
+    (inf_stationarity_measure), else stalled when the step did not move;
+    iteration_cap after max_iter outer steps.  The history's step is the
+    Euclidean length of the accepted move.
+    """
+
+    def run(spec: PenaltySpec, z: Point, opts: SolveOpts):
+        dec = dc_decompose(prob, spec.c)
+        val = Phi_c(prob, spec, z)
+        steps = [(z, val, 0.0)]
+        for k in range(1, opts.max_iter + 1):
+            # row s: the mean zero-offset subgradient of minus in scenario s
+            tilt = np.array([quasidiff(cd).sub.mean(axis=0)
+                             for cd in _integrand_codiff(prob, dec.minus, z).per_scenario])
+            z_new = convex_subsolve(prob, dec.plus, tilt, z)
+            v_new = Phi_c(prob, spec, z_new)
+            moved = v_new < val
+            if moved:
+                step = np.hypot(np.linalg.norm(z_new.x - z.x), np.linalg.norm(z_new.y - z.y))
+                steps.append((z_new, v_new, float(step)))
+                z, val = z_new, v_new
+            if -inf_stationarity_measure(prob, spec.c, z) <= opts.tol_stat:
+                return steps, "converged", k
+            if not moved:
+                return steps, "stalled", k
+        return steps, "iteration_cap", opts.max_iter
+
+    return _solve(prob, c, z0, opts, run)
 
 
 def codiff_descent(
     prob: TwoStageProblem, c: float, z0: Point, opts: SolveOpts | None = None
 ) -> SolveReport:
-    """The descent engine on Phi_c with the l1_max penalty, from z0 with x
-    projected onto A: converged when nu(ACT_TOL) <= tol_stat, stalled when
-    no Armijo step passes at eps = ACT_TOL, iteration_cap after cd_max_iter
-    iterations.  The history's step is the multiple t of -q taken."""
-    opts = opts or SolveOpts()
-    prob.check_point(z0)
-    spec = PenaltySpec("l1_max", float(c))
-    z = Point(x=prob.A.project(z0.x), y=z0.y)
-    steps, status, it = _descend(prob, penalty_integrand(prob, spec.c),
-                                 lambda z: Phi_c(prob, spec, z), z, opts.tol_stat, opts.cd_max_iter)
-    history = tuple((v, phi_l1(prob, z), t) for z, v, t in steps)
-    z, val, _t = steps[-1]
-    return SolveReport(
-        iterates=it,
-        final_point=z,
-        final_value=val,
-        final_phi=history[-1][1],
-        status=status,
-        history=history,
-        c_final=float(c),
-    )
+    """The descent engine on Phi_c with the l1_max penalty, escalating c as
+    _solve does: a segment is converged when nu(ACT_TOL) <= tol_stat, stalled
+    when no Armijo step passes at eps = ACT_TOL, iteration_cap after
+    cd_max_iter iterations.  The history's step is the multiple t of -q
+    taken."""
+
+    def run(spec: PenaltySpec, z: Point, opts: SolveOpts):
+        return _descend(prob, penalty_integrand(prob, spec.c), lambda z: Phi_c(prob, spec, z),
+                        z, opts.tol_stat, opts.cd_max_iter)
+
+    return _solve(prob, c, z0, opts, run)

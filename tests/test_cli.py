@@ -6,6 +6,9 @@ import sys
 
 import pytest
 
+from codiffsp import serialize_problem
+from conftest import coupled_1d
+
 CLI = [sys.executable, "-m", "codiffsp.cli"]
 
 
@@ -107,7 +110,7 @@ def test_solve_then_certify_round_trip(prob_file, tmp_path):
     assert r2.returncode == 0, r2.stderr
     cert = json.loads(r2.stdout)
     assert set(cert) >= {"lambdas", "zeta", "residuals", "budget",
-                         "checked_selections", "empirical", "inf_stationarity"}
+                         "checked_selections", "fallback", "inf_stationarity"}
     assert cert["inf_stationarity"] >= -1e-3
 
 
@@ -130,10 +133,20 @@ def test_certify_smooth_flag(tmp_path):
     r = run("solve", "-i", str(fp), "--c", "10", "--solver", "cd",
             "--point-out", str(pt))
     assert r.returncode == 0, r.stderr
-    r2 = run("certify", "-i", str(fp), "--point", str(pt), "--smooth")
+    r2 = run("certify", "-i", str(fp), "--point", str(pt), "--c", "10")
     assert r2.returncode == 0, r2.stderr
     cert = json.loads(r2.stdout)
     assert max(cert["residuals"].values()) <= 1e-3
+
+
+def test_solve_cd_escalates_c(tmp_path):
+    fp = tmp_path / "coupled.json"
+    fp.write_text(json.dumps(serialize_problem(coupled_1d())))
+    r = run("solve", "-i", str(fp), "--c", "0.01", "--solver", "cd")
+    assert r.returncode == 0, r.stderr
+    rep = json.loads(r.stdout)
+    assert rep["status"] == "converged"
+    assert rep["c_final"] == 1.0
 
 
 def test_check_nondeg_report(prob_file):
@@ -183,7 +196,7 @@ def test_selftest_passes():
     r = run("selftest")
     assert r.returncode == 0, r.stderr
     rep = json.loads(r.stdout)
-    assert rep["passed"] == 5 and rep["failed"] == []
+    assert rep["passed"] == 6 and rep["failed"] == []
 
 
 @pytest.mark.parametrize("argv, code", [

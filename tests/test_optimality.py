@@ -1,6 +1,4 @@
-"""Multiplier certificates, smooth KKT reduction, inf-stationarity sampling."""
-
-import json
+"""Multiplier certificates, the smooth KKT case, inf-stationarity."""
 
 import numpy as np
 import pytest
@@ -8,7 +6,6 @@ import pytest
 from codiffsp import (
     FirstStageSet,
     InfeasibleCandidate,
-    NotSmooth,
     Point,
     ScenarioSpace,
     Space,
@@ -26,11 +23,7 @@ from codiffsp import (
     quasidiff,
     scale,
 )
-from codiffsp.optimality import (
-    check_optimality,
-    inf_stationarity_measure,
-    smooth_kkt_check,
-)
+from codiffsp.optimality import check_optimality, inf_stationarity_measure
 from codiffsp.solvers import SolveOpts, codiff_descent, dca_solve
 
 from conftest import coupled_1d, lambda_two_instance, one_scenario, smooth_free_1d
@@ -55,7 +48,7 @@ def test_analytic_multiplier_is_two():
     assert cert.residual_normal_cone <= 1e-9
     assert cert.budget_sum == pytest.approx(2.0, abs=1e-6)
     assert cert.budget_bound == 10.0
-    assert cert.empirical is False and cert.fallback is False
+    assert cert.fallback is False
 
 
 def test_unconstrained_minimum_no_multipliers():
@@ -113,40 +106,21 @@ def test_complementarity_structural():
 
 
 def test_smooth_kkt_agrees_with_codiff_route():
+    # c enters the certificate only as its budget bound: the smooth KKT
+    # multiplier and residuals at c = 0 are those at c = 10
     p = lambda_two_instance()
     z = Point(x=[0.0], y=[[0.0]])
     a = check_optimality(p, 10.0, z)
-    b = smooth_kkt_check(p, z)
+    b = check_optimality(p, 0.0, z)
     assert abs(a.lambdas[0][0] - b.lambdas[0][0]) <= 1e-9
     assert abs(a.residual_stationarity - b.residual_stationarity) <= 1e-6
     assert abs(a.residual_normal_cone - b.residual_normal_cone) <= 1e-6
 
-    # smooth random instances, at the witness and at a descent end point:
-    # the same certificate, without the penalty budget bound
-    for s in range(10):
-        p = generate(s, d=2, m=2, S=2, l=1, smooth=True)
-        end = codiff_descent(p, 10.0, p.witness, SolveOpts(cd_max_iter=30)).final_point
-        for z in (p.witness, end):
-            want = check_optimality(p, 10.0, z).to_json()
-            want["budget"]["bound"] = None
-            got = smooth_kkt_check(p, z).to_json()
-            assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
-
 
 def test_smooth_kkt_positive_residual_off_optimum():
     p = _smooth_free()
-    cert = smooth_kkt_check(p, Point(x=[0.0], y=[[1.0]]))
+    cert = check_optimality(p, 0.0, Point(x=[0.0], y=[[1.0]]))
     assert cert.residual_stationarity == pytest.approx(2.0, abs=1e-9)
-
-
-def test_smooth_kkt_rejects_kinks():
-    p = TwoStageProblem(
-        d=1, m=1, A=FirstStageSet.free(),
-        f=absolute(Space(d=1, m=1, q=0).x(0)), g=(),
-        scenarios=one_scenario(),
-    )
-    with pytest.raises(NotSmooth):
-        smooth_kkt_check(p, Point(x=[0.0], y=[[0.0]]))
 
 
 def test_kink_constraint_multiplier():
@@ -272,7 +246,7 @@ def test_kink_certificate_is_exact():
             for gi in p.g:
                 assert abs(evaluate(gi, z.x, z.y[sc], p.scenarios.params[sc])) <= 1e-9
         cert = check_optimality(p, 10.0, z)
-        assert cert.empirical is False
+        assert cert.fallback is False
         r = cert.residual_stationarity
         ref = max(_minkowski_residual(p, z, sc, cert.lambdas[sc]) for sc in range(p.S))
         assert abs(r - ref) <= 1e-9 * (1.0 + r)

@@ -242,7 +242,6 @@ def test_nondeg_single_affine():
     g = (affine(SP.dims, -1.0, [0.0], [1.7], []),)
     rep = check_nondegeneracy(_prob(g), samples=200, seed=0)
     assert rep.min_hull_distance == pytest.approx(1.7, abs=1e-9)
-    assert rep.threshold_a == rep.min_hull_distance
 
 
 def test_nondeg_abs_constraint():
@@ -331,7 +330,7 @@ def _scalar_nondeg(prob, samples, seed):
         if found:
             break
         scale_r *= 10.0
-    return NondegReport(found, best, best, wx, wy, ws)
+    return NondegReport(found, best, wx, wy, ws)
 
 
 def _report_bits(rep):
@@ -339,9 +338,8 @@ def _report_bits(rep):
         return None if a is None else (a.dtype.str, a.shape, a.tobytes())
 
     return (rep.sampled_points, np.float64(rep.min_hull_distance).tobytes(),
-            np.float64(rep.threshold_a).tobytes(), arr(rep.witness_x),
-            arr(rep.witness_y), type(rep.witness_scenario), rep.witness_scenario,
-            rep.empirical)
+            arr(rep.witness_x), arr(rep.witness_y), type(rep.witness_scenario),
+            rep.witness_scenario, rep.empirical)
 
 
 @pytest.mark.parametrize("seed, S, m, samples", [

@@ -193,9 +193,20 @@ def test_dca_flags_exhausted_escalation():
     assert rep.final_phi == pytest.approx(1.0, abs=1e-6)
 
 
-def test_dca_no_escalate_keeps_c():
+def test_dca_capped_segment_keeps_c():
+    # an iteration cap says nothing about c, so the solve ends where it is
+    p = generate(0, d=2, m=2, S=3, l=2, dc=True)
+    rep = dca_solve(p, 0.01, p.witness, SolveOpts(max_iter=1))
+    assert rep.status == "iteration_cap"
+    assert rep.c_final == 0.01
+    assert rep.iterates == 1
+    assert rep.final_phi > 1e-6
+
+
+@pytest.mark.parametrize("solve", [dca_solve, codiff_descent], ids=lambda f: f.__name__)
+def test_no_escalate_keeps_c(solve):
     p = coupled_1d()
-    rep = dca_solve(p, 0.01, Point(x=[0.0], y=[[0.0]]), SolveOpts(escalate=False))
+    rep = solve(p, 0.01, Point(x=[0.0], y=[[0.0]]), SolveOpts(escalate=False))
     assert rep.c_final == 0.01
     assert rep.final_phi > 1e-6  # tiny c cannot hold the iterate feasible
 
@@ -207,6 +218,18 @@ def test_descent_coupled_instance():
     assert rep.final_value == pytest.approx(0.5, abs=1e-6)
     assert rep.final_point.x[0] == pytest.approx(1.5, abs=1e-6)
     assert rep.final_point.y[0, 0] == pytest.approx(1.0, abs=1e-6)
+
+
+def test_descent_escalates_then_converges():
+    # at c = 0.01 the descent is stationary at phi = 0.99; tenfold raises of
+    # c reach the constrained optimum, as dca_solve's do
+    p = coupled_1d()
+    rep = codiff_descent(p, 0.01, Point(x=[0.0], y=[[0.0]]))
+    assert rep.status == "converged"
+    assert rep.c_final == 1.0
+    assert rep.final_phi <= 1e-6
+    assert rep.final_point.x[0] == pytest.approx(1.5, abs=1e-3)
+    assert rep.final_point.y[0, 0] == pytest.approx(1.0, abs=1e-3)
 
 
 def test_descent_smooth_unconstrained():
