@@ -152,7 +152,6 @@ def _cmd_check_nondeg(args) -> int:
         "sampled_points": rep.sampled_points,
         "min_hull_distance": dist,
         "witness_scenario": rep.witness_scenario,
-        "empirical": rep.empirical,
     }
     if rep.witness_x is not None:
         report["witness"] = {"x": rep.witness_x.tolist(), "y": rep.witness_y.tolist()}
@@ -178,7 +177,7 @@ def _cmd_generate(args) -> int:
 def _cmd_selftest(args) -> int:
     from ._minnorm import min_norm_point
     from .codiff import codiff, codiff_rows
-    from .expr import Space, affine, quad
+    from .expr import Space, absolute, add, affine, dc, quad
     from .model import FirstStageSet, ScenarioSpace, TwoStageProblem
     from .penalty import penalty_integrand
 
@@ -229,20 +228,34 @@ def _cmd_selftest(args) -> int:
                 assert cd.hypo.tobytes() == one.hypo.tobytes(), f"hypo differs in scenario {s}"
                 assert cd.hyper.tobytes() == one.hyper.tobytes(), f"hyper differs in scenario {s}"
 
+    dims = Space(d=1, m=1, q=0).dims
+
+    def box_1d(f, g=(), S=1):
+        scenarios = ScenarioSpace(probs=np.full(S, 1.0 / S), params=np.zeros((S, 0)))
+        return TwoStageProblem(d=1, m=1, A=FirstStageSet.box([-5.0], [5.0]), f=f, g=g,
+                               scenarios=scenarios)
+
     def t_escalation():
         # min (x-2)^2 + (x-y)^2 s.t. y <= 1, x in [-5, 5]: c = 0.01 is too
         # small to hold a stationary point feasible; both solvers raise c
         # tenfold until (1.5, 1) is stationary
-        dims = Space(d=1, m=1, q=0).dims
         f = quad(dims, [[4.0, -2.0], [-2.0, 2.0]], lin=[-4.0, 0.0], c0=4.0, psd=True)
-        prob = TwoStageProblem(d=1, m=1, A=FirstStageSet.box([-5.0], [5.0]), f=f,
-                               g=(affine(dims, -1.0, [0.0], [1.0], []),),
-                               scenarios=ScenarioSpace(probs=[1.0], params=np.zeros((1, 0))))
+        prob = box_1d(f, (affine(dims, -1.0, [0.0], [1.0], []),))
         z0 = Point(x=[0.0], y=[[0.0]])
         for solve in (dca_solve, codiff_descent):
             rep = solve(prob, 0.01, z0)
             assert rep.status == "converged" and rep.c_final == 1.0 and rep.final_phi <= 1e-6, (
                 f"{solve.__name__}: {rep.status} at c {rep.c_final}, phi {rep.final_phi:.3g}")
+
+    def t_selections():
+        # (x^2 + y^2)/2 + y - |y| in 5 scenarios, each on its kink, falls at
+        # rate 2 along -y: 32 selections, past ENUM_CAP, and the worst counts
+        prob = box_1d(dc(add(quad(dims, np.eye(2), psd=True), affine(dims, cy=[1.0])),
+                         absolute(affine(dims, cy=[1.0]))), S=5)
+        z = Point(x=[0.0], y=np.zeros((5, 1)))
+        nu, cert = inf_stationarity_measure(prob, 10.0, z), check_optimality(prob, 10.0, z)
+        assert nu <= -1.0 and cert.residual_stationarity >= 1.0, (
+            f"nu {nu:.3g}, stationarity residual {cert.residual_stationarity:.3g}")
 
     checks = [
         ("min_norm_point", t_minnorm),
@@ -251,6 +264,7 @@ def _cmd_selftest(args) -> int:
         ("codiff_descent", t_descent),
         ("codiff_rows", t_rows_pass),
         ("escalation", t_escalation),
+        ("selections", t_selections),
     ]
     for name, fn in checks:
         check(name, fn)

@@ -259,10 +259,6 @@ class TwoStageProblem:
     def ell(self) -> int:
         return len(self.g)
 
-    @property
-    def space(self) -> Space:
-        return Space(d=self.d, m=self.m, q=self.scenarios.q)
-
     def check_point(self, z: Point) -> None:
         if z.x.shape[0] != self.d or z.y.shape != (self.S, self.m):
             raise DimensionMismatch(

@@ -23,9 +23,10 @@ Two checks at a feasible point z = (x, y_1..y_S):
         model over unit directions (BlockCodiff.least_norm), the value both
         solvers stop on; 0 means inf-stationary.
 
-The condition quantifies over all superdifferential selections; those of
-``expectation.selections`` are checked (all up to ENUM_CAP, else the
-smallest-norm vertex of each set) and the certificate records how many.
+The condition quantifies over all superdifferential selections, so each
+scenario keeps its worst, of largest y-residual, as
+``expectation.max_over_selections`` finds it (greedily past ENUM_CAP); the
+certificate records how many it scored and whether the search overflowed.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .codiff import CodiffPair, codiff_rows, quasidiff
 from .errors import InfeasibleCandidate
 from .expr import evaluate
 from .model import Point, TwoStageProblem, is_feasible
-from .expectation import ACT_TOL, selections
+from .expectation import ACT_TOL, max_over_selections
 from .penalty import PenaltySpec, penalty_codiff
 
 FEAS_TOL = 1e-6
@@ -61,7 +62,7 @@ class Certificate:
     budget_sum: float  # sum_i max_s lambda_{i,s}
     budget_bound: float | None  # the penalty weight c, when one applies
     checked_selections: int
-    fallback: bool = False  # selection enumeration overflowed
+    fallback: bool = False  # some scenario's selection search was greedy
 
     def __post_init__(self):
         if self.lambdas.size and self.lambdas.min() < 0:
@@ -94,45 +95,42 @@ class Certificate:
 
 
 def _scenario_solve(prob: TwoStageProblem, z: Point, s: int, cf: CodiffPair, cgs: list):
-    """Scenario s's selection of least y-residual: (V, R, q, owner, gvals,
-    combos_checked, exhaustive), from the codifferentials cf of f and cgs of
-    the g_i at (x, y_s, theta_s).  V holds the shifted objective vertices, R
-    the shifted rows of the active constraints (rays), owner[r] the
-    constraint of ray r, and q the least-norm point of co(V) + cone(R) in the
-    y-coordinates."""
+    """Scenario s's selection of largest y-residual: (V, R, q, owner, gvals,
+    checked, exhaustive), from the codifferentials cf of f and cgs of the
+    g_i at (x, y_s, theta_s), searched by max_over_selections.  V holds the
+    shifted objective vertices, R the shifted rows of the active constraints
+    (rays), owner[r] the constraint of ray r, and q the least-norm point of
+    co(V) + cone(R) in the y-coordinates."""
     d, ell = prob.d, prob.ell
     th = prob.scenarios.params[s]
     qf = quasidiff(cf, ACT_TOL)
     qgs = [quasidiff(cg, ACT_TOL) for cg in cgs]
     gvals = [float(evaluate(gi, z.x, z.y[s], th)) for gi in prob.g]
     act = [i for i in range(ell) if gvals[i] >= -ACT_TOL]
-
     sup_sets = [qf.sup] + [qgs[i].sup for i in act]
-    combos, exhaustive = selections(sup_sets)
 
-    # lambda_i co(sub g_i + w_i) over lambda_i >= 0 is the cone of its rows
-    owner = np.repeat(np.array(act, dtype=int), [qgs[i].sub.shape[0] for i in act])
-    best = None
-    for combo in combos:
-        V = qf.sub + sup_sets[0][combo[0]]
-        R = np.vstack(
-            [V[:0]] + [qgs[i].sub + sup_sets[1 + j][combo[1 + j]] for j, i in enumerate(act)]
-        )
+    def residual(choice):
+        V = qf.sub + sup_sets[0][choice[0]]
+        # lambda_i co(sub g_i + w_i) over lambda_i >= 0 is the cone of its rows
+        R = np.vstack([V[:0]] + [qgs[i].sub + sup_sets[1 + j][choice[1 + j]]
+                                 for j, i in enumerate(act)])
         q = _least_norm(V[:, d:], R[:, d:])[0]
-        if best is None or np.linalg.norm(q) < np.linalg.norm(best[2]):
-            best = (V, R, q)
-    return (*best, owner, gvals, len(combos), exhaustive)
+        return float(np.linalg.norm(q)), (V, R, q)
+
+    _res, (V, R, q), exhaustive, checked = max_over_selections(sup_sets, residual)
+    owner = np.repeat(np.array(act, dtype=int), [qgs[i].sub.shape[0] for i in act])
+    return V, R, q, owner, gvals, checked, exhaustive
 
 
 def check_optimality(prob: TwoStageProblem, c: float, z: Point) -> Certificate:
     """Verify the multiplier condition at a candidate feasible to FEAS_TOL.
 
-    Per scenario, superdifferential selections are enumerated when their
-    count is at most ENUM_CAP, otherwise the smallest-norm vertex of each
-    set is used and the certificate is flagged as a fallback; each scenario
-    keeps its selection of least y-residual.  One joint solve then picks,
-    on every scenario's y-minimizing face, the combinations whose E[zeta]
-    lies nearest to -N_A(x).
+    Per scenario the residual is that of the worst superdifferential
+    selection, the one of largest y-residual: max_over_selections scores all
+    of them up to ENUM_CAP, else climbs greedily and the certificate is
+    flagged as a fallback; checked_selections counts the selections scored.
+    One joint solve then picks, on every scenario's y-minimizing face, the
+    combinations whose E[zeta] lies nearest to -N_A(x).
     """
     ok, rep = is_feasible(prob, z, tol=FEAS_TOL)
     if not ok:
@@ -145,7 +143,7 @@ def check_optimality(prob: TwoStageProblem, c: float, z: Point) -> Certificate:
     X, Y, TH = np.broadcast_to(z.x, (S, d)), z.y, prob.scenarios.params
     cf = codiff_rows(prob.f, X, Y, TH)
     cg = [codiff_rows(gi, X, Y, TH) for gi in prob.g]
-    Vs, Rs, qs, owners, gvals, ncombos, exhaustive = zip(
+    Vs, Rs, qs, owners, gvals, checked, exhaustive = zip(
         *(_scenario_solve(prob, z, s, cf[s], [cg_i[s] for cg_i in cg]) for s in range(S))
     )
 
@@ -178,7 +176,7 @@ def check_optimality(prob: TwoStageProblem, c: float, z: Point) -> Certificate:
         residual_normal_cone=prob.A.normal_residual(z.x, prob.scenarios.probs @ zeta, tol=ACT_TOL),
         budget_sum=float(lambdas.max(axis=0).sum()) if ell else 0.0,
         budget_bound=float(c),
-        checked_selections=sum(ncombos),
+        checked_selections=sum(checked),
         fallback=not all(exhaustive),
     )
 

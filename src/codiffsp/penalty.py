@@ -29,7 +29,7 @@ import numpy as np
 from ._minnorm import min_norm_point
 from .codiff import codiff_rows, quasidiff
 from .errors import Unprojectable, ValidationError
-from .expectation import BlockCodiff, _integrand_codiff, eval_I, selections
+from .expectation import BlockCodiff, _integrand_codiff, eval_I, max_over_selections
 from .expr import Expr, add, constant, evaluate, evaluate_batch, maximum, scale
 from .model import Point, TwoStageProblem, check_int
 
@@ -223,42 +223,12 @@ class NondegReport:
     witness_x: np.ndarray | None
     witness_y: np.ndarray | None
     witness_scenario: int
-    empirical: bool = True
 
 
-def _best_selection_distance(subs: list[np.ndarray], sups: list[np.ndarray]) -> float:
-    """max over superdifferential selections of dist(0, co{sub_i + w_i}).
-
-    The exactness condition is existential in the selection, so the least
-    conservative empirical constant takes the best one: every selection of
-    ``selections`` when it enumerates them, greedy ascent otherwise.
-    """
-
-    def hull_dist(choice: tuple[int, ...]) -> float:
-        Q = np.vstack([subs[i] + sups[i][w] for i, w in enumerate(choice)])
-        q, _t = min_norm_point(Q)
-        return float(np.linalg.norm(q))
-
-    combos, exhaustive = selections(sups)
-    if exhaustive:
-        return max(hull_dist(choice) for choice in combos)
-    # greedy coordinate ascent from the smallest-norm vertex of each sup set
-    choice = list(combos[0])
-    best = hull_dist(tuple(choice))
-    for _sweep in range(5):
-        improved = False
-        for i, W in enumerate(sups):
-            for w in range(W.shape[0]):
-                if w == choice[i]:
-                    continue
-                trial = choice.copy()
-                trial[i] = w
-                v = hull_dist(tuple(trial))
-                if v > best + 1e-15:
-                    best, choice, improved = v, trial, True
-        if not improved:
-            break
-    return best
+def _hull_dist(subs: list[np.ndarray], sups: list[np.ndarray], choice: tuple[int, ...]):
+    """(dist(0, co{sub_i + w_i}), None) at the selection w_i = sups[i][choice[i]]."""
+    q, _t = min_norm_point(np.vstack([subs[i] + sups[i][w] for i, w in enumerate(choice)]))
+    return float(np.linalg.norm(q)), None
 
 
 def _unique_rows(a: np.ndarray) -> np.ndarray:
@@ -275,7 +245,9 @@ def check_nondegeneracy(
     prob: TwoStageProblem, samples: int = 200, seed: int = 0
 ) -> NondegReport:
     """Sample infeasible points around the witness and report the smallest
-    hull distance dist(0, co{y-part sub-vertices of active g_i + w_i}).
+    hull distance dist(0, co{y-part sub-vertices of active g_i + w_i}),
+    each the largest over the selections w_i (exactness is existential in
+    the selection), as max_over_selections searches them.
 
     Each round draws ``samples`` points at log-spaced radii up to a bound,
     2 (1 + ||witness y||) at first; a round that finds no infeasible point
@@ -353,7 +325,7 @@ def check_nondegeneracy(
                     qd = quasidiff(cds[i][h])
                     subs.append(_unique_rows(qd.sub[:, d:]))
                     sups.append(_unique_rows(qd.sup[:, d:]))
-                dist = _best_selection_distance(subs, sups)
+                dist = max_over_selections(sups, lambda w: _hull_dist(subs, sups, w))[0]
                 if dist < best:
                     best = dist
                     wx, wy, ws = x.copy(), y_s.copy(), s

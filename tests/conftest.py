@@ -273,6 +273,22 @@ def abs_free_1d():
                            scenarios=one_scenario())
 
 
+def concave_kinks(S):
+    """S equiprobable scenarios, theta_s = 0, x in [-5, 5], no constraints:
+    f = (x^2 + y^2)/2 + y - |y - theta|.
+
+    At (0, 0) every scenario sits on its concave kink with two zero-offset
+    hyper vertices, 2^S selections in all; along -y f falls at rate 2 and
+    reaches its minimum -2 at y_s = -2.
+    """
+    dims = Space(d=1, m=1, q=1).dims
+    f = dc(add(quad(dims, np.eye(2), psd=True), affine(dims, cy=[1.0])),
+           absolute(affine(dims, cy=[1.0], ct=[-1.0])))
+    sc = ScenarioSpace(probs=np.full(S, 1.0 / S), params=np.zeros((S, 1)))
+    return TwoStageProblem(d=1, m=1, A=FirstStageSet.box([-5.0], [5.0]), f=f, g=(),
+                           scenarios=sc, witness=Point(x=[0.0], y=np.zeros((S, 1))))
+
+
 def lambda_two_instance():
     """x pinned to 0 by a degenerate box, f = (y-1)^2, g: y <= 0.
 

@@ -14,18 +14,23 @@ from codiffsp import (
     Space,
     TwoStageProblem,
     absolute,
+    add,
     affine,
     block_codiff,
     check_nondegeneracy,
     codiff,
+    dc,
     evaluate,
     eval_I,
     generate,
     I_dirderiv,
     I_expansion,
     penalty_codiff,
+    quad,
     quasidiff,
+    scale,
 )
+from codiffsp.expectation import ENUM_CAP, max_over_selections
 from codiffsp.optimality import check_optimality, inf_stationarity_measure
 from codiffsp.penalty import PenaltySpec
 
@@ -242,3 +247,73 @@ def test_scenario_layers_never_differentiate_point_by_point(monkeypatch):
     for mod in layers:
         monkeypatch.setattr(sys.modules[mod], "codiff", one_point, raising=False)
     assert results() == want
+
+
+# ---------------------------------------------------------------------------
+# the one search over superdifferential selections
+
+
+def _table_score(values):
+    """score(choice) = (values[choice], choice), recording every call."""
+    calls = []
+
+    def score(choice):
+        calls.append(choice)
+        return float(values[choice]), choice
+
+    return score, calls
+
+
+def test_selection_tie_goes_to_first_in_product_order():
+    values = np.array([[0.0, 3.0], [3.0, 1.0]])
+    score, _ = _table_score(values)
+    value, choice, exhaustive, checked = max_over_selections([np.zeros((2, 1))] * 2, score)
+    assert (value, choice, exhaustive, checked) == (3.0, (0, 1), True, 4)
+
+
+def test_selection_search_exhaustive_up_to_cap():
+    sups = [np.zeros((2, 1))] * 4  # 16 choices
+    assert 2 ** 4 == ENUM_CAP
+    score, calls = _table_score(np.arange(16.0).reshape((2,) * 4))
+    value, choice, exhaustive, checked = max_over_selections(sups, score)
+    assert exhaustive and checked == len(calls) == ENUM_CAP
+    assert (value, choice) == (15.0, (1, 1, 1, 1))
+    score, calls = _table_score(np.arange(ENUM_CAP + 1.0))
+    _v, _c, exhaustive, checked = max_over_selections([np.zeros((ENUM_CAP + 1, 1))], score)
+    assert not exhaustive and checked == len(calls)
+
+
+def test_greedy_selection_never_below_its_start():
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        sups = [rng.normal(size=(int(rng.integers(2, 4)), 2)) for _ in range(5)]
+        start = tuple(int(np.argmin((W * W).sum(axis=1))) for W in sups)
+        values = rng.normal(size=[W.shape[0] for W in sups])
+        score, calls = _table_score(values)
+        value, choice, exhaustive, checked = max_over_selections(sups, score)
+        assert not exhaustive and calls[0] == start and checked == len(calls)
+        assert value == values[choice] >= values[start]
+
+
+def _kinks_six(seed, S=6):
+    """S scenarios, each on a concave kink of f = quad + affine - a |y - theta|
+    at y_s = theta_s, x drawn: 2^S selections, coupled through x."""
+    rng = np.random.default_rng(seed)
+    dims = Space(d=2, m=1, q=1).dims
+    B = rng.normal(size=(3, 3))
+    f = dc(add(quad(dims, B @ B.T / 3, psd=True),
+               affine(dims, cx=rng.normal(size=2), cy=rng.normal(size=1), ct=[1.0])),
+           scale(float(rng.uniform(0.5, 2.0)), absolute(affine(dims, cy=[1.0], ct=[-1.0]))))
+    th = rng.normal(size=(S, 1))
+    p = TwoStageProblem(d=2, m=1, A=FirstStageSet.box([-5.0, -5.0], [5.0, 5.0]), f=f, g=(),
+                        scenarios=ScenarioSpace(probs=np.full(S, 1.0 / S), params=th))
+    return p, Point(x=rng.uniform(-1, 1, 2), y=th.copy())
+
+
+def test_greedy_selection_finds_the_exhaustive_nu(monkeypatch):
+    # 64 selections; the smallest-norm start alone gives nu = 0.52
+    p, z = _kinks_six(1)
+    greedy = inf_stationarity_measure(p, 10.0, z)
+    monkeypatch.setattr("codiffsp.expectation.ENUM_CAP", 2 ** p.S)
+    exact = inf_stationarity_measure(p, 10.0, z)
+    assert greedy == exact == pytest.approx(-1.7095918609918872)

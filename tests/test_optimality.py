@@ -26,7 +26,9 @@ from codiffsp import (
 from codiffsp.optimality import check_optimality, inf_stationarity_measure
 from codiffsp.solvers import SolveOpts, codiff_descent, dca_solve
 
-from conftest import coupled_1d, lambda_two_instance, one_scenario, smooth_free_1d
+from conftest import (
+    concave_kinks, coupled_1d, lambda_two_instance, one_scenario, smooth_free_1d,
+)
 
 DIMS = Space(d=1, m=1, q=0).dims
 
@@ -86,6 +88,17 @@ def test_kink_in_x_certifies_true_minimum():
     cert = check_optimality(p, 1.0, Point(x=[0.0], y=[[0.0]]))
     assert cert.residual_stationarity <= 1e-9
     assert cert.residual_normal_cone <= 1e-9
+
+
+@pytest.mark.parametrize("S", [1, 5])
+def test_certificate_reports_worst_selection(S):
+    # the selection w = +1 of -|y| leaves sub f + w = (0, 2) in every
+    # scenario: the condition fails by 2 although w = -1 would meet it
+    p = concave_kinks(S)
+    cert = check_optimality(p, 10.0, p.witness)
+    assert cert.residual_stationarity == pytest.approx(2.0)
+    assert cert.checked_selections == 2 * S
+    assert cert.fallback is False
 
 
 def test_infeasible_candidate_rejected():

@@ -19,6 +19,7 @@ from codiffsp import (
     dc,
     evaluate,
     generate,
+    inf_stationarity_measure,
     maximum,
     quad,
 )
@@ -30,7 +31,7 @@ from codiffsp.solvers import (
     dca_solve,
 )
 
-from conftest import abs_free_1d, coupled_1d, one_scenario, smooth_free_1d
+from conftest import abs_free_1d, concave_kinks, coupled_1d, one_scenario, smooth_free_1d
 
 DIMS = Space(d=1, m=1, q=0).dims
 
@@ -246,6 +247,17 @@ def test_descent_kink_minimum():
     rep = codiff_descent(p, 1.0, Point(x=[2.7], y=[[0.0]]))
     assert rep.status == "converged"
     assert abs(rep.final_point.x[0]) <= 1e-6
+
+
+@pytest.mark.parametrize("S", [4, 5, 8])
+def test_descent_leaves_concave_kinks_past_enum_cap(S):
+    # 2^S selections: 16 are all scored, 32 and 256 exceed ENUM_CAP; the
+    # worst selection still sees the rate-2 descent along -y in every case
+    p = concave_kinks(S)
+    assert inf_stationarity_measure(p, 10.0, p.witness) == pytest.approx(-2.0)
+    rep = codiff_descent(p, 10.0, p.witness)
+    assert rep.status == "converged"
+    assert rep.final_value == pytest.approx(-2.0)
 
 
 def test_descent_iteration_cap():
