@@ -77,13 +77,22 @@ def _least_norm(
     else:
         # repeated columns can make nnls return weights that do not match
         # its own residual; solve on the distinct columns only
-        _, first = np.unique(E, axis=1, return_index=True)
-        first.sort()
+        first = _first_columns(E)
         w = np.zeros(W.shape[0])
         w[first] = nnls(E[:, first], rhs)[0]
         w = _on_support(V, R, owner, w)
     t, mu = w[:k], w[k:]
     return t @ V + mu @ R, t, mu
+
+
+def _first_columns(E: np.ndarray) -> np.ndarray:
+    """Ascending indices of the first occurrence of each distinct column of
+    E, the sorted index of np.unique(E, axis=1, return_index=True): columns
+    match by value, so + 0.0 folds -0.0 into 0.0 before comparing bytes."""
+    seen: dict = {}
+    for j, col in enumerate(np.ascontiguousarray(E.T) + 0.0):
+        seen.setdefault(col.tobytes(), j)
+    return np.fromiter(seen.values(), dtype=np.intp, count=len(seen))
 
 
 def _on_support(V: np.ndarray, R: np.ndarray, owner: np.ndarray, w: np.ndarray) -> np.ndarray:

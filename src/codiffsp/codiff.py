@@ -155,9 +155,11 @@ def _prune_vertices(V: np.ndarray) -> np.ndarray:
 
 def _rows_pass(
     expr: Expr, X: np.ndarray, Y: np.ndarray, TH: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(hypo, hyper) of shapes (N, k1, 1+n) and (N, k2, 1+n) at the N rows;
-    raises _Ragged when N != 1 and a set outgrows the unpruned range."""
+) -> tuple[np.ndarray, np.ndarray, object]:
+    """(hypo, hyper, value): vertex sets of shapes (N, k1, 1+n) and
+    (N, k2, 1+n) at the N rows and the root's node_values entry, a float
+    when N == 1; raises _Ragged when N != 1 and a set outgrows the unpruned
+    range."""
     N = X.shape[0]
     n = X.shape[1] + Y.shape[1]
     Z = np.hstack((X, Y))
@@ -274,7 +276,7 @@ def _rows_pass(
         pairs[i] = out
 
     hypo, hyper = part(len(tape) - 1)
-    return _manage(hypo), _manage(hyper)
+    return _manage(hypo), _manage(hyper), vals[-1]
 
 
 def codiff_rows(expr: Expr, X, Y, TH) -> list[CodiffPair]:
@@ -282,6 +284,13 @@ def codiff_rows(expr: Expr, X, Y, TH) -> list[CodiffPair]:
     space of dimension d + m, row r with the fixed parameter TH[r]; X, Y and
     TH are (N, d), (N, m) and (N, q).  Row r has the bits of
     codiff(expr, X[r], Y[r], TH[r])."""
+    return _codiff_rows_values(expr, X, Y, TH)[0]
+
+
+def _codiff_rows_values(expr: Expr, X, Y, TH) -> tuple[list[CodiffPair], np.ndarray]:
+    """codiff_rows and the (N,) values of the DAG at the rows, which the
+    pass computes anyway (node_values); value r has the bits of
+    evaluate(expr, X[r], Y[r], TH[r])."""
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     TH = np.asarray(TH, dtype=np.float64)
@@ -299,18 +308,19 @@ def codiff_rows(expr: Expr, X, Y, TH) -> list[CodiffPair]:
                 f"do not match declared dims ({d}, {m}, {q})"
             )
     if X.shape[0] == 0:
-        return []
+        return [], np.zeros(0)
     try:
         blocks = [_rows_pass(expr, X, Y, TH)]
     except _Ragged:
         blocks = [_rows_pass(expr, X[r:r + 1], Y[r:r + 1], TH[r:r + 1])
                   for r in range(X.shape[0])]
     dim = X.shape[1] + Y.shape[1]
-    return [
+    pairs = [
         CodiffPair(hypo=hypo, hyper=hyper, dim=dim)
-        for H, G in blocks
+        for H, G, _v in blocks
         for hypo, hyper in zip(_freeze(H), _freeze(G))
     ]
+    return pairs, np.hstack([v for _H, _G, v in blocks])
 
 
 def codiff(expr: Expr, x, y=(), theta=()) -> CodiffPair:
@@ -323,14 +333,19 @@ def codiff(expr: Expr, x, y=(), theta=()) -> CodiffPair:
     return codiff_rows(expr, x[None], y[None], theta[None])[0]
 
 
-def expansion_value(cd: CodiffPair, delta) -> float:
-    """max over hypo of (a + <v, delta>) plus min over hyper of (b + <w, delta>)."""
-    delta = np.asarray(delta, dtype=np.float64).ravel()
-    if delta.shape[0] != cd.dim:
-        raise DimensionMismatch(f"delta has length {delta.shape[0]}, expected {cd.dim}")
-    up = cd.hypo[:, 0] + cd.hypo[:, 1:] @ delta
-    dn = cd.hyper[:, 0] + cd.hyper[:, 1:] @ delta
-    return float(up.max() + dn.min())
+def expansion_value(cd: CodiffPair, delta):
+    """max over hypo of (a + <v, delta>) plus min over hyper of (b + <w, delta>):
+    a float for one direction, the (K,) values for a (K, n) stack of them."""
+    delta = np.asarray(delta, dtype=np.float64)
+    stack = delta.ndim == 2
+    if not stack:
+        delta = delta.ravel()
+    if delta.shape[-1] != cd.dim:
+        raise DimensionMismatch(f"delta has length {delta.shape[-1]}, expected {cd.dim}")
+    up = (cd.hypo[:, 1:] @ delta.T).T + cd.hypo[:, 0]
+    dn = (cd.hyper[:, 1:] @ delta.T).T + cd.hyper[:, 0]
+    out = up.max(axis=-1) + dn.min(axis=-1)
+    return out if stack else float(out)
 
 
 def quasidiff(cd: CodiffPair, eps: float = TOL_ZERO) -> QuasidiffPair:

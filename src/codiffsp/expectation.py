@@ -172,18 +172,23 @@ def _integrand_codiff(prob: TwoStageProblem, integrand: Expr, z: Point) -> Block
     )
 
 
-def I_expansion(bc: BlockCodiff, dx, dy) -> float:
-    """First-order expansion of I: sum_s p_s expansion_value(pair_s, (dx, dy_s))."""
-    dx = np.asarray(dx, dtype=np.float64).ravel()
-    dy = np.asarray(dy, dtype=np.float64).reshape(bc.S, -1)
-    if dx.shape[0] != bc.d or dy.shape[1] != bc.m:
+def I_expansion(bc: BlockCodiff, dx, dy):
+    """First-order expansion of I: sum_s p_s expansion_value(pair_s, (dx, dy_s)),
+    in ascending scenario order.  One direction, dx (d,) and dy (S, m), gives
+    a float; a stack of K, dx (K, d) and dy (K, S, m), the (K,) values."""
+    dx = np.asarray(dx, dtype=np.float64)
+    stack = dx.ndim == 2
+    if not stack:
+        dx = dx.ravel()[None]
+    dy = np.asarray(dy, dtype=np.float64).reshape(dx.shape[0], bc.S, -1)
+    if dx.shape[1] != bc.d or dy.shape[2] != bc.m:
         raise DimensionMismatch(
-            f"direction blocks ({dx.shape[0]}, {dy.shape[1]}) do not match ({bc.d}, {bc.m})"
+            f"direction blocks ({dx.shape[1]}, {dy.shape[2]}) do not match ({bc.d}, {bc.m})"
         )
     total = 0.0
     for s in range(bc.S):
-        h_s = np.concatenate((dx, dy[s]))
-        total += float(bc.probs[s]) * expansion_value(bc.per_scenario[s], h_s)
+        h_s = np.hstack((dx, dy[:, s]))
+        total += float(bc.probs[s]) * expansion_value(bc.per_scenario[s], h_s if stack else h_s[0])
     return total
 
 

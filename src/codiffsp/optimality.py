@@ -36,9 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._minnorm import _least_norm
-from .codiff import CodiffPair, codiff_rows, quasidiff
+from .codiff import CodiffPair, _codiff_rows_values, codiff_rows, quasidiff
 from .errors import InfeasibleCandidate
-from .expr import evaluate
 from .model import Point, TwoStageProblem, is_feasible
 from .expectation import ACT_TOL, max_over_selections
 from .penalty import PenaltySpec, penalty_codiff
@@ -94,18 +93,17 @@ class Certificate:
         }
 
 
-def _scenario_solve(prob: TwoStageProblem, z: Point, s: int, cf: CodiffPair, cgs: list):
-    """Scenario s's selection of largest y-residual: (V, R, q, owner, gvals,
+def _scenario_solve(prob: TwoStageProblem, cf: CodiffPair, cgs: list, gvals: list):
+    """One scenario's selection of largest y-residual: (V, R, q, owner,
     checked, exhaustive), from the codifferentials cf of f and cgs of the
-    g_i at (x, y_s, theta_s), searched by max_over_selections.  V holds the
-    shifted objective vertices, R the shifted rows of the active constraints
-    (rays), owner[r] the constraint of ray r, and q the least-norm point of
-    co(V) + cone(R) in the y-coordinates."""
+    g_i at (x, y_s, theta_s), where the g_i take the values gvals, searched
+    by max_over_selections.  V holds the shifted objective vertices, R the
+    shifted rows of the active constraints (rays), owner[r] the constraint
+    of ray r, and q the least-norm point of co(V) + cone(R) in the
+    y-coordinates."""
     d, ell = prob.d, prob.ell
-    th = prob.scenarios.params[s]
     qf = quasidiff(cf, ACT_TOL)
     qgs = [quasidiff(cg, ACT_TOL) for cg in cgs]
-    gvals = [float(evaluate(gi, z.x, z.y[s], th)) for gi in prob.g]
     act = [i for i in range(ell) if gvals[i] >= -ACT_TOL]
     sup_sets = [qf.sup] + [qgs[i].sup for i in act]
 
@@ -119,7 +117,7 @@ def _scenario_solve(prob: TwoStageProblem, z: Point, s: int, cf: CodiffPair, cgs
 
     _res, (V, R, q), exhaustive, checked = max_over_selections(sup_sets, residual)
     owner = np.repeat(np.array(act, dtype=int), [qgs[i].sub.shape[0] for i in act])
-    return V, R, q, owner, gvals, checked, exhaustive
+    return V, R, q, owner, checked, exhaustive
 
 
 def check_optimality(prob: TwoStageProblem, c: float, z: Point) -> Certificate:
@@ -139,12 +137,14 @@ def check_optimality(prob: TwoStageProblem, c: float, z: Point) -> Certificate:
             f"(tolerance {FEAS_TOL:.1e})"
         )
     S, d, m, ell = prob.S, prob.d, prob.m, prob.ell
-    # one rows pass per function, a row per scenario
+    # one rows pass per function, a row per scenario; the g_i's passes also
+    # give their values, with evaluate's bits
     X, Y, TH = np.broadcast_to(z.x, (S, d)), z.y, prob.scenarios.params
     cf = codiff_rows(prob.f, X, Y, TH)
-    cg = [codiff_rows(gi, X, Y, TH) for gi in prob.g]
-    Vs, Rs, qs, owners, gvals, checked, exhaustive = zip(
-        *(_scenario_solve(prob, z, s, cf[s], [cg_i[s] for cg_i in cg]) for s in range(S))
+    cg, gv = zip(*(_codiff_rows_values(gi, X, Y, TH) for gi in prob.g)) if ell else ((), ())
+    gvals = [[float(v[s]) for v in gv] for s in range(S)]
+    Vs, Rs, qs, owners, checked, exhaustive = zip(
+        *(_scenario_solve(prob, cf[s], [cg_i[s] for cg_i in cg], gvals[s]) for s in range(S))
     )
 
     # Columns over (y_1..y_S, x): scenario s's y-offset from q_s weighted by

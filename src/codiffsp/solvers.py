@@ -24,10 +24,13 @@ escalation is off.  Capped segments end the solve as they are.  Both
 solvers' history covers the final penalty segment.
 
 Fixed settings, not exposed in SolveOpts: the convex subproblem runs at
-most INNER_ITERS iterations to tolerance INNER_TOL; the Armijo search
-starts at t = 1 with sufficient-decrease factor ARMIJO_SIGMA, takes at most
-ARMIJO_HALVINGS halvings, and counts no decrease within
-ARMIJO_ROUND * (1 + |value|) as progress.
+most INNER_ITERS iterations to tolerance INNER_TOL; the Armijo search has
+sufficient-decrease factor ARMIJO_SIGMA, tries t = 2^-k for k up to
+ARMIJO_HALVINGS - 1, and counts no decrease within ARMIJO_ROUND * (1 + |value|)
+as progress.  It starts at the largest such t whose decrease the block
+codifferential's first-order model, offsets included, says passes
+(_model_start), and halves from there; polyhedral pieces make that model
+exact, so most searches take their first trial.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ import numpy as np
 
 from .codiff import quasidiff
 from .errors import NotDC, ValidationError, VertexCapExceeded
-from .expectation import ACT_TOL, _integrand_codiff, expect
+from .expectation import ACT_TOL, BlockCodiff, I_expansion, _integrand_codiff, expect
 from .expr import (
     Expr,
     add,
@@ -163,21 +166,39 @@ def dc_decompose(prob: TwoStageProblem, c: float) -> DCDecomposition:
 # ---------------------------------------------------------------------------
 
 
-def _armijo(value, A: FirstStageSet, z: Point, val: float, q: np.ndarray, nu: float):
-    """First (point, value, t) along z - t q, t = 1 halving, that decreases
-    value by at least ARMIJO_SIGMA * t * nu^2; None when none does."""
+def _model_start(bc: BlockCodiff, q: np.ndarray, nu: float, tilt: np.ndarray | None) -> int:
+    """The smallest k < ARMIJO_HALVINGS whose step t = 2^-k passes the
+    Armijo test on the first-order model of the objective along -q, else 0.
+
+    The model is the expansion of bc with every vertex, offsets included
+    (I_expansion), less the tilt's linear part: it holds across the kinks
+    that a step crosses, where the eps-active slice that chose q does not.
+    It ignores the projection onto A."""
+    d = bc.d
+    ts = 0.5 ** np.arange(ARMIJO_HALVINGS)
+    hx, hY = -q[:d], -q[d:].reshape(bc.S, bc.m)
+    model = I_expansion(bc, ts[:, None] * hx, ts[:, None, None] * hY)
+    if tilt is not None:
+        model -= ts * float(bc.probs @ (tilt[:, :d] @ hx + (tilt[:, d:] * hY).sum(axis=1)))
+    passing = np.flatnonzero(model <= -ARMIJO_SIGMA * ts * nu * nu)
+    return int(passing[0]) if passing.size else 0
+
+
+def _armijo(value, A: FirstStageSet, z: Point, val: float, q: np.ndarray, nu: float, k0: int):
+    """First (point, value, t) along z - t q, t = 2^-k for k = k0, k0 + 1, ...
+    up to ARMIJO_HALVINGS - 1, that decreases value by at least
+    ARMIJO_SIGMA * t * nu^2; None when none does."""
     d = z.x.shape[0]
-    t = 1.0
     hx = -q[:d]
     hY = -q[d:].reshape(z.y.shape)
     slope = ARMIJO_SIGMA * nu * nu
     noise = ARMIJO_ROUND * (1.0 + abs(val))  # rounding in val, not progress
-    for _ in range(ARMIJO_HALVINGS):
+    for k in range(k0, ARMIJO_HALVINGS):
+        t = 0.5**k
         z_t = Point(x=A.project(z.x + t * hx), y=z.y + t * hY)
         v_t = value(z_t)
         if v_t < val - max(slope * t, noise):
             return z_t, v_t, t
-        t *= 0.5
     return None
 
 
@@ -190,7 +211,9 @@ def _descend(prob: TwoStageProblem, integrand: Expr, value, z: Point, tol: float
     back, when no Armijo step passes or nu(eps) <= tol * eps / ACT_TOL: the
     threshold shrinks with eps (Bagirov & Ugon's paired sequences), because
     a vertex up to eps from active can hold nu(eps) near 0 while nu at a
-    finer eps is large.  Every Armijo search starts at t = 1.  Returns
+    finer eps is large.  Every Armijo search starts at the largest step
+    t = 2^-k that the block codifferential's first-order model, tilt
+    included, says passes (_model_start).  Returns
     (steps, status, iterations): steps lists (point, value, t), from
     (z, value(z), 0.0), one entry per accepted step; status is converged
     (nu(ACT_TOL) <= tol), stalled (no step passes at eps = ACT_TOL),
@@ -209,7 +232,9 @@ def _descend(prob: TwoStageProblem, integrand: Expr, value, z: Point, tol: float
         while True:
             wide = 10.0**level
             nu, q = bc.least_norm(prob.A, z.x, ACT_TOL * wide, tilt)
-            step = _armijo(value, prob.A, z, val, q, nu) if nu > tol * wide else None
+            step = None
+            if nu > tol * wide:
+                step = _armijo(value, prob.A, z, val, q, nu, _model_start(bc, q, nu, tilt))
             if step is not None:
                 break
             if level == 0:

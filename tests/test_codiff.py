@@ -27,7 +27,7 @@ from codiffsp import (
     scale,
 )
 
-from codiffsp.codiff import AUTO_PRUNE_AT, codiff_rows
+from codiffsp.codiff import AUTO_PRUNE_AT, _codiff_rows_values, codiff_rows
 
 from conftest import kinkify, random_case
 
@@ -100,6 +100,23 @@ def test_expansion_values_abs():
     assert expansion_value(cd, [0.0]) == 0.0
     neg = codiff(scale(-1.0, absolute(SP1.x(0))), [0.0])
     assert expansion_value(neg, [1.0]) == -1.0
+
+
+def test_expansion_stack_matches_one_direction():
+    # a (K, n) stack gives each row's value; one direction keeps the bits of
+    # max_hypo (a + V @ h) + min_hyper (b + W @ h)
+    rng = np.random.default_rng(23)
+    for _ in range(20):
+        _, f, _, x, y, th = random_case(rng, max_depth=4)
+        cd = codiff(f, x, y, th)
+        H = rng.normal(size=(7, cd.dim)) * 10.0 ** rng.uniform(-6, 1, (7, 1))
+        stack = expansion_value(cd, H)
+        assert stack.shape == (7,)
+        for h, v in zip(H, stack):
+            one = expansion_value(cd, h)
+            ref = (cd.hypo[:, 0] + cd.hypo[:, 1:] @ h).max() + (cd.hyper[:, 0] + cd.hyper[:, 1:] @ h).min()
+            assert type(one) is float and one == float(ref)
+            assert v == pytest.approx(one, rel=1e-12, abs=1e-12)
 
 
 def test_expansion_exact_on_piecewise_linear():
@@ -297,6 +314,15 @@ def _random_rows_cases(count):
 def test_rows_match_one_point_codiff():
     for f, X, Y, TH in _random_rows_cases(40):
         assert _rows_match_points(f, X, Y, TH) is not None
+
+
+def test_rows_values_have_evaluate_bits():
+    # the values a rows pass hands back, one pass or row by row when ragged
+    for f, X, Y, TH in _random_rows_cases(40):
+        pairs, vals = _codiff_rows_values(f, X, Y, TH)
+        assert vals.shape == (X.shape[0],) and len(pairs) == X.shape[0]
+        want = [evaluate(f, x, y, th) for x, y, th in zip(X, Y, TH)]
+        assert vals.tobytes() == np.array(want).tobytes()
 
 
 def _fan(sp, phase, k):

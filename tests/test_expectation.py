@@ -131,6 +131,17 @@ def test_expansion_single_scenario_reduces():
     assert I_expansion(bc, dx, dy) == pytest.approx(direct, abs=1e-15)
 
 
+def test_expansion_stack_matches_one_direction():
+    p = generate(31, d=2, m=2, S=4, l=1, dc=True)
+    bc = block_codiff(p, p.witness)
+    rng = np.random.default_rng(2)
+    DX, DY = rng.normal(size=(5, 2)), rng.normal(size=(5, 4, 2))
+    stack = I_expansion(bc, DX, DY)
+    assert stack.shape == (5,)
+    for dx, dy, v in zip(DX, DY, stack):
+        assert v == pytest.approx(I_expansion(bc, dx, dy), rel=1e-12, abs=1e-12)
+
+
 def test_expansion_two_scenario_abs():
     sp = Space(d=1, m=1, q=0)
     p = _prob(absolute(sp.x(0)), 1, 1, [0.5, 0.5], np.zeros((2, 0)))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from codiffsp import min_norm_point
-from codiffsp._minnorm import _least_norm
+from codiffsp._minnorm import _first_columns, _least_norm
 
 
 def test_two_unit_vertices():
@@ -84,3 +84,18 @@ def test_blocks_match_minkowski_sum():
         P = np.array([sum(c) for c in itertools.product(*blocks)])
         ref = _least_norm(P, R)[0]
         assert abs(np.linalg.norm(q) - np.linalg.norm(ref)) <= 1e-12 * scale
+
+
+def test_first_columns_match_unique():
+    # repeated columns, and columns equal up to the sign of a zero
+    rng = np.random.default_rng(3)
+    for i in range(200):
+        n, k = int(rng.integers(1, 5)), int(rng.integers(1, 12))
+        E = rng.integers(-1, 2, size=(n, k)).astype(float)
+        if i % 2:
+            E = np.where(rng.random(E.shape) < 0.5, E * rng.normal(), E)
+        E[E == 0.0] *= np.where(rng.random(int((E == 0.0).sum())) < 0.5, -1.0, 1.0)
+        _, want = np.unique(E, axis=1, return_index=True)
+        assert _first_columns(E).tolist() == sorted(want.tolist())
+    E = np.array([[0.0, -0.0, 1.0, 0.0], [1.0, 1.0, 1.0, -0.0]])
+    assert _first_columns(E).tolist() == [0, 2, 3]

@@ -23,6 +23,7 @@ from codiffsp import (
     maximum,
     quad,
 )
+import codiffsp.solvers as sv
 from codiffsp.solvers import (
     SolveOpts,
     codiff_descent,
@@ -311,3 +312,95 @@ def test_both_solvers_agree_on_coupled():
     ra = dca_solve(p, 10.0, z0)
     rb = codiff_descent(p, 10.0, z0)
     assert ra.final_value == pytest.approx(rb.final_value, abs=1e-4)
+
+
+def _count_calls(monkeypatch, name):
+    """Count the calls of solvers' module-level ``name`` (Phi_c or expect)."""
+    calls = [0]
+    inner = getattr(sv, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(sv, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("x0", [0.3, 3.7, -0.01])
+def test_model_start_is_exact_on_polyhedral(monkeypatch, x0):
+    # |x| is polyhedral, so the codifferential's model is exact: every search
+    # accepts its first trial, one Phi_c call per history entry, and takes
+    # the step a search from t = 1 takes
+    p = abs_free_1d()
+    z0 = Point(x=[x0], y=[[0.0]])
+    calls = _count_calls(monkeypatch, "Phi_c")
+    rep = codiff_descent(p, 1.0, z0)
+    assert rep.status == "converged"
+    assert calls[0] == len(rep.history)
+    monkeypatch.setattr(sv, "_model_start", lambda *args: 0)
+    assert codiff_descent(p, 1.0, z0).history == rep.history
+
+
+@pytest.mark.parametrize("x0", [3.7, -2.2, 0.3])
+@pytest.mark.parametrize("slope", [0.5, -0.5])
+def test_model_start_is_exact_with_tilt(monkeypatch, slope, x0):
+    # DCA's subproblem |x| - slope * x is polyhedral too: with the tilt in
+    # the model every search accepts its first trial
+    trials = []
+    armijo = sv._armijo
+
+    def record_trials(value, *args):
+        calls = [0]
+
+        def counted(z):
+            calls[0] += 1
+            return value(z)
+
+        step = armijo(counted, *args)
+        trials.append(calls[0])
+        return step
+
+    monkeypatch.setattr(sv, "_armijo", record_trials)
+    p = abs_free_1d()
+    z = convex_subsolve(p, p.f, np.array([[slope, 0.0]]), Point(x=[x0], y=[[0.0]]))
+    assert abs(z.x[0]) <= 1e-6
+    assert len(trials) > 5 and set(trials) == {1}
+
+
+def test_searches_start_at_the_model_step(monkeypatch):
+    # on a kinked S = 3 instance some searches start below t = 1, and each
+    # accepts the model's step or a later halving of it
+    starts, taken = [], []
+    model_start, armijo = sv._model_start, sv._armijo
+
+    def record_start(*args):
+        starts.append(model_start(*args))
+        return starts[-1]
+
+    def record_step(*args):
+        step = armijo(*args)
+        taken.append(None if step is None else step[2])
+        return step
+
+    monkeypatch.setattr(sv, "_model_start", record_start)
+    monkeypatch.setattr(sv, "_armijo", record_step)
+    p = generate(1000, d=2, m=2, S=3, l=2, dc=True)
+    assert codiff_descent(p, 10.0, p.witness).status == "converged"
+    assert len(starts) == len(taken) and max(starts) > 0
+    for k0, t in zip(starts, taken):
+        assert t is None or (t <= 0.5**k0 and np.log2(t) == int(np.log2(t)))
+
+
+def test_value_calls_stay_few(monkeypatch):
+    # counts repeat exactly; a search from t = 1 made 1373 and 2184
+    calls = _count_calls(monkeypatch, "Phi_c")
+    for seed in range(1000, 1004):
+        p = generate(seed, d=2, m=2, S=3, l=2, dc=True)
+        codiff_descent(p, 10.0, p.witness)
+    assert calls[0] <= 400
+    calls = _count_calls(monkeypatch, "expect")
+    for seed in range(1000, 1004):
+        p = generate(seed, d=2, m=2, S=3, l=2, dc=True)
+        dca_solve(p, 10.0, p.witness)
+    assert calls[0] <= 1300
