@@ -114,6 +114,7 @@ def _cmd_solve(args) -> int:
         "c": args.c,
         "c_final": rep.c_final,
         "status": rep.status,
+        "exhaustive": rep.exhaustive,
         "iterates": rep.iterates,
         "final_value": rep.final_value,
         "final_phi": rep.final_phi,

@@ -5,7 +5,8 @@ CodiffPair per scenario, never the exponential product polytope.  All
 reductions run in ascending scenario order so results are bit-reproducible.
 Every per-scenario integrand, f or a solver's penalized or DC part, goes
 through the same two scenario sums: expect for the value and
-_integrand_codiff for the codifferential.  _integrand_codiff differentiates
+_integrand_codiff for the codifferential, and both take DCA's tilt, a
+linear form per scenario.  _integrand_codiff differentiates
 all S scenarios in one rows pass (``codiff.codiff_rows``), row s being
 (x, y_s) with theta_s, as (S, k, 1+n) vertex arrays; each scenario's pair
 has the bits of ``codiff`` at its point, and an integrand large enough to
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._minnorm import _least_norm, inside
-from .codiff import CodiffPair, codiff_rows, dirderiv, expansion_value, quasidiff
+from .codiff import CodiffPair, _freeze, codiff_rows, dirderiv, expansion_value, quasidiff
 from .errors import DimensionMismatch, NonFinite
 from .expr import Expr, evaluate
 from .model import FirstStageSet, Point, TwoStageProblem
@@ -95,35 +96,34 @@ class BlockCodiff:
         return len(self.per_scenario)
 
     def least_norm(
-        self, A: FirstStageSet, x: np.ndarray, eps: float, tilt: np.ndarray | None = None
-    ) -> tuple[float, np.ndarray]:
-        """(nu, q) for the set D = sum_s co(G_s + w_s) + N of slopes, maximized
-        over the selections w_s of zero-offset hyper vertices.
+        self, A: FirstStageSet, x: np.ndarray, eps: float
+    ) -> tuple[float, np.ndarray, bool]:
+        """(nu, q, exhaustive) for the set D = sum_s co(G_s + w_s) + N of
+        slopes, maximized over the selections w_s of zero-offset hyper vertices.
 
         G_s holds the slopes of scenario s's hypo vertices with offset >= -eps,
-        minus row s of tilt (S, d+m) when given; N is the cone of A's outward
+        a tilt included (_integrand_codiff); N is the cone of A's outward
         normals within eps of x.  A slope g of scenario s acts on a direction
         h as p_s <g, (h_x, h_ys)>, and directions carry the L2(P) norm
         ||h||^2 = ||h_x||^2 + sum_s p_s ||h_ys||^2 of the second stage: nu is
         the dual-norm distance from 0 to D, along -q the eps-active model
         falls at rate at least nu^2, over the selections max_over_selections
-        searches (all up to ENUM_CAP, else a greedy ascent whose nu is a lower
-        bound).  When 0 lies in D (``_minnorm.inside``), nu = 0 and q = 0.
+        searches; exhaustive is False past ENUM_CAP, where nu is the greedy
+        ascent's lower bound.  When 0 lies in D, nu = 0 and q = 0.
         """
         d, m, S = self.d, self.m, self.S
         n = d + S * m
         qds = [quasidiff(cd, eps) for cd in self.per_scenario]
-        slopes = [qd.sub if tilt is None else qd.sub - tilt[s] for s, qd in enumerate(qds)]
         sups = [qd.sup for qd in qds]
         normals = A.normal_rays(x, eps)
         R = np.hstack((normals, np.zeros((normals.shape[0], S * m))))
-        sizes = [G.shape[0] for G in slopes]
+        sizes = [qd.sub.shape[0] for qd in qds]
         rows = np.repeat(np.arange(S), sizes)
         cols = d + rows[:, None] * m + np.arange(m)
         p = self.probs[rows][:, None]
 
         def nu_of(choice):
-            G = np.vstack([slopes[s] + sups[s][w] for s, w in enumerate(choice)])
+            G = np.vstack([qds[s].sub + sups[s][w] for s, w in enumerate(choice)])
             V = np.zeros((G.shape[0], n))
             V[:, :d] = p * G[:, :d]
             np.put_along_axis(V, cols, np.sqrt(p) * G[:, d:], axis=1)
@@ -132,14 +132,17 @@ class BlockCodiff:
                 q = np.zeros(n)
             return float(np.linalg.norm(q)), q
 
-        nu, q = max_over_selections(sups, nu_of)[:2]
+        nu, q, exhaustive, _checked = max_over_selections(sups, nu_of)
         q[d:] /= np.repeat(np.sqrt(self.probs), m)
-        return nu, q
+        return nu, q, exhaustive
 
 
-def expect(prob: TwoStageProblem, integrand: Expr, z: Point) -> float:
+def expect(
+    prob: TwoStageProblem, integrand: Expr, z: Point, tilt: np.ndarray | None = None
+) -> float:
     """sum_s p_s integrand(x, y_s, theta_s), summed in ascending scenario
-    order; NonFinite when a scenario's term is not finite."""
+    order, less sum_s p_s <tilt[s], (x, y_s)> when a tilt (S, d+m) is given;
+    NonFinite when a scenario's term is not finite."""
     prob.check_point(z)
     th = prob.scenarios.params
     total = 0.0
@@ -148,6 +151,9 @@ def expect(prob: TwoStageProblem, integrand: Expr, z: Point) -> float:
         if not math.isfinite(v):
             raise NonFinite(f"integrand not finite in scenario {s}")
         total += float(prob.scenarios.probs[s]) * v
+    if tilt is not None:
+        lin = tilt[:, :prob.d] @ z.x + (tilt[:, prob.d:] * z.y).sum(axis=1)
+        total -= float(prob.scenarios.probs @ lin)
     return total
 
 
@@ -161,12 +167,19 @@ def block_codiff(prob: TwoStageProblem, z: Point) -> BlockCodiff:
     return _integrand_codiff(prob, prob.f, z)
 
 
-def _integrand_codiff(prob: TwoStageProblem, integrand: Expr, z: Point) -> BlockCodiff:
+def _integrand_codiff(prob: TwoStageProblem, integrand: Expr, z: Point,
+                      tilt: np.ndarray | None = None) -> BlockCodiff:
     """codiff of a per-scenario integrand at (x, y_s, theta_s) for every s,
-    in one rows pass with a row per scenario."""
+    in one rows pass with a row per scenario, less <tilt[s], (x, y_s)> as
+    in expect: row s of tilt comes off every hypo slope of scenario s."""
     prob.check_point(z)
     X = np.broadcast_to(z.x, (prob.S, prob.d))
     pairs = codiff_rows(integrand, X, z.y, prob.scenarios.params)
+    if tilt is not None:
+        # an offset less +0.0 keeps its bits, -0.0 included
+        rows = np.hstack((np.zeros((prob.S, 1)), tilt))
+        pairs = [CodiffPair(hypo=_freeze(cd.hypo - r), hyper=cd.hyper, dim=cd.dim)
+                 for cd, r in zip(pairs, rows)]
     return BlockCodiff(
         per_scenario=tuple(pairs), probs=prob.scenarios.probs, d=prob.d, m=prob.m
     )

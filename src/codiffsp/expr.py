@@ -422,7 +422,9 @@ def dc_parts(expr: Expr) -> tuple[Expr, Expr]:
     """Split into (plus, minus) with expr = plus - minus, both structurally convex.
 
     Handles explicit dc nodes, structurally convex DAGs (minus = 0), and
-    sums/scales of such.  Raises NOT_DC otherwise.
+    sums/scales and maxima of such.  A maximum uses the identity
+    max_i (p_i - m_i) = max_i (p_i + sum_{k != i} m_k) - sum_k m_k, the
+    algebra of the codifferential's max rule.  Raises NOT_DC otherwise.
     """
     if is_convex_struct(expr):
         return expr, constant(0.0)
@@ -431,6 +433,14 @@ def dc_parts(expr: Expr) -> tuple[Expr, Expr]:
     if expr.kind == "add":
         parts = [dc_parts(ch) for ch in expr.children]
         return add(*(p for p, _ in parts)), add(*(mn for _, mn in parts))
+    if expr.kind == "max":
+        parts = [dc_parts(ch) for ch in expr.children]
+        # a convex piece's minus part is 0 and enters no sum
+        minus = {i: mn for i, (ch, (_p, mn)) in enumerate(zip(expr.children, parts))
+                 if not ch.convex}
+        branches = [add(p, *(mn for k, mn in minus.items() if k != i))
+                    for i, (p, _mn) in enumerate(parts)]
+        return maximum(*branches), add(*minus.values())
     if expr.kind == "scale":
         p, mn = dc_parts(expr.children[0])
         if expr.lam >= 0.0:

@@ -259,6 +259,12 @@ class TwoStageProblem:
     def ell(self) -> int:
         return len(self.g)
 
+    @functools.cached_property
+    def g_plus(self) -> Expr:
+        """max{0, g_1, ..., g_l}, the l1_max penalty's integrand; built once
+        per problem, on first use, so its tape is too."""
+        return maximum(constant(0.0), *self.g)
+
     def check_point(self, z: Point) -> None:
         if z.x.shape[0] != self.d or z.y.shape != (self.S, self.m):
             raise DimensionMismatch(

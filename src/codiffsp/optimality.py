@@ -38,7 +38,7 @@ import numpy as np
 from ._minnorm import _least_norm
 from .codiff import CodiffPair, _codiff_rows_values, codiff_rows, quasidiff
 from .errors import InfeasibleCandidate
-from .model import Point, TwoStageProblem, is_feasible
+from .model import Point, TwoStageProblem
 from .expectation import ACT_TOL, max_over_selections
 from .penalty import PenaltySpec, penalty_codiff
 
@@ -130,18 +130,19 @@ def check_optimality(prob: TwoStageProblem, c: float, z: Point) -> Certificate:
     One joint solve then picks, on every scenario's y-minimizing face, the
     combinations whose E[zeta] lies nearest to -N_A(x).
     """
-    ok, rep = is_feasible(prob, z, tol=FEAS_TOL)
-    if not ok:
-        raise InfeasibleCandidate(
-            f"candidate violates feasibility by {rep.max_violation:.3e} "
-            f"(tolerance {FEAS_TOL:.1e})"
-        )
+    prob.check_point(z)
     S, d, m, ell = prob.S, prob.d, prob.m, prob.ell
     # one rows pass per function, a row per scenario; the g_i's passes also
-    # give their values, with evaluate's bits
+    # give their values, with evaluate's bits, for is_feasible's test: the
+    # first largest g_i value in constraint-major order, -inf when l = 0
     X, Y, TH = np.broadcast_to(z.x, (S, d)), z.y, prob.scenarios.params
-    cf = codiff_rows(prob.f, X, Y, TH)
     cg, gv = zip(*(_codiff_rows_values(gi, X, Y, TH) for gi in prob.g)) if ell else ((), ())
+    worst = max((v for v_i in gv for v in v_i.tolist()), default=-np.inf)
+    if not (prob.A.violation(z.x) <= FEAS_TOL and worst <= FEAS_TOL):
+        raise InfeasibleCandidate(
+            f"candidate violates feasibility by {worst:.3e} (tolerance {FEAS_TOL:.1e})"
+        )
+    cf = codiff_rows(prob.f, X, Y, TH)
     gvals = [[float(v[s]) for v in gv] for s in range(S)]
     Vs, Rs, qs, owners, checked, exhaustive = zip(
         *(_scenario_solve(prob, cf[s], [cg_i[s] for cg_i in cg], gvals[s]) for s in range(S))
@@ -200,5 +201,5 @@ def inf_stationarity_measure(
     raises ValidationError (PENALTY_KIND).
     """
     bc = penalty_codiff(prob, PenaltySpec("l1_max", float(c)), z)
-    nu, _q = bc.least_norm(prob.A, z.x, ACT_TOL)
+    nu = bc.least_norm(prob.A, z.x, ACT_TOL)[0]
     return -nu if nu > 0.0 else 0.0

@@ -5,7 +5,9 @@ Two penalty terms are supported:
     dist_p: weighted p-norm of per-scenario distances from y_s to the
             second-stage feasible set, restricted to geometries with exact
             projections (boxes in the max norm, Euclidean balls);
-    l1_max: expectation of max_i {0, g_i}.
+    l1_max: expectation of g_plus = max_i {0, g_i}, which the problem
+            builds once (TwoStageProblem.g_plus); phi_l1 is its expect and
+            the penalized integrand is f + c * g_plus.
 
 The nondegeneracy checker estimates the uniform constant a > 0 bounding
 dist(0, co{sub-vertices of active g_i shifted by a superdifferential
@@ -27,13 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._minnorm import min_norm_point
-from .codiff import codiff_rows, quasidiff
+from .codiff import TOL_ZERO, codiff_rows, quasidiff
 from .errors import Unprojectable, ValidationError
-from .expectation import BlockCodiff, _integrand_codiff, eval_I, max_over_selections
-from .expr import Expr, add, constant, evaluate, evaluate_batch, maximum, scale
+from .expectation import BlockCodiff, _integrand_codiff, eval_I, expect, max_over_selections
+from .expr import Expr, add, evaluate_batch, scale
 from .model import Point, TwoStageProblem, check_int
 
-TOL_ACT = 1e-9
 # Rounds of check_nondegeneracy, each with a tenfold radius bound, after a
 # first round that finds no infeasible point.
 NONDEG_WIDENINGS = 3
@@ -169,21 +170,10 @@ def phi_dist(prob: TwoStageProblem, z: Point) -> float:
 
 
 def phi_l1(prob: TwoStageProblem, z: Point) -> float:
-    """sum_s p_s max_i {0, g_i(x, y_s, theta_s)}; zero exactly on the
-    second-stage feasible region (and everywhere when l = 0)."""
-    prob.check_point(z)
-    if prob.ell == 0:
-        return 0.0
-    th = prob.scenarios.params
-    total = 0.0
-    for s in range(prob.S):
-        worst = 0.0
-        for gi in prob.g:
-            v = evaluate(gi, z.x, z.y[s], th[s])
-            if v > worst:
-                worst = v
-        total += float(prob.scenarios.probs[s]) * worst
-    return total
+    """sum_s p_s max_i {0, g_i(x, y_s, theta_s)}: expect of the problem's
+    g_plus; zero exactly on the second-stage feasible region (and everywhere
+    when l = 0)."""
+    return expect(prob, prob.g_plus, z)
 
 
 def Phi_c(prob: TwoStageProblem, spec: PenaltySpec, z: Point) -> float:
@@ -193,11 +183,11 @@ def Phi_c(prob: TwoStageProblem, spec: PenaltySpec, z: Point) -> float:
 
 
 def penalty_integrand(prob: TwoStageProblem, c: float) -> Expr:
-    """Per-scenario integrand f + c * max{0, g_1, ..., g_l} of the l1_max
-    penalized objective."""
+    """Per-scenario integrand f + c * g_plus of the l1_max penalized
+    objective, g_plus = max{0, g_1, ..., g_l} (TwoStageProblem.g_plus)."""
     if prob.ell == 0 or c == 0.0:
         return prob.f
-    return add(prob.f, scale(c, maximum(constant(0.0), *prob.g)))
+    return add(prob.f, scale(c, prob.g_plus))
 
 
 def penalty_codiff(prob: TwoStageProblem, spec: PenaltySpec, z: Point) -> BlockCodiff:
@@ -309,7 +299,8 @@ def check_nondegeneracy(
             vmax = vals.max(axis=2)
             hits = np.argwhere(drawn & (vmax > 0.0))
             K, Sh = hits[:, 0], hits[:, 1]
-            active = vals[K, Sh] >= vmax[K, Sh][:, None] - TOL_ACT
+            # g_i is active where its offset in max_i g_i's codifferential is zero
+            active = vals[K, Sh] >= vmax[K, Sh][:, None] - TOL_ZERO
             # one rows pass per constraint over the hits where it is active;
             # cds[i][h] is constraint i's codifferential at hit h
             cds = []

@@ -44,18 +44,9 @@ import numpy as np
 from .codiff import quasidiff
 from .errors import NotDC, ValidationError, VertexCapExceeded
 from .expectation import ACT_TOL, BlockCodiff, I_expansion, _integrand_codiff, expect
-from .expr import (
-    Expr,
-    add,
-    dc_parts,
-    evaluate,
-    is_convex_struct,
-    maximum,
-    scale,
-)
+from .expr import Expr, dc_parts, evaluate, is_convex_struct
 from .model import FirstStageSet, Point, TwoStageProblem
-from .optimality import inf_stationarity_measure
-from .penalty import PenaltySpec, Phi_c, penalty_integrand, phi_l1
+from .penalty import PenaltySpec, Phi_c, penalty_codiff, penalty_integrand, phi_l1
 
 __all__ = [
     "DCDecomposition",
@@ -115,39 +106,25 @@ class SolveReport:
     status: str
     history: tuple[tuple[float, float, float], ...]  # (value, phi, step)
     c_final: float
+    # False when the final segment's last nu came from a greedy selection
+    # search (past ENUM_CAP): a lower bound, and so is a converged on it.
+    exhaustive: bool
 
 
 def dc_decompose(prob: TwoStageProblem, c: float) -> DCDecomposition:
-    """Split f + c*max{0, g_i} into convex plus/minus integrands.
-
-    With f = f1 - f2 and g_i = g_i1 - g_i2 (all parts convex),
-
-        plus  = f1 + c * max( sum_k g_k2,  max_i { g_i1 + sum_{k != i} g_k2 } )
-        minus = f2 + c * sum_i g_i2
-
-    where the first max branch carries the 0-branch of max{0, g_i}.  The
-    identity plus - minus = f + c*max{0, g_i} is sampled before returning.
+    """Split the penalized integrand f + c * g_plus into convex plus/minus
+    integrands: dc_parts of penalty_integrand, whose max rule carries the
+    0-branch of g_plus like any other.  The identity plus - minus =
+    f + c * g_plus is sampled before returning.
     """
     if c < 0.0:
         raise NotDC("penalty parameter must be nonnegative")
-    f1, f2 = dc_parts(prob.f)
-    if prob.ell == 0 or c == 0.0:
-        plus, minus = f1, f2
-    else:
-        parts = [dc_parts(gi) for gi in prob.g]
-        sum_g2 = add(*(p[1] for p in parts)) if len(parts) > 1 else parts[0][1]
-        branches = [sum_g2]
-        for i, (gi1, _gi2) in enumerate(parts):
-            others = [parts[k][1] for k in range(len(parts)) if k != i]
-            branches.append(add(gi1, *others) if others else gi1)
-        plus = add(f1, scale(c, maximum(*branches)))
-        minus = add(f2, scale(c, add(*(p[1] for p in parts))) if len(parts) > 1
-                    else scale(c, parts[0][1]))
+    target = penalty_integrand(prob, c)
+    plus, minus = dc_parts(target)
     if not (is_convex_struct(plus) and is_convex_struct(minus)):
         raise NotDC("decomposition parts are not structurally convex")
 
     # sampled identity check against the direct penalized integrand
-    target = penalty_integrand(prob, c)
     rng = np.random.default_rng(0)
     q = prob.scenarios.q
     for _ in range(50):
@@ -166,20 +143,17 @@ def dc_decompose(prob: TwoStageProblem, c: float) -> DCDecomposition:
 # ---------------------------------------------------------------------------
 
 
-def _model_start(bc: BlockCodiff, q: np.ndarray, nu: float, tilt: np.ndarray | None) -> int:
+def _model_start(bc: BlockCodiff, q: np.ndarray, nu: float) -> int:
     """The smallest k < ARMIJO_HALVINGS whose step t = 2^-k passes the
     Armijo test on the first-order model of the objective along -q, else 0.
 
     The model is the expansion of bc with every vertex, offsets included
-    (I_expansion), less the tilt's linear part: it holds across the kinks
-    that a step crosses, where the eps-active slice that chose q does not.
-    It ignores the projection onto A."""
-    d = bc.d
+    (I_expansion; a tilt is already in bc's slopes): it holds across the
+    kinks that a step crosses, where the eps-active slice that chose q does
+    not.  It ignores the projection onto A."""
     ts = 0.5 ** np.arange(ARMIJO_HALVINGS)
-    hx, hY = -q[:d], -q[d:].reshape(bc.S, bc.m)
+    hx, hY = -q[:bc.d], -q[bc.d:].reshape(bc.S, bc.m)
     model = I_expansion(bc, ts[:, None] * hx, ts[:, None, None] * hY)
-    if tilt is not None:
-        model -= ts * float(bc.probs @ (tilt[:, :d] @ hx + (tilt[:, d:] * hY).sum(axis=1)))
     passing = np.flatnonzero(model <= -ARMIJO_SIGMA * ts * nu * nu)
     return int(passing[0]) if passing.size else 0
 
@@ -205,44 +179,46 @@ def _armijo(value, A: FirstStageSet, z: Point, val: float, q: np.ndarray, nu: fl
 def _descend(prob: TwoStageProblem, integrand: Expr, value, z: Point, tol: float,
              max_iter: int, tilt: np.ndarray | None = None):
     """Armijo descent on value(z) along -q from BlockCodiff.least_norm of the
-    integrand's block codifferential at z (_integrand_codiff), with tilt.
+    integrand's block codifferential at z, with the tilt in its slopes
+    (_integrand_codiff).
 
     eps starts at ACT_TOL * 1e5 = 0.1 and shrinks tenfold, never growing
     back, when no Armijo step passes or nu(eps) <= tol * eps / ACT_TOL: the
     threshold shrinks with eps (Bagirov & Ugon's paired sequences), because
     a vertex up to eps from active can hold nu(eps) near 0 while nu at a
     finer eps is large.  Every Armijo search starts at the largest step
-    t = 2^-k that the block codifferential's first-order model, tilt
-    included, says passes (_model_start).  Returns
-    (steps, status, iterations): steps lists (point, value, t), from
-    (z, value(z), 0.0), one entry per accepted step; status is converged
-    (nu(ACT_TOL) <= tol), stalled (no step passes at eps = ACT_TOL),
-    vertex_cap (a codifferential outgrew codiff.MAX_VERTICES) or
-    iteration_cap.
+    t = 2^-k that the block codifferential's first-order model says passes
+    (_model_start).  Returns (steps, status, iterations, exhaustive): steps
+    lists (point, value, t), from (z, value(z), 0.0), one entry per accepted
+    step; status is converged (nu(ACT_TOL) <= tol), stalled (no step passes
+    at eps = ACT_TOL), vertex_cap (a codifferential outgrew
+    codiff.MAX_VERTICES) or iteration_cap; exhaustive is the flag of the
+    last nu's selection search (True before any).
     """
     val = value(z)
     steps = [(z, val, 0.0)]
     level = 5
     it = 0
+    exhaustive = True
     for it in range(1, max_iter + 1):
         try:
-            bc = _integrand_codiff(prob, integrand, z)
+            bc = _integrand_codiff(prob, integrand, z, tilt)
         except VertexCapExceeded:
-            return steps, "vertex_cap", it
+            return steps, "vertex_cap", it, exhaustive
         while True:
             wide = 10.0**level
-            nu, q = bc.least_norm(prob.A, z.x, ACT_TOL * wide, tilt)
+            nu, q, exhaustive = bc.least_norm(prob.A, z.x, ACT_TOL * wide)
             step = None
             if nu > tol * wide:
-                step = _armijo(value, prob.A, z, val, q, nu, _model_start(bc, q, nu, tilt))
+                step = _armijo(value, prob.A, z, val, q, nu, _model_start(bc, q, nu))
             if step is not None:
                 break
             if level == 0:
-                return steps, ("converged" if nu <= tol else "stalled"), it
+                return steps, ("converged" if nu <= tol else "stalled"), it, exhaustive
             level -= 1
         steps.append(step)
         z, val, _t = step
-    return steps, "iteration_cap", it
+    return steps, "iteration_cap", it, exhaustive
 
 
 # ---------------------------------------------------------------------------
@@ -255,21 +231,15 @@ def convex_subsolve(prob: TwoStageProblem, integrand: Expr, tilt: np.ndarray, z0
     over A x (R^m)^S from z0 (x projected onto A) with the descent engine:
     at most INNER_ITERS iterations to nu(ACT_TOL) <= INNER_TOL.
 
-    Row s of tilt (S, d+m) is a slope of scenario s, subtracted from every
-    slope of the integrand's codifferential in that scenario, so the model
-    is the problem's own expectation layer (expect, _integrand_codiff)
-    tilted scenario by scenario.  A vertex cap ends the descent at its last
-    point, so the result never exceeds the objective at the projected start.
+    Row s of tilt (S, d+m) is a slope of scenario s.  The problem's own
+    expectation layer takes it, expect for the value and _integrand_codiff
+    for the codifferential, so the model is tilted scenario by scenario.  A
+    vertex cap ends the descent at its last point, so the result never
+    exceeds the objective at the projected start.
     """
-    probs = prob.scenarios.probs
-    d = prob.d
-
-    def value(z: Point) -> float:
-        lin = tilt[:, :d] @ z.x + (tilt[:, d:] * z.y).sum(axis=1)
-        return expect(prob, integrand, z) - float(probs @ lin)
-
     z = Point(x=prob.A.project(z0.x), y=z0.y)
-    steps, _status, _it = _descend(prob, integrand, value, z, INNER_TOL, INNER_ITERS, tilt)
+    steps = _descend(prob, integrand, lambda z: expect(prob, integrand, z, tilt), z,
+                     INNER_TOL, INNER_ITERS, tilt)[0]
     return steps[-1][0]
 
 
@@ -281,9 +251,9 @@ def convex_subsolve(prob: TwoStageProblem, integrand: Expr, tilt: np.ndarray, z0
 def _solve(prob: TwoStageProblem, c: float, z0: Point, opts: SolveOpts | None, run) -> SolveReport:
     """Minimize Phi_c from z0, x projected onto A, one penalty segment at a
     time, escalating c as the module docstring says.  run(spec, z, opts)
-    runs one segment from z and returns (steps, status, iterations) in the
-    shape of _descend.  Iterations sum over the segments; the history
-    covers the final one."""
+    runs one segment from z and returns (steps, status, iterations,
+    exhaustive) in the shape of _descend.  Iterations sum over the segments;
+    the history and the exhaustive flag are the final one's."""
     opts = opts or SolveOpts()
     prob.check_point(z0)
     z = Point(x=prob.A.project(z0.x), y=z0.y)
@@ -291,7 +261,7 @@ def _solve(prob: TwoStageProblem, c: float, z0: Point, opts: SolveOpts | None, r
     escalations = 0
     total_iters = 0
     while True:
-        steps, status, it = run(PenaltySpec("l1_max", c_now), z, opts)
+        steps, status, it, exhaustive = run(PenaltySpec("l1_max", c_now), z, opts)
         total_iters += it
         z, val, _t = steps[-1]
         phi = phi_l1(prob, z)
@@ -310,6 +280,7 @@ def _solve(prob: TwoStageProblem, c: float, z0: Point, opts: SolveOpts | None, r
         status=status,
         history=tuple((v, phi_l1(prob, zk), t) for zk, v, t in steps),
         c_final=c_now,
+        exhaustive=exhaustive,
     )
 
 
@@ -321,8 +292,8 @@ def dca_solve(
     Each outer iteration minimizes plus-expectation minus the linearization
     of the minus-expectation, warm-started at the current point, and takes
     the result only when it strictly decreases Phi_c.  After each outer
-    step the segment is converged when nu(ACT_TOL) <= tol_stat
-    (inf_stationarity_measure), else stalled when the step did not move;
+    step the segment is converged when nu(ACT_TOL) of Phi_c <= tol_stat
+    (inf_stationarity_measure's nu), else stalled when the step did not move;
     iteration_cap after max_iter outer steps.  The history's step is the
     Euclidean length of the accepted move.
     """
@@ -342,11 +313,12 @@ def dca_solve(
                 step = np.hypot(np.linalg.norm(z_new.x - z.x), np.linalg.norm(z_new.y - z.y))
                 steps.append((z_new, v_new, float(step)))
                 z, val = z_new, v_new
-            if -inf_stationarity_measure(prob, spec.c, z) <= opts.tol_stat:
-                return steps, "converged", k
+            nu, _q, exhaustive = penalty_codiff(prob, spec, z).least_norm(prob.A, z.x, ACT_TOL)
+            if nu <= opts.tol_stat:
+                return steps, "converged", k, exhaustive
             if not moved:
-                return steps, "stalled", k
-        return steps, "iteration_cap", opts.max_iter
+                return steps, "stalled", k, exhaustive
+        return steps, "iteration_cap", opts.max_iter, exhaustive
 
     return _solve(prob, c, z0, opts, run)
 

@@ -64,7 +64,8 @@ def test_solve_writes_report_and_point(prob_file, tmp_path):
     rep = json.loads(out.read_text())
     assert rep["status"] == "converged"
     assert set(rep) >= {"solver", "c", "c_final", "iterates", "final_value",
-                        "final_phi", "point", "history"}
+                        "final_phi", "point", "history", "exhaustive"}
+    assert rep["exhaustive"] is True
     vals = [h[0] for h in rep["history"]]
     assert all(b <= a + 1e-10 for a, b in zip(vals, vals[1:]))
     final = json.loads(pt.read_text())
@@ -223,3 +224,13 @@ def test_bad_seed_or_samples_is_exit_2(prob_file, argv, code):
     r = run(*argv)
     assert r.returncode == 2
     assert code in r.stderr and "Traceback" not in r.stderr
+
+
+def test_solve_reports_a_greedy_nu(tmp_path):
+    # 32 selections at the start of concave_kinks(5): past ENUM_CAP
+    fp = tmp_path / "kinks.json"
+    fp.write_text(json.dumps(serialize_problem(concave_kinks(5))))
+    r = run("solve", "-i", str(fp), "--c", "10", "--solver", "cd", "--tol-stat", "10")
+    assert r.returncode == 0, r.stderr
+    rep = json.loads(r.stdout)
+    assert (rep["status"], rep["exhaustive"]) == ("converged", False)

@@ -30,9 +30,9 @@ from codiffsp import (
     quasidiff,
     scale,
 )
-from codiffsp.expectation import ENUM_CAP, max_over_selections
+from codiffsp.expectation import ENUM_CAP, _integrand_codiff, expect, max_over_selections
 from codiffsp.optimality import check_optimality, inf_stationarity_measure
-from codiffsp.penalty import PenaltySpec
+from codiffsp.penalty import PenaltySpec, penalty_integrand
 
 from conftest import one_sided_richardson
 
@@ -328,3 +328,22 @@ def test_greedy_selection_finds_the_exhaustive_nu(monkeypatch):
     monkeypatch.setattr("codiffsp.expectation.ENUM_CAP", 2 ** p.S)
     exact = inf_stationarity_measure(p, 10.0, z)
     assert greedy == exact == pytest.approx(-1.7095918609918872)
+
+
+@pytest.mark.parametrize("seed", [1000, 1001, 1002])
+def test_tilt_shifts_every_hypo_slope(seed):
+    # row s of the tilt comes off every hypo slope of scenario s, bit for bit;
+    # offsets and hyper vertices stay, and expect takes the same linear form
+    p = generate(seed, d=2, m=2, S=3, l=2, dc=True)
+    rng = np.random.default_rng(seed)
+    z = Point(x=p.witness.x + 0.3 * rng.normal(size=2), y=p.witness.y + rng.normal(size=(3, 2)))
+    tilt = rng.normal(size=(3, 4))
+    integrand = penalty_integrand(p, 10.0)
+    plain = _integrand_codiff(p, integrand, z)
+    tilted = _integrand_codiff(p, integrand, z, tilt)
+    for t, a, b in zip(tilt, plain.per_scenario, tilted.per_scenario):
+        assert b.hypo[:, 0].tobytes() == a.hypo[:, 0].tobytes()
+        assert b.hypo[:, 1:].tobytes() == (a.hypo[:, 1:] - t).tobytes()
+        assert b.hyper.tobytes() == a.hyper.tobytes()
+    lin = sum(p.scenarios.probs[s] * (tilt[s] @ np.concatenate((z.x, z.y[s]))) for s in range(3))
+    assert expect(p, integrand, z, tilt) == pytest.approx(expect(p, integrand, z) - lin, rel=1e-13)

@@ -162,6 +162,25 @@ def test_dc_parts_negative_scale_swaps():
     assert evaluate(mn, *z) == pytest.approx(2.0 * evaluate(bowl, *z))
 
 
+def test_dc_parts_of_a_max_of_dc_pieces():
+    # max_i (p_i - m_i) = max_i (p_i + sum_{k != i} m_k) - sum_k m_k, nested too
+    bowl = SP2.quad(np.eye(2), psd=True)
+    pieces = (
+        dc(maximum(SP2.x(0), SP2.y(0, -1.0)), bowl),
+        constant(0.0),
+        dc(SP2.affine(0.5, [1.0], [2.0]), absolute(SP2.y(0))),
+        maximum(scale(-1.0, bowl), SP2.x(0, 3.0)),
+    )
+    rng = np.random.default_rng(11)
+    for e in (maximum(*pieces), add(SP2.y(0), scale(2.5, maximum(*pieces[:3])))):
+        p, mn = dc_parts(e)
+        assert is_convex_struct(p) and is_convex_struct(mn)
+        for _ in range(50):
+            z = (rng.uniform(-3, 3, 1), rng.uniform(-3, 3, 1))
+            want = evaluate(e, *z)
+            assert evaluate(p, *z) - evaluate(mn, *z) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
 def test_json_round_trip_pins_values():
     rng = np.random.default_rng(7)
     for _ in range(20):

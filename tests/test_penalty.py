@@ -30,11 +30,11 @@ from codiffsp import (
     quasidiff,
 )
 from codiffsp import codiff, evaluate, min_norm_point
+from codiffsp.codiff import TOL_ZERO
 from codiffsp.expectation import max_over_selections
 from codiffsp.penalty import (
     NONDEG_BLOCK,
     NONDEG_WIDENINGS,
-    TOL_ACT,
     NondegReport,
     PenaltySpec,
     _unique_rows,
@@ -219,6 +219,36 @@ def test_phi_dist_ball_matches_radial_formula():
             assert phi_dist(p, Point(x=x, y=Y)) == pytest.approx(want, abs=1e-12)
 
 
+def _phi_loop(prob, z):
+    """phi_l1 written out: scenario by scenario, the largest of 0 and each g_i."""
+    th = prob.scenarios.params
+    total = 0.0
+    for s in range(prob.S):
+        worst = 0.0
+        for gi in prob.g:
+            v = evaluate(gi, z.x, z.y[s], th[s])
+            if v > worst:
+                worst = v
+        total += float(prob.scenarios.probs[s]) * worst
+    return total
+
+
+def test_phi_l1_matches_the_scenario_constraint_loop():
+    infeasible = 0
+    for seed in range(12):
+        for ell in range(4):
+            p = generate(seed, d=2, m=2, S=5, l=ell, dc=True)
+            assert p.g_plus is p.g_plus  # built once per problem
+            rng = np.random.default_rng(seed)
+            for _ in range(5):
+                z = Point(x=p.witness.x + rng.normal(size=2),
+                          y=p.witness.y + 2.0 * rng.normal(size=(5, 2)))
+                phi = phi_l1(p, z)
+                assert np.float64(phi).tobytes() == np.float64(_phi_loop(p, z)).tobytes()
+                infeasible += phi > 0.0
+    assert infeasible >= 100
+
+
 def test_phi_l1_zero_iff_feasible():
     rng = np.random.default_rng(35)
     p = generate(3, d=2, m=2, S=2, l=2, dc=True)
@@ -319,7 +349,7 @@ def _scalar_nondeg(prob, samples, seed):
                     continue
                 found += 1
                 subs, sups = [], []
-                for i in np.flatnonzero(vals >= vmax - TOL_ACT):
+                for i in np.flatnonzero(vals >= vmax - TOL_ZERO):
                     qd = quasidiff(codiff(prob.g[i], x, y_s, th[s]))
                     subs.append(np.unique(qd.sub[:, d:], axis=0))
                     sups.append(np.unique(qd.sup[:, d:], axis=0))
@@ -371,5 +401,5 @@ def test_nondeg_never_evaluates_point_by_point(monkeypatch):
     def scalar_evaluate(*args, **kwargs):
         raise AssertionError("check_nondegeneracy evaluated one point at a time")
 
-    monkeypatch.setattr("codiffsp.penalty.evaluate", scalar_evaluate)
+    monkeypatch.setattr("codiffsp.penalty.evaluate", scalar_evaluate, raising=False)
     assert _report_bits(check_nondegeneracy(p, samples=50, seed=5)) == want

@@ -15,6 +15,7 @@ from codiffsp import (
     Space,
     TwoStageProblem,
     ValidationError,
+    add,
     affine,
     dc,
     evaluate,
@@ -22,7 +23,10 @@ from codiffsp import (
     inf_stationarity_measure,
     maximum,
     quad,
+    scale,
 )
+from codiffsp.codiff import codiff_rows
+from codiffsp.expr import dc_parts
 import codiffsp.solvers as sv
 from codiffsp.solvers import (
     SolveOpts,
@@ -112,6 +116,43 @@ def test_decompose_rejects_non_dc():
                 quad(DIMS, [[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(NotDC):
         dc_decompose(_free_prob(f), 1.0)
+
+
+def _hand_split(prob, c):
+    """The split written out: with f = f1 - f2 and g_i = g_i1 - g_i2,
+    plus = f1 + c max(sum_k g_k2, max_i {g_i1 + sum_{k != i} g_k2}) and
+    minus = f2 + c sum_i g_i2."""
+    f1, f2 = dc_parts(prob.f)
+    if prob.ell == 0 or c == 0.0:
+        return f1, f2
+    parts = [dc_parts(gi) for gi in prob.g]
+    sum_g2 = add(*(p[1] for p in parts)) if len(parts) > 1 else parts[0][1]
+    branches = [sum_g2]
+    for i, (gi1, _gi2) in enumerate(parts):
+        others = [parts[k][1] for k in range(len(parts)) if k != i]
+        branches.append(add(gi1, *others) if others else gi1)
+    return add(f1, scale(c, maximum(*branches))), add(f2, scale(c, sum_g2))
+
+
+@pytest.mark.parametrize("mode", [{"dc": True}, {"dc": False}, {"smooth": True}],
+                         ids=["dc", "convex", "smooth"])
+def test_decompose_has_the_bits_of_the_written_out_split(mode):
+    for seed in range(8):
+        for ell in range(4):
+            p = generate(seed, d=2, m=2, S=3, l=ell, **mode)
+            rng = np.random.default_rng(seed)
+            X, Y = 2.0 * rng.normal(size=(2, 6, 2))
+            TH = rng.normal(size=(6, 2))
+            for c in (0.0, 10.0):
+                dec = dc_decompose(p, c)
+                for got, want in zip((dec.plus, dec.minus), _hand_split(p, c)):
+                    for r in range(6):
+                        assert (np.float64(evaluate(got, X[r], Y[r], TH[r])).tobytes()
+                                == np.float64(evaluate(want, X[r], Y[r], TH[r])).tobytes())
+                    for a, b in zip(codiff_rows(got, X, Y, TH), codiff_rows(want, X, Y, TH)):
+                        assert a.hypo.shape == b.hypo.shape and a.hyper.shape == b.hyper.shape
+                        assert a.hypo.tobytes() == b.hypo.tobytes()
+                        assert a.hyper.tobytes() == b.hyper.tobytes()
 
 
 def _subsolve(integrand, A, z0):
@@ -404,3 +445,13 @@ def test_value_calls_stay_few(monkeypatch):
         p = generate(seed, d=2, m=2, S=3, l=2, dc=True)
         dca_solve(p, 10.0, p.witness)
     assert calls[0] <= 1300
+
+
+@pytest.mark.parametrize("S, exhaustive", [(4, True), (5, False)])
+def test_report_says_whether_nu_was_exhaustive(S, exhaustive):
+    # at the start 2^S selections: ENUM_CAP = 16 are all scored, 32 are climbed
+    # greedily; nu ~ 2 <= tol_stat stops the descent there either way
+    p = concave_kinks(S)
+    rep = codiff_descent(p, 10.0, p.witness, SolveOpts(tol_stat=10.0))
+    assert (rep.status, rep.iterates, len(rep.history)) == ("converged", 1, 1)
+    assert rep.exhaustive is exhaustive
