@@ -21,7 +21,9 @@ theta, and every vertex set is an (N, k, 1+n) array: the max/min/abs/dc
 rules keep every branch whatever its value, so until a prune runs the
 vertex counts depend only on the DAG and the rows share them.  A Minkowski
 sum is (A[:, :, None] + B[:, None]).reshape(N, -1, 1+n), in the vertex
-order of a one-point sum.  Branch values come from ``expr.node_values``,
+order of a one-point sum.  ``_vertex_blocks`` hands out these arrays before
+any CodiffPair is built, for callers that read slices of them or shift
+them first.  Branch values come from ``expr.node_values``,
 the evaluator behind ``evaluate``, so the vertex offsets f_i(z) - f(z) of a
 max/min/abs node are exact differences of the values ``evaluate`` returns.
 Smooth nodes, marked by their structural flag, carry a gradient only; a
@@ -287,10 +289,13 @@ def codiff_rows(expr: Expr, X, Y, TH) -> list[CodiffPair]:
     return _codiff_rows_values(expr, X, Y, TH)[0]
 
 
-def _codiff_rows_values(expr: Expr, X, Y, TH) -> tuple[list[CodiffPair], np.ndarray]:
-    """codiff_rows and the (N,) values of the DAG at the rows, which the
-    pass computes anyway (node_values); value r has the bits of
-    evaluate(expr, X[r], Y[r], TH[r])."""
+def _vertex_blocks(expr: Expr, X, Y, TH) -> list[tuple[slice, np.ndarray, np.ndarray, object]]:
+    """The rows pass's vertex arrays at the N rows of (X, Y, TH), shaped as
+    in codiff_rows: [(rows, hypo, hyper, values)], one block over all N rows
+    or, where a set outgrows the unpruned range, one block per row, each
+    pruned as a one-point pass prunes it.  rows is the slice of the rows a
+    block covers; hypo and hyper are its (len, k1, 1+n) and (len, k2, 1+n)
+    vertex arrays and values the DAG's values at its rows (node_values)."""
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     TH = np.asarray(TH, dtype=np.float64)
@@ -307,20 +312,33 @@ def _codiff_rows_values(expr: Expr, X, Y, TH) -> tuple[list[CodiffPair], np.ndar
                 f"point blocks ({X.shape[1]}, {Y.shape[1]}, {TH.shape[1]}) "
                 f"do not match declared dims ({d}, {m}, {q})"
             )
-    if X.shape[0] == 0:
-        return [], np.zeros(0)
+    N = X.shape[0]
+    if N == 0:
+        return []
     try:
-        blocks = [_rows_pass(expr, X, Y, TH)]
+        return [(slice(0, N), *_rows_pass(expr, X, Y, TH))]
     except _Ragged:
-        blocks = [_rows_pass(expr, X[r:r + 1], Y[r:r + 1], TH[r:r + 1])
-                  for r in range(X.shape[0])]
-    dim = X.shape[1] + Y.shape[1]
-    pairs = [
-        CodiffPair(hypo=hypo, hyper=hyper, dim=dim)
-        for H, G, _v in blocks
+        return [(slice(r, r + 1), *_rows_pass(expr, X[r:r + 1], Y[r:r + 1], TH[r:r + 1]))
+                for r in range(N)]
+
+
+def _codiff_pairs(blocks) -> list[CodiffPair]:
+    """One CodiffPair per row of _vertex_blocks' blocks, in row order."""
+    return [
+        CodiffPair(hypo=hypo, hyper=hyper, dim=H.shape[2] - 1)
+        for _rows, H, G, _v in blocks
         for hypo, hyper in zip(_freeze(H), _freeze(G))
     ]
-    return pairs, np.hstack([v for _H, _G, v in blocks])
+
+
+def _codiff_rows_values(expr: Expr, X, Y, TH) -> tuple[list[CodiffPair], np.ndarray]:
+    """codiff_rows and the (N,) values of the DAG at the rows, which the
+    pass computes anyway (node_values); value r has the bits of
+    evaluate(expr, X[r], Y[r], TH[r])."""
+    blocks = _vertex_blocks(expr, X, Y, TH)
+    if not blocks:
+        return [], np.zeros(0)
+    return _codiff_pairs(blocks), np.hstack([v for *_b, v in blocks])
 
 
 def codiff(expr: Expr, x, y=(), theta=()) -> CodiffPair:

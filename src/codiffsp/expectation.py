@@ -7,12 +7,13 @@ Every per-scenario integrand, f or a solver's penalized or DC part, goes
 through the same two scenario sums: expect for the value and
 _integrand_codiff for the codifferential, and both take DCA's tilt, a
 linear form per scenario.  _integrand_codiff differentiates
-all S scenarios in one rows pass (``codiff.codiff_rows``), row s being
-(x, y_s) with theta_s, as (S, k, 1+n) vertex arrays; each scenario's pair
-has the bits of ``codiff`` at its point, and an integrand large enough to
-be pruned falls back to one scenario at a time.  The value path stays one
-``evaluate`` per scenario: at S = 3, the common size, a rows evaluation
-costs more than the scalar loop.
+all S scenarios in one rows pass (``codiff._vertex_blocks``), row s being
+(x, y_s) with theta_s, as (S, k, 1+n) vertex arrays, takes the tilt off
+their hypo slopes and only then builds the pairs; each scenario's pair
+has the bits of ``codiff`` at its point, less the tilt, and an integrand
+large enough to be pruned falls back to one scenario at a time.  The value
+path stays one ``evaluate`` per scenario: at S = 3, the common size, a rows
+evaluation costs more than the scalar loop.
 
 The hypodifferential of I is the p-weighted Minkowski sum of the scenario
 hypodifferentials, each embedded in the (x, y_s) block of (x, y_1..y_S).
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._minnorm import _least_norm, inside
-from .codiff import CodiffPair, _freeze, codiff_rows, dirderiv, expansion_value, quasidiff
+from .codiff import CodiffPair, _codiff_pairs, _vertex_blocks, dirderiv, expansion_value, quasidiff
 from .errors import DimensionMismatch, NonFinite
 from .expr import Expr, evaluate
 from .model import FirstStageSet, Point, TwoStageProblem
@@ -174,14 +175,14 @@ def _integrand_codiff(prob: TwoStageProblem, integrand: Expr, z: Point,
     in expect: row s of tilt comes off every hypo slope of scenario s."""
     prob.check_point(z)
     X = np.broadcast_to(z.x, (prob.S, prob.d))
-    pairs = codiff_rows(integrand, X, z.y, prob.scenarios.params)
+    blocks = _vertex_blocks(integrand, X, z.y, prob.scenarios.params)
     if tilt is not None:
         # an offset less +0.0 keeps its bits, -0.0 included
-        rows = np.hstack((np.zeros((prob.S, 1)), tilt))
-        pairs = [CodiffPair(hypo=_freeze(cd.hypo - r), hyper=cd.hyper, dim=cd.dim)
-                 for cd, r in zip(pairs, rows)]
+        shift = np.hstack((np.zeros((prob.S, 1)), tilt))
+        blocks = [(rows, H - shift[rows, None], G, v) for rows, H, G, v in blocks]
     return BlockCodiff(
-        per_scenario=tuple(pairs), probs=prob.scenarios.probs, d=prob.d, m=prob.m
+        per_scenario=tuple(_codiff_pairs(blocks)), probs=prob.scenarios.probs,
+        d=prob.d, m=prob.m,
     )
 
 

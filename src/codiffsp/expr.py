@@ -380,21 +380,24 @@ def evaluate(expr: Expr, x, y=(), theta=()) -> float:
 
 
 def evaluate_batch(expr: Expr, X, Y, theta) -> np.ndarray:
-    """Vectorized evaluation: X is (N, d), Y is (N, m), theta a single (q,) vector.
+    """Vectorized evaluation: X is (N, d), Y is (N, m), theta one (q,) vector
+    shared by every row or an (N, q) block, row r with its own theta.
 
-    Returns values with shape (N,).  Used by grid oracles and scans.  Each
-    value is bit-identical to ``evaluate`` at that point, for any N (see
-    ``node_values``).
+    Returns values with shape (N,).  Each value is bit-identical to
+    ``evaluate`` at that point, for any N (see ``node_values``).
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
-    theta = np.asarray(theta, dtype=np.float64).ravel()
-    n = max(X.shape[0], Y.shape[0])
+    theta = np.asarray(theta, dtype=np.float64)
+    per_row = theta.ndim == 2
+    n = max(X.shape[0], Y.shape[0], theta.shape[0] if per_row else 1)
     if X.shape[0] == 1 and n > 1:
         X = np.broadcast_to(X, (n, X.shape[1]))
     if Y.shape[0] == 1 and n > 1:
         Y = np.broadcast_to(Y, (n, Y.shape[1]))
-    w = list(X.T) + list(Y.T) + theta.tolist()
+    if per_row and theta.shape[0] == 1 and n > 1:
+        theta = np.broadcast_to(theta, (n, theta.shape[1]))
+    w = list(X.T) + list(Y.T) + (list(theta.T) if per_row else theta.ravel().tolist())
     return np.asarray(node_values(expr, w, n)[-1], dtype=np.float64)
 
 

@@ -13,12 +13,15 @@ The nondegeneracy checker estimates the uniform constant a > 0 bounding
 dist(0, co{sub-vertices of active g_i shifted by a superdifferential
 selection}) from below at infeasible points; positivity of that constant is
 the sufficient condition under which the l1_max penalty is exact.  It draws
-its samples in blocks, in the order a one-sample loop would draw them,
-evaluates each constraint once per scenario over a block with
-``evaluate_batch``, and computes codifferentials only at the infeasible
-draws, in one rows pass per constraint over a block's draws where it is
-active.  Ray norms use vecdot because it reproduces ``np.linalg.norm`` of each
-ray bit for bit, so the report is that of a one-sample-at-a-time loop.
+its samples in blocks, in the order a one-sample loop would draw them, and
+works on a block's arrays: each constraint is evaluated once over all of a
+block's (sample, scenario) rows, each with its own theta
+(``evaluate_batch``), and differentiated once over the infeasible rows where
+it is active (``codiff._vertex_blocks``).  The hull distances are read off
+those vertex arrays, and only a hull of more than one point reaches the
+min-norm kernel.  Norms are sqrt(vecdot) because it reproduces
+``np.linalg.norm`` of each row bit for bit, so the report is that of a
+one-sample-at-a-time loop.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._minnorm import min_norm_point
-from .codiff import TOL_ZERO, codiff_rows, quasidiff
-from .errors import Unprojectable, ValidationError
+from .codiff import TOL_ZERO, _vertex_blocks
+from .errors import CodiffspError, Unprojectable, ValidationError
 from .expectation import BlockCodiff, _integrand_codiff, eval_I, expect, max_over_selections
 from .expr import Expr, add, evaluate_batch, scale
 from .model import Point, TwoStageProblem, check_int
@@ -221,6 +224,48 @@ def _hull_dist(subs: list[np.ndarray], sups: list[np.ndarray], choice: tuple[int
     return float(np.linalg.norm(q)), None
 
 
+def _hull_distances(g, active: np.ndarray, X: np.ndarray, Y: np.ndarray,
+                    TH: np.ndarray) -> np.ndarray:
+    """dist(0, co{y-parts of the zero-offset hypo vertices of the active g_i
+    + w_i}) at the points (X[h], Y[h], TH[h]), g_i active where active[h, i],
+    the largest over the selections w_i of zero-offset hyper vertices.
+
+    One rows pass per constraint over the points where it is active; the
+    masks are quasidiff's tests at its default eps.  A point with one active
+    constraint and one masked vertex in each set is a one-point hull p, and
+    sqrt(vecdot(p, p)) has the bits of _hull_dist there (min_norm_point
+    returns a lone row as it is).  Every other point goes through
+    max_over_selections and _hull_dist on the distinct masked rows.
+    """
+    d = X.shape[1]
+    dist = np.empty(active.shape[0])
+    single = active.sum(axis=1) == 1
+    hulls: dict[int, list] = {}  # point -> (subs, sups) of each active g_i, in i order
+    for gi, col in zip(g, active.T):
+        rows = np.flatnonzero(col)
+        for block, H, G, _v in _vertex_blocks(gi, X[rows], Y[rows], TH[rows]):
+            at = rows[block]
+            sub = H[:, :, 0] >= -TOL_ZERO
+            sup = np.abs(G[:, :, 0]) <= TOL_ZERO
+            n_sub, n_sup = sub.sum(axis=1), sup.sum(axis=1)
+            if not (n_sub.all() and n_sup.all()):
+                raise CodiffspError(
+                    "ZERO_AT_ZERO", "no zero-offset vertices: codifferential is inconsistent"
+                )
+            point = single[at] & (n_sub == 1) & (n_sup == 1)
+            j = np.flatnonzero(point)
+            p = H[j, sub[j].argmax(axis=1), 1 + d:] + G[j, sup[j].argmax(axis=1), 1 + d:]
+            dist[at[j]] = np.sqrt(np.vecdot(p, p))
+            for j in np.flatnonzero(~point).tolist():
+                hulls.setdefault(int(at[j]), []).append(
+                    (_unique_rows(H[j, sub[j], 1 + d:]), _unique_rows(G[j, sup[j], 1 + d:]))
+                )
+    for h, sets in hulls.items():
+        subs, sups = zip(*sets)
+        dist[h] = max_over_selections(sups, lambda w: _hull_dist(subs, sups, w))[0]
+    return dist
+
+
 def _unique_rows(a: np.ndarray) -> np.ndarray:
     """The sorted distinct rows of a, as ``np.unique(a, axis=0)`` gives them
     (rows equal up to the sign of a zero count as one) at a fraction of its
@@ -249,14 +294,19 @@ def check_nondegeneracy(
     A round runs in blocks of at most NONDEG_BLOCK samples.  Each sample
     draws its radius, its x step and its S rays, in that order, so the
     generator stream and every point are those of a one-sample-at-a-time
-    loop.  Each constraint is evaluated once per scenario over the whole
-    block (``evaluate_batch``, bit-identical to ``evaluate``), and only the
-    infeasible (sample, scenario) pairs, visited sample by sample, get a
-    codifferential: one ``codiff_rows`` pass per constraint over the pairs
-    where it is active, each row with its scenario's theta.  Ray norms are
-    sqrt(vecdot(u, u)), which has the bits of ``np.linalg.norm(u)`` of each
-    ray; ``np.linalg.norm(U, axis=-1)`` and sqrt of the summed squares
-    differ from it in the last bit on some rays.
+    loop.  Row k * S + s of a block is sample k in scenario s.  Each
+    constraint is evaluated once over the block's rows (``evaluate_batch``
+    with a theta per row, bit-identical to ``evaluate``), and
+    _hull_distances differentiates it once over the infeasible rows where it
+    is active.  No CodiffPair is built: the zero-offset vertices are masked
+    in the vertex arrays, a one-point hull's distance is the norm of its
+    point, and only the other hulls go through max_over_selections and the
+    min-norm kernel.  The witness is the first infeasible row in sample
+    order with the least distance, the row a sequential strict ``<`` update
+    keeps.  Ray norms are sqrt(vecdot(u, u)), which has the
+    bits of ``np.linalg.norm(u)`` of each ray; ``np.linalg.norm(U, axis=-1)``
+    and sqrt of the summed squares differ from it in the last bit on some
+    rays.
     ``samples`` must be an integer >= 1 (NONDEG_SAMPLES) and ``seed`` an
     integer >= 0 (NONDEG_SEED).
     """
@@ -292,34 +342,22 @@ def check_nondegeneracy(
             nu = np.sqrt(np.vecdot(U, U))
             drawn = nu != 0.0  # a zero ray has no direction: not a sample
             Y = base.y + (r[:, None] / np.where(drawn, nu, 1.0))[:, :, None] * U
-            vals = np.empty((n, S, prob.ell))
-            for s in range(S):
-                for i, gi in enumerate(prob.g):
-                    vals[:, s, i] = evaluate_batch(gi, X, Y[:, s], th[s])
-            vmax = vals.max(axis=2)
-            hits = np.argwhere(drawn & (vmax > 0.0))
-            K, Sh = hits[:, 0], hits[:, 1]
+            # row k * S + s of the block is sample k in scenario s
+            Xr, Yr, THr = np.repeat(X, S, axis=0), Y.reshape(n * S, m), np.tile(th, (n, 1))
+            vals = np.stack([evaluate_batch(gi, Xr, Yr, THr) for gi in prob.g], axis=1)
+            vmax = vals.max(axis=1)
+            hits = np.flatnonzero(drawn.ravel() & (vmax > 0.0))
+            if hits.shape[0] == 0:
+                continue
+            found += hits.shape[0]
             # g_i is active where its offset in max_i g_i's codifferential is zero
-            active = vals[K, Sh] >= vmax[K, Sh][:, None] - TOL_ZERO
-            # one rows pass per constraint over the hits where it is active;
-            # cds[i][h] is constraint i's codifferential at hit h
-            cds = []
-            for gi, col in zip(prob.g, active.T):
-                rows = np.flatnonzero(col)
-                pairs = codiff_rows(gi, X[K[rows]], Y[K[rows], Sh[rows]], th[Sh[rows]])
-                cds.append(dict(zip(rows.tolist(), pairs)))
-            for h, (k, s) in enumerate(hits.tolist()):
-                found += 1
-                x, y_s = X[k], Y[k, s]
-                subs, sups = [], []
-                for i in np.flatnonzero(active[h]).tolist():
-                    qd = quasidiff(cds[i][h])
-                    subs.append(_unique_rows(qd.sub[:, d:]))
-                    sups.append(_unique_rows(qd.sup[:, d:]))
-                dist = max_over_selections(sups, lambda w: _hull_dist(subs, sups, w))[0]
-                if dist < best:
-                    best = dist
-                    wx, wy, ws = x.copy(), y_s.copy(), s
+            active = vals[hits] >= vmax[hits, None] - TOL_ZERO
+            dist = _hull_distances(prob.g, active, Xr[hits], Yr[hits], THr[hits])
+            h = int(np.argmin(dist))  # the first least distance in sample order
+            if dist[h] < best:
+                best = float(dist[h])
+                k, s = divmod(int(hits[h]), S)
+                wx, wy, ws = X[k].copy(), Y[k, s].copy(), s
         if found:
             break
         scale_r *= 10.0

@@ -7,6 +7,8 @@ piece, so the first-order expansion error along any unit ray is at most
 vertex offsets reproduce the piecewise-linear skeleton exactly.
 """
 
+import sys
+
 import numpy as np
 
 from codiffsp import (
@@ -302,3 +304,18 @@ def lambda_two_instance():
     return TwoStageProblem(d=1, m=1, A=FirstStageSet.box([0.0], [0.0]), f=f,
                            g=(g,), scenarios=one_scenario(),
                            witness=Point(x=[0.0], y=[[-1.0]]))
+
+
+def rebind(monkeypatch, orig, repl):
+    """Point every name that refers to ``orig`` in every codiffsp module at
+    ``repl``: modules bind library functions at import time, so patching
+    one module misses the calls made through the others.  Returns the
+    number of names rebound."""
+    count = 0
+    for name, mod in sorted(sys.modules.items()):
+        if mod is not None and (name == "codiffsp" or name.startswith("codiffsp.")):
+            for key, val in list(vars(mod).items()):
+                if val is orig:
+                    monkeypatch.setattr(mod, key, repl)
+                    count += 1
+    return count

@@ -1,7 +1,6 @@
 """Expectation functional over finite scenario spaces."""
 
 import dataclasses
-import sys
 
 import numpy as np
 import pytest
@@ -30,11 +29,12 @@ from codiffsp import (
     quasidiff,
     scale,
 )
+from codiffsp.codiff import _vertex_blocks
 from codiffsp.expectation import ENUM_CAP, _integrand_codiff, expect, max_over_selections
 from codiffsp.optimality import check_optimality, inf_stationarity_measure
 from codiffsp.penalty import PenaltySpec, penalty_integrand
 
-from conftest import one_sided_richardson
+from conftest import one_sided_richardson, rebind
 
 
 def _prob(f, d, m, probs, params):
@@ -227,9 +227,11 @@ def _bits(*objs):
     return tuple(out)
 
 
-def _one_point_rows(expr, X, Y, TH):
-    """The scenario loop of one codiff call per row that the rows pass replaced."""
-    return [codiff(expr, x, y, th) for x, y, th in zip(X, Y, TH)]
+def _one_point_blocks(expr, X, Y, TH):
+    """The rows pass's vertex arrays built one row at a time, as the scenario
+    loop of one codiff call per row that the rows pass replaced."""
+    return [(slice(r, r + 1), *_vertex_blocks(expr, X[r:r + 1], Y[r:r + 1], TH[r:r + 1])[0][1:])
+            for r in range(np.shape(X)[0])]
 
 
 def test_scenario_layers_never_differentiate_point_by_point(monkeypatch):
@@ -237,7 +239,6 @@ def test_scenario_layers_never_differentiate_point_by_point(monkeypatch):
     y_out = p.witness.y + 2.0 * np.random.default_rng(0).normal(size=(5, 2))
     z_out = Point(x=p.witness.x, y=y_out)
     spec = PenaltySpec("l1_max", 10.0)
-    layers = ("codiffsp.expectation", "codiffsp.optimality", "codiffsp.penalty")
 
     def results():
         return _bits(
@@ -248,15 +249,14 @@ def test_scenario_layers_never_differentiate_point_by_point(monkeypatch):
         )
 
     with monkeypatch.context() as mp:
-        for mod in layers:
-            mp.setattr(f"{mod}.codiff_rows", _one_point_rows)
+        # codiff_rows and every layer reach the rows pass through _vertex_blocks
+        assert rebind(mp, _vertex_blocks, _one_point_blocks) >= 3
         want = results()
 
     def one_point(*args, **kwargs):
         raise AssertionError("a scenario layer called codiff one point at a time")
 
-    for mod in layers:
-        monkeypatch.setattr(sys.modules[mod], "codiff", one_point, raising=False)
+    assert rebind(monkeypatch, codiff, one_point) > 0
     assert results() == want
 
 

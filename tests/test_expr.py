@@ -227,6 +227,41 @@ def test_batch_keeps_sign_of_zero_ties():
             bool(np.signbit(v))] * 3
 
 
+def test_batch_takes_a_theta_per_row():
+    # every row has the bits of evaluate at its own theta, signs of zero
+    # included; a (q,) theta shared by every row keeps the bits it had
+    def bits(v):
+        return np.float64(v).tobytes()
+
+    sp = Space(d=1, m=1, q=2)
+    # -0.0 + theta_0 keeps theta_0's sign of zero; max keeps the first of a tie
+    signed = maximum(affine(sp.dims, -0.0, ct=[1.0, 0.0]), scale(-1.0, sp.theta(1)))
+    cases = [(sp.dims, signed)]
+    for seed in (1, 2, 3, 4, 6, 7, 8):
+        rng = np.random.default_rng(seed)
+        dims, f, *_ = random_case(rng, max_depth=4)
+        cases.append((dims, f))
+    rng = np.random.default_rng(11)
+    for (d, m, q), f in cases:
+        X = rng.uniform(-2, 2, (40, d))
+        Y = rng.uniform(-2, 2, (40, m))
+        TH = rng.uniform(-2, 2, (40, q))
+        TH[::4] = 0.0
+        TH[1::4] = -0.0
+        TH[2::8] = np.where(np.arange(q) % 2, 0.0, -0.0)
+        rows = evaluate_batch(f, X, Y, TH)
+        assert rows.shape == (40,)
+        for r in range(40):
+            assert bits(rows[r]) == bits(evaluate(f, X[r], Y[r], TH[r])), (f.kind, r)
+        for th in TH[:3]:
+            shared = evaluate_batch(f, X, Y, th)
+            assert [bits(v) for v in shared] == [
+                bits(evaluate(f, X[r], Y[r], th)) for r in range(40)]
+    rows = evaluate_batch(signed, np.zeros((4, 1)), np.zeros((4, 1)),
+                          [[0.0, 0.0], [-0.0, 0.0], [-0.0, -0.0], [0.0, -0.0]])
+    assert np.signbit(rows).tolist() == [False, True, True, False]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_combinators_evaluate_pointwise(seed):

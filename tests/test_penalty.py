@@ -1,5 +1,6 @@
 """Penalty terms, the penalized objective, and the nondegeneracy check."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -29,7 +30,7 @@ from codiffsp import (
     quad,
     quasidiff,
 )
-from codiffsp import codiff, evaluate, min_norm_point
+from codiffsp import codiff, evaluate, evaluate_batch, min_norm_point
 from codiffsp.codiff import TOL_ZERO
 from codiffsp.expectation import max_over_selections
 from codiffsp.penalty import (
@@ -40,7 +41,7 @@ from codiffsp.penalty import (
     _unique_rows,
 )
 
-from conftest import ball_problem, box_bounds, box_problem
+from conftest import ball_problem, box_bounds, box_problem, rebind
 
 SP = Space(d=1, m=1, q=0)
 ONE = ScenarioSpace(probs=[1.0], params=np.zeros((1, 0)))
@@ -394,12 +395,64 @@ def test_nondeg_matches_scalar_reference(seed, S, m, samples):
     assert _report_bits(rep) == _report_bits(ref)
 
 
+@pytest.mark.parametrize("seed", [1000, 1004])
+def test_nondeg_matches_scalar_reference_with_a_repeated_constraint(seed, monkeypatch):
+    # g[0] twice: every point where g[0] is active has two active
+    # constraints, so its hull goes through max_over_selections
+    p = generate(seed, d=2, m=2, S=3, l=2, dc=True)
+    p = dataclasses.replace(p, g=p.g + (p.g[0],))
+    hulls = []
+
+    def counted(V):
+        hulls.append(np.shape(V)[0])
+        return min_norm_point(V)
+
+    assert rebind(monkeypatch, min_norm_point, counted) > 0
+    rep = check_nondegeneracy(p, samples=200, seed=seed)
+    assert hulls and max(hulls) >= 2
+    assert _report_bits(rep) == _report_bits(_scalar_nondeg(p, 200, seed))
+
+
+def test_nondeg_kink_on_the_boundary_is_no_point_hull():
+    # the witness sits on the kink of |y|; draws within about 1e-9 of it
+    # keep both slopes +1 and -1 within TOL_ZERO of active, a hull holding 0
+    p = _prob((absolute(SP.y(0)),))
+    rep = check_nondegeneracy(p, samples=200, seed=0)
+    assert rep.min_hull_distance <= 1e-9
+    assert _report_bits(rep) == _report_bits(_scalar_nondeg(p, 200, 0))
+
+
+def test_nondeg_point_hulls_skip_the_min_norm_kernel(monkeypatch):
+    # every hit of this instance has one active constraint with one
+    # zero-offset vertex in each set: a one-point hull, read off the arrays
+    p = generate(1000, d=2, m=2, S=20, l=2, dc=True)
+    want = _report_bits(check_nondegeneracy(p, samples=200, seed=1000))
+
+    def kernel(*args, **kwargs):
+        raise AssertionError("a one-point hull reached min_norm_point")
+
+    assert rebind(monkeypatch, min_norm_point, kernel) > 0
+    rep = check_nondegeneracy(p, samples=200, seed=1000)
+    assert rep.sampled_points > 0
+    assert _report_bits(rep) == want
+
+
 def test_nondeg_never_evaluates_point_by_point(monkeypatch):
     p = generate(1000, d=2, m=2, S=3, l=2, dc=True)
-    want = _report_bits(check_nondegeneracy(p, samples=50, seed=5))
+    samples = NONDEG_BLOCK + 7
+    want = _report_bits(check_nondegeneracy(p, samples=samples, seed=5))
 
     def scalar_evaluate(*args, **kwargs):
         raise AssertionError("check_nondegeneracy evaluated one point at a time")
 
-    monkeypatch.setattr("codiffsp.penalty.evaluate", scalar_evaluate, raising=False)
-    assert _report_bits(check_nondegeneracy(p, samples=50, seed=5)) == want
+    rows = []
+
+    def counted_batch(expr, X, Y, theta):
+        rows.append(np.shape(X)[0])
+        return evaluate_batch(expr, X, Y, theta)
+
+    assert rebind(monkeypatch, evaluate, scalar_evaluate) > 0
+    assert rebind(monkeypatch, evaluate_batch, counted_batch) > 0
+    assert _report_bits(check_nondegeneracy(p, samples=samples, seed=5)) == want
+    # one evaluation per constraint and block, over every (sample, scenario)
+    assert rows == [NONDEG_BLOCK * p.S] * p.ell + [7 * p.S] * p.ell
