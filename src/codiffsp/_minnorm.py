@@ -23,6 +23,14 @@ weighted by SIMPLEX_WEIGHT (the weighting method, ch. 22) only to find the
 support; the point is then solved exactly on that support, each block's
 weights held at sum 1 by writing one of its vertices as the pivot.
 
+A block of one vertex is a fixed translation, so it is folded first: the
+one-vertex blocks' sum is added to every vertex of the first block of
+several, or, when every block has one vertex, is the one vertex left.  A
+single block left takes the exact one-block path above, with no
+SIMPLEX_WEIGHT and no support solve; a folded block reports t = 1.  In
+the scenario sums of nu, the descent direction and the certificate's joint
+solve, a scenario off every kink is such a block.
+
 This kernel serves vertex pruning, the joint descent direction and
 stationarity measure, the nondegeneracy constant and the certificate.  "0
 lies in the set" is one rule (``inside``): ||q|| within MEMBERSHIP_TOL of 0
@@ -56,7 +64,31 @@ def _least_norm(
     """Return (q, t, mu): q = V^T t + R^T mu of least norm, t on the simplex
     of every block, mu >= 0.  V is (k, n) float64 with k >= 1, its rows split
     into consecutive blocks of the given sizes (default: one block); R is
-    (r, n), r >= 0."""
+    (r, n), r >= 0.  One-vertex blocks are folded into the others first."""
+    k = V.shape[0]
+    sizes = (k,) if sizes is None else tuple(sizes)
+    if len(sizes) == 1 or 1 not in sizes:
+        return _blocks_least_norm(V, R, sizes)
+    # a one-vertex block is a fixed translation: add their sum to the first
+    # block of several vertices, or keep it as the one vertex left
+    lone = np.repeat(np.array(sizes) == 1, sizes)
+    shift = V[lone].sum(axis=0)
+    multi = [b for b in sizes if b > 1]
+    if not multi:
+        q, _t, mu = _blocks_least_norm(shift[None], R, (1,))
+        return q, np.ones(k), mu
+    W = V[~lone]
+    W[:multi[0]] += shift
+    q, tw, mu = _blocks_least_norm(W, R, multi)
+    t = np.ones(k)
+    t[~lone] = tw
+    return q, t, mu
+
+
+def _blocks_least_norm(
+    V: np.ndarray, R: np.ndarray, sizes: tuple[int, ...] | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_least_norm without the fold: every block keeps its ones row."""
     k = V.shape[0]
     sizes = (k,) if sizes is None else tuple(sizes)
     nb = len(sizes)

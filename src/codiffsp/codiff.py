@@ -322,6 +322,26 @@ def _vertex_blocks(expr: Expr, X, Y, TH) -> list[tuple[slice, np.ndarray, np.nda
                 for r in range(N)]
 
 
+def _masked_rows(H: np.ndarray, G: np.ndarray, eps: float = TOL_ZERO):
+    """quasidiff(., eps)'s masks over each row's vertices in _vertex_blocks'
+    (N, k1, 1+n) hypo and (N, k2, 1+n) hyper arrays: (sub, sup, one, P).
+    sub keeps the hypo vertices with offset >= -eps, sup the zero-offset
+    hyper vertices; one[r] says row r keeps one vertex in each set, and
+    P[r] is the sum of the slopes of its first kept hypo and hyper
+    vertices, its one shifted slope when one[r].  Raises ZERO_AT_ZERO, as
+    quasidiff does, where a set keeps none."""
+    sub = H[:, :, 0] >= -eps
+    sup = np.abs(G[:, :, 0]) <= TOL_ZERO
+    n_sub, n_sup = sub.sum(axis=1), sup.sum(axis=1)
+    if not (n_sub.all() and n_sup.all()):
+        raise CodiffspError(
+            "ZERO_AT_ZERO", "no zero-offset vertices: codifferential is inconsistent"
+        )
+    j = np.arange(H.shape[0])
+    P = H[j, sub.argmax(axis=1), 1:] + G[j, sup.argmax(axis=1), 1:]
+    return sub, sup, (n_sub == 1) & (n_sup == 1), P
+
+
 def _codiff_pairs(blocks) -> list[CodiffPair]:
     """One CodiffPair per row of _vertex_blocks' blocks, in row order."""
     return [

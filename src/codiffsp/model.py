@@ -167,16 +167,18 @@ class FirstStageSet:
         return self.violation(np.asarray(x, dtype=np.float64)) <= tol
 
     def project(self, x) -> np.ndarray:
+        """The nearest point of A to x (d,), or to each row of x (n, d), each
+        with the bits of its one-point projection: sqrt(vecdot(u, u)) has
+        those of np.linalg.norm(u)."""
         x = np.asarray(x, dtype=np.float64)
         if self.kind == "free":
             return x.copy()
         if self.kind == "box":
             return np.clip(x, self.lower, self.upper)
         u = x - self.center
-        r = float(np.linalg.norm(u))
-        if r <= self.radius:
-            return x.copy()
-        return self.center + u * (self.radius / r)
+        r = np.sqrt(np.vecdot(u, u))[..., None]
+        inside = r <= self.radius
+        return np.where(inside, x, self.center + u * (self.radius / np.where(inside, 1.0, r)))
 
     def normal_rays(self, x, tol: float = 1e-9) -> np.ndarray:
         """Unit outward normals (r, d) of the faces of A within tol of x; their

@@ -18,6 +18,18 @@ Two checks at a feasible point z = (x, y_1..y_S):
         -N_A(x).  The ray weights sum per constraint to lambda_i, the x-parts
         are zeta_s and the norms of the y-parts the stationarity residuals.
 
+        It works on the vertex arrays of one rows pass per function
+        (``codiff._vertex_blocks``, one block per row where a set outgrows
+        the rows pass), masked as quasidiff(., ACT_TOL) slices them; no
+        CodiffPair or QuasidiffPair is built.  A scenario whose f and active
+        g_i each keep one masked vertex in each set is a point selection:
+        its one objective vertex and its rays are read off the arrays and
+        count as one exhaustive selection checked, with no search, and
+        without an active constraint q_s is the y-part of that vertex, as
+        _least_norm returns a lone row.  Only the other scenarios go
+        through max_over_selections, on their masked slices.  The joint
+        system is assembled from every scenario's rows in one step.
+
     inf_stationarity_measure: -nu(ACT_TOL) of the penalized objective, the
         exact least directional derivative of its ACT_TOL-active first-order
         model over unit directions (BlockCodiff.least_norm), the value both
@@ -36,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._minnorm import _least_norm
-from .codiff import CodiffPair, _codiff_rows_values, codiff_rows, quasidiff
+from .codiff import _masked_rows, _vertex_blocks
 from .errors import InfeasibleCandidate
 from .model import Point, TwoStageProblem
 from .expectation import ACT_TOL, max_over_selections
@@ -93,31 +105,44 @@ class Certificate:
         }
 
 
-def _scenario_solve(prob: TwoStageProblem, cf: CodiffPair, cgs: list, gvals: list):
-    """One scenario's selection of largest y-residual: (V, R, q, owner,
-    checked, exhaustive), from the codifferentials cf of f and cgs of the
-    g_i at (x, y_s, theta_s), where the g_i take the values gvals, searched
-    by max_over_selections.  V holds the shifted objective vertices, R the
-    shifted rows of the active constraints (rays), owner[r] the constraint
-    of ray r, and q the least-norm point of co(V) + cone(R) in the
-    y-coordinates."""
-    d, ell = prob.d, prob.ell
-    qf = quasidiff(cf, ACT_TOL)
-    qgs = [quasidiff(cg, ACT_TOL) for cg in cgs]
-    act = [i for i in range(ell) if gvals[i] >= -ACT_TOL]
-    sup_sets = [qf.sup] + [qgs[i].sup for i in act]
+def _masked(blocks, S: int, eps: float):
+    """(one, P, parts): codiff._masked_rows over the blocks of one
+    function's rows pass, a row per scenario; parts keeps each block with
+    its masks for _sets."""
+    one, P, parts = np.empty(S, dtype=bool), np.empty((S, blocks[0][1].shape[2] - 1)), []
+    for rows, H, G, _v in blocks:
+        sub, sup, one[rows], P[rows] = _masked_rows(H, G, eps)
+        parts.append((rows, H, G, sub, sup))
+    return one, P, parts
+
+
+def _sets(parts, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row s's masked hypo and hyper slopes, quasidiff's sub and sup."""
+    rows, H, G, sub, sup = next(p for p in parts if p[0].start <= s < p[0].stop)
+    j = s - rows.start
+    return H[j, sub[j], 1:], G[j, sup[j], 1:]
+
+
+def _scenario_solve(d: int, fsets, gsets: list):
+    """One scenario's selection of largest y-residual: (V, R, q, checked,
+    exhaustive), from the masked (sub, sup) slopes fsets of f and gsets of
+    its active g_i, searched by max_over_selections.  V holds the shifted
+    objective vertices, R the shifted rows of the active constraints (rays),
+    in constraint order, and q the least-norm point of co(V) + cone(R) in
+    the y-coordinates."""
+    sub_f, sup_f = fsets
+    sup_sets = [sup_f] + [sup for _sub, sup in gsets]
 
     def residual(choice):
-        V = qf.sub + sup_sets[0][choice[0]]
+        V = sub_f + sup_f[choice[0]]
         # lambda_i co(sub g_i + w_i) over lambda_i >= 0 is the cone of its rows
-        R = np.vstack([V[:0]] + [qgs[i].sub + sup_sets[1 + j][choice[1 + j]]
-                                 for j, i in enumerate(act)])
+        R = np.vstack([V[:0]] + [sub + sup_sets[1 + j][choice[1 + j]]
+                                 for j, (sub, _sup) in enumerate(gsets)])
         q = _least_norm(V[:, d:], R[:, d:])[0]
         return float(np.linalg.norm(q)), (V, R, q)
 
     _res, (V, R, q), exhaustive, checked = max_over_selections(sup_sets, residual)
-    owner = np.repeat(np.array(act, dtype=int), [qgs[i].sub.shape[0] for i in act])
-    return V, R, q, owner, checked, exhaustive
+    return V, R, q, checked, exhaustive
 
 
 def check_optimality(prob: TwoStageProblem, c: float, z: Point) -> Certificate:
@@ -128,7 +153,8 @@ def check_optimality(prob: TwoStageProblem, c: float, z: Point) -> Certificate:
     of them up to ENUM_CAP, else climbs greedily and the certificate is
     flagged as a fallback; checked_selections counts the selections scored.
     One joint solve then picks, on every scenario's y-minimizing face, the
-    combinations whose E[zeta] lies nearest to -N_A(x).
+    combinations whose E[zeta] lies nearest to -N_A(x).  A point selection
+    (see the module docstring) is scored once without a search.
     """
     prob.check_point(z)
     S, d, m, ell = prob.S, prob.d, prob.m, prob.ell
@@ -136,49 +162,73 @@ def check_optimality(prob: TwoStageProblem, c: float, z: Point) -> Certificate:
     # give their values, with evaluate's bits, for is_feasible's test: the
     # first largest g_i value in constraint-major order, -inf when l = 0
     X, Y, TH = np.broadcast_to(z.x, (S, d)), z.y, prob.scenarios.params
-    cg, gv = zip(*(_codiff_rows_values(gi, X, Y, TH) for gi in prob.g)) if ell else ((), ())
-    worst = max((v for v_i in gv for v in v_i.tolist()), default=-np.inf)
+    gblocks = [_vertex_blocks(gi, X, Y, TH) for gi in prob.g]
+    gv = np.array([np.hstack([v for *_b, v in blocks]) for blocks in gblocks]).reshape(ell, S).T
+    worst = max(gv.T.ravel().tolist(), default=-np.inf)
     if not (prob.A.violation(z.x) <= FEAS_TOL and worst <= FEAS_TOL):
         raise InfeasibleCandidate(
             f"candidate violates feasibility by {worst:.3e} (tolerance {FEAS_TOL:.1e})"
         )
-    cf = codiff_rows(prob.f, X, Y, TH)
-    gvals = [[float(v[s]) for v in gv] for s in range(S)]
-    Vs, Rs, qs, owners, checked, exhaustive = zip(
-        *(_scenario_solve(prob, cf[s], [cg_i[s] for cg_i in cg], gvals[s]) for s in range(S))
-    )
+    one_f, Pf, parts_f = _masked(_vertex_blocks(prob.f, X, Y, TH), S, ACT_TOL)
+    gm = [_masked(blocks, S, ACT_TOL) for blocks in gblocks]
+    act = gv >= -ACT_TOL  # (S, ell)
+    one_g = np.array([one for one, _P, _parts in gm], dtype=bool).reshape(ell, S).T
+    Pg = np.array([P for _one, P, _parts in gm]).reshape(ell, S, d + m).transpose(1, 0, 2)
+    point = one_f & (one_g | ~act).all(axis=1)
+
+    # point scenarios: V_s = Pf[s], R_s the rows Pg[s, i] of the active g_i
+    ps, (rs, ri) = np.flatnonzero(point), np.nonzero(act & point[:, None])
+    rows = [(Pf[ps], ps, Pg[rs, ri], rs, ri)]
+    q = Pf[:, d:].copy()  # a lone row without rays is its own least-norm point
+    for s in np.flatnonzero(point & act.any(axis=1)).tolist():
+        q[s] = _least_norm(Pf[s:s + 1, d:], Pg[s, act[s], d:])[0]
+    checked, exhaustive = ps.shape[0], True
+    for s in np.flatnonzero(~point).tolist():
+        ia = np.flatnonzero(act[s])
+        gsets = [_sets(gm[i][2], s) for i in ia.tolist()]
+        Vs, Rs, q[s], chk, exh = _scenario_solve(d, _sets(parts_f, s), gsets)
+        rows.append((Vs, np.full(Vs.shape[0], s), Rs, np.full(Rs.shape[0], s),
+                     np.repeat(ia, [sub.shape[0] for sub, _sup in gsets])))
+        checked += chk
+        exhaustive &= exh
+    # every scenario's rows together, in scenario order
+    V, sv, R, sr, owner = (np.concatenate(a) for a in zip(*rows))
+    kv, kr = np.argsort(sv, kind="stable"), np.argsort(sr, kind="stable")
+    V, sv, R, sr, owner = V[kv], sv[kv], R[kr], sr[kr], owner[kr]
 
     # Columns over (y_1..y_S, x): scenario s's y-offset from q_s weighted by
     # Y_WEIGHT and its p_s-weighted x-part, then A's outward normals, so the
     # x-part of the least-norm point is E[zeta] + n with n in N_A(x).
-    def embed(s, M, shift):
+    def embed(M, s, shift):
         C = np.zeros((M.shape[0], S * m + d))
-        C[:, s * m:(s + 1) * m] = Y_WEIGHT * (M[:, d:] - shift)
-        C[:, S * m:] = prob.scenarios.probs[s] * M[:, :d]
+        np.put_along_axis(C, s[:, None] * m + np.arange(m), Y_WEIGHT * (M[:, d:] - shift), axis=1)
+        C[:, S * m:] = prob.scenarios.probs[s][:, None] * M[:, :d]
         return C
 
     normals = prob.A.normal_rays(z.x, ACT_TOL)
-    V = np.vstack([embed(s, Vs[s], qs[s]) for s in range(S)])
-    R = np.vstack([embed(s, Rs[s], 0.0) for s in range(S)]
-                  + [np.hstack((np.zeros((normals.shape[0], S * m)), normals))])
-    _, t, mu = _least_norm(V, R, [V_s.shape[0] for V_s in Vs])
-    ts = np.split(t, np.cumsum([V_s.shape[0] for V_s in Vs])[:-1])
-    mus = np.split(mu, np.cumsum([R_s.shape[0] for R_s in Rs]))
-
-    u = [t_s @ V_s + mu_s @ R_s for V_s, R_s, t_s, mu_s in zip(Vs, Rs, ts, mus)]
-    lambdas = np.array([np.bincount(o, weights=mu_s, minlength=ell) for o, mu_s in zip(owners, mus)])
-    zeta = np.array([u_s[:d] for u_s in u])
-    comp = [abs(lam * g) for lam_s, g_s in zip(lambdas, gvals) for lam, g in zip(lam_s, g_s)]
+    nv, nr = np.bincount(sv, minlength=S), np.bincount(sr, minlength=S)
+    _, t, mu = _least_norm(
+        embed(V, sv, q[sv]),
+        np.vstack((embed(R, sr, 0.0), np.hstack((np.zeros((normals.shape[0], S * m)), normals)))),
+        nv.tolist(),
+    )
+    lambdas = np.zeros((S, ell))
+    np.add.at(lambdas, (sr, owner), mu[:R.shape[0]])
+    # u_s = t_s V_s + mu_s R_s, one product per scenario
+    ev, er = np.cumsum(nv).tolist(), np.cumsum(nr).tolist()
+    u = np.array([t[a:b] @ V[a:b] + mu[c:e] @ R[c:e]
+                  for a, b, c, e in zip([0] + ev[:-1], ev, [0] + er[:-1], er)])
+    zeta = u[:, :d].copy()
     return Certificate(
         lambdas=lambdas,
         zeta=zeta,
         residual_stationarity=max(float(np.linalg.norm(u_s[d:])) for u_s in u),
-        residual_complementarity=max(comp, default=0.0),
+        residual_complementarity=max(np.abs(lambdas * gv).ravel().tolist(), default=0.0),
         residual_normal_cone=prob.A.normal_residual(z.x, prob.scenarios.probs @ zeta, tol=ACT_TOL),
         budget_sum=float(lambdas.max(axis=0).sum()) if ell else 0.0,
         budget_bound=float(c),
-        checked_selections=sum(checked),
-        fallback=not all(exhaustive),
+        checked_selections=checked,
+        fallback=not exhaustive,
     )
 
 

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._minnorm import min_norm_point
-from .codiff import TOL_ZERO, _vertex_blocks
-from .errors import CodiffspError, Unprojectable, ValidationError
+from .codiff import TOL_ZERO, _masked_rows, _vertex_blocks
+from .errors import Unprojectable, ValidationError
 from .expectation import BlockCodiff, _integrand_codiff, eval_I, expect, max_over_selections
 from .expr import Expr, add, evaluate_batch, scale
 from .model import Point, TwoStageProblem, check_int
@@ -245,16 +245,10 @@ def _hull_distances(g, active: np.ndarray, X: np.ndarray, Y: np.ndarray,
         rows = np.flatnonzero(col)
         for block, H, G, _v in _vertex_blocks(gi, X[rows], Y[rows], TH[rows]):
             at = rows[block]
-            sub = H[:, :, 0] >= -TOL_ZERO
-            sup = np.abs(G[:, :, 0]) <= TOL_ZERO
-            n_sub, n_sup = sub.sum(axis=1), sup.sum(axis=1)
-            if not (n_sub.all() and n_sup.all()):
-                raise CodiffspError(
-                    "ZERO_AT_ZERO", "no zero-offset vertices: codifferential is inconsistent"
-                )
-            point = single[at] & (n_sub == 1) & (n_sup == 1)
+            sub, sup, one, P = _masked_rows(H, G)
+            point = single[at] & one
             j = np.flatnonzero(point)
-            p = H[j, sub[j].argmax(axis=1), 1 + d:] + G[j, sup[j].argmax(axis=1), 1 + d:]
+            p = P[j, d:]
             dist[at[j]] = np.sqrt(np.vecdot(p, p))
             for j in np.flatnonzero(~point).tolist():
                 hulls.setdefault(int(at[j]), []).append(
@@ -294,19 +288,20 @@ def check_nondegeneracy(
     A round runs in blocks of at most NONDEG_BLOCK samples.  Each sample
     draws its radius, its x step and its S rays, in that order, so the
     generator stream and every point are those of a one-sample-at-a-time
-    loop.  Row k * S + s of a block is sample k in scenario s.  Each
-    constraint is evaluated once over the block's rows (``evaluate_batch``
-    with a theta per row, bit-identical to ``evaluate``), and
-    _hull_distances differentiates it once over the infeasible rows where it
-    is active.  No CodiffPair is built: the zero-offset vertices are masked
-    in the vertex arrays, a one-point hull's distance is the norm of its
-    point, and only the other hulls go through max_over_selections and the
-    min-norm kernel.  The witness is the first infeasible row in sample
-    order with the least distance, the row a sequential strict ``<`` update
-    keeps.  Ray norms are sqrt(vecdot(u, u)), which has the
-    bits of ``np.linalg.norm(u)`` of each ray; ``np.linalg.norm(U, axis=-1)``
-    and sqrt of the summed squares differ from it in the last bit on some
-    rays.
+    loop; the block's x steps are then projected onto A at once
+    (``FirstStageSet.project`` on rows).  Row k * S + s of a block is sample
+    k in scenario s.  Each constraint is evaluated once over the block's
+    rows (``evaluate_batch`` with a theta per row, bit-identical to
+    ``evaluate``), and _hull_distances differentiates it once over the
+    infeasible rows where it is active.  No CodiffPair is built: the
+    zero-offset vertices are masked in the vertex arrays, a one-point hull's
+    distance is the norm of its point, and only the other hulls go through
+    max_over_selections and the min-norm kernel.  The witness is the first
+    infeasible row in sample order with the least distance, the row a
+    sequential strict ``<`` update keeps.  Ray norms are sqrt(vecdot(u, u)),
+    which has the bits of ``np.linalg.norm(u)`` of each ray;
+    ``np.linalg.norm(U, axis=-1)`` and sqrt of the summed squares differ
+    from it in the last bit on some rays.
     ``samples`` must be an integer >= 1 (NONDEG_SAMPLES) and ``seed`` an
     integer >= 0 (NONDEG_SEED).
     """
@@ -337,8 +332,9 @@ def check_nondegeneracy(
                 # log-spaced radii reach both far-out points and razor-thin
                 # boundary crossings where several constraints tie as active
                 r[k] = 10.0 ** rng.uniform(-10.0, math.log10(scale_r))
-                X[k] = prob.A.project(base.x + rng.normal(size=d) * 0.1)
+                X[k] = base.x + rng.normal(size=d) * 0.1
                 U[k] = rng.normal(size=(S, m))
+            X = prob.A.project(X)
             nu = np.sqrt(np.vecdot(U, U))
             drawn = nu != 0.0  # a zero ray has no direction: not a sample
             Y = base.y + (r[:, None] / np.where(drawn, nu, 1.0))[:, :, None] * U

@@ -99,3 +99,66 @@ def test_first_columns_match_unique():
         assert _first_columns(E).tolist() == sorted(want.tolist())
     E = np.array([[0.0, -0.0, 1.0, 0.0], [1.0, 1.0, 1.0, -0.0]])
     assert _first_columns(E).tolist() == [0, 2, 3]
+
+
+def _fold_case(rng, sizes, rays):
+    """Blocks of the given sizes and rays in R^n at a random scale; integer
+    draws in every other case repeat rows and tie."""
+    n = int(rng.integers(1, 6))
+    scale = 10.0 ** rng.uniform(-4, 4)
+    if rng.random() < 0.5:
+        draw = lambda k: rng.integers(-2, 3, size=(k, n)).astype(float)
+    else:
+        draw = lambda k: rng.normal(size=(k, n))
+    return [scale * draw(k) for k in sizes], scale * draw(rays), scale
+
+
+def _check_against_minkowski_sum(blocks, R, scale):
+    sizes = [b.shape[0] for b in blocks]
+    V = np.vstack(blocks)
+    q, t, mu = _least_norm(V, R, sizes)
+    assert t.min() >= 0.0 and (mu.size == 0 or mu.min() >= 0.0)
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    assert np.allclose(np.bincount(owner, weights=t), 1.0, atol=1e-12)
+    assert np.allclose(q, t @ V + mu @ R, atol=1e-12 * scale)
+    P = np.array([sum(c) for c in itertools.product(*blocks)])
+    ref = _least_norm(P, R)[0]
+    assert abs(np.linalg.norm(q) - np.linalg.norm(ref)) <= 1e-12 * scale
+    return t, owner
+
+
+@pytest.mark.parametrize("rays", [False, True])
+def test_fold_mixes_one_vertex_and_hull_blocks(rays):
+    # one-vertex blocks are translations of the first hull block; the sum
+    # of hulls keeps its least-norm point, rays or none
+    rng = np.random.default_rng(21 + rays)
+    for _ in range(200):
+        sizes = [int(k) for k in rng.integers(1, 5, size=int(rng.integers(2, 5)))]
+        sizes[int(rng.integers(len(sizes)))] = 1
+        sizes[int(rng.integers(len(sizes)))] = int(rng.integers(2, 5))
+        blocks, R, scale = _fold_case(rng, sizes, int(rng.integers(1, 3)) if rays else 0)
+        _check_against_minkowski_sum(blocks, R, scale)
+
+
+def test_fold_of_one_vertex_blocks_and_rays():
+    # every block a single vertex: the set is one point plus the cone
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        blocks, R, scale = _fold_case(rng, [1] * int(rng.integers(2, 6)), int(rng.integers(1, 4)))
+        t, _owner = _check_against_minkowski_sum(blocks, R, scale)
+        assert t.tolist() == [1.0] * len(blocks)
+
+
+def test_folded_blocks_report_unit_weight():
+    # t is exactly 1 on every one-vertex block and on the simplex elsewhere
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        sizes = [int(k) for k in rng.integers(1, 4, size=int(rng.integers(2, 6)))]
+        blocks, R, scale = _fold_case(rng, sizes, int(rng.integers(0, 3)))
+        t, owner = _check_against_minkowski_sum(blocks, R, scale)
+        lone = np.repeat(np.array(sizes) == 1, sizes)
+        assert (t[lone] == 1.0).all()
+        for b, k in enumerate(sizes):
+            if k > 1:
+                assert t[owner == b].min() >= 0.0
+                assert abs(t[owner == b].sum() - 1.0) <= 1e-12

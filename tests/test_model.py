@@ -177,6 +177,31 @@ def test_first_stage_projections():
     assert A.contains([0.0, 1.0]) and not A.contains([0.0, 2.1])
 
 
+def _one_point_projection(A, x):
+    # a point at a time, the ball's radius from np.linalg.norm
+    if A.kind == "free":
+        return x.copy()
+    if A.kind == "box":
+        return np.clip(x, A.lower, A.upper)
+    u = x - A.center
+    r = float(np.linalg.norm(u))
+    return x.copy() if r <= A.radius else A.center + u * (A.radius / r)
+
+
+@pytest.mark.parametrize("A", [
+    FirstStageSet.free(),
+    FirstStageSet.box([-0.5, 0.0, -1.0], [0.5, 2.0, -1.0]),
+    FirstStageSet.ball([0.3, -0.2, 1.1], 0.7),
+], ids=["free", "box", "ball"])
+def test_projection_of_rows_has_one_point_bits(A):
+    rng = np.random.default_rng(4)
+    X = rng.normal(size=(400, 3)) * 10.0 ** rng.uniform(-3, 1, (400, 1))
+    X[:100] = A.project(X[:100])  # points of A; the ball's far ones land on its sphere
+    want = np.array([_one_point_projection(A, x) for x in X])
+    assert A.project(X).tobytes() == want.tobytes()
+    assert [A.project(x).tobytes() for x in X] == [w.tobytes() for w in want]
+
+
 def test_tangent_projection_box():
     # normal_residual(x, v) is the norm of -v projected onto the tangent cone
     A = FirstStageSet.box([0.0], [1.0])

@@ -16,6 +16,7 @@ from codiffsp import (
     affine,
     codiff,
     constant,
+    dc,
     evaluate,
     generate,
     min_norm_point,
@@ -23,11 +24,14 @@ from codiffsp import (
     quasidiff,
     scale,
 )
-from codiffsp.optimality import check_optimality, inf_stationarity_measure
+from codiffsp._minnorm import _blocks_least_norm, _least_norm
+from codiffsp.codiff import CodiffPair, _codiff_rows_values, _vertex_blocks, codiff_rows
+from codiffsp.expectation import ACT_TOL, max_over_selections
+from codiffsp.optimality import Y_WEIGHT, Certificate, check_optimality, inf_stationarity_measure
 from codiffsp.solvers import SolveOpts, codiff_descent, dca_solve
 
 from conftest import (
-    concave_kinks, coupled_1d, lambda_two_instance, one_scenario, smooth_free_1d,
+    concave_kinks, coupled_1d, lambda_two_instance, one_scenario, rebind, smooth_free_1d,
 )
 
 DIMS = Space(d=1, m=1, q=0).dims
@@ -263,3 +267,162 @@ def test_kink_certificate_is_exact():
         r = cert.residual_stationarity
         ref = max(_minkowski_residual(p, z, sc, cert.lambdas[sc]) for sc in range(p.S))
         assert abs(r - ref) <= 1e-9 * (1.0 + r)
+
+
+def _scenario_by_scenario(prob, c, z):
+    """check_optimality as one CodiffPair, one quasidiff per function and one
+    selection search per scenario, with the joint system assembled scenario
+    by scenario; the kernel is the one without the fold."""
+    S, d, m, ell = prob.S, prob.d, prob.m, prob.ell
+    X, Y, TH = np.broadcast_to(z.x, (S, d)), z.y, prob.scenarios.params
+    cg, gv = zip(*(_codiff_rows_values(gi, X, Y, TH) for gi in prob.g)) if ell else ((), ())
+    cf = codiff_rows(prob.f, X, Y, TH)
+    gvals = [[float(v[s]) for v in gv] for s in range(S)]
+    Vs, Rs, qs, owners, checked, exhaustive = [], [], [], [], [], []
+    for s in range(S):
+        qf = quasidiff(cf[s], ACT_TOL)
+        qgs = [quasidiff(cg_i[s], ACT_TOL) for cg_i in cg]
+        act = [i for i in range(ell) if gvals[s][i] >= -ACT_TOL]
+        sup_sets = [qf.sup] + [qgs[i].sup for i in act]
+
+        def residual(choice, qf=qf, qgs=qgs, act=act, sup_sets=sup_sets):
+            V = qf.sub + sup_sets[0][choice[0]]
+            R = np.vstack([V[:0]] + [qgs[i].sub + sup_sets[1 + j][choice[1 + j]]
+                                     for j, i in enumerate(act)])
+            q = _blocks_least_norm(V[:, d:], R[:, d:])[0]
+            return float(np.linalg.norm(q)), (V, R, q)
+
+        _res, (V, R, q), exh, chk = max_over_selections(sup_sets, residual)
+        Vs.append(V), Rs.append(R), qs.append(q), checked.append(chk), exhaustive.append(exh)
+        owners.append(np.repeat(np.array(act, dtype=int), [qgs[i].sub.shape[0] for i in act]))
+
+    def embed(s, M, shift):
+        C = np.zeros((M.shape[0], S * m + d))
+        C[:, s * m:(s + 1) * m] = Y_WEIGHT * (M[:, d:] - shift)
+        C[:, S * m:] = prob.scenarios.probs[s] * M[:, :d]
+        return C
+
+    normals = prob.A.normal_rays(z.x, ACT_TOL)
+    V = np.vstack([embed(s, Vs[s], qs[s]) for s in range(S)])
+    R = np.vstack([embed(s, Rs[s], 0.0) for s in range(S)]
+                  + [np.hstack((np.zeros((normals.shape[0], S * m)), normals))])
+    _, t, mu = _blocks_least_norm(V, R, [V_s.shape[0] for V_s in Vs])
+    ts = np.split(t, np.cumsum([V_s.shape[0] for V_s in Vs])[:-1])
+    mus = np.split(mu, np.cumsum([R_s.shape[0] for R_s in Rs]))
+    u = [t_s @ V_s + mu_s @ R_s for V_s, R_s, t_s, mu_s in zip(Vs, Rs, ts, mus)]
+    # np.bincount over no rays gives int zeros; lambdas are float64 throughout
+    lambdas = np.array([np.bincount(o, weights=mu_s, minlength=ell).astype(float)
+                        for o, mu_s in zip(owners, mus)]).reshape(S, ell)
+    zeta = np.array([u_s[:d] for u_s in u])
+    comp = [abs(lam * g) for lam_s, g_s in zip(lambdas, gvals) for lam, g in zip(lam_s, g_s)]
+    return Certificate(
+        lambdas=lambdas,
+        zeta=zeta,
+        residual_stationarity=max(float(np.linalg.norm(u_s[d:])) for u_s in u),
+        residual_complementarity=max(comp, default=0.0),
+        residual_normal_cone=prob.A.normal_residual(z.x, prob.scenarios.probs @ zeta, tol=ACT_TOL),
+        budget_sum=float(lambdas.max(axis=0).sum()) if ell else 0.0,
+        budget_bound=float(c),
+        checked_selections=sum(checked),
+        fallback=not all(exhaustive),
+    )
+
+
+def _cert_bits(cert):
+    return (cert.lambdas.dtype.str, cert.lambdas.shape, cert.lambdas.tobytes(),
+            cert.zeta.dtype.str, cert.zeta.shape, cert.zeta.tobytes(),
+            *(np.float64(v).tobytes() for v in (
+                cert.residual_stationarity, cert.residual_complementarity,
+                cert.residual_normal_cone, cert.budget_sum, cert.budget_bound)),
+            cert.checked_selections, cert.fallback)
+
+
+def _boundary_point(p, seed):
+    """Each y_s moved from the witness along a seeded ray to where max_i g_i
+    reaches 0 from below, by bisection: feasible, some constraint active."""
+    rng = np.random.default_rng(seed)
+    x, Y = p.witness.x, p.witness.y.copy()
+    for s, th in enumerate(p.scenarios.params):
+        hi = np.inf
+        while hi == np.inf:  # a ray that leaves the feasible set
+            u = rng.normal(size=p.m)
+            gmax = lambda t: max(evaluate(g, x, Y[s] + t * u, th) for g in p.g)
+            hi = next((2.0**k for k in range(20) if gmax(2.0**k) > 0.0), np.inf)
+        lo = 0.0
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if gmax(mid) <= 0.0 else (lo, mid)
+        Y[s] = Y[s] + lo * u
+    return Point(x=x, y=Y)
+
+
+def _point_only_cases():
+    for seed, S in ((1000, 3), (1007, 3), (1000, 100)):
+        p = generate(seed, d=2, m=2, S=S, l=2, dc=True)
+        yield p, p.witness
+        yield p, _boundary_point(p, seed)
+
+
+def _mixed_cases():
+    # concave kinks in f at y = 0, a constraint y <= a: scenarios on the
+    # kink (two zero-offset hyper vertices), on the constraint and neither
+    base = concave_kinks(6)
+    for a in (0.0, 0.5):
+        g = affine(base.f.dims, -a, cy=[1.0])
+        p = TwoStageProblem(d=1, m=1, A=base.A, f=base.f, g=(g,), scenarios=base.scenarios)
+        yield p, Point(x=[0.0], y=[[0.0], [a], [-1.0], [0.0], [a], [-0.25]])
+    for S in (1, 5):
+        p = concave_kinks(S)
+        yield p, p.witness
+
+
+def _ragged_case():
+    # nine abs terms give 2^9 hypo vertices, more than a rows pass keeps, so
+    # f is differentiated one scenario at a time; scenario 0 sits on four
+    # convex kinks and scenario 1 on the concave one, scenario 2 on neither
+    rng = np.random.default_rng(17)
+    sp = Space(d=1, m=1, q=1)
+    x, Y, TH = np.array([0.3]), np.array([[0.2], [-0.4], [0.7]]), np.array([[0.1], [-0.2], [0.5]])
+    terms = []
+    for i in range(9):
+        cx, cy, ct = rng.normal(size=1), rng.normal(size=1), rng.normal(size=1)
+        c0 = -float(cx @ x + cy @ Y[0] + ct @ TH[0]) if i < 4 else float(rng.normal())
+        terms.append(absolute(sp.affine(c0, cx, cy, ct)))
+    kink = absolute(sp.affine(-float(Y[1, 0]), cy=[1.0]))
+    f = dc(add(quad(sp.dims, np.eye(2), psd=True), *terms), kink)
+    g = sp.affine(-0.7, cy=[1.0])
+    p = TwoStageProblem(d=1, m=1, A=FirstStageSet.box([-1.0], [1.0]), f=f, g=(g,),
+                        scenarios=ScenarioSpace(probs=np.full(3, 1 / 3), params=TH))
+    return p, Point(x=x, y=Y)
+
+
+@pytest.mark.parametrize("kind", ["point", "mixed", "ragged"])
+def test_certificate_has_the_bits_of_the_scenario_loop(monkeypatch, kind):
+    cases = {"point": _point_only_cases, "mixed": _mixed_cases,
+             "ragged": lambda: [_ragged_case()]}[kind]()
+    assert rebind(monkeypatch, _least_norm, _blocks_least_norm) > 0
+    for p, z in cases:
+        cert = check_optimality(p, 10.0, z)
+        assert _cert_bits(cert) == _cert_bits(_scenario_by_scenario(p, 10.0, z))
+        if kind == "point":
+            assert cert.checked_selections == p.S and not cert.fallback
+        elif kind == "mixed":
+            assert cert.checked_selections > p.S
+        else:
+            X = np.broadcast_to(z.x, (p.S, p.d))
+            assert len(_vertex_blocks(p.f, X, z.y, p.scenarios.params)) == p.S
+            assert cert.checked_selections > p.S and cert.lambdas[2, 0] >= 0.0
+
+
+def test_point_selections_build_no_pairs_and_search_nothing(monkeypatch):
+    p = generate(1000, d=2, m=2, S=20, l=2, dc=True)
+    points = [p.witness, _boundary_point(p, 1000)]
+    want = [_cert_bits(check_optimality(p, 10.0, z)) for z in points]
+
+    def per_scenario(*args, **kwargs):
+        raise AssertionError("a point selection did per-scenario work")
+
+    for orig in (quasidiff, CodiffPair, max_over_selections):
+        assert rebind(monkeypatch, orig, per_scenario) > 0
+    assert [_cert_bits(check_optimality(p, 10.0, z)) for z in points] == want
+    assert check_optimality(p, 10.0, points[1]).lambdas.max() > 0.0

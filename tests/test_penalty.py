@@ -16,6 +16,7 @@ from codiffsp import (
     Unprojectable,
     ValidationError,
     absolute,
+    add,
     affine,
     check_nondegeneracy,
     constant,
@@ -29,6 +30,7 @@ from codiffsp import (
     phi_l1,
     quad,
     quasidiff,
+    scale,
 )
 from codiffsp import codiff, evaluate, evaluate_batch, min_norm_point
 from codiffsp.codiff import TOL_ZERO
@@ -419,6 +421,19 @@ def test_nondeg_kink_on_the_boundary_is_no_point_hull():
     p = _prob((absolute(SP.y(0)),))
     rep = check_nondegeneracy(p, samples=200, seed=0)
     assert rep.min_hull_distance <= 1e-9
+    assert _report_bits(rep) == _report_bits(_scalar_nondeg(p, 200, 0))
+
+
+def test_nondeg_concave_kink_takes_the_worst_hyper_vertex():
+    # g = 1 + 0.2 y - max(0, y, -y): draws within about 1e-9 of the kink keep
+    # three zero-offset hyper vertices, slopes 0, -1 and +1, on the one
+    # active constraint.  The worst selection, +1, puts them at 1.2; the
+    # first, 0, would put them at 0.2, below the 0.8 of the draws with y > 0
+    g = add(constant(1.0), SP.affine(cy=[0.2]),
+            scale(-1.0, maximum(constant(0.0), SP.y(0), scale(-1.0, SP.y(0)))))
+    p = _prob((g,))
+    rep = check_nondegeneracy(p, samples=200, seed=0)
+    assert rep.min_hull_distance == pytest.approx(0.8)
     assert _report_bits(rep) == _report_bits(_scalar_nondeg(p, 200, 0))
 
 
