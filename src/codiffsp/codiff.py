@@ -286,7 +286,7 @@ def codiff_rows(expr: Expr, X, Y, TH) -> list[CodiffPair]:
     space of dimension d + m, row r with the fixed parameter TH[r]; X, Y and
     TH are (N, d), (N, m) and (N, q).  Row r has the bits of
     codiff(expr, X[r], Y[r], TH[r])."""
-    return _codiff_rows_values(expr, X, Y, TH)[0]
+    return _codiff_pairs(_vertex_blocks(expr, X, Y, TH))
 
 
 def _vertex_blocks(expr: Expr, X, Y, TH) -> list[tuple[slice, np.ndarray, np.ndarray, object]]:
@@ -349,16 +349,6 @@ def _codiff_pairs(blocks) -> list[CodiffPair]:
         for _rows, H, G, _v in blocks
         for hypo, hyper in zip(_freeze(H), _freeze(G))
     ]
-
-
-def _codiff_rows_values(expr: Expr, X, Y, TH) -> tuple[list[CodiffPair], np.ndarray]:
-    """codiff_rows and the (N,) values of the DAG at the rows, which the
-    pass computes anyway (node_values); value r has the bits of
-    evaluate(expr, X[r], Y[r], TH[r])."""
-    blocks = _vertex_blocks(expr, X, Y, TH)
-    if not blocks:
-        return [], np.zeros(0)
-    return _codiff_pairs(blocks), np.hstack([v for *_b, v in blocks])
 
 
 def codiff(expr: Expr, x, y=(), theta=()) -> CodiffPair:

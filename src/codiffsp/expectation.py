@@ -1,19 +1,19 @@
 """The expectation functional I(x, y) = sum_s p_s f(x, y_s, theta_s).
 
-Its codifferential over the joint space factors scenario-blockwise: one
-CodiffPair per scenario, never the exponential product polytope.  All
-reductions run in ascending scenario order so results are bit-reproducible.
-Every per-scenario integrand, f or a solver's penalized or DC part, goes
-through the same two scenario sums: expect for the value and
-_integrand_codiff for the codifferential, and both take DCA's tilt, a
-linear form per scenario.  _integrand_codiff differentiates
-all S scenarios in one rows pass (``codiff._vertex_blocks``), row s being
-(x, y_s) with theta_s, as (S, k, 1+n) vertex arrays, takes the tilt off
-their hypo slopes and only then builds the pairs; each scenario's pair
-has the bits of ``codiff`` at its point, less the tilt, and an integrand
-large enough to be pruned falls back to one scenario at a time.  The value
-path stays one ``evaluate`` per scenario: at S = 3, the common size, a rows
-evaluation costs more than the scalar loop.
+Its codifferential over the joint space factors scenario-blockwise, never
+the exponential product polytope.  All reductions run in ascending scenario
+order so results are bit-reproducible.  Every per-scenario integrand, f or a
+solver's penalized or DC part, goes through the same two scenario sums:
+expect for the value and _integrand_codiff for the codifferential, and both
+take DCA's tilt, a linear form per scenario.  _integrand_codiff
+differentiates all S scenarios in one rows pass (``codiff._vertex_blocks``),
+row s being (x, y_s) with theta_s; a BlockCodiff keeps its (S, k, 1+n)
+vertex arrays, less the tilt in the hypo slopes, or one block per scenario
+where the integrand is large enough to be pruned.  nu, the step model, DCA's
+tilt and the certificate read one set of masks of them (BlockCodiff.masked);
+CodiffPairs are built only for the one-point surface.  The value path stays
+one ``evaluate`` per scenario: at S = 3, the common size, a rows evaluation
+costs more than the scalar loop.
 
 The hypodifferential of I is the p-weighted Minkowski sum of the scenario
 hypodifferentials, each embedded in the (x, y_s) block of (x, y_1..y_S).
@@ -30,11 +30,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from ._minnorm import _least_norm, inside
-from .codiff import CodiffPair, _codiff_pairs, _vertex_blocks, dirderiv, expansion_value, quasidiff
+from .codiff import CodiffPair, _codiff_pairs, _masked_rows, _vertex_blocks, dirderiv, quasidiff
 from .errors import DimensionMismatch, NonFinite
 from .expr import Expr, evaluate
 from .model import FirstStageSet, Point, TwoStageProblem
@@ -74,31 +76,55 @@ def max_over_selections(sups: list[np.ndarray], score) -> tuple[float, object, b
     return *best, False, checked
 
 
+class Masks(NamedTuple):
+    """BlockCodiff.masked: the hypo slopes with offset >= -eps (sub) and the
+    zero-offset hyper slopes (sup) of every scenario in turn, scenario s's
+    from rows sub_at[s] and sup_at[s] on, and _masked_rows' one and P."""
+
+    sub: np.ndarray
+    sub_at: np.ndarray
+    sup: np.ndarray
+    sup_at: np.ndarray
+    one: np.ndarray
+    P: np.ndarray
+
+    def sets(self, s: int) -> tuple[np.ndarray, np.ndarray]:
+        """Scenario s's quasidiff(., eps) sub and sup."""
+        a, w = self.sub_at, self.sup_at
+        return self.sub[a[s]:a[s + 1]], self.sup[w[s]:w[s + 1]]
+
+
 @dataclass(frozen=True, eq=False)
 class BlockCodiff:
-    """Scenario-factored codifferential of the expectation integrand."""
+    """Scenario-factored codifferential of the expectation integrand: the
+    blocks of codiff._vertex_blocks, a row per scenario, less any tilt."""
 
-    per_scenario: tuple[CodiffPair, ...]
+    blocks: tuple
     probs: np.ndarray
     d: int
     m: int
 
-    def __post_init__(self):
-        if len(self.per_scenario) != self.probs.shape[0]:
-            raise DimensionMismatch("one codifferential pair per scenario required")
-        for s, cd in enumerate(self.per_scenario):
-            if cd.dim != self.d + self.m:
-                raise DimensionMismatch(
-                    f"scenario {s} pair has dim {cd.dim}, expected {self.d + self.m}"
-                )
-
     @property
     def S(self) -> int:
-        return len(self.per_scenario)
+        return self.probs.shape[0]
 
-    def least_norm(
-        self, A: FirstStageSet, x: np.ndarray, eps: float
-    ) -> tuple[float, np.ndarray, bool]:
+    @cached_property
+    def per_scenario(self) -> tuple[CodiffPair, ...]:
+        return tuple(_codiff_pairs(self.blocks))
+
+    def masked(self, eps: float) -> Masks:
+        """codiff._masked_rows at eps over every block, in scenario order."""
+        parts = []
+        for _rows, H, G, _v in self.blocks:
+            sub, sup, one, P = _masked_rows(H, G, eps)
+            parts.append((H[sub, 1:], sub.sum(axis=1), G[sup, 1:], sup.sum(axis=1), one, P))
+        sub, n_sub, sup, n_sup, one, P = map(np.concatenate, zip(*parts))
+        at = np.zeros((2, self.S + 1), dtype=np.intp)
+        at[0, 1:], at[1, 1:] = n_sub.cumsum(), n_sup.cumsum()
+        return Masks(sub, at[0], sup, at[1], one, P)
+
+    def least_norm(self, A: FirstStageSet, x: np.ndarray,
+                   eps: float) -> tuple[float, np.ndarray, bool]:
         """(nu, q, exhaustive) for the set D = sum_s co(G_s + w_s) + N of
         slopes, maximized over the selections w_s of zero-offset hyper vertices.
 
@@ -109,26 +135,31 @@ class BlockCodiff:
         ||h||^2 = ||h_x||^2 + sum_s p_s ||h_ys||^2 of the second stage: nu is
         the dual-norm distance from 0 to D, along -q the eps-active model
         falls at rate at least nu^2, over the selections max_over_selections
-        searches; exhaustive is False past ENUM_CAP, where nu is the greedy
-        ascent's lower bound.  When 0 lies in D, nu = 0 and q = 0.
+        searches over the scenarios with several zero-offset hyper vertices
+        (a one-vertex set changes none of its choices); exhaustive is False
+        past ENUM_CAP, where nu is the greedy ascent's lower bound.  When 0
+        lies in D, nu = 0 and q = 0.
         """
         d, m, S = self.d, self.m, self.S
         n = d + S * m
-        qds = [quasidiff(cd, eps) for cd in self.per_scenario]
-        sups = [qd.sup for qd in qds]
+        mk = self.masked(eps)
+        sizes = np.diff(mk.sub_at)
+        rows = np.repeat(np.arange(S), sizes)
+        multi = np.flatnonzero(np.diff(mk.sup_at) > 1)
+        sups = [mk.sets(s)[1] for s in multi.tolist()]
         normals = A.normal_rays(x, eps)
         R = np.hstack((normals, np.zeros((normals.shape[0], S * m))))
-        sizes = [qd.sub.shape[0] for qd in qds]
-        rows = np.repeat(np.arange(S), sizes)
         cols = d + rows[:, None] * m + np.arange(m)
         p = self.probs[rows][:, None]
 
         def nu_of(choice):
-            G = np.vstack([qds[s].sub + sups[s][w] for s, w in enumerate(choice)])
-            V = np.zeros((G.shape[0], n))
-            V[:, :d] = p * G[:, :d]
-            np.put_along_axis(V, cols, np.sqrt(p) * G[:, d:], axis=1)
-            q = _least_norm(V, R, sizes)[0]
+            at = mk.sup_at[:-1].copy()  # a scenario's first sup row, or its chosen one
+            at[multi] += np.asarray(choice, dtype=np.intp)
+            Gw = mk.sub + mk.sup[at][rows]
+            V = np.zeros((Gw.shape[0], n))
+            V[:, :d] = p * Gw[:, :d]
+            np.put_along_axis(V, cols, np.sqrt(p) * Gw[:, d:], axis=1)
+            q = _least_norm(V, R, sizes.tolist())[0]
             if inside(q, np.vstack((V, R))):
                 q = np.zeros(n)
             return float(np.linalg.norm(q)), q
@@ -174,50 +205,49 @@ def _integrand_codiff(prob: TwoStageProblem, integrand: Expr, z: Point,
     in one rows pass with a row per scenario, less <tilt[s], (x, y_s)> as
     in expect: row s of tilt comes off every hypo slope of scenario s."""
     prob.check_point(z)
-    X = np.broadcast_to(z.x, (prob.S, prob.d))
+    X = np.repeat(z.x[None], prob.S, axis=0)
     blocks = _vertex_blocks(integrand, X, z.y, prob.scenarios.params)
     if tilt is not None:
         # an offset less +0.0 keeps its bits, -0.0 included
         shift = np.hstack((np.zeros((prob.S, 1)), tilt))
         blocks = [(rows, H - shift[rows, None], G, v) for rows, H, G, v in blocks]
-    return BlockCodiff(
-        per_scenario=tuple(_codiff_pairs(blocks)), probs=prob.scenarios.probs,
-        d=prob.d, m=prob.m,
-    )
+    return BlockCodiff(blocks=tuple(blocks), probs=prob.scenarios.probs, d=prob.d, m=prob.m)
 
 
 def I_expansion(bc: BlockCodiff, dx, dy):
     """First-order expansion of I: sum_s p_s expansion_value(pair_s, (dx, dy_s)),
     in ascending scenario order.  One direction, dx (d,) and dy (S, m), gives
-    a float; a stack of K, dx (K, d) and dy (K, S, m), the (K,) values."""
-    dx = np.asarray(dx, dtype=np.float64)
+    a float; a stack of K, dx (K, d) and dy (K, S, m), the (K,) values.  A
+    stacked matmul per block and np.cumsum keep the bits of that loop."""
+    dx, dy = np.asarray(dx, dtype=np.float64), np.asarray(dy, dtype=np.float64)
     stack = dx.ndim == 2
     if not stack:
-        dx = dx.ravel()[None]
-    dy = np.asarray(dy, dtype=np.float64).reshape(dx.shape[0], bc.S, -1)
-    if dx.shape[1] != bc.d or dy.shape[2] != bc.m:
-        raise DimensionMismatch(
-            f"direction blocks ({dx.shape[1]}, {dy.shape[2]}) do not match ({bc.d}, {bc.m})"
-        )
-    total = 0.0
-    for s in range(bc.S):
-        h_s = np.hstack((dx, dy[:, s]))
-        total += float(bc.probs[s]) * expansion_value(bc.per_scenario[s], h_s if stack else h_s[0])
-    return total
+        dx, dy = dx.ravel()[None], dy[None]
+    if dx.shape[1] != bc.d or dy.shape != (dx.shape[0], bc.S, bc.m):
+        raise DimensionMismatch(f"dx {dx.shape[1:]} and dy {dy.shape[1 - stack:]} do not match "
+                                f"d = {bc.d}, S = {bc.S} rows of m = {bc.m}")
+    terms = []
+    for rows, H, G, _v in bc.blocks:
+        Y = dy[:, rows].transpose(1, 0, 2)
+        h = np.concatenate((np.broadcast_to(dx, (*Y.shape[:2], bc.d)), Y), axis=2)
+        h = h.transpose(0, 2, 1)  # each block row's (n, K) directions, as expansion_value's
+        up = np.matmul(H[:, :, 1:], h) + H[:, :, :1]
+        dn = np.matmul(G[:, :, 1:], h) + G[:, :, :1]
+        terms.append(up.max(axis=1) + dn.min(axis=1))
+    # + 0.0 as the scalar loop's 0.0 start: an all -0.0 sum reads +0.0
+    total = np.cumsum(bc.probs[:, None] * np.concatenate(terms), axis=0)[-1] + 0.0
+    return total if stack else float(total[0])
 
 
 def I_dirderiv(prob: TwoStageProblem, z: Point, hx, hy) -> float:
     """Directional derivative of I at z: the weighted sum of per-scenario
     directional derivatives along (hx, hy_s)."""
     bc = block_codiff(prob, z)
-    hx = np.asarray(hx, dtype=np.float64).ravel()
-    hy = np.asarray(hy, dtype=np.float64).reshape(bc.S, -1)
-    if hx.shape[0] != bc.d or hy.shape[1] != bc.m:
-        raise DimensionMismatch(
-            f"direction blocks ({hx.shape[0]}, {hy.shape[1]}) do not match ({bc.d}, {bc.m})"
-        )
+    hx, hy = np.asarray(hx, dtype=np.float64).ravel(), np.asarray(hy, dtype=np.float64)
+    if hx.shape[0] != bc.d or hy.shape != (bc.S, bc.m):
+        raise DimensionMismatch(f"hx {hx.shape} and hy {hy.shape} do not match d = {bc.d}, "
+                                f"S = {bc.S} rows of m = {bc.m}")
     total = 0.0
-    for s in range(bc.S):
-        qd = quasidiff(bc.per_scenario[s])
-        total += float(bc.probs[s]) * dirderiv(qd, np.concatenate((hx, hy[s])))
+    for s, cd in enumerate(bc.per_scenario):
+        total += float(bc.probs[s]) * dirderiv(quasidiff(cd), np.concatenate((hx, hy[s])))
     return total

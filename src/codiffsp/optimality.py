@@ -18,17 +18,16 @@ Two checks at a feasible point z = (x, y_1..y_S):
         -N_A(x).  The ray weights sum per constraint to lambda_i, the x-parts
         are zeta_s and the norms of the y-parts the stationarity residuals.
 
-        It works on the vertex arrays of one rows pass per function
-        (``codiff._vertex_blocks``, one block per row where a set outgrows
-        the rows pass), masked as quasidiff(., ACT_TOL) slices them; no
-        CodiffPair or QuasidiffPair is built.  A scenario whose f and active
-        g_i each keep one masked vertex in each set is a point selection:
-        its one objective vertex and its rays are read off the arrays and
-        count as one exhaustive selection checked, with no search, and
-        without an active constraint q_s is the y-part of that vertex, as
-        _least_norm returns a lone row.  Only the other scenarios go
-        through max_over_selections, on their masked slices.  The joint
-        system is assembled from every scenario's rows in one step.
+        It works on one BlockCodiff per function, the vertex arrays of its
+        rows pass, masked at ACT_TOL as quasidiff(., ACT_TOL) slices them
+        (BlockCodiff.masked); no CodiffPair or QuasidiffPair is built.  A
+        scenario whose f and active g_i each keep one masked vertex in each
+        set is a point selection: its one objective vertex and its rays are
+        read off the arrays and count as one exhaustive selection checked,
+        with no search, and without an active constraint q_s is the y-part
+        of that vertex, as _least_norm returns a lone row.  Only the other
+        scenarios go through max_over_selections, on their masked slices.
+        The joint system is assembled from every scenario's rows in one step.
 
     inf_stationarity_measure: -nu(ACT_TOL) of the penalized objective, the
         exact least directional derivative of its ACT_TOL-active first-order
@@ -48,10 +47,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._minnorm import _least_norm
-from .codiff import _masked_rows, _vertex_blocks
 from .errors import InfeasibleCandidate
 from .model import Point, TwoStageProblem
-from .expectation import ACT_TOL, max_over_selections
+from .expectation import ACT_TOL, _integrand_codiff, block_codiff, max_over_selections
 from .penalty import PenaltySpec, penalty_codiff
 
 FEAS_TOL = 1e-6
@@ -105,24 +103,6 @@ class Certificate:
         }
 
 
-def _masked(blocks, S: int, eps: float):
-    """(one, P, parts): codiff._masked_rows over the blocks of one
-    function's rows pass, a row per scenario; parts keeps each block with
-    its masks for _sets."""
-    one, P, parts = np.empty(S, dtype=bool), np.empty((S, blocks[0][1].shape[2] - 1)), []
-    for rows, H, G, _v in blocks:
-        sub, sup, one[rows], P[rows] = _masked_rows(H, G, eps)
-        parts.append((rows, H, G, sub, sup))
-    return one, P, parts
-
-
-def _sets(parts, s: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row s's masked hypo and hyper slopes, quasidiff's sub and sup."""
-    rows, H, G, sub, sup = next(p for p in parts if p[0].start <= s < p[0].stop)
-    j = s - rows.start
-    return H[j, sub[j], 1:], G[j, sup[j], 1:]
-
-
 def _scenario_solve(d: int, fsets, gsets: list):
     """One scenario's selection of largest y-residual: (V, R, q, checked,
     exhaustive), from the masked (sub, sup) slopes fsets of f and gsets of
@@ -161,20 +141,18 @@ def check_optimality(prob: TwoStageProblem, c: float, z: Point) -> Certificate:
     # one rows pass per function, a row per scenario; the g_i's passes also
     # give their values, with evaluate's bits, for is_feasible's test: the
     # first largest g_i value in constraint-major order, -inf when l = 0
-    X, Y, TH = np.broadcast_to(z.x, (S, d)), z.y, prob.scenarios.params
-    gblocks = [_vertex_blocks(gi, X, Y, TH) for gi in prob.g]
-    gv = np.array([np.hstack([v for *_b, v in blocks]) for blocks in gblocks]).reshape(ell, S).T
+    bg = [_integrand_codiff(prob, gi, z) for gi in prob.g]
+    gv = np.array([np.hstack([v for *_b, v in bc.blocks]) for bc in bg]).reshape(ell, S).T
     worst = max(gv.T.ravel().tolist(), default=-np.inf)
     if not (prob.A.violation(z.x) <= FEAS_TOL and worst <= FEAS_TOL):
         raise InfeasibleCandidate(
             f"candidate violates feasibility by {worst:.3e} (tolerance {FEAS_TOL:.1e})"
         )
-    one_f, Pf, parts_f = _masked(_vertex_blocks(prob.f, X, Y, TH), S, ACT_TOL)
-    gm = [_masked(blocks, S, ACT_TOL) for blocks in gblocks]
-    act = gv >= -ACT_TOL  # (S, ell)
-    one_g = np.array([one for one, _P, _parts in gm], dtype=bool).reshape(ell, S).T
-    Pg = np.array([P for _one, P, _parts in gm]).reshape(ell, S, d + m).transpose(1, 0, 2)
-    point = one_f & (one_g | ~act).all(axis=1)
+    mf, gm = block_codiff(prob, z).masked(ACT_TOL), [bc.masked(ACT_TOL) for bc in bg]
+    act, Pf = gv >= -ACT_TOL, mf.P  # act: (S, ell)
+    one_g = np.array([mk.one for mk in gm], dtype=bool).reshape(ell, S).T
+    Pg = np.array([mk.P for mk in gm]).reshape(ell, S, d + m).transpose(1, 0, 2)
+    point = mf.one & (one_g | ~act).all(axis=1)
 
     # point scenarios: V_s = Pf[s], R_s the rows Pg[s, i] of the active g_i
     ps, (rs, ri) = np.flatnonzero(point), np.nonzero(act & point[:, None])
@@ -185,8 +163,8 @@ def check_optimality(prob: TwoStageProblem, c: float, z: Point) -> Certificate:
     checked, exhaustive = ps.shape[0], True
     for s in np.flatnonzero(~point).tolist():
         ia = np.flatnonzero(act[s])
-        gsets = [_sets(gm[i][2], s) for i in ia.tolist()]
-        Vs, Rs, q[s], chk, exh = _scenario_solve(d, _sets(parts_f, s), gsets)
+        gsets = [gm[i].sets(s) for i in ia.tolist()]
+        Vs, Rs, q[s], chk, exh = _scenario_solve(d, mf.sets(s), gsets)
         rows.append((Vs, np.full(Vs.shape[0], s), Rs, np.full(Rs.shape[0], s),
                      np.repeat(ia, [sub.shape[0] for sub, _sup in gsets])))
         checked += chk
@@ -232,13 +210,15 @@ def check_optimality(prob: TwoStageProblem, c: float, z: Point) -> Certificate:
     )
 
 
-def inf_stationarity_measure(
-    prob: TwoStageProblem,
-    c: float,
-    z: Point,
-    directions: int = 64,
-    seed: int = 0,
-) -> float:
+def _inf_stationarity(prob: TwoStageProblem, c: float, z: Point) -> tuple[float, bool]:
+    """(inf_stationarity_measure, the exhaustive flag of its nu's search)."""
+    nu, _q, exhaustive = penalty_codiff(prob, PenaltySpec("l1_max", float(c)), z).least_norm(
+        prob.A, z.x, ACT_TOL)
+    return (-nu if nu > 0.0 else 0.0), exhaustive
+
+
+def inf_stationarity_measure(prob: TwoStageProblem, c: float, z: Point,
+                             directions: int = 64) -> float:
     """-nu(ACT_TOL) of the l1_max penalized objective at z, or 0.0 when 0
     lies in the set (inf-stationary).
 
@@ -246,10 +226,8 @@ def inf_stationarity_measure(
     check_optimality uses, not scaled with c:
     the distance from 0 to the p-weighted sum of the scenarios'
     ACT_TOL-active hypodifferentials, shifted by the worst zero-offset hyper
-    selection, plus N_A(x).  ``directions`` and ``seed`` are accepted and
-    ignored: the value is exact, not sampled.  A negative or non-finite c
-    raises ValidationError (PENALTY_KIND).
+    selection, plus N_A(x), a lower bound past ENUM_CAP selections.
+    ``directions`` is accepted and ignored: the value is exact, not sampled.
+    A negative or non-finite c raises ValidationError (PENALTY_KIND).
     """
-    bc = penalty_codiff(prob, PenaltySpec("l1_max", float(c)), z)
-    nu = bc.least_norm(prob.A, z.x, ACT_TOL)[0]
-    return -nu if nu > 0.0 else 0.0
+    return _inf_stationarity(prob, c, z)[0]

@@ -7,11 +7,11 @@ eps-active block codifferential plus the normal cone of A
 
     dca_solve: difference-of-convex iteration.  The penalized integrand
         splits into convex plus/minus parts; each step linearizes the minus
-        part at the current iterate, one mean subgradient per scenario as a
-        row of the tilt, and minimizes E[plus] minus that linear tilt with
-        the engine on the problem's own expectation layer (expect,
-        _integrand_codiff).  The engine accepts only strict decreases, so
-        the objective is non-increasing.
+        part at the current iterate, one mean masked subgradient per
+        scenario (BlockCodiff.masked) as a row of the tilt, and minimizes
+        E[plus] minus that linear tilt with the engine on the problem's own
+        expectation layer (expect, _integrand_codiff).  The engine accepts
+        only strict decreases, so the objective is non-increasing.
 
     codiff_descent: the engine on Phi_c itself.
 
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codiff import quasidiff
+from .codiff import TOL_ZERO
 from .errors import NotDC, ValidationError, VertexCapExceeded
 from .expectation import ACT_TOL, BlockCodiff, I_expansion, _integrand_codiff, expect
 from .expr import Expr, dc_parts, evaluate, is_convex_struct
@@ -304,8 +304,8 @@ def dca_solve(
         steps = [(z, val, 0.0)]
         for k in range(1, opts.max_iter + 1):
             # row s: the mean zero-offset subgradient of minus in scenario s
-            tilt = np.array([quasidiff(cd).sub.mean(axis=0)
-                             for cd in _integrand_codiff(prob, dec.minus, z).per_scenario])
+            mk = _integrand_codiff(prob, dec.minus, z).masked(TOL_ZERO)
+            tilt = np.add.reduceat(mk.sub, mk.sub_at[:-1]) / np.diff(mk.sub_at)[:, None]
             z_new = convex_subsolve(prob, dec.plus, tilt, z)
             v_new = Phi_c(prob, spec, z_new)
             moved = v_new < val

@@ -306,6 +306,27 @@ def lambda_two_instance():
                            witness=Point(x=[0.0], y=[[-1.0]]))
 
 
+def ragged_case():
+    """(problem, point): nine abs terms give f 2^9 hypo vertices, more than
+    a rows pass keeps, so f is differentiated one scenario at a time (one
+    block per scenario); scenario 0 sits on four convex kinks and scenario
+    1 on the concave one, scenario 2 on neither; one constraint y <= 0.7."""
+    rng = np.random.default_rng(17)
+    sp = Space(d=1, m=1, q=1)
+    x, Y, TH = np.array([0.3]), np.array([[0.2], [-0.4], [0.7]]), np.array([[0.1], [-0.2], [0.5]])
+    terms = []
+    for i in range(9):
+        cx, cy, ct = rng.normal(size=1), rng.normal(size=1), rng.normal(size=1)
+        c0 = -float(cx @ x + cy @ Y[0] + ct @ TH[0]) if i < 4 else float(rng.normal())
+        terms.append(absolute(sp.affine(c0, cx, cy, ct)))
+    kink = absolute(sp.affine(-float(Y[1, 0]), cy=[1.0]))
+    f = dc(add(quad(sp.dims, np.eye(2), psd=True), *terms), kink)
+    g = sp.affine(-0.7, cy=[1.0])
+    p = TwoStageProblem(d=1, m=1, A=FirstStageSet.box([-1.0], [1.0]), f=f, g=(g,),
+                        scenarios=ScenarioSpace(probs=np.full(3, 1 / 3), params=TH))
+    return p, Point(x=x, y=Y)
+
+
 def rebind(monkeypatch, orig, repl):
     """Point every name that refers to ``orig`` in every codiffsp module at
     ``repl``: modules bind library functions at import time, so patching

@@ -129,6 +129,18 @@ def test_certify_residual_is_worst_selection(tmp_path):
     assert cert["residuals"]["stationarity"] == pytest.approx(-cert["inf_stationarity"])
 
 
+@pytest.mark.parametrize("S", [1, 5])
+def test_certify_reports_whether_nu_searched_every_selection(tmp_path, S):
+    # 2^S selections: 32 are past ENUM_CAP, and nu is then a greedy lower bound
+    p = concave_kinks(S)
+    fp, pt = tmp_path / "kink.json", tmp_path / "z.json"
+    fp.write_text(json.dumps(serialize_problem(p)))
+    pt.write_text(json.dumps(serialize_point(p.witness)))
+    r = run("certify", "-i", str(fp), "--point", str(pt), "--c", "10")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["inf_exhaustive"] is (S == 1)
+
+
 def test_certify_rejects_infeasible(prob_file, tmp_path):
     obj = json.loads(prob_file.read_text())
     bad = {"x": obj["witness"]["x"],

@@ -27,7 +27,7 @@ from codiffsp import (
     scale,
 )
 
-from codiffsp.codiff import AUTO_PRUNE_AT, _codiff_rows_values, codiff_rows
+from codiffsp.codiff import AUTO_PRUNE_AT, _vertex_blocks, codiff_rows
 
 from conftest import kinkify, random_case
 
@@ -319,8 +319,8 @@ def test_rows_match_one_point_codiff():
 def test_rows_values_have_evaluate_bits():
     # the values a rows pass hands back, one pass or row by row when ragged
     for f, X, Y, TH in _random_rows_cases(40):
-        pairs, vals = _codiff_rows_values(f, X, Y, TH)
-        assert vals.shape == (X.shape[0],) and len(pairs) == X.shape[0]
+        vals = np.hstack([v for *_b, v in _vertex_blocks(f, X, Y, TH)])
+        assert vals.shape == (X.shape[0],) and len(codiff_rows(f, X, Y, TH)) == X.shape[0]
         want = [evaluate(f, x, y, th) for x, y, th in zip(X, Y, TH)]
         assert vals.tobytes() == np.array(want).tobytes()
 

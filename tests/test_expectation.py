@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from codiffsp import (
+    CodiffPair,
+    DimensionMismatch,
     FirstStageSet,
     NonFinite,
     Point,
@@ -21,6 +23,7 @@ from codiffsp import (
     dc,
     evaluate,
     eval_I,
+    expansion_value,
     generate,
     I_dirderiv,
     I_expansion,
@@ -32,9 +35,10 @@ from codiffsp import (
 from codiffsp.codiff import _vertex_blocks
 from codiffsp.expectation import ENUM_CAP, _integrand_codiff, expect, max_over_selections
 from codiffsp.optimality import check_optimality, inf_stationarity_measure
-from codiffsp.penalty import PenaltySpec, penalty_integrand
+from codiffsp.penalty import PenaltySpec, penalty_integrand, phi_l1
+from codiffsp.solvers import SolveOpts, codiff_descent, dca_solve
 
-from conftest import one_sided_richardson, rebind
+from conftest import one_sided_richardson, ragged_case, rebind
 
 
 def _prob(f, d, m, probs, params):
@@ -131,15 +135,43 @@ def test_expansion_single_scenario_reduces():
     assert I_expansion(bc, dx, dy) == pytest.approx(direct, abs=1e-15)
 
 
+def _expansion_loop(bc, dx, dy):
+    """I_expansion as the scenario loop it replaced: sum_s p_s
+    expansion_value(pair_s, (dx, dy_s)) in ascending order from 0.0."""
+    total = 0.0
+    for s, cd in enumerate(bc.per_scenario):
+        total += float(bc.probs[s]) * expansion_value(cd, np.hstack((dx, dy[..., s, :])))
+    return total
+
+
 def test_expansion_stack_matches_one_direction():
+    # bit for bit with the scenario loop, on one rows-pass block and on one
+    # block per scenario; one direction and a stack call BLAS differently
     p = generate(31, d=2, m=2, S=4, l=1, dc=True)
-    bc = block_codiff(p, p.witness)
     rng = np.random.default_rng(2)
-    DX, DY = rng.normal(size=(5, 2)), rng.normal(size=(5, 4, 2))
-    stack = I_expansion(bc, DX, DY)
-    assert stack.shape == (5,)
-    for dx, dy, v in zip(DX, DY, stack):
-        assert v == pytest.approx(I_expansion(bc, dx, dy), rel=1e-12, abs=1e-12)
+    for p, z in ((p, p.witness), ragged_case()):
+        bc = block_codiff(p, z)
+        DX, DY = rng.normal(size=(5, p.d)), rng.normal(size=(5, p.S, p.m))
+        stack = I_expansion(bc, DX, DY)
+        assert stack.shape == (5,) and stack.tobytes() == _expansion_loop(bc, DX, DY).tobytes()
+        for dx, dy, v in zip(DX, DY, stack):
+            one = I_expansion(bc, dx, dy)
+            assert one.hex() == _expansion_loop(bc, dx, dy).hex()
+            assert one == pytest.approx(v, rel=1e-12, abs=1e-12)
+    assert len(bc.blocks) == p.S  # the ragged case: one block per scenario
+
+
+def test_directions_without_S_rows_of_m_are_refused():
+    p = generate(1000, d=2, m=2, S=3, l=2, dc=True)
+    bc = block_codiff(p, p.witness)
+    for dy in (np.zeros((4, 2)), np.zeros((3, 3)), np.zeros((2, 3))):
+        with pytest.raises(DimensionMismatch):
+            I_expansion(bc, np.zeros(2), dy)
+        with pytest.raises(DimensionMismatch):
+            I_dirderiv(p, p.witness, np.zeros(2), dy)
+    with pytest.raises(DimensionMismatch):
+        I_expansion(bc, np.zeros((5, 2)), np.zeros((4, 3, 2)))
+    assert I_expansion(bc, np.zeros((5, 2)), np.zeros((5, 3, 2))).tolist() == [0.0] * 5
 
 
 def test_expansion_two_scenario_abs():
@@ -242,7 +274,7 @@ def test_scenario_layers_never_differentiate_point_by_point(monkeypatch):
 
     def results():
         return _bits(
-            [penalty_codiff(p, spec, z) for z in (p.witness, z_out)],
+            [penalty_codiff(p, spec, z).per_scenario for z in (p.witness, z_out)],
             check_optimality(p, 10.0, p.witness),
             [inf_stationarity_measure(p, 10.0, z) for z in (p.witness, z_out)],
             check_nondegeneracy(p, samples=100, seed=3),
@@ -257,6 +289,30 @@ def test_scenario_layers_never_differentiate_point_by_point(monkeypatch):
         raise AssertionError("a scenario layer called codiff one point at a time")
 
     assert rebind(monkeypatch, codiff, one_point) > 0
+    assert results() == want
+
+
+def test_solver_paths_build_no_pairs(monkeypatch):
+    # nu, the step model, DCA's tilt and the certificate read BlockCodiff's
+    # masks; CodiffPairs are for the one-point surface only
+    p = generate(1000, d=2, m=2, S=5, l=2, dc=True)
+    z_out = Point(x=p.witness.x, y=p.witness.y + 2.0 * np.random.default_rng(0).normal(size=(5, 2)))
+    assert phi_l1(p, z_out) > 0.0
+
+    def results():
+        return _bits(
+            dca_solve(p, 10.0, p.witness, SolveOpts(max_iter=1, escalate=False)),
+            codiff_descent(p, 10.0, p.witness, SolveOpts(cd_max_iter=5)),
+            inf_stationarity_measure(p, 10.0, z_out),
+        )
+
+    want = results()
+
+    def pairs(*args, **kwargs):
+        raise AssertionError("a solver path built a CodiffPair or a quasidiff")
+
+    for orig in (CodiffPair, quasidiff):
+        assert rebind(monkeypatch, orig, pairs) > 0
     assert results() == want
 
 
