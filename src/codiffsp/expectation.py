@@ -11,9 +11,10 @@ row s being (x, y_s) with theta_s; a BlockCodiff keeps its (S, k, 1+n)
 vertex arrays, less the tilt in the hypo slopes, or one block per scenario
 where the integrand is large enough to be pruned.  nu, the step model, DCA's
 tilt and the certificate read one set of masks of them (BlockCodiff.masked);
-CodiffPairs are built only for the one-point surface.  The value path stays
-one ``evaluate`` per scenario: at S = 3, the common size, a rows evaluation
-costs more than the scalar loop.
+CodiffPairs are built only for the one-point surface.  expect takes every
+scenario's value from one pass as well (TwoStageProblem.scenario_values),
+a rows pass from model.ROWS_MIN_S scenarios on and a float pass per
+scenario below, where a rows pass's fixed cost exceeds the loop's.
 
 The hypodifferential of I is the p-weighted Minkowski sum of the scenario
 hypodifferentials, each embedded in the (x, y_s) block of (x, y_1..y_S).
@@ -38,7 +39,7 @@ import numpy as np
 from ._minnorm import _least_norm, inside
 from .codiff import CodiffPair, _codiff_pairs, _masked_rows, _vertex_blocks, dirderiv, quasidiff
 from .errors import DimensionMismatch, NonFinite
-from .expr import Expr, evaluate
+from .expr import Expr
 from .model import FirstStageSet, Point, TwoStageProblem
 
 # A vertex (or a constraint) within ACT_TOL of active counts as active; the
@@ -172,17 +173,23 @@ class BlockCodiff:
 def expect(
     prob: TwoStageProblem, integrand: Expr, z: Point, tilt: np.ndarray | None = None
 ) -> float:
-    """sum_s p_s integrand(x, y_s, theta_s), summed in ascending scenario
-    order, less sum_s p_s <tilt[s], (x, y_s)> when a tilt (S, d+m) is given;
-    NonFinite when a scenario's term is not finite."""
-    prob.check_point(z)
-    th = prob.scenarios.params
-    total = 0.0
-    for s in range(prob.S):
-        v = evaluate(integrand, z.x, z.y[s], th[s])
-        if not math.isfinite(v):
-            raise NonFinite(f"integrand not finite in scenario {s}")
-        total += float(prob.scenarios.probs[s]) * v
+    """sum_s p_s integrand(x, y_s, theta_s), less sum_s p_s <tilt[s], (x, y_s)>
+    when a tilt (S, d+m) is given; NonFinite names the first scenario whose
+    term is not finite.
+
+    The values come from TwoStageProblem.scenario_values, with evaluate's
+    bits: one rows pass over every scenario from model.ROWS_MIN_S scenarios
+    on, and a float pass per scenario below.  The crossover exists because a
+    rows pass has a fixed cost, about that of 10 float passes, that does not
+    grow with S.  cumsum adds the p_s v_s in ascending scenario order, and
+    + 0.0 is the ascending loop's 0.0 start (an all -0.0 sum reads +0.0), so
+    the sum has that loop's bits.
+    """
+    v = prob.scenario_values(integrand, z)
+    total = float((prob.scenarios.probs * v).cumsum()[-1] + 0.0)
+    # every p_s > 0, so a finite total has finite terms
+    if not math.isfinite(total) and not (ok := np.isfinite(v)).all():
+        raise NonFinite(f"integrand not finite in scenario {int(np.argmin(ok))}")
     if tilt is not None:
         lin = tilt[:, :prob.d] @ z.x + (tilt[:, prob.d:] * z.y).sum(axis=1)
         total -= float(prob.scenarios.probs @ lin)

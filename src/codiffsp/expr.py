@@ -295,8 +295,8 @@ def _check_point(dims: Dims | None, x, y, theta):
 
 def _atom(e: Expr, w: list):
     """Value of an affine or quad atom at w = (x, y, theta), whose entries are
-    all floats (one point) or (N,) arrays for the x and y coordinates (N
-    points; theta floats or (N,) arrays).
+    all floats (one point) or (N,) arrays for the y coordinates (N points;
+    x and theta floats or (N,) arrays).
 
     The order of operations is fixed and independent of N: start from c0 and
     add coefficient * coordinate one coordinate at a time; for a quad,
@@ -327,12 +327,13 @@ def node_values(expr: Expr, w: list, n: int | None = None) -> list:
     """Value of every node of ``expr._tape`` at w = (x, y, theta), in tape order.
 
     With ``n`` None, w holds floats (one point) and the values are floats.
-    Otherwise every x and y entry of w is an (n,) column, each theta entry a
-    float or an (n,) column, and every value is an (n,) array.  Both cases
-    apply the same operation at every node (``_atom`` at the atoms; at max
-    and min, np.where keeps the builtins' first extreme value, so a 0.0 /
-    -0.0 tie keeps its sign, where np.maximum and np.minimum return the
-    second), so a point's value has the same bits either way.
+    Otherwise every y entry of w is an (n,) column, each x and theta entry a
+    float shared by every row or an (n,) column, and every value is an (n,)
+    array.  Both cases apply the same operation at every node (``_atom`` at
+    the atoms; at max and min, np.where keeps the builtins' first extreme
+    value, so a 0.0 / -0.0 tie keeps its sign, where np.maximum and
+    np.minimum return the second), so a point's value has the same bits
+    either way.
     """
     vals: list = []
     for e, kids in expr._tape:
@@ -341,7 +342,7 @@ def node_values(expr: Expr, w: list, n: int | None = None) -> list:
             v = e.value if n is None else np.full(n, e.value)
         elif k in ("affine", "quad"):
             v = _atom(e, w)
-            if n is not None and np.ndim(v) == 0:  # the atom reads theta only
+            if n is not None and np.ndim(v) == 0:  # the atom reads no column
                 v = np.full(n, v)
         elif k == "add":
             v = 0.0

@@ -181,8 +181,13 @@ def phi_l1(prob: TwoStageProblem, z: Point) -> float:
 
 def Phi_c(prob: TwoStageProblem, spec: PenaltySpec, z: Point) -> float:
     """Penalized objective eval_I + c * phi."""
+    return _Phi_c_and_phi(prob, spec, z)[0]
+
+
+def _Phi_c_and_phi(prob: TwoStageProblem, spec: PenaltySpec, z: Point) -> tuple[float, float]:
+    """(Phi_c, phi) at z, for the solvers' reports."""
     phi = phi_dist(prob, z) if spec.kind == "dist_p" else phi_l1(prob, z)
-    return eval_I(prob, z) + spec.c * phi
+    return eval_I(prob, z) + spec.c * phi, phi
 
 
 def penalty_integrand(prob: TwoStageProblem, c: float) -> Expr:

@@ -46,7 +46,7 @@ from .errors import NotDC, ValidationError, VertexCapExceeded
 from .expectation import ACT_TOL, BlockCodiff, I_expansion, _integrand_codiff, expect
 from .expr import Expr, dc_parts, evaluate, is_convex_struct
 from .model import FirstStageSet, Point, TwoStageProblem
-from .penalty import PenaltySpec, Phi_c, penalty_codiff, penalty_integrand, phi_l1
+from .penalty import PenaltySpec, _Phi_c_and_phi, penalty_codiff, penalty_integrand
 
 __all__ = [
     "DCDecomposition",
@@ -159,9 +159,10 @@ def _model_start(bc: BlockCodiff, q: np.ndarray, nu: float) -> int:
 
 
 def _armijo(value, A: FirstStageSet, z: Point, val: float, q: np.ndarray, nu: float, k0: int):
-    """First (point, value, t) along z - t q, t = 2^-k for k = k0, k0 + 1, ...
-    up to ARMIJO_HALVINGS - 1, that decreases value by at least
-    ARMIJO_SIGMA * t * nu^2; None when none does."""
+    """First (point, value, t, phi) along z - t q, t = 2^-k for k = k0,
+    k0 + 1, ... up to ARMIJO_HALVINGS - 1, that decreases value by at least
+    ARMIJO_SIGMA * t * nu^2, value(z) giving (value, phi); None when none
+    does."""
     d = z.x.shape[0]
     hx = -q[:d]
     hY = -q[d:].reshape(z.y.shape)
@@ -170,9 +171,9 @@ def _armijo(value, A: FirstStageSet, z: Point, val: float, q: np.ndarray, nu: fl
     for k in range(k0, ARMIJO_HALVINGS):
         t = 0.5**k
         z_t = Point(x=A.project(z.x + t * hx), y=z.y + t * hY)
-        v_t = value(z_t)
+        v_t, phi_t = value(z_t)
         if v_t < val - max(slope * t, noise):
-            return z_t, v_t, t
+            return z_t, v_t, t, phi_t
     return None
 
 
@@ -188,15 +189,16 @@ def _descend(prob: TwoStageProblem, integrand: Expr, value, z: Point, tol: float
     a vertex up to eps from active can hold nu(eps) near 0 while nu at a
     finer eps is large.  Every Armijo search starts at the largest step
     t = 2^-k that the block codifferential's first-order model says passes
-    (_model_start).  Returns (steps, status, iterations, exhaustive): steps
-    lists (point, value, t), from (z, value(z), 0.0), one entry per accepted
-    step; status is converged (nu(ACT_TOL) <= tol), stalled (no step passes
-    at eps = ACT_TOL), vertex_cap (a codifferential outgrew
+    (_model_start).  value(z) gives (value, phi), phi the penalty term or
+    None.  Returns (steps, status, iterations, exhaustive): steps lists
+    (point, value, t, phi), from (z, value, 0.0, phi) at z, one entry per
+    accepted step; status is converged (nu(ACT_TOL) <= tol), stalled (no
+    step passes at eps = ACT_TOL), vertex_cap (a codifferential outgrew
     codiff.MAX_VERTICES) or iteration_cap; exhaustive is the flag of the
     last nu's selection search (True before any).
     """
-    val = value(z)
-    steps = [(z, val, 0.0)]
+    val, phi = value(z)
+    steps = [(z, val, 0.0, phi)]
     level = 5
     it = 0
     exhaustive = True
@@ -217,7 +219,7 @@ def _descend(prob: TwoStageProblem, integrand: Expr, value, z: Point, tol: float
                 return steps, ("converged" if nu <= tol else "stalled"), it, exhaustive
             level -= 1
         steps.append(step)
-        z, val, _t = step
+        z, val = step[:2]
     return steps, "iteration_cap", it, exhaustive
 
 
@@ -238,7 +240,7 @@ def convex_subsolve(prob: TwoStageProblem, integrand: Expr, tilt: np.ndarray, z0
     exceeds the objective at the projected start.
     """
     z = Point(x=prob.A.project(z0.x), y=z0.y)
-    steps = _descend(prob, integrand, lambda z: expect(prob, integrand, z, tilt), z,
+    steps = _descend(prob, integrand, lambda z: (expect(prob, integrand, z, tilt), None), z,
                      INNER_TOL, INNER_ITERS, tilt)[0]
     return steps[-1][0]
 
@@ -252,8 +254,9 @@ def _solve(prob: TwoStageProblem, c: float, z0: Point, opts: SolveOpts | None, r
     """Minimize Phi_c from z0, x projected onto A, one penalty segment at a
     time, escalating c as the module docstring says.  run(spec, z, opts)
     runs one segment from z and returns (steps, status, iterations,
-    exhaustive) in the shape of _descend.  Iterations sum over the segments;
-    the history and the exhaustive flag are the final one's."""
+    exhaustive) in the shape of _descend, each step's phi that of its
+    Phi_c evaluation.  Iterations sum over the segments; the history and
+    the exhaustive flag are the final one's."""
     opts = opts or SolveOpts()
     prob.check_point(z0)
     z = Point(x=prob.A.project(z0.x), y=z0.y)
@@ -263,8 +266,7 @@ def _solve(prob: TwoStageProblem, c: float, z0: Point, opts: SolveOpts | None, r
     while True:
         steps, status, it, exhaustive = run(PenaltySpec("l1_max", c_now), z, opts)
         total_iters += it
-        z, val, _t = steps[-1]
-        phi = phi_l1(prob, z)
+        z, val, _t, phi = steps[-1]
         if not (phi > opts.tol_feas and status in ("converged", "stalled")
                 and opts.escalate and escalations < 5):
             break
@@ -278,7 +280,7 @@ def _solve(prob: TwoStageProblem, c: float, z0: Point, opts: SolveOpts | None, r
         final_value=val,
         final_phi=phi,
         status=status,
-        history=tuple((v, phi_l1(prob, zk), t) for zk, v, t in steps),
+        history=tuple((v, phi_k, t) for _z, v, t, phi_k in steps),
         c_final=c_now,
         exhaustive=exhaustive,
     )
@@ -300,18 +302,18 @@ def dca_solve(
 
     def run(spec: PenaltySpec, z: Point, opts: SolveOpts):
         dec = dc_decompose(prob, spec.c)
-        val = Phi_c(prob, spec, z)
-        steps = [(z, val, 0.0)]
+        val, phi = _Phi_c_and_phi(prob, spec, z)
+        steps = [(z, val, 0.0, phi)]
         for k in range(1, opts.max_iter + 1):
             # row s: the mean zero-offset subgradient of minus in scenario s
             mk = _integrand_codiff(prob, dec.minus, z).masked(TOL_ZERO)
             tilt = np.add.reduceat(mk.sub, mk.sub_at[:-1]) / np.diff(mk.sub_at)[:, None]
             z_new = convex_subsolve(prob, dec.plus, tilt, z)
-            v_new = Phi_c(prob, spec, z_new)
+            v_new, phi_new = _Phi_c_and_phi(prob, spec, z_new)
             moved = v_new < val
             if moved:
                 step = np.hypot(np.linalg.norm(z_new.x - z.x), np.linalg.norm(z_new.y - z.y))
-                steps.append((z_new, v_new, float(step)))
+                steps.append((z_new, v_new, float(step), phi_new))
                 z, val = z_new, v_new
             nu, _q, exhaustive = penalty_codiff(prob, spec, z).least_norm(prob.A, z.x, ACT_TOL)
             if nu <= opts.tol_stat:
@@ -333,7 +335,8 @@ def codiff_descent(
     taken."""
 
     def run(spec: PenaltySpec, z: Point, opts: SolveOpts):
-        return _descend(prob, penalty_integrand(prob, spec.c), lambda z: Phi_c(prob, spec, z),
+        return _descend(prob, penalty_integrand(prob, spec.c),
+                        lambda z: _Phi_c_and_phi(prob, spec, z),
                         z, opts.tol_stat, opts.cd_max_iter)
 
     return _solve(prob, c, z0, opts, run)

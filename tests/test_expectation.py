@@ -1,6 +1,7 @@
 """Expectation functional over finite scenario spaces."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from codiffsp import (
     generate,
     I_dirderiv,
     I_expansion,
+    Phi_c,
     penalty_codiff,
     quad,
     quasidiff,
@@ -34,6 +36,7 @@ from codiffsp import (
 )
 from codiffsp.codiff import _vertex_blocks
 from codiffsp.expectation import ENUM_CAP, _integrand_codiff, expect, max_over_selections
+from codiffsp.model import ROWS_MIN_S
 from codiffsp.optimality import check_optimality, inf_stationarity_measure
 from codiffsp.penalty import PenaltySpec, penalty_integrand, phi_l1
 from codiffsp.solvers import SolveOpts, codiff_descent, dca_solve
@@ -89,6 +92,76 @@ def test_overflow_names_scenario():
     z = Point(x=[0.0], y=[[0.0], [0.0]])
     with pytest.raises(NonFinite, match="scenario 1"):
         eval_I(p, z)
+
+
+def test_overflow_on_rows_is_silent_and_names_scenario():
+    # 12 scenarios take the rows pass, which raises as the scalar loop does
+    # and lets no numpy overflow warning out
+    assert ROWS_MIN_S <= 12
+    sp = Space(d=1, m=1, q=1)
+    f = affine(sp.dims, 0.0, [0.0], [0.0], [1e308])
+    params = np.zeros((12, 1))
+    params[[1, 5]] = 10.0
+    p = _prob(f, 1, 1, np.full(12, 1.0 / 12), params)
+    z = Point(x=[0.0], y=np.zeros((12, 1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFinite, match="scenario 1$"):
+            eval_I(p, z)
+
+
+def _bits(v):
+    return np.float64(v).tobytes()
+
+
+def _expect_loop(prob, integrand, z, tilt=None):
+    """expect written out: one evaluate per scenario, summed in ascending
+    scenario order from 0.0, less the tilt's p-weighted linear forms."""
+    th = prob.scenarios.params
+    total = 0.0
+    for s in range(prob.S):
+        total += float(prob.scenarios.probs[s]) * evaluate(integrand, z.x, z.y[s], th[s])
+    if tilt is not None:
+        lin = tilt[:, :prob.d] @ z.x + (tilt[:, prob.d:] * z.y).sum(axis=1)
+        total -= float(prob.scenarios.probs @ lin)
+    return total
+
+
+@pytest.mark.parametrize("S", [ROWS_MIN_S - 1, ROWS_MIN_S, 100])
+def test_values_have_the_scenario_loop_bits(S):
+    # on either side of the rows crossover: expect with and without a tilt,
+    # phi_l1 and Phi_c
+    spec = PenaltySpec("l1_max", 10.0)
+    infeasible = 0
+    for seed in (1000, 1001):
+        p = generate(seed, d=2, m=2, S=S, l=2, dc=True)
+        rng = np.random.default_rng(seed)
+        tilt = rng.normal(size=(S, 4))
+        for spread in (0.1, 2.0):
+            z = Point(x=p.witness.x + spread * rng.normal(size=2),
+                      y=p.witness.y + spread * rng.normal(size=(S, 2)))
+            I, phi = _expect_loop(p, p.f, z), _expect_loop(p, p.g_plus, z)
+            got = [eval_I(p, z), expect(p, p.f, z, tilt), phi_l1(p, z), Phi_c(p, spec, z)]
+            want = [I, _expect_loop(p, p.f, z, tilt), phi, I + spec.c * phi]
+            assert list(map(_bits, got)) == list(map(_bits, want))
+            infeasible += phi > 0.0
+    assert infeasible >= 2
+
+
+@pytest.mark.parametrize("S", [ROWS_MIN_S - 1, ROWS_MIN_S])
+def test_integrand_over_other_dims_is_refused(S):
+    p = generate(1000, d=2, m=2, S=S, l=1, dc=True)
+    with pytest.raises(DimensionMismatch):
+        expect(p, Space(d=1, m=1, q=0).x(0), p.witness)
+
+
+@pytest.mark.parametrize("S", [ROWS_MIN_S - 1, ROWS_MIN_S])
+def test_negative_zero_terms_sum_to_positive_zero(S):
+    # every p_s * v_s is -0.0; the loop's 0.0 start makes the sum +0.0
+    sp = Space(d=1, m=1, q=1)
+    p = _prob(scale(-1.0, sp.y(0)), 1, 1, np.full(S, 1.0 / S), np.zeros((S, 1)))
+    z = Point(x=[0.0], y=np.zeros((S, 1)))
+    assert _bits(eval_I(p, z)) == _bits(_expect_loop(p, p.f, z)) == _bits(0.0)
 
 
 def test_block_codiff_smooth_singletons():

@@ -27,6 +27,7 @@ from codiffsp.expr import (
     is_affine_struct,
     is_convex_struct,
     is_smooth_struct,
+    node_values,
     to_json,
 )
 
@@ -260,6 +261,26 @@ def test_batch_takes_a_theta_per_row():
     rows = evaluate_batch(signed, np.zeros((4, 1)), np.zeros((4, 1)),
                           [[0.0, 0.0], [-0.0, 0.0], [-0.0, -0.0], [0.0, -0.0]])
     assert np.signbit(rows).tolist() == [False, True, True, False]
+
+
+def test_rows_take_x_as_floats_every_row_shares():
+    # x entries as floats beside (n,) y and theta columns give every node
+    # the bits of the pass with x as columns, signs of zero included
+    sp = Space(d=2, m=1, q=1)
+    signed = maximum(affine(sp.dims, -0.0, cx=[1.0, 0.0]), scale(-1.0, sp.x(1)))
+    cases = [(sp.dims, signed, [-0.0, 0.0]), (sp.dims, signed, [0.0, -0.0])]
+    for seed in (1, 2, 3, 4, 6, 7, 8):
+        rng = np.random.default_rng(seed)
+        dims, f, _, x, *_ = random_case(rng, max_depth=4)
+        cases.append((dims, f, list(x)))
+    rng = np.random.default_rng(12)
+    for (d, m, q), f, x in cases:
+        Y = rng.uniform(-2, 2, (40, m))
+        TH = rng.uniform(-2, 2, (40, q))
+        cols = list(Y.T) + list(TH.T)
+        mixed = node_values(f, [float(v) for v in x] + cols, 40)
+        full = node_values(f, list(np.tile(x, (40, 1)).T) + cols, 40)
+        assert [np.asarray(v).tobytes() for v in mixed] == [v.tobytes() for v in full], f.kind
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,5 +1,6 @@
 """Problem model: validation, feasibility, JSON round-trip, instance generator."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -22,7 +23,7 @@ from codiffsp import (
     load_problem,
     serialize_problem,
 )
-from codiffsp.model import load_point, serialize_point
+from codiffsp.model import ROWS_MIN_S, load_point, serialize_point
 
 MINIMAL = {
     "d": 1,
@@ -148,6 +149,43 @@ def test_is_feasible_locates_worst_violation():
     assert rep.feasible is False
     assert (rep.worst_constraint, rep.worst_scenario) == (0, 1)
     assert rep.max_violation == pytest.approx(2.0)
+
+
+def _feasibility_loop(prob, z):
+    """is_feasible's report written out: the first largest g_i value over
+    the constraints, then the scenarios, one evaluate each."""
+    worst, wi, ws = -np.inf, -1, -1
+    for i, gi in enumerate(prob.g):
+        for s in range(prob.S):
+            v = evaluate(gi, z.x, z.y[s], prob.scenarios.params[s])
+            if v > worst:
+                worst, wi, ws = v, i, s
+    return worst, wi, ws
+
+
+@pytest.mark.parametrize("S", [ROWS_MIN_S - 1, ROWS_MIN_S, 100])
+def test_is_feasible_matches_the_constraint_loop(S):
+    # on either side of the rows crossover: the same value, bits and type,
+    # and the first of tied worst (i, s); -inf and -1 when l = 0
+    rng = np.random.default_rng(S)
+    for ell in (0, 2, 3):
+        p = generate(1000 + ell, d=2, m=2, S=S, l=ell, dc=True)
+        # g_0 twice, every scenario alike: every (i, s) ties
+        tied = dataclasses.replace(p, g=p.g[:1] * 2, witness=None, scenarios=ScenarioSpace(
+            probs=p.scenarios.probs, params=np.repeat(p.scenarios.params[:1], S, axis=0)))
+        for spread in (0.1, 2.0):
+            z = Point(x=p.witness.x + spread * rng.normal(size=2),
+                      y=p.witness.y + spread * rng.normal(size=(S, 2)))
+            same = Point(x=z.x, y=np.repeat(z.y[:1], S, axis=0))
+            for prob, pt in ((p, z), (tied, same)):
+                _ok, rep = is_feasible(prob, pt)
+                got = (rep.max_violation, rep.worst_constraint, rep.worst_scenario)
+                want = _feasibility_loop(prob, pt)
+                assert type(got[0]) is float
+                assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+                assert got[1:] == want[1:]
+                if prob is tied and ell:
+                    assert got[1:] == (0, 0)
 
 
 def test_is_feasible_boundary_tolerance():

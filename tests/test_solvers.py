@@ -356,7 +356,7 @@ def test_both_solvers_agree_on_coupled():
 
 
 def _count_calls(monkeypatch, name):
-    """Count the calls of solvers' module-level ``name`` (Phi_c or expect)."""
+    """Count the calls of solvers' module-level ``name`` (_Phi_c_and_phi or expect)."""
     calls = [0]
     inner = getattr(sv, name)
 
@@ -375,7 +375,7 @@ def test_model_start_is_exact_on_polyhedral(monkeypatch, x0):
     # the step a search from t = 1 takes
     p = abs_free_1d()
     z0 = Point(x=[x0], y=[[0.0]])
-    calls = _count_calls(monkeypatch, "Phi_c")
+    calls = _count_calls(monkeypatch, "_Phi_c_and_phi")
     rep = codiff_descent(p, 1.0, z0)
     assert rep.status == "converged"
     assert calls[0] == len(rep.history)
@@ -435,7 +435,7 @@ def test_searches_start_at_the_model_step(monkeypatch):
 
 def test_value_calls_stay_few(monkeypatch):
     # counts repeat exactly; a search from t = 1 made 1373 and 2184
-    calls = _count_calls(monkeypatch, "Phi_c")
+    calls = _count_calls(monkeypatch, "_Phi_c_and_phi")
     for seed in range(1000, 1004):
         p = generate(seed, d=2, m=2, S=3, l=2, dc=True)
         codiff_descent(p, 10.0, p.witness)
