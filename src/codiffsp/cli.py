@@ -177,7 +177,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    from ._minnorm import min_norm_point
+    from ._minnorm import _least_norm, _segments_least_norm, min_norm_point
     from .codiff import codiff, codiff_rows
     from .expr import Space, absolute, add, affine, dc, quad
     from .model import FirstStageSet, ScenarioSpace, TwoStageProblem
@@ -194,6 +194,22 @@ def _cmd_selftest(args) -> int:
     def t_minnorm():
         q, _ = min_norm_point(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]))
         assert np.linalg.norm(q) <= 1e-9
+
+    def t_segments():
+        # the segment path against the NNLS kernel on 40 seeded blocks of
+        # two vertices, two shared coordinates and two private to each
+        rng = np.random.default_rng(40)
+        d, m, B = 2, 2, 40
+        V = np.zeros((2 * B, d + B * m))
+        V[:, :d] = rng.normal(size=(2 * B, d)) / B
+        for b in range(B):
+            V[2 * b:2 * b + 2, d + b * m:d + (b + 1) * m] = rng.normal(size=(2, m)) / np.sqrt(B)
+        sizes = (2,) * B
+        out = _segments_least_norm(V, V[:0], sizes, d)
+        assert out is not None, "the segment path fell back"
+        want = _least_norm(V, V[:0], sizes)[0]
+        gap = abs(float(np.linalg.norm(out[0]) - np.linalg.norm(want)))
+        assert gap <= 1e-12 * float(np.abs(V).max()), f"|q| differs from NNLS's by {gap:.3g}"
 
     def t_generate_roundtrip():
         prob = generate(3, d=2, m=2, S=3, l=2)
@@ -261,6 +277,7 @@ def _cmd_selftest(args) -> int:
 
     checks = [
         ("min_norm_point", t_minnorm),
+        ("segments", t_segments),
         ("generate_roundtrip", t_generate_roundtrip),
         ("solve_and_certify", t_solve_and_certify),
         ("codiff_descent", t_descent),

@@ -161,18 +161,20 @@ def _rows_pass(
     """(hypo, hyper, value): vertex sets of shapes (N, k1, 1+n) and
     (N, k2, 1+n) at the N rows and the root's node_values entry, a float
     when N == 1; raises _Ragged when N != 1 and a set outgrows the unpruned
-    range."""
-    N = X.shape[0]
-    n = X.shape[1] + Y.shape[1]
-    Z = np.hstack((X, Y))
+    range.  X is (N, d), or one (d,) row that every row shares."""
+    N = Y.shape[0]
+    n = X.shape[-1] + Y.shape[1]
+    Z = np.hstack((np.broadcast_to(X, (N, X.shape[-1])), Y))
     zero = np.zeros((N, 1, 1 + n))
     tape = expr._tape
     # one row takes the float path of node_values, which has the same bits
-    # at a small fraction of the cost of (1,) columns
+    # at a small fraction of the cost of (1,) columns; a shared x enters the
+    # rows as floats, with the bits of columns
     if N == 1:
         vals = node_values(expr, Z[0].tolist() + TH[0].tolist())
     else:
-        vals = node_values(expr, list(Z.T) + list(TH.T), N)
+        xs = X.tolist() if X.ndim == 1 else list(X.T)
+        vals = node_values(expr, xs + list(Y.T) + list(TH.T), N)
 
     def smooth_pair(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         hypo = np.zeros((N, 1, 1 + n))
@@ -295,30 +297,32 @@ def _vertex_blocks(expr: Expr, X, Y, TH) -> list[tuple[slice, np.ndarray, np.nda
     or, where a set outgrows the unpruned range, one block per row, each
     pruned as a one-point pass prunes it.  rows is the slice of the rows a
     block covers; hypo and hyper are its (len, k1, 1+n) and (len, k2, 1+n)
-    vertex arrays and values the DAG's values at its rows (node_values)."""
+    vertex arrays and values the DAG's values at its rows (node_values).
+    X may also be one (d,) row that every row shares."""
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     TH = np.asarray(TH, dtype=np.float64)
-    if X.ndim != 2 or Y.ndim != 2 or TH.ndim != 2 or not (
-        X.shape[0] == Y.shape[0] == TH.shape[0]
+    if X.ndim not in (1, 2) or Y.ndim != 2 or TH.ndim != 2 or not (
+        (X.ndim == 1 or X.shape[0] == Y.shape[0]) and Y.shape[0] == TH.shape[0]
     ):
         raise DimensionMismatch(
             f"row blocks {X.shape}, {Y.shape}, {TH.shape} are not (N, .) arrays of one N"
         )
     if expr.dims is not None:
         d, m, q = expr.dims
-        if (X.shape[1], Y.shape[1], TH.shape[1]) != (d, m, q):
+        if (X.shape[-1], Y.shape[1], TH.shape[1]) != (d, m, q):
             raise DimensionMismatch(
-                f"point blocks ({X.shape[1]}, {Y.shape[1]}, {TH.shape[1]}) "
+                f"point blocks ({X.shape[-1]}, {Y.shape[1]}, {TH.shape[1]}) "
                 f"do not match declared dims ({d}, {m}, {q})"
             )
-    N = X.shape[0]
+    N = Y.shape[0]
     if N == 0:
         return []
     try:
         return [(slice(0, N), *_rows_pass(expr, X, Y, TH))]
     except _Ragged:
-        return [(slice(r, r + 1), *_rows_pass(expr, X[r:r + 1], Y[r:r + 1], TH[r:r + 1]))
+        return [(slice(r, r + 1), *_rows_pass(expr, X if X.ndim == 1 else X[r:r + 1],
+                                              Y[r:r + 1], TH[r:r + 1]))
                 for r in range(N)]
 
 

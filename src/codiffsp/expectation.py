@@ -20,7 +20,11 @@ The hypodifferential of I is the p-weighted Minkowski sum of the scenario
 hypodifferentials, each embedded in the (x, y_s) block of (x, y_1..y_S).
 BlockCodiff.least_norm returns its point of least norm over the eps-active
 vertices plus the normal cone of A: the steepest-descent direction and the
-inf-stationarity measure nu(eps) of the solvers and of the certifier.
+inf-stationarity measure nu(eps) of the solvers and of the certifier.  It
+declares that layout to the min-norm kernel: the d x-coordinates, where A's
+normals live, shared by every scenario, and y_s private to scenario s, so
+that a sum of enough two-vertex scenario blocks takes the kernel's segment
+path (a Newton method on the shared part) in place of one NNLS over all.
 Every condition holds for all zero-offset superdifferential selections:
 max_over_selections is the one search for the worst of them, for nu, the
 certificate's residual and the nondegeneracy constant alike.
@@ -140,6 +144,14 @@ class BlockCodiff:
         (a one-vertex set changes none of its choices); exhaustive is False
         past ENUM_CAP, where nu is the greedy ascent's lower bound.  When 0
         lies in D, nu = 0 and q = 0.
+
+        Each selection's point is one _least_norm call over the joint
+        coordinates (x, y_1..y_S) with the layout declared (shared=d): x
+        shared by every scenario and by A's normals, y_s private to scenario
+        s.  From _minnorm.SEGMENT_MIN_BLOCKS scenarios of two vertices on
+        (and none of more) that is the kernel's segment path, which agrees
+        with the NNLS solve to rounding, not bit for bit; below it, the NNLS
+        solve's bits.
         """
         d, m, S = self.d, self.m, self.S
         n = d + S * m
@@ -160,7 +172,7 @@ class BlockCodiff:
             V = np.zeros((Gw.shape[0], n))
             V[:, :d] = p * Gw[:, :d]
             np.put_along_axis(V, cols, np.sqrt(p) * Gw[:, d:], axis=1)
-            q = _least_norm(V, R, sizes.tolist())[0]
+            q = _least_norm(V, R, sizes.tolist(), shared=d)[0]
             if inside(q, np.vstack((V, R))):
                 q = np.zeros(n)
             return float(np.linalg.norm(q)), q
@@ -212,8 +224,7 @@ def _integrand_codiff(prob: TwoStageProblem, integrand: Expr, z: Point,
     in one rows pass with a row per scenario, less <tilt[s], (x, y_s)> as
     in expect: row s of tilt comes off every hypo slope of scenario s."""
     prob.check_point(z)
-    X = np.repeat(z.x[None], prob.S, axis=0)
-    blocks = _vertex_blocks(integrand, X, z.y, prob.scenarios.params)
+    blocks = _vertex_blocks(integrand, z.x, z.y, prob.scenarios.params)
     if tilt is not None:
         # an offset less +0.0 keeps its bits, -0.0 included
         shift = np.hstack((np.zeros((prob.S, 1)), tilt))

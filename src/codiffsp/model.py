@@ -32,6 +32,7 @@ from .expr import (
     maximum,
     node_values,
     quad,
+    scale,
     to_json,
 )
 
@@ -272,6 +273,21 @@ class TwoStageProblem:
         """max{0, g_1, ..., g_l}, the l1_max penalty's integrand; built once
         per problem, on first use, so its tape is too."""
         return maximum(constant(0.0), *self.g)
+
+    def penalty_integrand(self, c: float) -> Expr:
+        """f + c * g_plus, the l1_max penalized integrand, or f when l = 0 or
+        c = 0; built once per problem and c, on first use, as g_plus is, so
+        its tape is too."""
+        if self.ell == 0 or c == 0.0:
+            return self.f
+        c = float(c)
+        if c not in self._penalty_integrands:
+            self._penalty_integrands[c] = add(self.f, scale(c, self.g_plus))
+        return self._penalty_integrands[c]
+
+    @functools.cached_property
+    def _penalty_integrands(self) -> dict:
+        return {}
 
     def check_point(self, z: Point) -> None:
         if z.x.shape[0] != self.d or z.y.shape != (self.S, self.m):

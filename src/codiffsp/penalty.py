@@ -35,7 +35,7 @@ from ._minnorm import min_norm_point
 from .codiff import TOL_ZERO, _masked_rows, _vertex_blocks
 from .errors import Unprojectable, ValidationError
 from .expectation import BlockCodiff, _integrand_codiff, eval_I, expect, max_over_selections
-from .expr import Expr, add, evaluate_batch, scale
+from .expr import Expr, evaluate_batch
 from .model import Point, TwoStageProblem, check_int
 
 # Rounds of check_nondegeneracy, each with a tenfold radius bound, after a
@@ -192,10 +192,9 @@ def _Phi_c_and_phi(prob: TwoStageProblem, spec: PenaltySpec, z: Point) -> tuple[
 
 def penalty_integrand(prob: TwoStageProblem, c: float) -> Expr:
     """Per-scenario integrand f + c * g_plus of the l1_max penalized
-    objective, g_plus = max{0, g_1, ..., g_l} (TwoStageProblem.g_plus)."""
-    if prob.ell == 0 or c == 0.0:
-        return prob.f
-    return add(prob.f, scale(c, prob.g_plus))
+    objective, g_plus = max{0, g_1, ..., g_l}: the problem's own, built once
+    per c (TwoStageProblem.penalty_integrand)."""
+    return prob.penalty_integrand(c)
 
 
 def penalty_codiff(prob: TwoStageProblem, spec: PenaltySpec, z: Point) -> BlockCodiff:

@@ -44,7 +44,7 @@ import numpy as np
 from .codiff import TOL_ZERO
 from .errors import NotDC, ValidationError, VertexCapExceeded
 from .expectation import ACT_TOL, BlockCodiff, I_expansion, _integrand_codiff, expect
-from .expr import Expr, dc_parts, evaluate, is_convex_struct
+from .expr import Expr, dc_parts, evaluate_batch, is_convex_struct
 from .model import FirstStageSet, Point, TwoStageProblem
 from .penalty import PenaltySpec, _Phi_c_and_phi, penalty_codiff, penalty_integrand
 
@@ -124,17 +124,19 @@ def dc_decompose(prob: TwoStageProblem, c: float) -> DCDecomposition:
     if not (is_convex_struct(plus) and is_convex_struct(minus)):
         raise NotDC("decomposition parts are not structurally convex")
 
-    # sampled identity check against the direct penalized integrand
-    rng = np.random.default_rng(0)
-    q = prob.scenarios.q
-    for _ in range(50):
-        x = rng.normal(size=prob.d)
-        y = rng.normal(size=prob.m)
-        th = rng.normal(size=q)
-        lhs = evaluate(plus, x, y, th) - evaluate(minus, x, y, th)
-        rhs = evaluate(target, x, y, th)
-        if abs(lhs - rhs) > 1e-9 * (1.0 + abs(rhs)):
-            raise NotDC(f"decomposition identity failed: {lhs!r} vs {rhs!r}")
+    # sampled identity check against the direct penalized integrand at 50
+    # draws, a row each of x, y and theta in turn: the generator's stream
+    # of drawing the three parts one sample at a time; evaluate_batch has
+    # evaluate's bits at each row
+    d, m = prob.d, prob.m
+    W = np.random.default_rng(0).normal(size=(50, d + m + prob.scenarios.q))
+    X, Y, TH = W[:, :d], W[:, d:d + m], W[:, d + m:]
+    lhs = evaluate_batch(plus, X, Y, TH) - evaluate_batch(minus, X, Y, TH)
+    rhs = evaluate_batch(target, X, Y, TH)
+    bad = np.flatnonzero(np.abs(lhs - rhs) > 1e-9 * (1.0 + np.abs(rhs)))
+    if bad.size:
+        raise NotDC(f"decomposition identity failed: {float(lhs[bad[0]])!r} vs "
+                    f"{float(rhs[bad[0]])!r}")
     return DCDecomposition(plus=plus, minus=minus)
 
 

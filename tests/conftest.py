@@ -306,6 +306,25 @@ def lambda_two_instance():
                            witness=Point(x=[0.0], y=[[-1.0]]))
 
 
+def boundary_point(p, seed):
+    """Each y_s moved from the witness along a seeded ray to where max_i g_i
+    reaches 0 from below, by bisection: feasible, some constraint active."""
+    rng = np.random.default_rng(seed)
+    x, Y = p.witness.x, p.witness.y.copy()
+    for s, th in enumerate(p.scenarios.params):
+        hi = np.inf
+        while hi == np.inf:  # a ray that leaves the feasible set
+            u = rng.normal(size=p.m)
+            gmax = lambda t: max(evaluate(g, x, Y[s] + t * u, th) for g in p.g)
+            hi = next((2.0**k for k in range(20) if gmax(2.0**k) > 0.0), np.inf)
+        lo = 0.0
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if gmax(mid) <= 0.0 else (lo, mid)
+        Y[s] = Y[s] + lo * u
+    return Point(x=x, y=Y)
+
+
 def ragged_case():
     """(problem, point): nine abs terms give f 2^9 hypo vertices, more than
     a rows pass keeps, so f is differentiated one scenario at a time (one

@@ -29,7 +29,7 @@ from codiffsp import (
 
 from codiffsp.codiff import AUTO_PRUNE_AT, _vertex_blocks, codiff_rows
 
-from conftest import kinkify, random_case
+from conftest import kinkify, ragged_case, random_case
 
 SP1 = Space(d=1, m=0, q=0)
 
@@ -323,6 +323,27 @@ def test_rows_values_have_evaluate_bits():
         assert vals.shape == (X.shape[0],) and len(codiff_rows(f, X, Y, TH)) == X.shape[0]
         want = [evaluate(f, x, y, th) for x, y, th in zip(X, Y, TH)]
         assert vals.tobytes() == np.array(want).tobytes()
+
+
+def test_rows_take_a_shared_x_with_the_bits_of_repeated_rows():
+    # x as one (d,) row every row shares: the blocks, values and their
+    # shapes of the pass over x repeated, where the root is in x alone and
+    # where the sets outgrow a rows pass (one block per row)
+    rng = np.random.default_rng(5)
+    cases = [(f, X[0], Y, TH) for f, X, Y, TH in _random_rows_cases(20)]
+    sp = Space(d=2, m=1, q=1)
+    in_x = maximum(sp.affine(0.5, cx=[1.0, -1.0]), absolute(sp.affine(cx=[0.0, 2.0])))
+    cases.append((in_x, np.array([0.5, 0.0]), rng.normal(size=(4, 1)), rng.normal(size=(4, 1))))
+    p, z = ragged_case()
+    cases.append((p.f, z.x, z.y, p.scenarios.params))
+    for f, x, Y, TH in cases:
+        shared = _vertex_blocks(f, x, Y, TH)
+        rows = _vertex_blocks(f, np.repeat(x[None], Y.shape[0], axis=0), Y, TH)
+        assert len(shared) == len(rows)
+        for a, b in zip(shared, rows):
+            assert a[0] == b[0]
+            for u, v in zip(a[1:], b[1:]):
+                assert np.shape(u) == np.shape(v) and np.asarray(u).tobytes() == np.asarray(v).tobytes()
 
 
 def _fan(sp, phase, k):

@@ -34,14 +34,16 @@ from codiffsp import (
     quasidiff,
     scale,
 )
+from codiffsp import _minnorm
+from codiffsp._minnorm import SEGMENT_MIN_BLOCKS, _least_norm, _segments_least_norm
 from codiffsp.codiff import _vertex_blocks
-from codiffsp.expectation import ENUM_CAP, _integrand_codiff, expect, max_over_selections
+from codiffsp.expectation import ACT_TOL, ENUM_CAP, _integrand_codiff, expect, max_over_selections
 from codiffsp.model import ROWS_MIN_S
 from codiffsp.optimality import check_optimality, inf_stationarity_measure
 from codiffsp.penalty import PenaltySpec, penalty_integrand, phi_l1
 from codiffsp.solvers import SolveOpts, codiff_descent, dca_solve
 
-from conftest import one_sided_richardson, ragged_case, rebind
+from conftest import boundary_point, one_sided_richardson, ragged_case, rebind
 
 
 def _prob(f, d, m, probs, params):
@@ -334,9 +336,11 @@ def _bits(*objs):
 
 def _one_point_blocks(expr, X, Y, TH):
     """The rows pass's vertex arrays built one row at a time, as the scenario
-    loop of one codiff call per row that the rows pass replaced."""
+    loop of one codiff call per row that the rows pass replaced; X is (N, d)
+    or the (d,) x every row shares."""
+    X = np.broadcast_to(X, (len(Y), np.shape(X)[-1]))
     return [(slice(r, r + 1), *_vertex_blocks(expr, X[r:r + 1], Y[r:r + 1], TH[r:r + 1])[0][1:])
-            for r in range(np.shape(X)[0])]
+            for r in range(len(Y))]
 
 
 def test_scenario_layers_never_differentiate_point_by_point(monkeypatch):
@@ -476,3 +480,50 @@ def test_tilt_shifts_every_hypo_slope(seed):
         assert b.hyper.tobytes() == a.hyper.tobytes()
     lin = sum(p.scenarios.probs[s] * (tilt[s] @ np.concatenate((z.x, z.y[s]))) for s in range(3))
     assert expect(p, integrand, z, tilt) == pytest.approx(expect(p, integrand, z) - lin, rel=1e-13)
+
+
+def _nu_at_boundary(S, seed=1000):
+    p = generate(seed, d=2, m=2, S=S, l=2, dc=True)
+    z = boundary_point(p, seed)
+    bc = penalty_codiff(p, PenaltySpec("l1_max", 10.0), z)
+    return lambda: bc.least_norm(p.A, z.x, ACT_TOL)
+
+
+@pytest.mark.parametrize("seed", [1000, 1001])
+def test_nu_past_the_crossover_calls_no_nnls(monkeypatch, seed):
+    # at a boundary point every scenario keeps the two vertices of the
+    # g_plus kink: nu takes the segment path and agrees with the NNLS kernel
+    nu_of = _nu_at_boundary(100, seed)
+    with monkeypatch.context() as mp:
+        mp.setattr(_minnorm, "SEGMENT_MIN_BLOCKS", 10**9)
+        nu0, q0, _ = nu_of()
+
+    def no_nnls(*args):
+        raise AssertionError("nu called nnls")
+
+    monkeypatch.setattr(_minnorm, "nnls", no_nnls)
+    nu, q, exhaustive = nu_of()
+    assert exhaustive and nu > 1.0
+    assert abs(nu - nu0) <= 1e-12 * nu0
+    assert np.allclose(q, q0, rtol=0.0, atol=1e-11 * nu0)
+
+
+def test_nu_below_the_crossover_keeps_the_nnls_bits(monkeypatch):
+    # one segment block short of the crossover nu is the NNLS kernel's, bit
+    # for bit; at the crossover the segment path serves it
+    served = []
+
+    def spy(*args):
+        served.append(1)
+        return _segments_least_norm(*args)
+
+    monkeypatch.setattr(_minnorm, "_segments_least_norm", spy)
+    below, at = _nu_at_boundary(SEGMENT_MIN_BLOCKS - 1), _nu_at_boundary(SEGMENT_MIN_BLOCKS)
+    got = below()
+    assert not served
+    at()
+    assert served
+    rebind(monkeypatch, _least_norm, lambda V, R, sizes=None, shared=None: _least_norm(V, R, sizes))
+    want = below()
+    assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+    assert got[1].tobytes() == want[1].tobytes() and got[2] == want[2]

@@ -7,9 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.optimize import nnls
 
-from codiffsp import min_norm_point
-from codiffsp._minnorm import _first_columns, _least_norm
+from codiffsp import _minnorm, min_norm_point
+from codiffsp._minnorm import (
+    SEGMENT_MIN_BLOCKS, _first_columns, _least_norm, _segments_least_norm, inside,
+)
 
 
 def test_two_unit_vertices():
@@ -113,10 +116,10 @@ def _fold_case(rng, sizes, rays):
     return [scale * draw(k) for k in sizes], scale * draw(rays), scale
 
 
-def _check_against_minkowski_sum(blocks, R, scale):
+def _check_against_minkowski_sum(blocks, R, scale, solve=_least_norm):
     sizes = [b.shape[0] for b in blocks]
     V = np.vstack(blocks)
-    q, t, mu = _least_norm(V, R, sizes)
+    q, t, mu = solve(V, R, sizes)
     assert t.min() >= 0.0 and (mu.size == 0 or mu.min() >= 0.0)
     owner = np.repeat(np.arange(len(sizes)), sizes)
     assert np.allclose(np.bincount(owner, weights=t), 1.0, atol=1e-12)
@@ -162,3 +165,138 @@ def test_folded_blocks_report_unit_weight():
             if k > 1:
                 assert t[owner == b].min() >= 0.0
                 assert abs(t[owner == b].sum() - 1.0) <= 1e-12
+
+
+def _layout_case(rng, sizes, rays, ints=None):
+    """(blocks, R, d, scale): blocks of the given sizes in the layout nu
+    declares, d shared coordinates and then m private to each block in turn,
+    x-parts weighted by p = 1/B and private parts by sqrt(p) as in
+    BlockCodiff.least_norm, at a random scale; R holds unit box normals on
+    min(rays, d) distinct shared coordinates.  Integer draws (by default in
+    half the cases) repeat rows and tie."""
+    d, m, B = int(rng.integers(1, 4)), int(rng.integers(1, 3)), len(sizes)
+    rays = min(rays, d)
+    scale = 10.0 ** rng.uniform(-4, 4)
+    ints = rng.random() < 0.5 if ints is None else ints
+    blocks = []
+    for b, k in enumerate(sizes):
+        rows = np.zeros((k, d + B * m))
+        draw = rng.integers(-2, 3, size=(k, d + m)).astype(float) if ints else rng.normal(size=(k, d + m))
+        rows[:, :d] = draw[:, :d] / B
+        rows[:, d + b * m:d + (b + 1) * m] = draw[:, d:] / np.sqrt(B)
+        blocks.append(scale * rows)
+    R = np.zeros((rays, d + B * m))
+    R[np.arange(rays), rng.permutation(d)[:rays]] = rng.choice([-1.0, 1.0], size=rays)
+    return blocks, R, d, scale
+
+
+def _segment_solve(d, ran):
+    """A _least_norm that takes the segment path at any block count, NNLS
+    where it falls back; ran gets (served, flat) per call, flat when some
+    segment has no private part (dy = 0), the one fallback the cases here
+    excuse."""
+    def solve(V, R, sizes):
+        out = _segments_least_norm(V, R, tuple(sizes), d)
+        at = np.cumsum(sizes) - np.array(sizes)
+        a = at[np.array(sizes) == 2]
+        ran.append((out is not None, bool((V[a, d:] == V[a + 1, d:]).all(axis=1).any())))
+        return out or _least_norm(V, R, sizes)
+    return solve
+
+
+@pytest.mark.parametrize("rays", [False, True])
+def test_segment_path_matches_minkowski_sum(rays):
+    # segments and one-vertex blocks at scales 1e-4..1e4, rays on active
+    # box faces or none, against one hull over every sum of one vertex per
+    # block: the bounds of the NNLS kernel's tests
+    rng = np.random.default_rng(31 + rays)
+    ran = []
+    for _ in range(300):
+        sizes = [int(k) for k in rng.integers(1, 3, size=int(rng.integers(2, 7)))]
+        sizes[int(rng.integers(len(sizes)))] = 2
+        blocks, R, d, scale = _layout_case(rng, sizes, int(rng.integers(1, 3)) if rays else 0)
+        t, owner = _check_against_minkowski_sum(blocks, R, scale, _segment_solve(d, ran))
+        assert (t[np.repeat(np.array(sizes) == 1, sizes)] == 1.0).all()
+    # the path serves every case but those with a segment along x alone,
+    # ties on bounds and rays included
+    assert all(served or flat for served, flat in ran)
+    assert np.mean([served for served, _flat in ran]) >= 0.75
+
+
+def test_segment_path_with_zero_inside():
+    # each segment crosses its private 0 at a weight in (0, 1) and a
+    # one-vertex block cancels the x-parts there: q is 0 to rounding
+    rng = np.random.default_rng(37)
+    ran = []
+    for i in range(100):
+        B = int(rng.integers(2, 6)) if i % 2 else 40
+        blocks, R, d, scale = _layout_case(rng, [2] * B + [1], 0, ints=False)
+        m = (blocks[0].shape[1] - d) // (B + 1)
+        w = rng.uniform(0.1, 0.9, size=B)
+        for b, rows in enumerate(blocks[:B]):
+            priv = slice(d + b * m, d + (b + 1) * m)
+            rows[0, priv] = -w[b] / (1.0 - w[b]) * rows[1, priv]
+        at_w = sum((1.0 - w[b]) * rows[0, :d] + w[b] * rows[1, :d] for b, rows in enumerate(blocks[:B]))
+        blocks[B][0] = 0.0
+        blocks[B][0, :d] = -at_w
+        V = np.vstack(blocks)
+        q, t, mu = _segment_solve(d, ran)(V, R, [2] * B + [1])
+        assert inside(q, V) and np.linalg.norm(q) <= 1e-12 * scale
+        if B < 6:
+            _check_against_minkowski_sum(blocks, R, scale, _segment_solve(d, ran))
+    assert all(served for served, _flat in ran)
+
+
+@pytest.mark.parametrize("rays", [0, 1, 2])
+def test_segment_path_past_the_crossover_calls_no_nnls(monkeypatch, rays):
+    # 40 blocks, a third of one vertex, through _least_norm with the layout
+    # declared: never an nnls call, and the NNLS kernel's point to 1e-12 of
+    # the scale
+    rng = np.random.default_rng(41 + rays)
+    cases = []
+    for _ in range(60):
+        sizes = [int(k) for k in rng.choice([1, 2, 2], size=40)]
+        blocks, R, d, scale = _layout_case(rng, sizes, rays, ints=False)
+        cases.append((np.vstack(blocks), R, sizes, d, scale))
+    want = [_least_norm(V, R, sizes) for V, R, sizes, _d, _s in cases]
+    calls = []
+    monkeypatch.setattr(_minnorm, "nnls", lambda *a: calls.append(1) or nnls(*a))
+    for (V, R, sizes, d, scale), (q0, _t0, _mu0) in zip(cases, want):
+        q, t, mu = _least_norm(V, R, sizes, shared=d)
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        assert t.min() >= 0.0 and (mu.size == 0 or mu.min() >= 0.0)
+        assert np.allclose(np.bincount(owner, weights=t), 1.0, atol=1e-12)
+        assert np.allclose(q, t @ V + mu @ R, atol=1e-12 * scale)
+        assert abs(np.linalg.norm(q) - np.linalg.norm(q0)) <= 1e-12 * scale
+        # the least-norm point is unique: its coordinates agree too
+        assert np.abs(q - q0).max() <= 1e-12 * scale
+    assert not calls
+
+
+def test_segment_path_does_not_depend_on_units():
+    # V in other units, rays the same unit normals: the same weights and q
+    # in those units, so no slack of the path is absolute
+    rng = np.random.default_rng(47)
+    for _ in range(30):
+        sizes = [int(k) for k in rng.choice([1, 2, 2], size=40)]
+        blocks, R, d, scale = _layout_case(rng, sizes, 2, ints=False)
+        V = np.vstack(blocks) / scale
+        q, t, mu = _segments_least_norm(V, R, tuple(sizes), d)
+        for unit in (1e-4, 1e4):
+            qu, tu, muu = _segments_least_norm(unit * V, R, tuple(sizes), d)
+            assert np.abs(qu / unit - q).max() <= 1e-12 * np.abs(V).max()
+            assert np.abs(tu - t).max() <= 1e-9 and np.allclose(muu / unit, mu, atol=1e-9)
+
+
+def test_segment_with_no_private_part_falls_back():
+    # a segment along x alone (dy = 0) has no weight its own block fixes:
+    # the call is the NNLS kernel's, bit for bit
+    rng = np.random.default_rng(43)
+    for _ in range(20):
+        blocks, R, d, _scale = _layout_case(rng, [2] * SEGMENT_MIN_BLOCKS + [1], 1)
+        b = int(rng.integers(SEGMENT_MIN_BLOCKS))
+        blocks[b][1, d:] = blocks[b][0, d:]
+        V, sizes = np.vstack(blocks), [2] * SEGMENT_MIN_BLOCKS + [1]
+        assert _segments_least_norm(V, R, tuple(sizes), d) is None
+        got, want = _least_norm(V, R, sizes, shared=d), _least_norm(V, R, sizes)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))

@@ -29,8 +29,8 @@ from codiffsp.optimality import Y_WEIGHT, Certificate, check_optimality, inf_sta
 from codiffsp.solvers import SolveOpts, codiff_descent, dca_solve
 
 from conftest import (
-    concave_kinks, coupled_1d, lambda_two_instance, one_scenario, ragged_case, rebind,
-    smooth_free_1d,
+    boundary_point, concave_kinks, coupled_1d, lambda_two_instance, one_scenario, ragged_case,
+    rebind, smooth_free_1d,
 )
 
 DIMS = Space(d=1, m=1, q=0).dims
@@ -337,30 +337,11 @@ def _cert_bits(cert):
             cert.checked_selections, cert.fallback)
 
 
-def _boundary_point(p, seed):
-    """Each y_s moved from the witness along a seeded ray to where max_i g_i
-    reaches 0 from below, by bisection: feasible, some constraint active."""
-    rng = np.random.default_rng(seed)
-    x, Y = p.witness.x, p.witness.y.copy()
-    for s, th in enumerate(p.scenarios.params):
-        hi = np.inf
-        while hi == np.inf:  # a ray that leaves the feasible set
-            u = rng.normal(size=p.m)
-            gmax = lambda t: max(evaluate(g, x, Y[s] + t * u, th) for g in p.g)
-            hi = next((2.0**k for k in range(20) if gmax(2.0**k) > 0.0), np.inf)
-        lo = 0.0
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            lo, hi = (mid, hi) if gmax(mid) <= 0.0 else (lo, mid)
-        Y[s] = Y[s] + lo * u
-    return Point(x=x, y=Y)
-
-
 def _point_only_cases():
     for seed, S in ((1000, 3), (1007, 3), (1000, 100)):
         p = generate(seed, d=2, m=2, S=S, l=2, dc=True)
         yield p, p.witness
-        yield p, _boundary_point(p, seed)
+        yield p, boundary_point(p, seed)
 
 
 def _mixed_cases():
@@ -396,7 +377,7 @@ def test_certificate_has_the_bits_of_the_scenario_loop(monkeypatch, kind):
 
 def test_point_selections_build_no_pairs_and_search_nothing(monkeypatch):
     p = generate(1000, d=2, m=2, S=20, l=2, dc=True)
-    points = [p.witness, _boundary_point(p, 1000)]
+    points = [p.witness, boundary_point(p, 1000)]
     want = [_cert_bits(check_optimality(p, 10.0, z)) for z in points]
 
     def per_scenario(*args, **kwargs):

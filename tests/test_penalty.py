@@ -35,12 +35,14 @@ from codiffsp import (
 from codiffsp import codiff, evaluate, evaluate_batch, min_norm_point
 from codiffsp.codiff import TOL_ZERO
 from codiffsp.expectation import max_over_selections
+from codiffsp import model
 from codiffsp.penalty import (
     NONDEG_BLOCK,
     NONDEG_WIDENINGS,
     NondegReport,
     PenaltySpec,
     _unique_rows,
+    penalty_integrand,
 )
 
 from conftest import ball_problem, box_bounds, box_problem, rebind
@@ -162,6 +164,27 @@ def test_penalty_codiff_requires_l1():
     p = _prob((affine(SP.dims, -1.0, [0.0], [1.0], []),))
     with pytest.raises(ValidationError):
         penalty_codiff(p, PenaltySpec("dist_p", 1.0), Point(x=[0.0], y=[[0.0]]))
+
+
+def test_penalty_integrand_is_built_once_per_c(monkeypatch):
+    # one root per (problem, c), as g_plus: penalty_codiff builds no Expr
+    p = generate(1000, d=2, m=2, S=3, l=2, dc=True)
+    spec = PenaltySpec("l1_max", 10.0)
+    first = penalty_codiff(p, spec, p.witness)
+    root = penalty_integrand(p, 10.0)
+    assert penalty_integrand(p, 10) is root and penalty_integrand(p, 5.0) is not root
+    assert penalty_integrand(p, 0.0) is p.f
+    assert penalty_integrand(generate(1000, d=2, m=2, S=3, l=2, dc=True), 10.0) is not root
+
+    def no_new_expr(*args, **kwargs):
+        raise AssertionError("penalty_codiff built an expression")
+
+    monkeypatch.setattr(model, "add", no_new_expr)
+    monkeypatch.setattr(model, "scale", no_new_expr)
+    again = penalty_codiff(p, spec, p.witness)
+    for (_r, H, G, v), (_r2, H2, G2, v2) in zip(first.blocks, again.blocks):
+        assert H.tobytes() == H2.tobytes() and G.tobytes() == G2.tobytes()
+        assert np.asarray(v).tobytes() == np.asarray(v2).tobytes()
 
 
 def test_penalty_codiff_directional_derivative():

@@ -19,6 +19,7 @@ from codiffsp import (
     affine,
     dc,
     evaluate,
+    evaluate_batch,
     generate,
     inf_stationarity_measure,
     maximum,
@@ -116,6 +117,42 @@ def test_decompose_rejects_non_dc():
                 quad(DIMS, [[0.0, 1.0], [1.0, 0.0]]))
     with pytest.raises(NotDC):
         dc_decompose(_free_prob(f), 1.0)
+
+
+@pytest.mark.parametrize("q", [0, 2])
+def test_decompose_check_is_the_scalar_loop_batched(monkeypatch, q):
+    # a split off by max(0, x_1 - 1) fails the sampled identity: the batched
+    # check raises on the scalar loop's first failing draw with its values,
+    # and evaluates each expression once over the 50 draws
+    sp = Space(d=2, m=2, q=q)
+    f = quad(sp.dims, np.eye(4), psd=True)
+    prob = TwoStageProblem(d=2, m=2, A=FirstStageSet.free(), f=f,
+                           g=(sp.affine(-0.5, cx=[0.0, 1.0], cy=[1.0, 0.0]),),
+                           scenarios=ScenarioSpace(probs=[1.0], params=np.zeros((1, q))))
+    bump = maximum(sp.affine(), sp.affine(-1.0, cx=[1.0, 0.0]))
+
+    def off_split(e):
+        plus, minus = dc_parts(e)
+        return add(plus, bump), minus
+
+    monkeypatch.setattr(sv, "dc_parts", off_split)
+    target = sv.penalty_integrand(prob, 3.0)
+    plus, minus = off_split(target)
+    rng = np.random.default_rng(0)
+    want = None
+    for _ in range(50):
+        x, y, th = rng.normal(size=2), rng.normal(size=2), rng.normal(size=q)
+        lhs = evaluate(plus, x, y, th) - evaluate(minus, x, y, th)
+        rhs = evaluate(target, x, y, th)
+        if abs(lhs - rhs) > 1e-9 * (1.0 + abs(rhs)):
+            want = f"decomposition identity failed: {lhs!r} vs {rhs!r}"
+            break
+    assert want is not None
+    batches = []
+    monkeypatch.setattr(sv, "evaluate_batch", lambda *a: batches.append(1) or evaluate_batch(*a))
+    with pytest.raises(NotDC) as err:
+        dc_decompose(prob, 3.0)
+    assert want in str(err.value) and len(batches) == 3
 
 
 def _hand_split(prob, c):
