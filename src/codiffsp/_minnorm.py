@@ -32,11 +32,12 @@ the scenario sums of nu, the descent direction and the certificate's joint
 solve, a scenario off every kink is such a block.
 
 The segment path.  A caller may declare the layout (``shared``): the first
-d coordinates are shared by every block and hold the rays, the rest split
-into one run per block, private to it, as nu's scenario blocks (x, y_s)
-are.  When every block has at most two vertices and at least
-SEGMENT_MIN_BLOCKS have two, the problem separates but for the shared
-part: with ||u||^2 / 2 = max_lam <lam, u> - ||lam||^2 / 2 on that part,
+d coordinates are shared by every block, the rest split into one run per
+block, private to it, as nu's scenario blocks (x, y_s) are.  When every
+block has at most two vertices, at least SEGMENT_MIN_BLOCKS have two and
+every ray lies in the shared part (A's normals do; the certificate's
+constraint rows, which carry y-parts, do not), the problem separates but
+for the shared part: with ||u||^2 / 2 = max_lam <lam, u> - ||lam||^2 / 2 on that part,
 the weight w_b of segment b, vertices a_b + w_b * delta_b, is the clip to
 [0, 1] of -(<a_b, delta_b>_private + <lam, delta_b>_shared) / ||delta_b||^2
 over its private part, affine in lam in R^d; the one-vertex blocks are a
@@ -93,7 +94,8 @@ SEGMENT_KKT_TOL = 1e-12
 
 
 def inside(q: np.ndarray, W: np.ndarray) -> bool:
-    """0 lies in the set whose least-norm point over the columns W is q."""
+    """0 lies in the set whose least-norm point over the columns W is q; W
+    may also be just the columns' largest |entry|."""
     return float(np.linalg.norm(q)) <= MEMBERSHIP_TOL * max(1.0, float(np.abs(W).max()))
 
 
@@ -107,14 +109,15 @@ def _least_norm(
     (r, n), r >= 0.  One-vertex blocks are folded into the others first.
 
     ``shared`` declares the layout: the first ``shared`` coordinates are
-    shared by every block and hold all of R, and the other n - shared split
-    into one equal run per block, in block order, private to it (zero in
-    every other block's rows).  With it, SEGMENT_MIN_BLOCKS or more blocks
-    of two vertices and none of three or more take the segment path."""
+    shared by every block, and the other n - shared split into one equal
+    run per block, in block order, private to it (zero in every other
+    block's rows).  With it, SEGMENT_MIN_BLOCKS or more blocks of two
+    vertices, none of three or more and rays that are zero past the shared
+    part take the segment path."""
     k = V.shape[0]
     sizes = (k,) if sizes is None else tuple(sizes)
     if (shared is not None and sizes.count(2) >= SEGMENT_MIN_BLOCKS
-            and max(sizes) == 2):
+            and max(sizes) == 2 and not R[:, shared:].any()):
         out = _segments_least_norm(V, R, sizes, shared)
         if out is not None:
             return out

@@ -226,7 +226,7 @@ def _cmd_selftest(args) -> int:
         vals = [h[0] for h in rep.history]
         assert all(b <= a + 1e-10 for a, b in zip(vals, vals[1:]))
         cert = check_optimality(prob, 10.0, rep.final_point)
-        assert max(cert.residuals.values()) <= 1e-3
+        assert max(cert.residuals.values()) <= SolveOpts().tol_stat
 
     def t_descent():
         prob = generate(5, d=2, m=2, S=2, l=1, dc=False, smooth=True)

@@ -18,13 +18,17 @@ scenario below, where a rows pass's fixed cost exceeds the loop's.
 
 The hypodifferential of I is the p-weighted Minkowski sum of the scenario
 hypodifferentials, each embedded in the (x, y_s) block of (x, y_1..y_S).
-BlockCodiff.least_norm returns its point of least norm over the eps-active
-vertices plus the normal cone of A: the steepest-descent direction and the
-inf-stationarity measure nu(eps) of the solvers and of the certifier.  It
-declares that layout to the min-norm kernel: the d x-coordinates, where A's
-normals live, shared by every scenario, and y_s private to scenario s, so
-that a sum of enough two-vertex scenario blocks takes the kernel's segment
-path (a Newton method on the shared part) in place of one NNLS over all.
+joint_rows is that embedding, the one both stationarity measures use: p_s
+on a scenario row's x-part and sqrt(p_s) on its y_s part, then A's normals
+in x.  BlockCodiff.least_norm returns its point of least norm over the
+eps-active vertices plus the normal cone of A: the steepest-descent
+direction and the inf-stationarity measure nu(eps) of the solvers and of
+the certifier; optimality.check_optimality measures the same sum with the
+active constraints' rows as rays.  Both declare the layout to the min-norm
+kernel: the d x-coordinates, where A's normals live, shared by every
+scenario, and y_s private to scenario s, so that a sum of enough two-vertex
+scenario blocks with rays in x alone takes the kernel's segment path (a
+Newton method on the shared part) in place of one NNLS over all.
 Every condition holds for all zero-offset superdifferential selections:
 max_over_selections is the one search for the worst of them, for nu, the
 certificate's residual and the nondegeneracy constant alike.
@@ -99,6 +103,27 @@ class Masks(NamedTuple):
         return self.sub[a[s]:a[s + 1]], self.sup[w[s]:w[s + 1]]
 
 
+def joint_rows(probs: np.ndarray, d: int, normals: np.ndarray, V: np.ndarray, sv: np.ndarray,
+               R: np.ndarray | None = None, sr: np.ndarray | None = None):
+    """(V', R', scale): rows over (x, y_s) embedded in the joint coordinates
+    (x, y_1..y_S) of nu and the certificate.  Row j of V, of scenario
+    s = sv[j], becomes p_s times its x-part in x and sqrt(p_s) times its
+    y-part in y_s's columns, zero elsewhere; so do the scenario rays R, of
+    scenarios sr, and A's outward normals (r, d) follow them in x.  scale is
+    the largest |entry| of V' and R', read off the parts they are built of."""
+    S, m, k = probs.shape[0], V.shape[1] - d, V.shape[0]
+    if R is not None:
+        V, sv = np.vstack((V, R)), np.concatenate((sv, sr))
+    p = probs[sv][:, None]
+    X, Y = p * V[:, :d], np.sqrt(p) * V[:, d:]
+    C = np.zeros((V.shape[0], d + S * m))
+    C[:, :d] = X
+    np.put_along_axis(C, d + sv[:, None] * m + np.arange(m), Y, axis=1)
+    N = np.hstack((normals, np.zeros((normals.shape[0], S * m))))
+    scale = max(float(np.abs(part).max(initial=0.0)) for part in (X, Y, normals))
+    return C[:k], (N if R is None else np.vstack((C[k:], N))), scale
+
+
 @dataclass(frozen=True, eq=False)
 class BlockCodiff:
     """Scenario-factored codifferential of the expectation integrand: the
@@ -146,7 +171,8 @@ class BlockCodiff:
         lies in D, nu = 0 and q = 0.
 
         Each selection's point is one _least_norm call over the joint
-        coordinates (x, y_1..y_S) with the layout declared (shared=d): x
+        coordinates (x, y_1..y_S) of joint_rows, whose scale decides whether
+        0 lies in D (_minnorm.inside), with the layout declared (shared=d): x
         shared by every scenario and by A's normals, y_s private to scenario
         s.  From _minnorm.SEGMENT_MIN_BLOCKS scenarios of two vertices on
         (and none of more) that is the kernel's segment path, which agrees
@@ -154,27 +180,20 @@ class BlockCodiff:
         solve's bits.
         """
         d, m, S = self.d, self.m, self.S
-        n = d + S * m
         mk = self.masked(eps)
         sizes = np.diff(mk.sub_at)
         rows = np.repeat(np.arange(S), sizes)
         multi = np.flatnonzero(np.diff(mk.sup_at) > 1)
         sups = [mk.sets(s)[1] for s in multi.tolist()]
         normals = A.normal_rays(x, eps)
-        R = np.hstack((normals, np.zeros((normals.shape[0], S * m))))
-        cols = d + rows[:, None] * m + np.arange(m)
-        p = self.probs[rows][:, None]
 
         def nu_of(choice):
             at = mk.sup_at[:-1].copy()  # a scenario's first sup row, or its chosen one
             at[multi] += np.asarray(choice, dtype=np.intp)
-            Gw = mk.sub + mk.sup[at][rows]
-            V = np.zeros((Gw.shape[0], n))
-            V[:, :d] = p * Gw[:, :d]
-            np.put_along_axis(V, cols, np.sqrt(p) * Gw[:, d:], axis=1)
+            V, R, scale = joint_rows(self.probs, d, normals, mk.sub + mk.sup[at][rows], rows)
             q = _least_norm(V, R, sizes.tolist(), shared=d)[0]
-            if inside(q, np.vstack((V, R))):
-                q = np.zeros(n)
+            if inside(q, scale):
+                q = np.zeros(V.shape[1])
             return float(np.linalg.norm(q)), q
 
         nu, q, exhaustive, _checked = max_over_selections(sups, nu_of)

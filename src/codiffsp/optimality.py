@@ -4,19 +4,53 @@ Two checks at a feasible point z = (x, y_1..y_S):
 
     check_optimality: multiplier form of the first-order necessary condition.
         Per scenario, fix one zero-offset superdifferential vertex w of the
-        objective integrand and one per active constraint; then nonnegative
-        multipliers lambda and a vector zeta_s must place (zeta_s, 0) in
-        co(sub f + w) + sum_i lambda_i co(sub g_i + w_i), sub sliced at
-        ACT_TOL (quasidiff(., ACT_TOL)) like nu, constraint activity and
-        N_A(x).  Over lambda >= 0 the sum is co(sub f + w) plus the cone
-        spanned by the rows of every sub g_i + w_i, so the y-block residual
-        of the inclusion is the distance from 0 to that set in the
-        y-coordinates: one exact nonnegative least-squares solve per scenario
-        (_minnorm._least_norm).  Its nearest point q_s is unique but the
-        combinations reaching it are not, and their x-parts differ; one joint
-        solve over all scenarios picks them so that E[zeta] lies nearest to
-        -N_A(x).  The ray weights sum per constraint to lambda_i, the x-parts
-        are zeta_s and the norms of the y-parts the stationarity residuals.
+        objective integrand and one w_i per active constraint; then
+        nonnegative multipliers lambda and vectors zeta_s must place
+        (zeta_s, 0) in co(sub f + w) + sum_i lambda_i co(sub g_i + w_i), with
+        E[zeta] in -N_A(x); sub is sliced at ACT_TOL (quasidiff(., ACT_TOL))
+        like nu, constraint activity and N_A(x).  Over lambda >= 0 the sum
+        is co(sub f + w) plus the cone of the rows of every sub g_i + w_i.
+        The p-weighted sum of these scenario sets plus N_A(x) is measured as
+        nu measures its own: embedded in the joint coordinates (x, y_1..y_S)
+        by expectation.joint_rows, with the rows of the active g_i as rays,
+        in one least-norm solve (_minnorm._least_norm).  Its point q is the
+        sum of the scenario points u_s = t_s V_s + mu_s R_s: the x-part of q
+        is E[zeta] + n with zeta_s the x-part of u_s and n in N_A(x), its
+        y-part holds sqrt(p_s) times the y-part of u_s, and the ray weights
+        sum per constraint and scenario to lambda_i.
+
+        The residuals are in nu's L2(P) norm: stationarity is ||q_y|| =
+        sqrt(sum_s p_s ||u_s,y||^2), normal_cone the distance from E[zeta] to
+        -N_A(x), at most ||q_x||, and complementarity max |lambda_i g_i|.
+        stationarity_max = max_s ||u_s,y|| is reported beside them and not
+        among them: since p_s ||u_s,y||^2 <= stationarity^2, it is at most
+        stationarity / sqrt(min_s p_s), 10 times it at S = 100.
+
+        Residuals at most nu.  nu(ACT_TOL) is the same distance for
+        Phi_c = f + c max{0, g_1, .., g_l}, its set shifted by the worst of
+        Phi_c's selections.  By the sum rule Phi_c's zero-offset hyper
+        vertices are w_f + c (w_1 + .. + w_l), one zero-offset hyper vertex
+        per function, so each maps onto the certificate's selection
+        (w_f, w_i for the active i).  Its hypo vertices are an f-vertex plus
+        c times a vertex of the max, all offsets <= 0, so its ACT_TOL slice
+        keeps only f-vertices of offset >= -ACT_TOL.  By the max rule the
+        hypo piece of g_i is sub g_i - sum_{k != i} h_k over every choice of
+        hyper vertices h_k of the other branches (the 0 branch's hypo and
+        hyper are {0}), offset by g_i - max{0, g}; shifted by the selection,
+        a row with every h_k = w_k is c (sub g_i + w_i), the 0 branch's is
+        0, and a row with some h_k != w_k gains c (w_k - h_k), which the
+        certificate's set lacks.  So the shifted slice lies in
+        co(sub f + w_f) + cone(sub g_i + w_i, i active) when
+          (a) c >= 1, so that a kept piece-i row, of offset a with
+              c a >= -ACT_TOL, has a >= -ACT_TOL: its g_i-vertex offset and
+              g_i - max{0, g} are both >= -ACT_TOL, so g_i is active, and
+          (b) no g_k has a hyper vertex other than w_k of offset at most
+              ACT_TOL / c, as when each has a single one: convex, or dc
+              with a smooth minus part, as generate builds them.
+        The least-norm point of the larger set is no longer, and nu, a
+        maximum over selections, is no smaller where its search is
+        exhaustive: hypot(stationarity, normal_cone) <= ||q|| <= nu, up to
+        rounding.
 
         It works on one BlockCodiff per function, the vertex arrays of its
         rows pass, masked at ACT_TOL as quasidiff(., ACT_TOL) slices them
@@ -24,10 +58,9 @@ Two checks at a feasible point z = (x, y_1..y_S):
         scenario whose f and active g_i each keep one masked vertex in each
         set is a point selection: its one objective vertex and its rays are
         read off the arrays and count as one exhaustive selection checked,
-        with no search, and without an active constraint q_s is the y-part
-        of that vertex, as _least_norm returns a lone row.  Only the other
-        scenarios go through max_over_selections, on their masked slices.
-        The joint system is assembled from every scenario's rows in one step.
+        with no search.  Only the other scenarios go through
+        max_over_selections, on their masked slices.  The joint system is
+        assembled from every scenario's rows in one step.
 
     inf_stationarity_measure: -nu(ACT_TOL) of the penalized objective, the
         exact least directional derivative of its ACT_TOL-active first-order
@@ -35,9 +68,10 @@ Two checks at a feasible point z = (x, y_1..y_S):
         solvers stop on; 0 means inf-stationary.
 
 The condition quantifies over all superdifferential selections, so each
-scenario keeps its worst, of largest y-residual, as
-``expectation.max_over_selections`` finds it (greedily past ENUM_CAP); the
-certificate records how many it scored and whether the search overflowed.
+scenario keeps its worst, of largest y-residual of its own
+co(sub f + w) + cone(sub g_i + w_i), as ``expectation.max_over_selections``
+finds it (greedily past ENUM_CAP); the certificate records how many it
+scored and whether the search overflowed.
 """
 
 from __future__ import annotations
@@ -49,25 +83,26 @@ import numpy as np
 from ._minnorm import _least_norm
 from .errors import InfeasibleCandidate
 from .model import Point, TwoStageProblem
-from .expectation import ACT_TOL, _integrand_codiff, block_codiff, max_over_selections
+from .expectation import ACT_TOL, _integrand_codiff, block_codiff, joint_rows, max_over_selections
 from .penalty import PenaltySpec, penalty_codiff
 
 FEAS_TOL = 1e-6
-# Weight of the y-offset from q against the x-part in the zeta solve.  The
-# weighting method (Lawson & Hanson, ch. 22) misses the exact tie-break by
-# O(1/Y_WEIGHT^2); about eps^(-1/2) puts that at rounding level.
-Y_WEIGHT = 1e8
 
 
 @dataclass(frozen=True)
 class Certificate:
-    """Multiplier certificate; residuals near zero certify the condition."""
+    """Multiplier certificate; residuals near zero certify the condition.
+
+    The residuals are in nu's L2(P) norm, and under the module docstring's
+    conditions hypot(stationarity, normal_cone) <= nu.  stationarity_max,
+    the largest scenario's own y-residual, is not among them."""
 
     lambdas: np.ndarray  # (S, ell), nonnegative
     zeta: np.ndarray  # (S, d)
-    residual_stationarity: float
+    residual_stationarity: float  # sqrt(sum_s p_s ||u_s,y||^2)
     residual_complementarity: float
     residual_normal_cone: float
+    stationarity_max: float  # max_s ||u_s,y|| <= residual_stationarity / sqrt(min_s p_s)
     budget_sum: float  # sum_i max_s lambda_{i,s}
     budget_bound: float | None  # the penalty weight c, when one applies
     checked_selections: int
@@ -97,19 +132,21 @@ class Certificate:
             "lambdas": self.lambdas.tolist(),
             "zeta": self.zeta.tolist(),
             "residuals": self.residuals,
+            # max_s ||u_s,y|| <= residuals["stationarity"] / sqrt(min_s p_s)
+            "stationarity_max": self.stationarity_max,
             "budget": {"sum": self.budget_sum, "bound": self.budget_bound},
             "checked_selections": self.checked_selections,
             "fallback": self.fallback,
         }
 
 
-def _scenario_solve(d: int, fsets, gsets: list):
-    """One scenario's selection of largest y-residual: (V, R, q, checked,
+def _worst_selection(d: int, fsets, gsets: list):
+    """One scenario's selection of largest y-residual: (V, R, checked,
     exhaustive), from the masked (sub, sup) slopes fsets of f and gsets of
     its active g_i, searched by max_over_selections.  V holds the shifted
-    objective vertices, R the shifted rows of the active constraints (rays),
-    in constraint order, and q the least-norm point of co(V) + cone(R) in
-    the y-coordinates."""
+    objective vertices and R the shifted rows of the active constraints
+    (rays), in constraint order; a selection scores the norm of the
+    least-norm point of co(V) + cone(R) in the y-coordinates."""
     sub_f, sup_f = fsets
     sup_sets = [sup_f] + [sup for _sub, sup in gsets]
 
@@ -118,23 +155,22 @@ def _scenario_solve(d: int, fsets, gsets: list):
         # lambda_i co(sub g_i + w_i) over lambda_i >= 0 is the cone of its rows
         R = np.vstack([V[:0]] + [sub + sup_sets[1 + j][choice[1 + j]]
                                  for j, (sub, _sup) in enumerate(gsets)])
-        q = _least_norm(V[:, d:], R[:, d:])[0]
-        return float(np.linalg.norm(q)), (V, R, q)
+        return float(np.linalg.norm(_least_norm(V[:, d:], R[:, d:])[0])), (V, R)
 
-    _res, (V, R, q), exhaustive, checked = max_over_selections(sup_sets, residual)
-    return V, R, q, checked, exhaustive
+    _res, (V, R), exhaustive, checked = max_over_selections(sup_sets, residual)
+    return V, R, checked, exhaustive
 
 
 def check_optimality(prob: TwoStageProblem, c: float, z: Point) -> Certificate:
     """Verify the multiplier condition at a candidate feasible to FEAS_TOL.
 
-    Per scenario the residual is that of the worst superdifferential
+    Per scenario the rows are those of the worst superdifferential
     selection, the one of largest y-residual: max_over_selections scores all
     of them up to ENUM_CAP, else climbs greedily and the certificate is
     flagged as a fallback; checked_selections counts the selections scored.
-    One joint solve then picks, on every scenario's y-minimizing face, the
-    combinations whose E[zeta] lies nearest to -N_A(x).  A point selection
-    (see the module docstring) is scored once without a search.
+    A point selection (see the module docstring) is read off without a
+    search.  One least-norm solve in nu's joint coordinates then gives the
+    multipliers, zeta and the residuals.
     """
     prob.check_point(z)
     S, d, m, ell = prob.S, prob.d, prob.m, prob.ell
@@ -157,14 +193,11 @@ def check_optimality(prob: TwoStageProblem, c: float, z: Point) -> Certificate:
     # point scenarios: V_s = Pf[s], R_s the rows Pg[s, i] of the active g_i
     ps, (rs, ri) = np.flatnonzero(point), np.nonzero(act & point[:, None])
     rows = [(Pf[ps], ps, Pg[rs, ri], rs, ri)]
-    q = Pf[:, d:].copy()  # a lone row without rays is its own least-norm point
-    for s in np.flatnonzero(point & act.any(axis=1)).tolist():
-        q[s] = _least_norm(Pf[s:s + 1, d:], Pg[s, act[s], d:])[0]
     checked, exhaustive = ps.shape[0], True
     for s in np.flatnonzero(~point).tolist():
         ia = np.flatnonzero(act[s])
         gsets = [gm[i].sets(s) for i in ia.tolist()]
-        Vs, Rs, q[s], chk, exh = _scenario_solve(d, mf.sets(s), gsets)
+        Vs, Rs, chk, exh = _worst_selection(d, mf.sets(s), gsets)
         rows.append((Vs, np.full(Vs.shape[0], s), Rs, np.full(Rs.shape[0], s),
                      np.repeat(ia, [sub.shape[0] for sub, _sup in gsets])))
         checked += chk
@@ -174,35 +207,26 @@ def check_optimality(prob: TwoStageProblem, c: float, z: Point) -> Certificate:
     kv, kr = np.argsort(sv, kind="stable"), np.argsort(sr, kind="stable")
     V, sv, R, sr, owner = V[kv], sv[kv], R[kr], sr[kr], owner[kr]
 
-    # Columns over (y_1..y_S, x): scenario s's y-offset from q_s weighted by
-    # Y_WEIGHT and its p_s-weighted x-part, then A's outward normals, so the
-    # x-part of the least-norm point is E[zeta] + n with n in N_A(x).
-    def embed(M, s, shift):
-        C = np.zeros((M.shape[0], S * m + d))
-        np.put_along_axis(C, s[:, None] * m + np.arange(m), Y_WEIGHT * (M[:, d:] - shift), axis=1)
-        C[:, S * m:] = prob.scenarios.probs[s][:, None] * M[:, :d]
-        return C
-
-    normals = prob.A.normal_rays(z.x, ACT_TOL)
-    nv, nr = np.bincount(sv, minlength=S), np.bincount(sr, minlength=S)
-    _, t, mu = _least_norm(
-        embed(V, sv, q[sv]),
-        np.vstack((embed(R, sr, 0.0), np.hstack((np.zeros((normals.shape[0], S * m)), normals)))),
-        nv.tolist(),
-    )
+    # nu's embedding with the constraint rows as rays: the point's x-part is
+    # E[zeta] + n, n in N_A(x), and its y-part the sqrt(p_s) u_s,y
+    Vj, Rj, _scale = joint_rows(prob.scenarios.probs, d, prob.A.normal_rays(z.x, ACT_TOL),
+                                V, sv, R, sr)
+    q, t, mu = _least_norm(Vj, Rj, np.bincount(sv, minlength=S).tolist(), shared=d)
+    mu = mu[:R.shape[0]]
     lambdas = np.zeros((S, ell))
-    np.add.at(lambdas, (sr, owner), mu[:R.shape[0]])
-    # u_s = t_s V_s + mu_s R_s, one product per scenario
-    ev, er = np.cumsum(nv).tolist(), np.cumsum(nr).tolist()
-    u = np.array([t[a:b] @ V[a:b] + mu[c:e] @ R[c:e]
-                  for a, b, c, e in zip([0] + ev[:-1], ev, [0] + er[:-1], er)])
+    np.add.at(lambdas, (sr, owner), mu)
+    # u_s = t_s V_s + mu_s R_s, in scenario s's own coordinates (x, y_s)
+    u = np.zeros((S, d + m))
+    np.add.at(u, sv, t[:, None] * V)
+    np.add.at(u, sr, mu[:, None] * R)
     zeta = u[:, :d].copy()
     return Certificate(
         lambdas=lambdas,
         zeta=zeta,
-        residual_stationarity=max(float(np.linalg.norm(u_s[d:])) for u_s in u),
+        residual_stationarity=float(np.linalg.norm(q[d:])),
         residual_complementarity=max(np.abs(lambdas * gv).ravel().tolist(), default=0.0),
         residual_normal_cone=prob.A.normal_residual(z.x, prob.scenarios.probs @ zeta, tol=ACT_TOL),
+        stationarity_max=float(np.sqrt(np.vecdot(u[:, d:], u[:, d:])).max()),
         budget_sum=float(lambdas.max(axis=0).sum()) if ell else 0.0,
         budget_bound=float(c),
         checked_selections=checked,

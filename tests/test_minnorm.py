@@ -300,3 +300,23 @@ def test_segment_with_no_private_part_falls_back():
         assert _segments_least_norm(V, R, tuple(sizes), d) is None
         got, want = _least_norm(V, R, sizes, shared=d), _least_norm(V, R, sizes)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("shared_part", [False, True])
+def test_segment_layout_with_a_private_ray(shared_part):
+    # the certificate's constraint rows are rays with y-parts: a ray with a
+    # private part is not the segment path's, so the input, not the caller,
+    # sends the call to NNLS, and it matches the Minkowski sum
+    rng = np.random.default_rng(53 + shared_part)
+    sizes = [2] * SEGMENT_MIN_BLOCKS + [1]
+    blocks, _R, d, scale = _layout_case(rng, sizes, 0, ints=False)
+    m = (blocks[0].shape[1] - d) // len(sizes)
+    q0 = _least_norm(np.vstack(blocks), _R, sizes)[0]
+    # against block b's private part of the point without it, so it shortens q
+    b = int(np.argmax([np.abs(q0[d + i * m:d + (i + 1) * m]).max() for i in range(len(sizes))]))
+    R = np.zeros((1, q0.shape[0]))
+    R[0, d + b * m:d + (b + 1) * m] = -q0[d + b * m:d + (b + 1) * m]
+    if shared_part:
+        R[0, :d] = rng.normal(size=d) * scale
+    _check_against_minkowski_sum(blocks, R, scale,
+                                 lambda V, R, sizes: _least_norm(V, R, sizes, shared=d))

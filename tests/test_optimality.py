@@ -1,5 +1,7 @@
 """Multiplier certificates, the smooth KKT case, inf-stationarity."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,6 @@ from codiffsp import (
     constant,
     evaluate,
     generate,
-    min_norm_point,
     quad,
     quasidiff,
     scale,
@@ -25,7 +26,7 @@ from codiffsp import (
 from codiffsp._minnorm import _blocks_least_norm, _least_norm
 from codiffsp.codiff import CodiffPair, _vertex_blocks, codiff_rows
 from codiffsp.expectation import ACT_TOL, max_over_selections
-from codiffsp.optimality import Y_WEIGHT, Certificate, check_optimality, inf_stationarity_measure
+from codiffsp.optimality import Certificate, check_optimality, inf_stationarity_measure
 from codiffsp.solvers import SolveOpts, codiff_descent, dca_solve
 
 from conftest import (
@@ -212,7 +213,30 @@ def test_converged_solver_points_certify():
                                         directions=128)
         assert meas >= -1e-4
         cert = check_optimality(p, 10.0, rep.final_point)
-        assert max(cert.residuals.values()) <= 1e-5
+        assert max(cert.residuals.values()) <= SolveOpts().tol_stat
+
+
+@pytest.mark.parametrize("seed, S, solvers", [
+    (1000, 3, (dca_solve, codiff_descent)),
+    (1007, 3, (dca_solve, codiff_descent)),
+    (1009, 3, (dca_solve, codiff_descent)),
+    (1000, 100, (codiff_descent,)),
+])
+def test_converged_means_certified_in_nus_norm(seed, S, solvers):
+    # converged stops at nu(ACT_TOL) <= tol_stat; the certificate measures
+    # the same joint set with free multipliers, so every residual is within
+    # tol_stat and the stationarity and normal-cone residuals within nu
+    tol = SolveOpts().tol_stat
+    p = generate(seed, d=2, m=2, S=S, l=2, dc=True)
+    for solve in solvers:
+        rep = solve(p, 10.0, p.witness)
+        assert rep.status == "converged" and rep.exhaustive
+        nu = -inf_stationarity_measure(p, 10.0, rep.final_point)
+        cert = check_optimality(p, 10.0, rep.final_point)
+        assert max(cert.residuals.values()) <= tol
+        assert np.hypot(cert.residual_stationarity, cert.residual_normal_cone) <= nu + 1e-13
+        pmin = float(p.scenarios.probs.min())
+        assert cert.stationarity_max <= cert.residual_stationarity / np.sqrt(pmin) * (1.0 + 1e-12)
 
 
 def test_smooth_converged_point_has_small_residuals():
@@ -239,22 +263,36 @@ def _two_kink_point(p):
     return Point(x=x, y=np.array(Y))
 
 
-def _minkowski_residual(p, z, s, lam):
-    """y-norm of the min-norm point of co(sub f + w) + sum_i lam_i co(sub g_i + w_i),
-    formed as Minkowski vertex sums."""
-    th = p.scenarios.params[s]
-    qf = quasidiff(codiff(p.f, z.x, z.y[s], th))
-    V = qf.sub + qf.sup[0]
-    for i, gi in enumerate(p.g):
-        if lam[i] > 0.0:
-            qg = quasidiff(codiff(gi, z.x, z.y[s], th))
-            W = lam[i] * (qg.sub + qg.sup[0])
-            V = (V[:, None, :] + W[None, :, :]).reshape(-1, V.shape[1])
-    q, _ = min_norm_point(V[:, p.d:])
-    return float(np.linalg.norm(q))
+def _joint_minkowski_point(p, z, lambdas):
+    """Least-norm point, in nu's joint coordinates, of the sum over scenarios
+    of co(sub f + w) + sum_i lambda_i co(sub g_i + w_i) at the multipliers
+    given, plus N_A(x): one hull of the Minkowski vertex sums within and
+    across scenarios, the scenario sums weighted by p_s in x and sqrt(p_s)
+    in y_s."""
+    S, d, m = p.S, p.d, p.m
+    blocks = []
+    for s, th in enumerate(p.scenarios.params):
+        qf = quasidiff(codiff(p.f, z.x, z.y[s], th))
+        V = qf.sub + qf.sup[0]
+        for i, gi in enumerate(p.g):
+            if lambdas[s, i] > 0.0:
+                qg = quasidiff(codiff(gi, z.x, z.y[s], th))
+                W = lambdas[s, i] * (qg.sub + qg.sup[0])
+                V = (V[:, None, :] + W[None, :, :]).reshape(-1, V.shape[1])
+        ps = p.scenarios.probs[s]
+        E = np.zeros((V.shape[0], d + S * m))
+        E[:, :d] = ps * V[:, :d]
+        E[:, d + s * m:d + (s + 1) * m] = np.sqrt(ps) * V[:, d:]
+        blocks.append(E)
+    P = np.array([sum(rows) for rows in itertools.product(*blocks)])
+    normals = p.A.normal_rays(z.x, ACT_TOL)
+    return _least_norm(P, np.hstack((normals, np.zeros((normals.shape[0], S * m)))))[0]
 
 
 def test_kink_certificate_is_exact():
+    # the joint point trades x against y, so the reference is the joint
+    # Minkowski sum at the certificate's multipliers: its least-norm point
+    # lies in that subset of the cone set, and so is the same point
     for s in range(20):
         p = generate(s, d=2, m=4, S=2, l=2, dc=False)
         z = _two_kink_point(p)
@@ -263,14 +301,16 @@ def test_kink_certificate_is_exact():
                 assert abs(evaluate(gi, z.x, z.y[sc], p.scenarios.params[sc])) <= 1e-9
         cert = check_optimality(p, 10.0, z)
         assert cert.fallback is False
-        r = cert.residual_stationarity
-        ref = max(_minkowski_residual(p, z, sc, cert.lambdas[sc]) for sc in range(p.S))
+        q = _joint_minkowski_point(p, z, cert.lambdas)
+        r, ref = cert.residual_stationarity, float(np.linalg.norm(q[p.d:]))
+        assert abs(r - ref) <= 1e-9 * (1.0 + r)
+        r, ref = cert.residual_normal_cone, float(np.linalg.norm(q[:p.d]))
         assert abs(r - ref) <= 1e-9 * (1.0 + r)
 
 
 def _scenario_by_scenario(prob, c, z):
     """check_optimality as one CodiffPair, one quasidiff per function and one
-    selection search per scenario, with the joint system assembled scenario
+    selection search per scenario, with nu's joint system assembled scenario
     by scenario; the kernel is the one without the fold."""
     S, d, m, ell = prob.S, prob.d, prob.m, prob.ell
     X, Y, TH = np.broadcast_to(z.x, (S, d)), z.y, prob.scenarios.params
@@ -278,7 +318,7 @@ def _scenario_by_scenario(prob, c, z):
     gv = [np.hstack([v for *_b, v in _vertex_blocks(gi, X, Y, TH)]) for gi in prob.g]
     cf = codiff_rows(prob.f, X, Y, TH)
     gvals = [[float(v[s]) for v in gv] for s in range(S)]
-    Vs, Rs, qs, owners, checked, exhaustive = [], [], [], [], [], []
+    Vs, Rs, owners, checked, exhaustive = [], [], [], [], []
     for s in range(S):
         qf = quasidiff(cf[s], ACT_TOL)
         qgs = [quasidiff(cg_i[s], ACT_TOL) for cg_i in cg]
@@ -289,27 +329,33 @@ def _scenario_by_scenario(prob, c, z):
             V = qf.sub + sup_sets[0][choice[0]]
             R = np.vstack([V[:0]] + [qgs[i].sub + sup_sets[1 + j][choice[1 + j]]
                                      for j, i in enumerate(act)])
-            q = _blocks_least_norm(V[:, d:], R[:, d:])[0]
-            return float(np.linalg.norm(q)), (V, R, q)
+            return float(np.linalg.norm(_blocks_least_norm(V[:, d:], R[:, d:])[0])), (V, R)
 
-        _res, (V, R, q), exh, chk = max_over_selections(sup_sets, residual)
-        Vs.append(V), Rs.append(R), qs.append(q), checked.append(chk), exhaustive.append(exh)
+        _res, (V, R), exh, chk = max_over_selections(sup_sets, residual)
+        Vs.append(V), Rs.append(R), checked.append(chk), exhaustive.append(exh)
         owners.append(np.repeat(np.array(act, dtype=int), [qgs[i].sub.shape[0] for i in act]))
 
-    def embed(s, M, shift):
-        C = np.zeros((M.shape[0], S * m + d))
-        C[:, s * m:(s + 1) * m] = Y_WEIGHT * (M[:, d:] - shift)
-        C[:, S * m:] = prob.scenarios.probs[s] * M[:, :d]
+    probs = prob.scenarios.probs
+
+    def embed(s, M):
+        C = np.zeros((M.shape[0], d + S * m))
+        C[:, :d] = probs[s] * M[:, :d]
+        C[:, d + s * m:d + (s + 1) * m] = np.sqrt(probs[s]) * M[:, d:]
         return C
 
     normals = prob.A.normal_rays(z.x, ACT_TOL)
-    V = np.vstack([embed(s, Vs[s], qs[s]) for s in range(S)])
-    R = np.vstack([embed(s, Rs[s], 0.0) for s in range(S)]
-                  + [np.hstack((np.zeros((normals.shape[0], S * m)), normals))])
-    _, t, mu = _blocks_least_norm(V, R, [V_s.shape[0] for V_s in Vs])
+    V = np.vstack([embed(s, Vs[s]) for s in range(S)])
+    R = np.vstack([embed(s, Rs[s]) for s in range(S)]
+                  + [np.hstack((normals, np.zeros((normals.shape[0], S * m))))])
+    q, t, mu = _blocks_least_norm(V, R, [V_s.shape[0] for V_s in Vs])
     ts = np.split(t, np.cumsum([V_s.shape[0] for V_s in Vs])[:-1])
     mus = np.split(mu, np.cumsum([R_s.shape[0] for R_s in Rs]))
-    u = [t_s @ V_s + mu_s @ R_s for V_s, R_s, t_s, mu_s in zip(Vs, Rs, ts, mus)]
+    u = []
+    for V_s, R_s, t_s, mu_s in zip(Vs, Rs, ts, mus):
+        u_s = np.zeros(d + m)
+        for w, row in zip(np.concatenate((t_s, mu_s)), np.vstack((V_s, R_s))):
+            u_s = u_s + w * row
+        u.append(u_s)
     # np.bincount over no rays gives int zeros; lambdas are float64 throughout
     lambdas = np.array([np.bincount(o, weights=mu_s, minlength=ell).astype(float)
                         for o, mu_s in zip(owners, mus)]).reshape(S, ell)
@@ -318,9 +364,10 @@ def _scenario_by_scenario(prob, c, z):
     return Certificate(
         lambdas=lambdas,
         zeta=zeta,
-        residual_stationarity=max(float(np.linalg.norm(u_s[d:])) for u_s in u),
+        residual_stationarity=float(np.linalg.norm(q[d:])),
         residual_complementarity=max(comp, default=0.0),
         residual_normal_cone=prob.A.normal_residual(z.x, prob.scenarios.probs @ zeta, tol=ACT_TOL),
+        stationarity_max=max(float(np.linalg.norm(u_s[d:])) for u_s in u),
         budget_sum=float(lambdas.max(axis=0).sum()) if ell else 0.0,
         budget_bound=float(c),
         checked_selections=sum(checked),
@@ -333,7 +380,8 @@ def _cert_bits(cert):
             cert.zeta.dtype.str, cert.zeta.shape, cert.zeta.tobytes(),
             *(np.float64(v).tobytes() for v in (
                 cert.residual_stationarity, cert.residual_complementarity,
-                cert.residual_normal_cone, cert.budget_sum, cert.budget_bound)),
+                cert.residual_normal_cone, cert.stationarity_max, cert.budget_sum,
+                cert.budget_bound)),
             cert.checked_selections, cert.fallback)
 
 
@@ -361,7 +409,8 @@ def _mixed_cases():
 def test_certificate_has_the_bits_of_the_scenario_loop(monkeypatch, kind):
     cases = {"point": _point_only_cases, "mixed": _mixed_cases,
              "ragged": lambda: [ragged_case()]}[kind]()
-    assert rebind(monkeypatch, _least_norm, _blocks_least_norm) > 0
+    assert rebind(monkeypatch, _least_norm,
+                  lambda V, R, sizes=None, shared=None: _blocks_least_norm(V, R, sizes)) > 0
     for p, z in cases:
         cert = check_optimality(p, 10.0, z)
         assert _cert_bits(cert) == _cert_bits(_scenario_by_scenario(p, 10.0, z))
