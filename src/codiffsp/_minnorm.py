@@ -37,10 +37,11 @@ block, private to it, as nu's scenario blocks (x, y_s) are.  When every
 block has at most two vertices, at least SEGMENT_MIN_BLOCKS have two and
 every ray lies in the shared part (A's normals do; the certificate's
 constraint rows, which carry y-parts, do not), the problem separates but
-for the shared part: with ||u||^2 / 2 = max_lam <lam, u> - ||lam||^2 / 2 on that part,
-the weight w_b of segment b, vertices a_b + w_b * delta_b, is the clip to
-[0, 1] of -(<a_b, delta_b>_private + <lam, delta_b>_shared) / ||delta_b||^2
-over its private part, affine in lam in R^d; the one-vertex blocks are a
+for the shared part: with ||u||^2 / 2 = max_lam <lam, u> - ||lam||^2 / 2
+on that part, the weight w_b of segment b, vertices a_b + w_b * delta_b,
+is the clip to [0, 1] of
+-(<a_b, delta_b>_private + <lam, delta_b>_shared) / ||delta_b||^2 over its
+private part, affine in lam in R^d; the one-vertex blocks are a
 constant translation, not folded; a ray r asks <lam, r> >= 0.  This is the
 scenario decomposition of progressive hedging (Rockafellar & Wets, Math.
 Oper. Res. 16, 1991) on the least-norm problem.  A semismooth Newton method
