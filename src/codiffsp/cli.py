@@ -178,7 +178,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_selftest(args) -> int:
     from ._minnorm import _least_norm, _segments_least_norm, min_norm_point
-    from .codiff import codiff, codiff_rows
+    from .codiff import _walk, codiff, codiff_rows
     from .expr import Space, absolute, add, affine, dc, quad
     from .model import FirstStageSet, ScenarioSpace, TwoStageProblem
     from .penalty import penalty_integrand
@@ -234,17 +234,25 @@ def _cmd_selftest(args) -> int:
         assert rep.status == "converged"
 
     def t_rows_pass():
-        # one rows pass over the scenarios has the bits of codiff at each
+        # one rows pass over the scenarios has the bits of codiff at each,
+        # and its compiled plan agrees with the rules walked on each row's
+        # numbers: the same vertices, entries within 1e-13 of the largest
         prob = generate(11, d=2, m=2, S=5, l=2)
         f = penalty_integrand(prob, 10.0)
         x, th = prob.witness.x, prob.scenarios.params
         y_out = prob.witness.y + 3.0 * np.random.default_rng(11).normal(size=prob.witness.y.shape)
+        assert f._plan is not None, "the penalized integrand has no plan"
         for y in (prob.witness.y, y_out):
             rows = codiff_rows(f, np.broadcast_to(x, (prob.S, prob.d)), y, th)
             for s, cd in enumerate(rows):
                 one = codiff(f, x, y[s], th[s])
                 assert cd.hypo.tobytes() == one.hypo.tobytes(), f"hypo differs in scenario {s}"
                 assert cd.hyper.tobytes() == one.hyper.tobytes(), f"hyper differs in scenario {s}"
+                for got, (want,) in zip((cd.hypo, cd.hyper), _walk(f, x, y[s], th[s])):
+                    assert got.shape == want.shape, f"vertex counts differ in scenario {s}"
+                    gap = float(np.abs(got - want).max())
+                    assert gap <= 1e-13 * float(np.abs(want).max()), (
+                        f"plan and walk differ by {gap:.3g} in scenario {s}")
 
     dims = Space(d=1, m=1, q=0).dims
 

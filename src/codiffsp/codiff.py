@@ -15,28 +15,41 @@ with error o(|D|).  The calculus rules below produce offsets that satisfy
 the zero-at-zero normalization exactly in floating point; the constructors
 assert it rather than renormalize.
 
-``codiff_rows`` differentiates an expression at N points in one forward
-pass over its tape.  Row r of (X, Y, Theta) is one point with its own
-theta, and every vertex set is an (N, k, 1+n) array: the max/min/abs/dc
-rules keep every branch whatever its value, so until a prune runs the
-vertex counts depend only on the DAG and the rows share them.  A Minkowski
-sum is (A[:, :, None] + B[:, None]).reshape(N, -1, 1+n), in the vertex
-order of a one-point sum.  ``_vertex_blocks`` hands out these arrays before
-any CodiffPair is built, for callers that read slices of them or shift
-them first.  Branch values come from ``expr.node_values``,
-the evaluator behind ``evaluate``, so the vertex offsets f_i(z) - f(z) of a
-max/min/abs node are exact differences of the values ``evaluate`` returns.
-Smooth nodes, marked by their structural flag, carry a gradient only; a
-quad's is the stacked product (Q @ Z[:, :, None])[..., 0] + lin, which has
-the bits of the one-point Q @ z + lin, where Z @ Q.T and einsum sum in
-another order.
+The rules keep every branch of a max/min/abs/dc node whatever its value,
+so until a prune runs the vertices of the root, their count, order and
+which branch gaps and atom gradients each one sums, depend on the DAG
+alone.  ``_compile`` therefore runs the rules once per expression
+(``Expr._plan``, cached like its tape) on coefficient rows instead of
+numbers, and ``codiff_rows`` differentiates at N points (X[r], Y[r],
+TH[r]) by that plan in three steps:
 
-Pruning makes the counts differ from row to row.  Where a Minkowski
-product or a node set exceeds min(AUTO_PRUNE_AT, MAX_VERTICES), above which
-a one-point pass may prune or raise, the expression is differentiated one
-row at a time instead, and each row prunes and raises VertexCapExceeded as
-a one-point pass does.  ``codiff`` is the one-row call, so every row of a
-rows pass has the bits of ``codiff`` at that point.
+  1. node values, from ``expr.row_values``: a float pass per row below
+     expr.ROWS_MIN_S rows and one pass on (N,) columns from it on;
+  2. the gap f_i - f at every branch of every max, min and abs node, with
+     the builtin max's tie rule, and the gradient Q z + lin of every quad
+     atom (affine atoms add a constant slope);
+  3. two fixed gather-sums: each vertex offset sums its signed gaps and each
+     slope its scaled quad gradients, in a fixed order (an elementwise loop
+     over the terms, never BLAS), so a row's bits do not depend on N or on
+     BLAS threading, and a coefficient 0 never meets an inf.
+
+Every vertex set is an (N, k, 1+n) array, in the vertex order of the rules
+(a Minkowski sum lists A's index outer).  ``_vertex_blocks`` hands out
+these arrays before any CodiffPair is built, for callers that read slices
+of them or shift them first.  ``codiff`` is the one-row call of the same
+plan, so every row of a rows pass has the bits of ``codiff`` at that
+point.  Values and single-gap offsets have ``evaluate``'s bits: a gap is
+the difference of two values ``evaluate`` returns, and an offset is that
+gap with its sign of zero cleared.  Slopes that sum several terms round
+once per term in the plan's order, not in the rules' nesting, so they may
+differ from a walk of the rules on numbers in the last bits.
+
+An expression gets no plan where a Minkowski product or a node set of the
+rules exceeds min(AUTO_PRUNE_AT, MAX_VERTICES), above which a point may
+prune or raise, and where it declares no dims.  Its rows go one at a time
+through ``_walk``, the rules on one point's numbers, which prune past
+AUTO_PRUNE_AT and raise VertexCapExceeded past MAX_VERTICES; ``codiff``
+takes the same path there.
 
 Quasidifferentials are the zero-offset slices of a codifferential and
 represent the directional derivative as max plus min of linear forms;
@@ -46,12 +59,13 @@ represent the directional derivative as max plus min of linear forms;
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from ._minnorm import inside, min_norm_point
 from .errors import CodiffspError, DimensionMismatch, VertexCapExceeded
-from .expr import Expr, node_values
+from .expr import Expr, node_values, row_values
 
 TOL_ZERO = 1e-9
 MAX_VERTICES = 4096
@@ -96,44 +110,32 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-class _Ragged(Exception):
-    """A rows pass reached a set that a one-point pass could prune, so the
-    rows may no longer share one vertex count."""
-
-
 def _minkowski(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Row-wise Minkowski sums of (N, ka, c) and (N, kb, c) vertex sets, in
-    the vertex order of a one-point sum (A's index outer)."""
-    N, ka, c = A.shape
-    kb = B.shape[1]
-    if N != 1 and ka * kb > min(AUTO_PRUNE_AT, MAX_VERTICES):
-        raise _Ragged
-    if ka * kb > MAX_VERTICES:
+    """The Minkowski sum of the (ka, c) and (kb, c) vertex sets of one point,
+    A's index outer; past MAX_VERTICES both are pruned first, and a sum still
+    past it raises VertexCapExceeded."""
+    if A.shape[0] * B.shape[0] > MAX_VERTICES:
         # pruning first keeps desk-scale models exact without silent loss
-        A = _manage(A)
-        B = _manage(B)
-        if A.shape[1] * B.shape[1] > MAX_VERTICES:
-            raise VertexCapExceeded(A.shape[1] * B.shape[1], MAX_VERTICES)
-    return (A[:, :, None] + B[:, None]).reshape(N, -1, c)
+        A, B = _manage(A), _manage(B)
+        if A.shape[0] * B.shape[0] > MAX_VERTICES:
+            raise VertexCapExceeded(A.shape[0] * B.shape[0], MAX_VERTICES)
+    return (A[:, None] + B[None]).reshape(-1, A.shape[1])
 
 
 def _manage(V: np.ndarray) -> np.ndarray:
-    """V (N, k, c) as it is up to min(AUTO_PRUNE_AT, MAX_VERTICES) vertices;
-    above, a single row is refused beyond MAX_VERTICES and pruned beyond
-    AUTO_PRUNE_AT."""
-    N, k, _c = V.shape
+    """V (k, c) as it is up to min(AUTO_PRUNE_AT, MAX_VERTICES) vertices;
+    above, refused beyond MAX_VERTICES and pruned beyond AUTO_PRUNE_AT."""
+    k = V.shape[0]
     if k <= min(AUTO_PRUNE_AT, MAX_VERTICES):
         return V
-    if N != 1:
-        raise _Ragged
     if k > MAX_VERTICES:
         raise VertexCapExceeded(k, MAX_VERTICES)
-    W = np.unique(V[0], axis=0)
+    W = np.unique(V, axis=0)
     if W.shape[0] > AUTO_PRUNE_AT:
         W = _prune_vertices(W)
     if W.shape[0] > MAX_VERTICES:  # pragma: no cover - prune only shrinks
         raise VertexCapExceeded(W.shape[0], MAX_VERTICES)
-    return W[None]
+    return W
 
 
 def _prune_vertices(V: np.ndarray) -> np.ndarray:
@@ -155,60 +157,42 @@ def _prune_vertices(V: np.ndarray) -> np.ndarray:
     return V[keep]
 
 
-def _rows_pass(
-    expr: Expr, X: np.ndarray, Y: np.ndarray, TH: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, object]:
-    """(hypo, hyper, value): vertex sets of shapes (N, k1, 1+n) and
-    (N, k2, 1+n) at the N rows and the root's node_values entry, a float
-    when N == 1; raises _Ragged when N != 1 and a set outgrows the unpruned
-    range.  X is (N, d), or one (d,) row that every row shares."""
-    N = Y.shape[0]
-    n = X.shape[-1] + Y.shape[1]
-    Z = np.hstack((np.broadcast_to(X, (N, X.shape[-1])), Y))
-    zero = np.zeros((N, 1, 1 + n))
-    tape = expr._tape
-    # one row takes the float path of node_values, which has the same bits
-    # at a small fraction of the cost of (1,) columns; a shared x enters the
-    # rows as floats, with the bits of columns
-    if N == 1:
-        vals = node_values(expr, Z[0].tolist() + TH[0].tolist())
-    else:
-        xs = X.tolist() if X.ndim == 1 else list(X.T)
-        vals = node_values(expr, xs + list(Y.T) + list(TH.T), N)
+def _rules(tape: tuple, width: int, c: int, leaf, gaps, minkowski, manage):
+    """The calculus rules in one forward pass over the tape, on vertex rows
+    (k, c) of an offset part (the first width columns) and a slope part:
+    (hypo, hyper) of the root.
+
+    leaf(e, i) is the slope part of the gradient of affine or quad atom e at
+    tape position i, gaps(i) the list of offset terms that the max rule adds
+    to the branches of the max, min or abs node at i, one per branch (the
+    min and abs rules run the max rule on -f_j and on (u, -u)); minkowski
+    sums two sets and manage takes every set a node yields.  A smooth node
+    gets a gradient only: a smooth subtree is one atom, hypo {(0, grad)},
+    hyper {(0, 0)}.  Keeping negations of smooth pieces in atom form makes
+    abs(x) yield the two-vertex hypo rather than a swapped hyper.
+    """
+    zero = np.zeros((1, c))
 
     def smooth_pair(g: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        hypo = np.zeros((N, 1, 1 + n))
-        hypo[:, 0, 1:] = g
+        hypo = np.zeros((1, c))
+        hypo[0, width:] = g
         return hypo, zero
 
-    def max_rule(
-        parts: list[tuple[np.ndarray, np.ndarray]], values: list
-    ) -> tuple[np.ndarray, np.ndarray]:
-        # the builtin max's tie rule (the first maximal value wins), which
-        # keeps the sign of a 0.0 / -0.0 tie where np.maximum may not
-        f = values[0]
-        for v in values[1:]:
-            f = np.where(v > f, v, f)
+    def max_rule(parts: list, offs: list) -> tuple[np.ndarray, np.ndarray]:
         hyper = parts[0][1]
         for _hypo_k, hyper_k in parts[1:]:
-            hyper = _minkowski(hyper, hyper_k)
+            hyper = minkowski(hyper, hyper_k)
         pieces = []
         for i, (hypo_i, _hyper_i) in enumerate(parts):
             S = hypo_i
             for k2, (_h, hyper_k) in enumerate(parts):
                 if k2 != i:
-                    S = _minkowski(S, -hyper_k)
+                    S = minkowski(S, -hyper_k)
             S = S.copy()
-            off = S[:, :, 0].T  # (k, N) view; a float value broadcasts too
-            off += values[i] - f
+            S[:, :width] += offs[i]
             pieces.append(S)
-        return np.concatenate(pieces, axis=1), hyper
+        return np.concatenate(pieces), hyper
 
-    # One forward pass over the tape.  A smooth node gets a gradient only: a
-    # smooth subtree is one atom, hypo {(0, grad)}, hyper {(0, 0)}.  Keeping
-    # negations of smooth pieces in atom form makes abs(x) yield the
-    # two-vertex hypo rather than a swapped hyper.  A gradient is (n,) when
-    # it is the same in every row, else (N, n).
     grads: list = [None] * len(tape)
     pairs: list = [None] * len(tape)
 
@@ -218,14 +202,12 @@ def _rows_pass(
     for i, (e, kids) in enumerate(tape):
         k = e.kind
         if e.smooth:
-            if k == "constant":
-                g = np.zeros(n)
-            elif k == "affine":
-                g = np.concatenate((e.cx, e.cy))
-            elif k == "quad":
-                g = (e.Q @ Z[:, :, None])[..., 0] + e.lin
+            if k in ("affine", "quad"):
+                g = leaf(e, i)
+            elif k == "constant":
+                g = np.zeros(c - width)
             elif k == "add":
-                g = np.zeros(n)
+                g = np.zeros(c - width)
                 for j in kids:
                     g = g + grads[j]
             else:  # scale; smooth subtrees contain no other kinds
@@ -236,9 +218,9 @@ def _rows_pass(
             hypo, hyper = part(kids[0])
             for j in kids[1:]:
                 h2, g2 = part(j)
-                hypo = _minkowski(hypo, h2)
-                hyper = _minkowski(hyper, g2)
-            out = _manage(hypo), _manage(hyper)
+                hypo = minkowski(hypo, h2)
+                hyper = minkowski(hyper, g2)
+            out = manage(hypo), manage(hyper)
         elif k == "scale":
             hypo, hyper = part(kids[0])
             if e.lam >= 0.0:
@@ -246,13 +228,13 @@ def _rows_pass(
             else:
                 out = e.lam * hyper, e.lam * hypo
         elif k == "max":
-            hypo, hyper = max_rule([part(j) for j in kids], [vals[j] for j in kids])
-            out = _manage(hypo), _manage(hyper)
+            hypo, hyper = max_rule([part(j) for j in kids], gaps(i))
+            out = manage(hypo), manage(hyper)
         elif k == "min":
             # mirror of max: min f_i = -max(-f_i)
             neg_parts = [(-hyper_j, -hypo_j) for hypo_j, hyper_j in map(part, kids)]
-            hypo_m, hyper_m = max_rule(neg_parts, [-vals[j] for j in kids])
-            out = _manage(-hyper_m), _manage(-hypo_m)
+            hypo_m, hyper_m = max_rule(neg_parts, gaps(i))
+            out = manage(-hyper_m), manage(-hypo_m)
         elif k == "abs":
             # rewrite as max(u, -u); a smooth u negates to the atom (-grad)
             (j,) = kids
@@ -261,26 +243,194 @@ def _rows_pass(
             else:
                 hypo, hyper = pairs[j]
                 part_n = (-hyper, -hypo)
-            hm, gm = max_rule([part(j), part_n], [vals[j], -vals[j]])
-            out = _manage(hm), _manage(gm)
+            hm, gm = max_rule([part(j), part_n], gaps(i))
+            out = manage(hm), manage(gm)
         else:  # dc
             hypo_p, hyper_p = part(kids[0])
             hypo_q, hyper_q = part(kids[1])
-            # convex children built by these rules carry hyper = {(0, 0)},
-            # so this reduces to [hypo of plus, negated hypo of minus]
-            hypo = _minkowski(hypo_p, -hyper_q)
-            hyper = _minkowski(hyper_p, -hypo_q)
-            # restore min-offset normalization; a row whose minus child has
-            # max hypo offset exactly 0 subtracts +0.0, which changes no bit
-            shift = hyper[:, :, 0].min(axis=1)
-            if (shift != 0.0).any():
-                hyper = hyper.copy()
-                hyper[:, :, 0] -= np.where(shift != 0.0, shift, 0.0)[:, None]
-            out = _manage(hypo), _manage(hyper)
+            # Convex children built by these rules carry hyper = {(0, 0)}, so
+            # this reduces to [hypo of plus, negated hypo of minus].  No
+            # renormalization: each child's hypo offsets are <= 0 with max
+            # exactly 0, its hyper offsets >= 0 with min exactly 0 (every
+            # rule keeps both, the max rule through its zero gap), so
+            # hyper_p + (-hypo_q) has offsets >= 0 and one sum of two zeros,
+            # exactly +-0, as its least; likewise hypo_p + (-hyper_q).
+            out = (manage(minkowski(hypo_p, -hyper_q)),
+                   manage(minkowski(hyper_p, -hypo_q)))
         pairs[i] = out
 
     hypo, hyper = part(len(tape) - 1)
-    return _manage(hypo), _manage(hyper), vals[-1]
+    return manage(hypo), manage(hyper)
+
+
+def _walk(expr: Expr, x: np.ndarray, y: np.ndarray, th: np.ndarray):
+    """(hypo, hyper, value) at one point by the rules on its numbers: the
+    (1, k1, 1+n) and (1, k2, 1+n) vertex sets, pruned past AUTO_PRUNE_AT and
+    refused past MAX_VERTICES as _manage says, and the (1,) value.  The path
+    of an expression without a plan."""
+    z = np.concatenate((x, y))
+    vals = node_values(expr, z.tolist() + th.tolist())
+    tape = expr._tape
+
+    def gaps(i: int) -> list:
+        # the builtin max's tie rule, as node_values': the first maximal
+        # value wins, which keeps the sign of a 0.0 / -0.0 tie
+        e, kids = tape[i]
+        if e.kind == "abs":
+            v = vals[kids[0]]
+            branch = [v, -v]
+        else:
+            branch = [vals[j] if e.kind == "max" else -vals[j] for j in kids]
+        f = max(branch)
+        return [v - f for v in branch]
+
+    def leaf(e: Expr, i: int) -> np.ndarray:
+        return np.concatenate((e.cx, e.cy)) if e.kind == "affine" else e.Q @ z + e.lin
+
+    hypo, hyper = _rules(tape, 1, 1 + z.shape[0], leaf, gaps, _minkowski, _manage)
+    return hypo[None], hyper[None], np.array([vals[-1]])
+
+
+class _Plan(NamedTuple):
+    """An expression's codifferential as fixed linear maps of its node
+    values (``_compile``).  Vertex r of the root's hypo (r < k1) or hyper
+    (r >= k1) has the offset 0.0 + sum_t oc[r, t] * gap[oi[r, t]] and the
+    slope C[r] + sum_t qc[r, t] * qgrad[qi[r, t]], each sum in ascending t.
+    gap[j] = w[ga[j]] - w[gb[j]], w the values v of the tape nodes ``at``
+    followed by -v, is the max rule's f_i - f at one branch of a max, min or
+    abs node; qgrad[j] = Q_j z + lin_j is the gradient of quad atom quads[j].
+    Padding terms, at least one per vertex, read gap[len(ga)] and
+    qgrad[len(quads)], both -0.0, with coefficient 1.0: they add -0.0, which
+    changes no bit.  oc and qc are shaped to broadcast over a last axis of
+    rows.  peak is the largest vertex set or Minkowski product the rules
+    built."""
+
+    at: tuple
+    ga: np.ndarray
+    gb: np.ndarray
+    oi: np.ndarray
+    oc: np.ndarray
+    quads: tuple
+    qi: np.ndarray
+    qc: np.ndarray
+    C: np.ndarray
+    k1: int
+    peak: int
+
+
+def _terms(coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(idx, val): the nonzero entries of each row of coef (K, w) in
+    ascending column order, padded with index w and value 1.0 to the
+    longest row, and to one column at least."""
+    nz = coef != 0.0
+    T = int(nz.sum(axis=1).max(initial=1))
+    idx = np.full((coef.shape[0], T), coef.shape[1], dtype=np.intp)
+    val = np.ones((coef.shape[0], T))
+    for r, row in enumerate(nz):
+        j = np.flatnonzero(row)
+        idx[r, :j.size], val[r, :j.size] = j, coef[r, j]
+    return idx, val
+
+
+def _compile(expr: Expr) -> _Plan | None:
+    """The plan of expr: the calculus rules run once on coefficient rows
+    instead of numbers.  A vertex row holds the coefficients of its offset
+    over the branch gaps and of its slope over the quad gradients, then its
+    constant slope, the part of its affine atoms.  None for an expression
+    without declared dims or with a vertex set or Minkowski product past
+    min(AUTO_PRUNE_AT, MAX_VERTICES), where a point may prune or raise."""
+    if expr.dims is None:
+        return None
+    tape = expr._tape
+    n = expr.dims[0] + expr.dims[1]
+    quads = [i for i, (e, _kids) in enumerate(tape) if e.kind == "quad"]
+    # per branch gap f_i - f, the tape positions of f_i and f, each with
+    # True where its value enters negated
+    slots: list = []
+    first: dict = {}  # max/min/abs node -> the slice of its slots
+    for i, (e, kids) in enumerate(tape):
+        if e.smooth or e.kind not in ("max", "min", "abs"):
+            continue
+        start = len(slots)
+        if e.kind == "abs":
+            # the max rule on (u, -u), with max |u|: it differs from the
+            # builtin max(u, -u) at most in the sign of a zero gap, which
+            # an offset's 0.0 start clears
+            slots += [((kids[0], False), (i, False)), ((kids[0], True), (i, False))]
+        else:  # a min node is the max rule on -f_j, with max -f
+            slots += [((j, e.kind == "min"), (i, e.kind == "min")) for j in kids]
+        first[i] = slice(start, len(slots))
+    width, nq = len(slots), len(quads)
+    eye = np.eye(width + nq)
+    limit = min(AUTO_PRUNE_AT, MAX_VERTICES)
+    peak = 1
+
+    def manage(V: np.ndarray) -> np.ndarray:
+        nonlocal peak
+        if V.shape[0] > limit:
+            raise VertexCapExceeded(V.shape[0], limit)
+        peak = max(peak, V.shape[0])
+        return V
+
+    def minkowski(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+        return manage((A[:, None] + B[None]).reshape(-1, A.shape[1]))
+
+    def gaps(i: int) -> list:
+        return list(eye[first[i], :width])
+
+    def leaf(e: Expr, i: int) -> np.ndarray:
+        if e.kind == "quad":
+            return np.concatenate((eye[width + quads.index(i), width:], np.zeros(n)))
+        return np.concatenate((np.zeros(nq), e.cx, e.cy))
+
+    try:
+        hypo, hyper = _rules(tape, width, width + nq + n, leaf, gaps, minkowski, manage)
+    except VertexCapExceeded:
+        return None
+    R = np.vstack((hypo, hyper))
+    at = sorted({j for slot in slots for j, _neg in slot} | {len(tape) - 1})
+    col = {j: c for c, j in enumerate(at)}
+    ga, gb = (np.array([col[slot[k][0]] + len(at) * slot[k][1] for slot in slots],
+                       dtype=np.intp) for k in (0, 1))
+    oi, oc = _terms(R[:, :width])
+    qi, qc = _terms(R[:, width:width + nq])
+    return _Plan(at=tuple(at), ga=ga, gb=gb, oi=oi, oc=oc[..., None],
+                 quads=tuple(tape[i][0] for i in quads), qi=qi, qc=qc[..., None, None],
+                 C=R[:, width + nq:], k1=hypo.shape[0], peak=peak)
+
+
+def _plan_pass(expr: Expr, plan: _Plan, X: np.ndarray, Y: np.ndarray, TH: np.ndarray):
+    """(hypo, hyper, values) at the N rows by the plan: the node values
+    (expr.row_values), the gaps and the quad gradients, then the two
+    gather-sums of _Plan.  The sums run with the rows on the last axis, so
+    every step is one elementwise operation over contiguous runs of N."""
+    N, (K, n) = Y.shape[0], plan.C.shape
+    v = row_values(expr, X, Y, TH, plan.at)
+    out = np.empty((K, 1 + n, N))
+    off, slope = out[:, 0], out[:, 1:]
+    signed = np.concatenate((v, -v))
+    gap = np.empty((plan.ga.shape[0] + 1, N))
+    gap[-1] = -0.0
+    np.subtract(signed[plan.ga], signed[plan.gb], out=gap[:-1])
+    W = gap[plan.oi] * plan.oc
+    np.add(W[:, 0], 0.0, out=off)
+    for t in range(1, W.shape[1]):
+        off += W[:, t]
+    slope[...] = plan.C[..., None]
+    if plan.quads:
+        Z = np.hstack((np.broadcast_to(X, (N, X.shape[-1])), Y))
+        grad = np.empty((len(plan.quads) + 1, n, N))
+        grad[-1] = -0.0
+        for j, e in enumerate(plan.quads):
+            # the stacked product has the bits of the one-point Q @ z + lin,
+            # where Z @ Q.T and einsum sum in another order
+            grad[j] = ((e.Q @ Z[:, :, None])[..., 0] + e.lin).T
+        W = grad[plan.qi] * plan.qc
+        for t in range(W.shape[1]):
+            slope += W[:, t]
+    out = out.transpose(2, 0, 1)
+    return (np.ascontiguousarray(out[:, :plan.k1]), np.ascontiguousarray(out[:, plan.k1:]),
+            v[-1].copy())
 
 
 def codiff_rows(expr: Expr, X, Y, TH) -> list[CodiffPair]:
@@ -291,14 +441,14 @@ def codiff_rows(expr: Expr, X, Y, TH) -> list[CodiffPair]:
     return _codiff_pairs(_vertex_blocks(expr, X, Y, TH))
 
 
-def _vertex_blocks(expr: Expr, X, Y, TH) -> list[tuple[slice, np.ndarray, np.ndarray, object]]:
-    """The rows pass's vertex arrays at the N rows of (X, Y, TH), shaped as
-    in codiff_rows: [(rows, hypo, hyper, values)], one block over all N rows
-    or, where a set outgrows the unpruned range, one block per row, each
-    pruned as a one-point pass prunes it.  rows is the slice of the rows a
+def _vertex_blocks(expr: Expr, X, Y, TH) -> list[tuple[slice, np.ndarray, np.ndarray, np.ndarray]]:
+    """The vertex arrays at the N rows of (X, Y, TH), shaped as in
+    codiff_rows: [(rows, hypo, hyper, values)], one block over all N rows by
+    the expression's plan or, where it has none, one block per row by the
+    walk, each pruned as _manage prunes it.  rows is the slice of the rows a
     block covers; hypo and hyper are its (len, k1, 1+n) and (len, k2, 1+n)
-    vertex arrays and values the DAG's values at its rows (node_values).
-    X may also be one (d,) row that every row shares."""
+    vertex arrays and values the DAG's (len,) values at its rows, with
+    evaluate's bits.  X may also be one (d,) row that every row shares."""
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     TH = np.asarray(TH, dtype=np.float64)
@@ -318,12 +468,11 @@ def _vertex_blocks(expr: Expr, X, Y, TH) -> list[tuple[slice, np.ndarray, np.nda
     N = Y.shape[0]
     if N == 0:
         return []
-    try:
-        return [(slice(0, N), *_rows_pass(expr, X, Y, TH))]
-    except _Ragged:
-        return [(slice(r, r + 1), *_rows_pass(expr, X if X.ndim == 1 else X[r:r + 1],
-                                              Y[r:r + 1], TH[r:r + 1]))
-                for r in range(N)]
+    plan = expr._plan
+    if plan is not None and plan.peak <= min(AUTO_PRUNE_AT, MAX_VERTICES):
+        return [(slice(0, N), *_plan_pass(expr, plan, X, Y, TH))]
+    return [(slice(r, r + 1), *_walk(expr, X if X.ndim == 1 else X[r], Y[r], TH[r]))
+            for r in range(N)]
 
 
 def _masked_rows(H: np.ndarray, G: np.ndarray, eps: float = TOL_ZERO):

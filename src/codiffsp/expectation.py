@@ -7,14 +7,21 @@ solver's penalized or DC part, goes through the same two scenario sums:
 expect for the value and _integrand_codiff for the codifferential, and both
 take DCA's tilt, a linear form per scenario.  _integrand_codiff
 differentiates all S scenarios in one rows pass (``codiff._vertex_blocks``),
-row s being (x, y_s) with theta_s; a BlockCodiff keeps its (S, k, 1+n)
-vertex arrays, less the tilt in the hypo slopes, or one block per scenario
-where the integrand is large enough to be pruned.  nu, the step model, DCA's
-tilt and the certificate read one set of masks of them (BlockCodiff.masked);
-CodiffPairs are built only for the one-point surface.  expect takes every
-scenario's value from one pass as well (TwoStageProblem.scenario_values),
-a rows pass from model.ROWS_MIN_S scenarios on and a float pass per
-scenario below, where a rows pass's fixed cost exceeds the loop's.
+row s being (x, y_s) with theta_s, by the integrand's plan, compiled once
+per expression (``Expr._plan``): node values, the branch gaps and quad
+gradients, then two fixed gather-sums.  About half of a rows pass's cost is
+now its node values, the Python loop over the tape: for DCA's convex part of
+a generated d = m = l = 2 instance, about 40 of 90 us at S = 3 (a float pass
+per scenario) and 120 of 240 us at S = 100 (one pass on columns); the
+gathers and sums are the rest, and they grow with S.  A BlockCodiff keeps
+the (S, k, 1+n) vertex arrays, less the tilt in the hypo slopes, or one
+block per scenario where the integrand has no plan because it is large
+enough to be pruned.  nu, the step model, DCA's tilt and the certificate
+read one set of masks of them (BlockCodiff.masked); CodiffPairs are built
+only for the one-point surface.  expect takes every scenario's value from
+one pass as well (TwoStageProblem.scenario_values), with the rows pass's
+choice between a float pass per scenario and one pass on columns
+(expr.row_values).
 
 The hypodifferential of I is the p-weighted Minkowski sum of the scenario
 hypodifferentials, each embedded in the (x, y_s) block of (x, y_1..y_S).
@@ -40,7 +47,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -85,22 +91,41 @@ def max_over_selections(sups: list[np.ndarray], score) -> tuple[float, object, b
     return *best, False, checked
 
 
-class Masks(NamedTuple):
-    """BlockCodiff.masked: the hypo slopes with offset >= -eps (sub) and the
-    zero-offset hyper slopes (sup) of every scenario in turn, scenario s's
-    from rows sub_at[s] and sup_at[s] on, and _masked_rows' one and P."""
+class Masks:
+    """BlockCodiff.masked: _masked_rows' one and P over every scenario, and
+    the hypo slopes with offset >= -eps (sub) and the zero-offset hyper
+    slopes (sup) of every scenario in turn, scenario s's from rows sub_at[s]
+    and sup_at[s] on.  The stacked slopes are built on first read: a
+    certificate whose every scenario is a point selection reads one and P
+    alone.  masks holds (H, G, sub, sup) per block of BlockCodiff.blocks."""
 
-    sub: np.ndarray
-    sub_at: np.ndarray
-    sup: np.ndarray
-    sup_at: np.ndarray
-    one: np.ndarray
-    P: np.ndarray
+    def __init__(self, masks: tuple, one: np.ndarray, P: np.ndarray):
+        self.masks, self.one, self.P = masks, one, P
+
+    @cached_property
+    def _stacked(self) -> tuple:
+        parts = [(H[sub, 1:], sub.sum(axis=1), G[sup, 1:], sup.sum(axis=1))
+                 for H, G, sub, sup in self.masks]
+        sub, n_sub, sup, n_sup = map(_concat, zip(*parts))
+        at = np.zeros((2, n_sub.shape[0] + 1), dtype=np.intp)
+        at[0, 1:], at[1, 1:] = n_sub.cumsum(), n_sup.cumsum()
+        return sub, at[0], sup, at[1]
+
+    sub = property(lambda self: self._stacked[0])
+    sub_at = property(lambda self: self._stacked[1])
+    sup = property(lambda self: self._stacked[2])
+    sup_at = property(lambda self: self._stacked[3])
 
     def sets(self, s: int) -> tuple[np.ndarray, np.ndarray]:
         """Scenario s's quasidiff(., eps) sub and sup."""
         a, w = self.sub_at, self.sup_at
         return self.sub[a[s]:a[s + 1]], self.sup[w[s]:w[s + 1]]
+
+
+def _concat(arrays) -> np.ndarray:
+    """np.concatenate of a sequence of arrays, the array itself when it is
+    the only one."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 def joint_rows(probs: np.ndarray, d: int, normals: np.ndarray, V: np.ndarray, sv: np.ndarray,
@@ -144,14 +169,13 @@ class BlockCodiff:
 
     def masked(self, eps: float) -> Masks:
         """codiff._masked_rows at eps over every block, in scenario order."""
-        parts = []
+        masks, one, P = [], [], []
         for _rows, H, G, _v in self.blocks:
-            sub, sup, one, P = _masked_rows(H, G, eps)
-            parts.append((H[sub, 1:], sub.sum(axis=1), G[sup, 1:], sup.sum(axis=1), one, P))
-        sub, n_sub, sup, n_sup, one, P = map(np.concatenate, zip(*parts))
-        at = np.zeros((2, self.S + 1), dtype=np.intp)
-        at[0, 1:], at[1, 1:] = n_sub.cumsum(), n_sup.cumsum()
-        return Masks(sub, at[0], sup, at[1], one, P)
+            sub, sup, one_b, P_b = _masked_rows(H, G, eps)
+            masks.append((H, G, sub, sup))
+            one.append(one_b)
+            P.append(P_b)
+        return Masks(tuple(masks), _concat(one), _concat(P))
 
     def least_norm(self, A: FirstStageSet, x: np.ndarray,
                    eps: float) -> tuple[float, np.ndarray, bool]:
@@ -209,9 +233,9 @@ def expect(
     term is not finite.
 
     The values come from TwoStageProblem.scenario_values, with evaluate's
-    bits: one rows pass over every scenario from model.ROWS_MIN_S scenarios
-    on, and a float pass per scenario below.  The crossover exists because a
-    rows pass has a fixed cost, about that of 10 float passes, that does not
+    bits: one pass on (S,) columns from expr.ROWS_MIN_S scenarios on, and a
+    float pass per scenario below.  The crossover exists because a pass on
+    columns has a fixed cost, about that of 10 float passes, that does not
     grow with S.  cumsum adds the p_s v_s in ascending scenario order, and
     + 0.0 is the ascending loop's 0.0 start (an all -0.0 sum reads +0.0), so
     the sum has that loop's bits.

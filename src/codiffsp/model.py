@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DimensionMismatch, ParseError, ValidationError
-from .expr import (
+from .expr import (  # ROWS_MIN_S: the scenario count of scenario_values' crossover
+    ROWS_MIN_S,
     Expr,
     Space,
     add,
@@ -30,18 +31,13 @@ from .expr import (
     evaluate,
     from_json,
     maximum,
-    node_values,
     quad,
+    row_values,
     scale,
     to_json,
 )
 
 PROB_TOL = 1e-12
-# Scenario count from which TwoStageProblem.scenario_values evaluates every
-# scenario in one rows pass.  Below it a float pass per scenario costs less:
-# on generated instances a rows pass costs about as much as 10 float passes
-# whatever S is (Phi_c at d = m = l = 2: 0.2 ms against 0.02 ms per scenario).
-ROWS_MIN_S = 10
 
 
 def check_int(value, low: int, code: str, name: str) -> None:
@@ -289,6 +285,11 @@ class TwoStageProblem:
     def _penalty_integrands(self) -> dict:
         return {}
 
+    @functools.cached_property
+    def _dc_splits(self) -> dict:
+        """solvers.dc_decompose's splits, per c."""
+        return {}
+
     def check_point(self, z: Point) -> None:
         if z.x.shape[0] != self.d or z.y.shape != (self.S, self.m):
             raise DimensionMismatch(
@@ -298,22 +299,14 @@ class TwoStageProblem:
 
     def scenario_values(self, expr: Expr, z: Point) -> np.ndarray:
         """expr(x, y_s, theta_s) for every scenario s, an (S,) array with
-        ``evaluate``'s bits at each scenario.
-
-        From ROWS_MIN_S scenarios on, one ``node_values`` pass takes y and
-        theta as (S,) columns and x as the floats every row shares; below,
-        node_values runs once per scenario on floats.  An overflow yields
-        inf or nan silently on either path, as it does on floats."""
+        ``evaluate``'s bits at each scenario: expr.row_values at the root,
+        one pass on (S,) columns from ROWS_MIN_S scenarios on and a float
+        pass per scenario below."""
         self.check_point(z)
         if expr.dims not in (None, (self.d, self.m, self.scenarios.q)):
             raise DimensionMismatch(f"expression over dims {expr.dims}, problem has "
                                     f"{(self.d, self.m, self.scenarios.q)}")
-        x, th = z.x.tolist(), self.scenarios.params
-        if self.S < ROWS_MIN_S:
-            return np.array([node_values(expr, x + y + t)[-1]
-                             for y, t in zip(z.y.tolist(), th.tolist())])
-        with np.errstate(over="ignore", invalid="ignore"):
-            return node_values(expr, x + list(z.y.T) + list(th.T), self.S)[-1]
+        return row_values(expr, z.x, z.y, self.scenarios.params)[0]
 
 
 @dataclass(frozen=True)

@@ -115,10 +115,15 @@ def dc_decompose(prob: TwoStageProblem, c: float) -> DCDecomposition:
     """Split the penalized integrand f + c * g_plus into convex plus/minus
     integrands: dc_parts of penalty_integrand, whose max rule carries the
     0-branch of g_plus like any other.  The identity plus - minus =
-    f + c * g_plus is sampled before returning.
+    f + c * g_plus is sampled before returning.  Built once per problem and
+    c, on first success, as the penalized integrand is, so the parts' tapes
+    and codifferential plans are too.
     """
     if c < 0.0:
         raise NotDC("penalty parameter must be nonnegative")
+    c = float(c)
+    if c in prob._dc_splits:
+        return prob._dc_splits[c]
     target = penalty_integrand(prob, c)
     plus, minus = dc_parts(target)
     if not (is_convex_struct(plus) and is_convex_struct(minus)):
@@ -137,7 +142,8 @@ def dc_decompose(prob: TwoStageProblem, c: float) -> DCDecomposition:
     if bad.size:
         raise NotDC(f"decomposition identity failed: {float(lhs[bad[0]])!r} vs "
                     f"{float(rhs[bad[0]])!r}")
-    return DCDecomposition(plus=plus, minus=minus)
+    prob._dc_splits[c] = DCDecomposition(plus=plus, minus=minus)
+    return prob._dc_splits[c]
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,10 @@ from codiffsp import (
     scale,
 )
 
-from codiffsp.codiff import AUTO_PRUNE_AT, _vertex_blocks, codiff_rows
+from codiffsp.codiff import AUTO_PRUNE_AT, _vertex_blocks, _walk, codiff_rows
+from codiffsp.model import generate
+from codiffsp.penalty import PenaltySpec, penalty_codiff
+from codiffsp.solvers import dc_decompose
 
 from conftest import kinkify, ragged_case, random_case
 
@@ -434,3 +437,79 @@ def test_rows_check_blocks():
     with pytest.raises(DimensionMismatch):
         codiff_rows(f, np.zeros((2, 1)), np.zeros((3, 1)), np.zeros((2, 1)))
     assert codiff_rows(f, np.zeros((0, 1)), np.zeros((0, 1)), np.zeros((0, 1))) == []
+
+
+# ---------------------------------------------------------------------------
+# the compiled plan against the walk of the rules on numbers
+
+
+def _generated_cases(S):
+    """(expr, x, Y, TH): every integrand of generate(s, dc=True) at S, over
+    its scenarios at the witness and at a point moved off it, x shared."""
+    cases = []
+    for seed in (91000, 1000):
+        p = generate(seed, d=2, m=2, S=S, l=2, dc=True)
+        dec = dc_decompose(p, 10.0)
+        th = p.scenarios.params
+        y_out = p.witness.y + 2.0 * np.random.default_rng(seed).normal(size=p.witness.y.shape)
+        for f in (p.f, *p.g, p.g_plus, p.penalty_integrand(10.0), dec.plus, dec.minus):
+            cases += [(f, p.witness.x, y, th) for y in (p.witness.y, y_out)]
+    return cases
+
+
+def _walked_rows(f, X, Y, TH):
+    return [_walk(f, X if X.ndim == 1 else X[r], Y[r], TH[r]) for r in range(Y.shape[0])]
+
+
+@pytest.mark.parametrize("source", ["random", "S=3", "S=100"])
+def test_plan_matches_the_walk(source):
+    # the same vertex counts and order as the rules run on each row's
+    # numbers, entries within 1e-13 of the set's largest |entry|, values
+    # with the same bits
+    cases = _random_rows_cases(40) if source == "random" else _generated_cases(int(source[2:]))
+    planned = 0
+    for f, X, Y, TH in cases:
+        blocks = _vertex_blocks(f, X, Y, TH)
+        if f._plan is None:
+            assert len(blocks) == Y.shape[0]
+            continue
+        planned += 1
+        ((_rows, H, G, v),) = blocks
+        for r, (h, g, w) in enumerate(_walked_rows(f, X, Y, TH)):
+            for got, want in ((H[r], h[0]), (G[r], g[0])):
+                assert got.shape == want.shape
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+            assert v[r:r + 1].tobytes() == w.tobytes()
+    assert planned >= 0.9 * len(cases)
+
+
+def test_generated_rows_passes_never_walk(monkeypatch):
+    def walk(*args):
+        raise AssertionError("a rows pass walked the rules on numbers")
+
+    # codiffsp.codiff names the re-exported function; patch the module's walk
+    monkeypatch.setattr(sys.modules["codiffsp.codiff"], "_walk", walk)
+    for S in (3, 100):
+        for f, x, Y, TH in _generated_cases(S):
+            assert len(_vertex_blocks(f, x, Y, TH)) == 1
+            codiff(f, x, Y[0], TH[0])
+        p = generate(1000, d=2, m=2, S=S, l=2, dc=True)
+        penalty_codiff(p, PenaltySpec("l1_max", 10.0), p.witness).least_norm(p.A, p.witness.x, 1e-6)
+
+
+def test_dc_nodes_keep_zero_offsets_exactly():
+    # a dc node's hypo offsets have max exactly 0 and its hyper offsets min
+    # exactly 0 with no renormalization, by the plan and by the walk alike
+    cases = _random_rows_cases(40) + _generated_cases(3)
+    seen = 0
+    for f, X, Y, TH in cases:
+        for e, _kids in f._tape:
+            if e.kind != "dc":
+                continue
+            seen += 1
+            walked = [(h[0], g[0]) for h, g, _w in _walked_rows(e, X, Y, TH)]
+            for cd in codiff_rows(e, X, Y, TH):
+                walked.append((cd.hypo, cd.hyper))
+            for hypo, hyper in walked:
+                assert hypo[:, 0].max() == 0.0 and hyper[:, 0].min() == 0.0
+    assert seen >= 20

@@ -112,6 +112,27 @@ def test_decompose_scales_with_c():
     _sample_identity(p, dec, 7.5, np.random.default_rng(3))
 
 
+def test_decompose_is_built_once_per_problem_and_c(monkeypatch):
+    # a second call returns the same split without sampling the identity
+    # again, so the parts' tapes and plans are built once; failures are not
+    # kept, and every call raises
+    p = generate(3, d=2, m=2, S=3, l=2, dc=True)
+    dec = dc_decompose(p, 10.0)
+    batches = []
+    monkeypatch.setattr(sv, "evaluate_batch", lambda *a: batches.append(1) or evaluate_batch(*a))
+    again = dc_decompose(p, 10)
+    assert again is dec and (again.plus, again.minus) == (dec.plus, dec.minus) and batches == []
+    assert dc_decompose(p, 5.0) is not dec and len(batches) == 3
+    for _ in range(2):
+        with pytest.raises(NotDC):
+            dc_decompose(p, -1.0)
+    f = maximum(affine(DIMS, 0.0, [1.0], [0.0], []), quad(DIMS, [[0.0, 1.0], [1.0, 0.0]]))
+    bad = _free_prob(f)
+    for _ in range(2):
+        with pytest.raises(NotDC):
+            dc_decompose(bad, 1.0)
+
+
 def test_decompose_rejects_non_dc():
     f = maximum(affine(DIMS, 0.0, [1.0], [0.0], []),
                 quad(DIMS, [[0.0, 1.0], [1.0, 0.0]]))
