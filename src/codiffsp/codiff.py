@@ -23,8 +23,9 @@ alone.  ``_compile`` therefore runs the rules once per expression
 numbers, and ``codiff_rows`` differentiates at N points (X[r], Y[r],
 TH[r]) by that plan in three steps:
 
-  1. node values, from ``expr.row_values``: a float pass per row below
-     expr.ROWS_MIN_S rows and one pass on (N,) columns from it on;
+  1. node values, from ``expr.row_values``: the expression's compiled
+     value function, its float variant once per row below expr.ROWS_MIN_S
+     rows and its column variant once on (N,) columns from it on;
   2. the gap f_i - f at every branch of every max, min and abs node, with
      the builtin max's tie rule, and the gradient Q z + lin of every quad
      atom (affine atoms add a constant slope);

@@ -9,11 +9,11 @@ take DCA's tilt, a linear form per scenario.  _integrand_codiff
 differentiates all S scenarios in one rows pass (``codiff._vertex_blocks``),
 row s being (x, y_s) with theta_s, by the integrand's plan, compiled once
 per expression (``Expr._plan``): node values, the branch gaps and quad
-gradients, then two fixed gather-sums.  About half of a rows pass's cost is
-now its node values, the Python loop over the tape: for DCA's convex part of
-a generated d = m = l = 2 instance, about 40 of 90 us at S = 3 (a float pass
-per scenario) and 120 of 240 us at S = 100 (one pass on columns); the
-gathers and sums are the rest, and they grow with S.  A BlockCodiff keeps
+gradients, then two fixed gather-sums.  For DCA's convex part of a
+generated d = m = l = 2 instance the node values, by the integrand's
+compiled value function, take about 18 of 80 us at S = 3 (a float pass per
+scenario) and 160 of 290 us at S = 100 (one pass on columns); the gathers
+and sums are the rest, and they grow with S.  A BlockCodiff keeps
 the (S, k, 1+n) vertex arrays, less the tilt in the hypo slopes, or one
 block per scenario where the integrand has no plan because it is large
 enough to be pruned.  nu, the step model, DCA's tilt and the certificate

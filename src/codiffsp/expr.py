@@ -13,20 +13,41 @@ verified against the spectrum when set.
 
 Every node lists its distinct sub-nodes once, in post-order (``Expr._tape``),
 and carries its structural flags (``smooth``, ``convex``, ``affine``), set at
-construction from its children's flags.  One loop over the tape,
-``node_values``, evaluates every node; ``evaluate`` and ``evaluate_batch``
-return its last entry for one point or for a batch, and sum every atom in
-one fixed order, so they agree bit for bit at every point, whatever the
-batch size.  ``row_values`` is the one choice between a float pass per row
-and one pass on (N,) columns, made at ROWS_MIN_S rows.  The codifferential
-calculus walks the same tape once per expression, to compile ``Expr._plan``
-(``codiff``).
+construction from its children's flags.  ``evaluate`` and ``evaluate_batch``
+return the root's value for one point or for a batch, and ``row_values``
+is the one choice between a float pass per row and one pass on (N,)
+columns, made at ROWS_MIN_S rows.  The codifferential calculus walks the
+same tape once per expression, to compile ``Expr._plan`` (``codiff``).
+
+``node_values`` evaluates every node by the expression's compiled value
+function, in one of two variants generated from the tape on first use and
+cached like it: floats for one point (``Expr._values``) and (n,) columns
+(``Expr._columns``).  It is straight-line Python, one statement per term,
+so no node's width nests an expression.  An atom starts from c0 (a quad
+from 0.0: 0.5 * sum_i z_i * sum_j Q_ij z_j, then lin, then c0) and adds
+coefficient * coordinate for each nonzero coefficient in ascending order;
+a sum starts from the literal 0.0 (0.0 + -0.0 is +0.0) and adds its
+children in order; a max or min keeps its first extreme child, the
+builtins' rule, which np.where repeats on columns where np.maximum and
+np.minimum would take the second, so a 0.0 / -0.0 tie keeps its sign.
+Every product and sum rounds on its own, with no BLAS reduction and no
+fused multiply-add, so both variants give a point the same bits whatever
+the batch size, as does an interpreter loop that applies the same
+operations node by node (the tests keep one as the reference).  The source
+holds tape and coordinate indices and operators only; every coefficient,
+c0, lambda and constant is an argument default.  So expressions of one
+shape (node kinds, child positions and atoms' nonzero patterns) share one
+code object, compiled on the shape's first use and kept for the process
+(``_SHAPES``), and binding an expression's numbers to it makes a new
+function.  That function does not pickle: ``Expr.__getstate__`` leaves it
+out, and a copy binds its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import FunctionType
 
 import numpy as np
 
@@ -35,10 +56,11 @@ from .errors import CodiffspError, DimensionMismatch, NotDC, ValidationError
 Dims = tuple[int, int, int]  # (d, m, q)
 
 # Rows from which row_values evaluates all N rows in one node_values pass on
-# (N,) columns.  Below it a float pass per row costs less: on generated
-# instances a pass on columns costs about as much as 10 float passes whatever
-# N is (Phi_c at d = m = l = 2: 0.2 ms against 0.02 ms per scenario).
-ROWS_MIN_S = 10
+# (N,) columns.  Below it a float pass per row costs less: at d = m = l = 2 a
+# pass on columns costs about as much as 24 compiled float passes, whatever
+# N is, for the penalized integrand (110 us against 4.6 us per row), DCA's
+# convex part and f, and as much as 14 for g_0 (18 against 1.3 us).
+ROWS_MIN_S = 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,19 +124,28 @@ class Expr:
 
     @cached_property
     def _terms(self) -> tuple:
-        """Nonzero coefficients of an affine or quad atom as Python floats,
-        indexed into the concatenated point w = (x, y, theta).
+        """(pattern, coefficients) of an affine or quad atom: the indices of
+        its nonzero coefficients into the concatenated point w = (x, y,
+        theta), and those coefficients as Python floats in the order its
+        value adds them, c0 included.
 
-        affine: (c0, ((j, c_j), ...)); quad: (rows, lin, c0) with
-        rows = ((i, ((j, Q_ij), ...)), ...) and lin = ((j, lin_j), ...).
+        affine: pattern (j, ...), coefficients (c0, c_j, ...); quad: pattern
+        (rows, lin) with rows ((i, (j, ...)), ...) for the nonzero Q_ij and
+        lin (j, ...), coefficients (Q_ij row by row, lin_j, ..., c0).
         """
         def nonzero(coeffs):
-            return tuple((j, c) for j, c in enumerate(coeffs) if c != 0.0)
+            return [(j, c) for j, c in enumerate(coeffs) if c != 0.0]
 
         if self.kind == "affine":
-            return self.c0, nonzero(np.concatenate((self.cx, self.cy, self.ct)).tolist())
-        rows = tuple((i, nonzero(row)) for i, row in enumerate(self.Q.tolist()))
-        return tuple(r for r in rows if r[1]), nonzero(self.lin.tolist()), self.c0
+            terms = nonzero(np.concatenate((self.cx, self.cy, self.ct)).tolist())
+            return tuple(j for j, _c in terms), (self.c0, *(c for _j, c in terms))
+        rows = [(i, nonzero(row)) for i, row in enumerate(self.Q.tolist())]
+        rows = [(i, row) for i, row in rows if row]
+        lin = nonzero(self.lin.tolist())
+        pattern = (tuple((i, tuple(j for j, _c in row)) for i, row in rows),
+                   tuple(j for j, _c in lin))
+        coeffs = [c for _i, row in rows for _j, c in row] + [c for _j, c in lin]
+        return pattern, (*coeffs, self.c0)
 
     @cached_property
     def _tape(self) -> tuple:
@@ -144,14 +175,31 @@ class Expr:
 
         return _compile(self)
 
+    @cached_property
+    def _values(self) -> FunctionType:
+        """node_values' function of one point, w -> [float per node]."""
+        return _value_function(self._tape, False)
+
+    @cached_property
+    def _columns(self) -> FunctionType:
+        """node_values' function of columns, (w, n) -> [(n,) array per node]."""
+        return _value_function(self._tape, True)
+
+    def __getstate__(self) -> dict:
+        # a generated function does not pickle; an unpickled copy binds anew
+        state = dict(self.__dict__)
+        state.pop("_values", None)
+        state.pop("_columns", None)
+        return state
+
 
 def _frozen(a, shape_len: int | None = None) -> np.ndarray:
-    arr = np.asarray(a, dtype=np.float64)
+    """A read-only float64 copy of a."""
+    arr = np.array(a, dtype=np.float64)
     if shape_len is not None and arr.shape != (shape_len,):
         raise DimensionMismatch(f"expected length {shape_len}, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValidationError("NONFINITE", "non-finite coefficient")
-    arr = arr.copy()
     arr.setflags(write=False)
     return arr
 
@@ -310,85 +358,114 @@ def _check_point(dims: Dims | None, x, y, theta):
     return x, y, theta
 
 
-def _atom(e: Expr, w: list):
-    """Value of an affine or quad atom at w = (x, y, theta), whose entries are
-    all floats (one point) or (N,) arrays for the y coordinates (N points;
-    x and theta floats or (N,) arrays).
+_ATOMS = ("affine", "quad")
 
-    The order of operations is fixed and independent of N: start from c0 and
-    add coefficient * coordinate one coordinate at a time; for a quad,
-    0.5 * sum_i z_i * (sum_j Q_ij z_j), then each lin_j * z_j, then c0.
-    Every product and sum is rounded on its own (no BLAS reduction, no fused
-    multiply-add), so a point gets the same bits on either path.  Zero
-    coefficients are skipped on both paths alike.
-    """
-    if e.kind == "affine":
-        v, terms = e._terms
-        for j, c in terms:
-            v = v + c * w[j]
-        return v
-    rows, lin, c0 = e._terms
-    s = 0.0
-    for i, row in rows:
-        r = 0.0
-        for j, c in row:
-            r = r + c * w[j]
-        s = s + w[i] * r
-    v = 0.5 * s
-    for j, c in lin:
-        v = v + c * w[j]
-    return v + c0
+
+def _value_source(tape: tuple, columns: bool) -> str:
+    """The source of the value function of a tape: straight-line Python that
+    does node_values' operations (see the module docstring) in tape order,
+    one statement per term, and returns every node's value in a list.  It
+    names node values v<tape index>, coordinates w<coordinate index> and
+    the t-th entry of _coefficients(tape) k<t>, an argument that takes it
+    as its default; it holds no number but the literal 0.0 starts and the
+    quad's 0.5."""
+    lines, used, t = [], set(), 0
+
+    def k() -> str:
+        nonlocal t
+        t += 1
+        return f"k{t - 1}"
+
+    for i, (e, kids) in enumerate(tape):
+        v, kind = f"v{i}", e.kind
+        if kind == "constant":
+            lines.append(f"{v} = full(n, {k()})" if columns else f"{v} = {k()}")
+        elif kind == "affine":
+            pattern, _coeffs = e._terms
+            used.update(pattern)
+            lines.append(f"{v} = {k()}")
+            lines += [f"{v} = {v} + {k()} * w{j}" for j in pattern]
+        elif kind == "quad":
+            (rows, lin), _coeffs = e._terms
+            lines.append("s = 0.0")
+            for r, row in rows:
+                used.add(r)
+                used.update(row)
+                lines.append("r = 0.0")
+                lines += [f"r = r + {k()} * w{j}" for j in row]
+                lines.append(f"s = s + w{r} * r")
+            used.update(lin)
+            lines.append(f"{v} = 0.5 * s")
+            lines += [f"{v} = {v} + {k()} * w{j}" for j in lin]
+            lines.append(f"{v} = {v} + {k()}")
+        elif kind == "add":
+            lines.append(f"{v} = 0.0")
+            lines += [f"{v} = {v} + v{j}" for j in kids]
+        elif kind == "scale":
+            lines.append(f"{v} = {k()} * v{kids[0]}")
+        elif kind in ("max", "min"):
+            op = ">" if kind == "max" else "<"
+            lines.append(f"{v} = v{kids[0]}")
+            lines += [f"{v} = where(v{j} {op} {v}, v{j}, {v})" if columns
+                      else f"if v{j} {op} {v}: {v} = v{j}" for j in kids[1:]]
+        elif kind == "abs":
+            lines.append(f"{v} = abs(v{kids[0]})")
+        elif kind == "dc":
+            lines.append(f"{v} = v{kids[0]} - v{kids[1]}")
+        else:  # pragma: no cover
+            raise CodiffspError("PARSE", f"unknown node kind {kind!r}")
+        if columns and kind in _ATOMS:  # an atom that reads no column
+            lines.append(f"if not isinstance({v}, ndarray): {v} = full(n, {v})")
+    args = ["w"] + ["n"] * columns + [f"k{u}" for u in range(t)]
+    body = [f"w{j} = w[{j}]" for j in sorted(used)] + lines
+    body.append("return [" + ", ".join(f"v{i}" for i in range(len(tape))) + "]")
+    return f"def values({', '.join(args)}):\n    " + "\n    ".join(body) + "\n"
+
+
+def _coefficients(tape: tuple) -> list:
+    """The numbers of a tape in its value source's order: each constant's
+    value, each atom's coefficients and each scale's lambda."""
+    out = []
+    for e, _kids in tape:
+        if e.kind in _ATOMS:
+            out += e._terms[1]
+        elif e.kind == "constant":
+            out.append(e.value)
+        elif e.kind == "scale":
+            out.append(e.lam)
+    return out
+
+
+# value functions by shape, one per variant and DAG structure (node kinds,
+# child positions, atoms' nonzero patterns), which fixes the source
+_SHAPES: dict[tuple, FunctionType] = {}
+_NAMESPACE = {"where": np.where, "full": np.full, "ndarray": np.ndarray}
+
+
+def _value_function(tape: tuple, columns: bool) -> FunctionType:
+    """The tape's value function with its coefficients bound as defaults:
+    a new function on the code object of its shape, compiled on the
+    shape's first use in the process."""
+    key = (columns, *((e.kind, kids, e._terms[0] if e.kind in _ATOMS else None)
+                      for e, kids in tape))
+    shape = _SHAPES.get(key)
+    if shape is None:
+        namespace = dict(_NAMESPACE)
+        exec(compile(_value_source(tape, columns), "<expr values>", "exec"), namespace)
+        shape = _SHAPES[key] = namespace["values"]
+    return FunctionType(shape.__code__, shape.__globals__, "values", tuple(_coefficients(tape)))
 
 
 def node_values(expr: Expr, w: list, n: int | None = None) -> list:
-    """Value of every node of ``expr._tape`` at w = (x, y, theta), in tape order.
+    """Value of every node of ``expr._tape`` at w = (x, y, theta), in tape
+    order, by the expression's compiled value function.
 
     With ``n`` None, w holds floats (one point) and the values are floats.
     Otherwise every y entry of w is an (n,) column, each x and theta entry a
     float shared by every row or an (n,) column, and every value is an (n,)
-    array.  Both cases apply the same operation at every node (``_atom`` at
-    the atoms; at max and min, np.where keeps the builtins' first extreme
-    value, so a 0.0 / -0.0 tie keeps its sign, where np.maximum and
-    np.minimum return the second), so a point's value has the same bits
-    either way.
+    array whose rows have the bits of a float pass (module docstring).
     """
-    vals: list = []
-    for e, kids in expr._tape:
-        k = e.kind
-        if k == "constant":
-            v = e.value if n is None else np.full(n, e.value)
-        elif k in ("affine", "quad"):
-            v = _atom(e, w)
-            if n is not None and np.ndim(v) == 0:  # the atom reads no column
-                v = np.full(n, v)
-        elif k == "add":
-            v = 0.0
-            for j in kids:
-                v = v + vals[j]
-        elif k == "scale":
-            v = e.lam * vals[kids[0]]
-        elif k == "max":
-            if n is None:
-                v = max(vals[j] for j in kids)
-            else:
-                v = vals[kids[0]]
-                for j in kids[1:]:
-                    v = np.where(vals[j] > v, vals[j], v)
-        elif k == "min":
-            if n is None:
-                v = min(vals[j] for j in kids)
-            else:
-                v = vals[kids[0]]
-                for j in kids[1:]:
-                    v = np.where(vals[j] < v, vals[j], v)
-        elif k == "abs":
-            v = abs(vals[kids[0]])
-        elif k == "dc":
-            v = vals[kids[0]] - vals[kids[1]]
-        else:  # pragma: no cover
-            raise CodiffspError("PARSE", f"unknown node kind {k!r}")
-        vals.append(v)
-    return vals
+    return expr._values(w) if n is None else expr._columns(w, n)
 
 
 def row_values(expr: Expr, X: np.ndarray, Y: np.ndarray, TH: np.ndarray,
@@ -404,7 +481,8 @@ def row_values(expr: Expr, X: np.ndarray, Y: np.ndarray, TH: np.ndarray,
     N = Y.shape[0]
     if N < ROWS_MIN_S:
         xs = [X.tolist()] * N if X.ndim == 1 else X.tolist()
-        rows = [node_values(expr, x + y + t) for x, y, t in zip(xs, Y.tolist(), TH.tolist())]
+        fn = expr._values
+        rows = [fn(x + y + t) for x, y, t in zip(xs, Y.tolist(), TH.tolist())]
         return np.array([[v[i] for i in at] for v in rows]).reshape(N, len(at)).T
     xs = X.tolist() if X.ndim == 1 else list(X.T)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -156,6 +156,94 @@ def kinkify(rng, dims, f, x, y, th):
     return maximum(f, affine(dims, fv - av, cx, cy, ct))
 
 
+def random_rows_cases(count):
+    """(f, X, Y, TH) row blocks of 2-6 rows, three per seed: a random f at
+    its point and random ones, each row its own theta; f wrapped with a
+    kink active at the first row; and that every point twice, the second
+    time with another theta."""
+    cases = []
+    for seed in range(count):
+        rng = np.random.default_rng(seed)
+        (d, m, q), f, _K, x, y, th = random_case(rng, max_depth=4)
+        g = kinkify(rng, (d, m, q), f, x, y, th)
+        n = int(rng.integers(2, 7))
+        X = np.vstack((x, rng.uniform(-2.0, 2.0, (n - 1, d))))
+        Y = np.vstack((y, rng.uniform(-2.0, 2.0, (n - 1, m))))
+        TH = np.vstack((th, rng.uniform(-2.0, 2.0, (n - 1, q))))
+        cases += [(f, X, Y, TH), (g, X, Y, TH)]
+        TH2 = np.repeat(TH, 2, axis=0)
+        TH2[1::2] = rng.uniform(-2.0, 2.0, TH.shape)
+        cases.append((g, np.repeat(X, 2, axis=0), np.repeat(Y, 2, axis=0), TH2))
+    return cases
+
+
+def reference_node_values(expr, w, n=None):
+    """expr.node_values as an interpreter loop over the tape, the oracle of
+    the compiled value functions: the same operations in the same order, at
+    one point (n None, floats) or on (n,) columns.  An atom starts from c0
+    (a quad from 0.0: 0.5 * sum_i z_i * sum_j Q_ij z_j, then lin, then c0)
+    and adds coefficient * coordinate for its nonzero coefficients, each
+    product and sum rounded on its own; an atom that reads no column is
+    filled out to n rows."""
+    def nonzero(coeffs):
+        return [(j, c) for j, c in enumerate(coeffs) if c != 0.0]
+
+    def atom(e):
+        if e.kind == "affine":
+            v = e.c0
+            for j, c in nonzero(np.concatenate((e.cx, e.cy, e.ct)).tolist()):
+                v = v + c * w[j]
+            return v
+        s = 0.0
+        for i, row in enumerate(e.Q.tolist()):
+            terms = nonzero(row)
+            if terms:
+                r = 0.0
+                for j, c in terms:
+                    r = r + c * w[j]
+                s = s + w[i] * r
+        v = 0.5 * s
+        for j, c in nonzero(e.lin.tolist()):
+            v = v + c * w[j]
+        return v + e.c0
+
+    vals = []
+    for e, kids in expr._tape:
+        k = e.kind
+        if k == "constant":
+            v = e.value if n is None else np.full(n, e.value)
+        elif k in ("affine", "quad"):
+            v = atom(e)
+            if n is not None and np.ndim(v) == 0:
+                v = np.full(n, v)
+        elif k == "add":
+            v = 0.0
+            for j in kids:
+                v = v + vals[j]
+        elif k == "scale":
+            v = e.lam * vals[kids[0]]
+        elif k == "max":
+            if n is None:
+                v = max(vals[j] for j in kids)
+            else:
+                v = vals[kids[0]]
+                for j in kids[1:]:
+                    v = np.where(vals[j] > v, vals[j], v)
+        elif k == "min":
+            if n is None:
+                v = min(vals[j] for j in kids)
+            else:
+                v = vals[kids[0]]
+                for j in kids[1:]:
+                    v = np.where(vals[j] < v, vals[j], v)
+        elif k == "abs":
+            v = abs(vals[kids[0]])
+        else:  # dc
+            v = vals[kids[0]] - vals[kids[1]]
+        vals.append(v)
+    return vals
+
+
 def one_sided_richardson(f, x, y, th, hx, hy):
     """Extrapolated one-sided difference quotient along (hx, hy)."""
     f0 = evaluate(f, x, y, th)

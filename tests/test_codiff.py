@@ -32,7 +32,7 @@ from codiffsp.model import generate
 from codiffsp.penalty import PenaltySpec, penalty_codiff
 from codiffsp.solvers import dc_decompose
 
-from conftest import kinkify, ragged_case, random_case
+from conftest import ragged_case, random_case, random_rows_cases
 
 SP1 = Space(d=1, m=0, q=0)
 
@@ -289,39 +289,14 @@ def _rows_match_points(f, X, Y, TH):
     return want
 
 
-def _rows_around(rng, dims, x, y, th, n):
-    """The point (x, y, th) and n - 1 random points, each row its own theta."""
-    d, m, q = dims
-    X = np.vstack((x, rng.uniform(-2.0, 2.0, (n - 1, d))))
-    Y = np.vstack((y, rng.uniform(-2.0, 2.0, (n - 1, m))))
-    TH = np.vstack((th, rng.uniform(-2.0, 2.0, (n - 1, q))))
-    return X, Y, TH
-
-
-def _random_rows_cases(count):
-    cases = []
-    for seed in range(count):
-        rng = np.random.default_rng(seed)
-        dims, f, _K, x, y, th = random_case(rng, max_depth=4)
-        # g has a kink active at the first row
-        g = kinkify(rng, dims, f, x, y, th)
-        X, Y, TH = _rows_around(rng, dims, x, y, th, int(rng.integers(2, 7)))
-        cases += [(f, X, Y, TH), (g, X, Y, TH)]
-        # every point twice, the second time with another theta
-        TH2 = np.repeat(TH, 2, axis=0)
-        TH2[1::2] = rng.uniform(-2.0, 2.0, TH.shape)
-        cases.append((g, np.repeat(X, 2, axis=0), np.repeat(Y, 2, axis=0), TH2))
-    return cases
-
-
 def test_rows_match_one_point_codiff():
-    for f, X, Y, TH in _random_rows_cases(40):
+    for f, X, Y, TH in random_rows_cases(40):
         assert _rows_match_points(f, X, Y, TH) is not None
 
 
 def test_rows_values_have_evaluate_bits():
     # the values a rows pass hands back, one pass or row by row when ragged
-    for f, X, Y, TH in _random_rows_cases(40):
+    for f, X, Y, TH in random_rows_cases(40):
         vals = np.hstack([v for *_b, v in _vertex_blocks(f, X, Y, TH)])
         assert vals.shape == (X.shape[0],) and len(codiff_rows(f, X, Y, TH)) == X.shape[0]
         want = [evaluate(f, x, y, th) for x, y, th in zip(X, Y, TH)]
@@ -333,7 +308,7 @@ def test_rows_take_a_shared_x_with_the_bits_of_repeated_rows():
     # shapes of the pass over x repeated, where the root is in x alone and
     # where the sets outgrow a rows pass (one block per row)
     rng = np.random.default_rng(5)
-    cases = [(f, X[0], Y, TH) for f, X, Y, TH in _random_rows_cases(20)]
+    cases = [(f, X[0], Y, TH) for f, X, Y, TH in random_rows_cases(20)]
     sp = Space(d=2, m=1, q=1)
     in_x = maximum(sp.affine(0.5, cx=[1.0, -1.0]), absolute(sp.affine(cx=[0.0, 2.0])))
     cases.append((in_x, np.array([0.5, 0.0]), rng.normal(size=(4, 1)), rng.normal(size=(4, 1))))
@@ -386,7 +361,7 @@ def test_rows_fall_back_where_a_point_prunes():
 
 
 def test_rows_raise_vertex_cap_like_one_point(monkeypatch):
-    cases = _random_rows_cases(40)
+    cases = random_rows_cases(40)
     monkeypatch.setattr(sys.modules["codiffsp.codiff"], "MAX_VERTICES", 8)
     raised = [_rows_match_points(f, X, Y, TH) is None for f, X, Y, TH in cases]
     assert any(raised) and not all(raised)
@@ -466,7 +441,7 @@ def test_plan_matches_the_walk(source):
     # the same vertex counts and order as the rules run on each row's
     # numbers, entries within 1e-13 of the set's largest |entry|, values
     # with the same bits
-    cases = _random_rows_cases(40) if source == "random" else _generated_cases(int(source[2:]))
+    cases = random_rows_cases(40) if source == "random" else _generated_cases(int(source[2:]))
     planned = 0
     for f, X, Y, TH in cases:
         blocks = _vertex_blocks(f, X, Y, TH)
@@ -500,7 +475,7 @@ def test_generated_rows_passes_never_walk(monkeypatch):
 def test_dc_nodes_keep_zero_offsets_exactly():
     # a dc node's hypo offsets have max exactly 0 and its hyper offsets min
     # exactly 0 with no renormalization, by the plan and by the walk alike
-    cases = _random_rows_cases(40) + _generated_cases(3)
+    cases = random_rows_cases(40) + _generated_cases(3)
     seen = 0
     for f, X, Y, TH in cases:
         for e, _kids in f._tape:

@@ -97,15 +97,15 @@ def test_overflow_names_scenario():
 
 
 def test_overflow_on_rows_is_silent_and_names_scenario():
-    # 12 scenarios take the rows pass, which raises as the scalar loop does
-    # and lets no numpy overflow warning out
-    assert ROWS_MIN_S <= 12
+    # ROWS_MIN_S + 2 scenarios take the pass on columns, which raises as
+    # the scalar loop does and lets no numpy overflow warning out
+    S = ROWS_MIN_S + 2
     sp = Space(d=1, m=1, q=1)
     f = affine(sp.dims, 0.0, [0.0], [0.0], [1e308])
-    params = np.zeros((12, 1))
+    params = np.zeros((S, 1))
     params[[1, 5]] = 10.0
-    p = _prob(f, 1, 1, np.full(12, 1.0 / 12), params)
-    z = Point(x=[0.0], y=np.zeros((12, 1)))
+    p = _prob(f, 1, 1, np.full(S, 1.0 / S), params)
+    z = Point(x=[0.0], y=np.zeros((S, 1)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFinite, match="scenario 1$"):

@@ -1,5 +1,8 @@
 """Expression DAG construction, evaluation, predicates, serialization."""
 
+import pickle
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +25,8 @@ from codiffsp import (
     scale,
 )
 from codiffsp.expr import (
+    _coefficients,
+    _value_source,
     dc_parts,
     from_json,
     is_affine_struct,
@@ -31,7 +36,11 @@ from codiffsp.expr import (
     to_json,
 )
 
-from conftest import random_case, random_expr
+from codiffsp.model import generate
+from codiffsp.penalty import PenaltySpec, Phi_c, penalty_codiff, penalty_integrand
+from codiffsp.solvers import dc_decompose
+
+from conftest import random_case, random_expr, random_rows_cases, reference_node_values
 
 SP2 = Space(d=1, m=1, q=0)
 
@@ -297,3 +306,120 @@ def test_combinators_evaluate_pointwise(seed):
     assert evaluate(minimum(a, b), x, y) == min(va, vb)
     assert evaluate(scale(-1.5, a), x, y) == pytest.approx(-1.5 * va)
     assert evaluate(absolute(a), x, y) == abs(va)
+
+
+# ---------------------------------------------------------------------------
+# the compiled value functions against the interpreter loop they replaced
+
+
+def _node_bits(vals):
+    return [np.asarray(v, dtype=np.float64).tobytes() for v in vals]
+
+
+def _matches_reference(f, X, Y, TH):
+    """Every node's bits, by the compiled functions and by the reference
+    loop: a float pass per row, then one pass on columns with x first as
+    the first row's floats, every row sharing them, then as columns."""
+    for x, y, th in zip(X, Y, TH):
+        w = x.tolist() + y.tolist() + th.tolist()
+        got = node_values(f, w)
+        assert all(type(v) is float for v in got)
+        assert _node_bits(got) == _node_bits(reference_node_values(f, w))
+    n, cols = Y.shape[0], list(Y.T) + list(TH.T)
+    for xs in (X[0].tolist(), list(X.T)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = node_values(f, xs + cols, n), reference_node_values(f, xs + cols, n)
+        assert all(isinstance(v, np.ndarray) and v.shape == (n,) for v in got)
+        assert _node_bits(got) == _node_bits(want)
+
+
+def _generated_integrands():
+    """(problem, integrands): f, each g_i, the penalized integrand and DCA's
+    split of it, for S = 3 and S = 100."""
+    out = []
+    for seed, S in ((91000, 3), (91001, 100)):
+        p = generate(seed, d=2, m=2, S=S, l=2, dc=True)
+        split = dc_decompose(p, 10.0)
+        out.append((p, (p.f, *p.g, penalty_integrand(p, 10.0), split.plus, split.minus)))
+    return out
+
+
+def test_compiled_values_match_the_reference_loop():
+    for f, X, Y, TH in random_rows_cases(40):
+        _matches_reference(f, X, Y, TH)
+    rng = np.random.default_rng(23)
+    for p, integrands in _generated_integrands():
+        X = np.broadcast_to(p.witness.x, (p.S, p.d))
+        for Y in (p.witness.y, p.witness.y + rng.normal(size=p.witness.y.shape)):
+            for f in integrands:
+                _matches_reference(f, X, Y, p.scenarios.params)
+
+
+def test_compiled_values_keep_signed_zeros_and_overflow():
+    # u and v take the sign of x_0's and x_1's zero; big overflows to +-inf
+    # at x_0 = +-10, and big - big is nan there
+    sp = Space(d=2, m=1, q=1)
+    u = affine(sp.dims, -0.0, cx=[1.0, 0.0])
+    v = affine(sp.dims, -0.0, cx=[0.0, 1.0])
+    big = affine(sp.dims, 0.0, cx=[1e308, 0.0])
+    nan = dc(big, big)
+    wide = sp.quad(1e307 * np.eye(3), psd=True)
+    exprs = [maximum(u, v), maximum(v, u), minimum(u, v), minimum(v, u), absolute(u),
+             scale(-1.0, u), add(u, v), dc(u, v), absolute(scale(-1.0, big)), wide,
+             maximum(nan, u), maximum(u, nan), minimum(nan, u), minimum(u, nan),
+             maximum(big, scale(-1.0, big), u), minimum(wide, big, u), add(big, scale(-1.0, big))]
+    X = np.array([[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0], [0.0, 0.0], [10.0, -0.0], [-10.0, 0.0]])
+    Y, TH = np.array([[-0.0], [0.0], [2.0], [-0.0], [0.0], [-0.0]]), np.zeros((6, 1))
+    for f in exprs:
+        # each row's x in turn is the x that the rows of a column pass share
+        for r in range(X.shape[0]):
+            _matches_reference(f, X[r:], Y[r:], TH[r:])
+    assert not np.signbit(evaluate(abs(u), [-0.0, 0.0], [0.0], [0.0]))
+    assert np.signbit(evaluate(maximum(u, v), [-0.0, 0.0], [0.0], [0.0]))
+    assert np.isnan(evaluate(nan, [10.0, 0.0], [0.0], [0.0]))
+
+
+def test_wide_nodes_compile_one_statement_per_term():
+    # an add of 1,000 children and an atom of 1,000 nonzero coefficients:
+    # chained into one expression, either would be past what Python parses
+    rng = np.random.default_rng(4)
+    sp = Space(d=999, m=1, q=0)
+    wide_add = add(*(sp.x(i, float(c)) for i, c in enumerate(rng.normal(size=999))), sp.y(0))
+    wide_atom = sp.affine(0.5, cx=rng.normal(size=999), cy=rng.normal(size=1))
+    assert len(wide_add.children) == 1000 and len(_coefficients(wide_atom._tape)) == 1001
+    X, Y, TH = rng.normal(size=(3, 999)), rng.normal(size=(3, 1)), np.zeros((3, 0))
+    for f in (wide_add, wide_atom, maximum(wide_add, wide_atom)):
+        _matches_reference(f, X, Y, TH)
+
+
+def test_expressions_of_one_shape_share_one_code_object():
+    p, q = (generate(s, d=2, m=2, S=3, l=2, dc=True) for s in (5, 6))
+    for a, b in ((p.f, q.f), (penalty_integrand(p, 10.0), penalty_integrand(q, 3.0))):
+        assert a._values is not b._values and a._values.__code__ is b._values.__code__
+        assert a._columns.__code__ is b._columns.__code__
+        assert a._values.__code__ is not a._columns.__code__
+        assert a._values.__defaults__ != b._values.__defaults__
+
+
+def test_value_source_holds_no_coefficient():
+    p = generate(91000, d=2, m=2, S=3, l=2, dc=True)
+    f = penalty_integrand(p, 10.0)
+    coeffs = _coefficients(f._tape)
+    assert 10.0 in coeffs and len(coeffs) > 100
+    for columns in (False, True):
+        src = _value_source(f._tape, columns)
+        # the literal 0.0 starts and the quad's 0.5 are its only numbers
+        assert set(re.findall(r"\d+\.\d*(?:e[-+]?\d+)?|\d+e[-+]?\d+", src)) == {"0.0", "0.5"}
+        assert not any(repr(c) in src for c in coeffs if c not in (0.0, 0.5))
+
+
+def test_evaluated_problem_pickles_with_phi_c_bits():
+    p = generate(91000, d=2, m=2, S=3, l=2, dc=True)
+    spec = PenaltySpec("l1_max", 10.0)
+    z = p.witness
+    want = Phi_c(p, spec, z)
+    penalty_codiff(p, spec, z)
+    again = pickle.loads(pickle.dumps(p))
+    assert "_values" not in again.f.__dict__
+    assert np.float64(Phi_c(again, spec, z)).tobytes() == np.float64(want).tobytes()
+    assert np.float64(Phi_c(p, spec, z)).tobytes() == np.float64(want).tobytes()
