@@ -177,6 +177,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from . import penalty
     from ._minnorm import _least_norm, _segments_least_norm, min_norm_point
     from .codiff import _walk, codiff, codiff_rows
     from .expr import Space, absolute, add, affine, dc, evaluate, evaluate_batch, maximum, quad
@@ -303,6 +304,19 @@ def _cmd_selftest(args) -> int:
         assert nu <= -1.0 and cert.residual_stationarity >= 1.0, (
             f"nu {nu:.3g}, stationarity residual {cert.residual_stationarity:.3g}")
 
+    def t_nondeg():
+        # a seeded report keeps its bits at a block of 7 samples
+        prob = generate(1004, d=2, m=2, S=3, l=2, dc=True)
+        want, block = check_nondegeneracy(prob, samples=60, seed=4), penalty.NONDEG_BLOCK
+        try:
+            penalty.NONDEG_BLOCK = 7
+            got = check_nondegeneracy(prob, samples=60, seed=4)
+        finally:
+            penalty.NONDEG_BLOCK = block
+        a, b = ((r.sampled_points, r.min_hull_distance.hex(), r.witness_x.tobytes(),
+                 r.witness_y.tobytes(), r.witness_scenario) for r in (want, got))
+        assert math.isfinite(want.min_hull_distance) and a == b, "moved or not finite"
+
     checks = [
         ("min_norm_point", t_minnorm),
         ("segments", t_segments),
@@ -313,6 +327,7 @@ def _cmd_selftest(args) -> int:
         ("values", t_values),
         ("escalation", t_escalation),
         ("selections", t_selections),
+        ("nondeg", t_nondeg),
     ]
     for name, fn in checks:
         check(name, fn)

@@ -501,13 +501,18 @@ def evaluate_batch(expr: Expr, X, Y, theta) -> np.ndarray:
     shared by every row or an (N, q) block, row r with its own theta.
 
     Returns values with shape (N,).  Each value is bit-identical to
-    ``evaluate`` at that point, for any N (see ``node_values``).
+    ``evaluate`` at that point, for any N (see ``node_values``).  A block
+    of the wrong width, or of neither N rows nor one, is a DimensionMismatch.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
     theta = np.asarray(theta, dtype=np.float64)
     per_row = theta.ndim == 2
-    n = max(X.shape[0], Y.shape[0], theta.shape[0] if per_row else 1)
+    rows = (X.shape[0], Y.shape[0], theta.shape[0] if per_row else 1)
+    n = max(rows)
+    widths = (X.shape[1], Y.shape[1], theta.shape[1] if per_row else theta.size)
+    if not set(rows) <= {1, n} or expr.dims is not None and widths != tuple(expr.dims):
+        raise DimensionMismatch(f"blocks of {rows} rows and widths {widths}, dims {expr.dims}")
     if X.shape[0] == 1 and n > 1:
         X = np.broadcast_to(X, (n, X.shape[1]))
     if Y.shape[0] == 1 and n > 1:

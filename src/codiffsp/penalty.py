@@ -13,15 +13,9 @@ The nondegeneracy checker estimates the uniform constant a > 0 bounding
 dist(0, co{sub-vertices of active g_i shifted by a superdifferential
 selection}) from below at infeasible points; positivity of that constant is
 the sufficient condition under which the l1_max penalty is exact.  It draws
-its samples in blocks, in the order a one-sample loop would draw them, and
-works on a block's arrays: each constraint is evaluated once over all of a
-block's (sample, scenario) rows, each with its own theta
-(``evaluate_batch``), and differentiated once over the infeasible rows where
-it is active (``codiff._vertex_blocks``).  The hull distances are read off
-those vertex arrays, and only a hull of more than one point reaches the
-min-norm kernel.  Norms are sqrt(vecdot) because it reproduces
-``np.linalg.norm`` of each row bit for bit, so the report is that of a
-one-sample-at-a-time loop.
+its samples in bulk, so its report does not depend on NONDEG_BLOCK, and reads
+the hull distances off one values pass and one rows pass per constraint and
+block; only a hull of more than one point reaches the min-norm kernel.
 """
 
 from __future__ import annotations
@@ -41,8 +35,9 @@ from .model import Point, TwoStageProblem, check_int
 # Rounds of check_nondegeneracy, each with a tenfold radius bound, after a
 # first round that finds no infeasible point.
 NONDEG_WIDENINGS = 3
-# Samples check_nondegeneracy draws and evaluates together; its arrays hold
-# at most NONDEG_BLOCK * S * (m + l) floats whatever the sample count.
+# Samples whose rays check_nondegeneracy draws and evaluates together; its
+# arrays hold at most NONDEG_BLOCK * S * (m + l) floats beside the round's
+# samples * (1 + d).  The report does not depend on it.
 NONDEG_BLOCK = 256
 
 
@@ -289,23 +284,17 @@ def check_nondegeneracy(
     from zero supports (never proves) the uniform nondegeneracy condition
     behind l1_max exactness.
 
-    A round runs in blocks of at most NONDEG_BLOCK samples.  Each sample
-    draws its radius, its x step and its S rays, in that order, so the
-    generator stream and every point are those of a one-sample-at-a-time
-    loop; the block's x steps are then projected onto A at once
-    (``FirstStageSet.project`` on rows).  Row k * S + s of a block is sample
-    k in scenario s.  Each constraint is evaluated once over the block's
-    rows (``evaluate_batch`` with a theta per row, bit-identical to
-    ``evaluate``), and _hull_distances differentiates it once over the
-    infeasible rows where it is active.  No CodiffPair is built: the
-    zero-offset vertices are masked in the vertex arrays, a one-point hull's
-    distance is the norm of its point, and only the other hulls go through
-    max_over_selections and the min-norm kernel.  The witness is the first
-    infeasible row in sample order with the least distance, the row a
-    sequential strict ``<`` update keeps.  Ray norms are sqrt(vecdot(u, u)),
-    which has the bits of ``np.linalg.norm(u)`` of each ray;
-    ``np.linalg.norm(U, axis=-1)`` and sqrt of the summed squares differ
-    from it in the last bit on some rays.
+    A round draws every radius, then every x step (projected onto A at
+    once), then the S rays of each block of NONDEG_BLOCK samples; normals
+    drawn in blocks continue one stream, so the report does not depend on
+    NONDEG_BLOCK.  Row k * S + s of a block is sample k in scenario s.  Each
+    constraint is evaluated once over the block's rows (``evaluate_batch``,
+    bit-identical to ``evaluate``), and _hull_distances reads the distances
+    at the infeasible rows.  The witness is the first infeasible row in
+    sample order with the least distance, the row a sequential strict ``<``
+    update keeps.  Ray norms are sqrt(vecdot(u, u)), the bits of
+    ``np.linalg.norm(u)`` of each ray, which ``np.linalg.norm(U, axis=-1)``
+    misses in the last bit on some rays.
     ``samples`` must be an integer >= 1 (NONDEG_SAMPLES) and ``seed`` an
     integer >= 0 (NONDEG_SEED).
     """
@@ -322,23 +311,16 @@ def check_nondegeneracy(
     d, m, S = prob.d, prob.m, prob.S
     scale_r = 2.0 * (1.0 + float(np.linalg.norm(base.y)))
 
-    found = 0
-    best = math.inf
-    wx = wy = None
-    ws = -1
+    found, best, wx, wy, ws = 0, math.inf, None, None, -1  # the report's fields
     for _round in range(1 + NONDEG_WIDENINGS):
+        # log-spaced radii reach both far-out points and razor-thin
+        # boundary crossings where several constraints tie as active
+        radii = 10.0 ** rng.uniform(-10.0, math.log10(scale_r), size=samples)
+        xs = prob.A.project(base.x + rng.normal(size=(samples, d)) * 0.1)
         for start in range(0, samples, NONDEG_BLOCK):
-            n = min(NONDEG_BLOCK, samples - start)
-            r = np.empty(n)
-            X = np.empty((n, d))
-            U = np.empty((n, S, m))
-            for k in range(n):
-                # log-spaced radii reach both far-out points and razor-thin
-                # boundary crossings where several constraints tie as active
-                r[k] = 10.0 ** rng.uniform(-10.0, math.log10(scale_r))
-                X[k] = base.x + rng.normal(size=d) * 0.1
-                U[k] = rng.normal(size=(S, m))
-            X = prob.A.project(X)
+            r, X = radii[start:start + NONDEG_BLOCK], xs[start:start + NONDEG_BLOCK]
+            n = r.shape[0]
+            U = rng.normal(size=(n, S, m))
             nu = np.sqrt(np.vecdot(U, U))
             drawn = nu != 0.0  # a zero ray has no direction: not a sample
             Y = base.y + (r[:, None] / np.where(drawn, nu, 1.0))[:, :, None] * U
@@ -361,10 +343,4 @@ def check_nondegeneracy(
         if found:
             break
         scale_r *= 10.0
-    return NondegReport(
-        sampled_points=found,
-        min_hull_distance=best,
-        witness_x=wx,
-        witness_y=wy,
-        witness_scenario=ws,
-    )
+    return NondegReport(found, best, wx, wy, ws)

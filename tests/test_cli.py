@@ -222,7 +222,7 @@ def test_selftest_passes():
     r = run("selftest")
     assert r.returncode == 0, r.stderr
     rep = json.loads(r.stdout)
-    assert rep["passed"] == 9 and rep["failed"] == []
+    assert rep["passed"] == 10 and rep["failed"] == []
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -272,6 +272,26 @@ def test_batch_takes_a_theta_per_row():
     assert np.signbit(rows).tolist() == [False, True, True, False]
 
 
+@pytest.mark.parametrize("X, Y, theta", [
+    (np.ones((3, 3)), np.ones((3, 1)), [1.0]),  # x too wide: no spill into y
+    (np.ones((3, 2)), np.ones((3, 2)), [1.0]),
+    (np.ones((3, 2)), np.ones((3, 1)), [1.0, 5.0]),  # theta too long: not cut
+    (np.ones((3, 2)), np.ones((3, 1)), np.ones((3, 2))),
+    (np.ones((3, 2)), np.ones((2, 1)), [1.0]),  # 3 rows against 2
+    (np.ones((3, 2)), np.ones((3, 1)), np.ones((2, 1))),
+])
+def test_batch_rejects_blocks_that_do_not_fit(X, Y, theta):
+    f = Space(2, 1, 1).affine(cx=[1, 2], cy=[3], ct=[4])
+    with pytest.raises(DimensionMismatch):
+        evaluate_batch(f, X, Y, theta)
+
+
+def test_batch_broadcasts_one_row_blocks():
+    f = Space(2, 1, 1).affine(cx=[1, 2], cy=[3], ct=[4])
+    vals = evaluate_batch(f, np.ones((1, 2)), np.ones((3, 1)), np.array([[1.0], [2.0], [0.0]]))
+    assert vals.tolist() == [10.0, 14.0, 6.0]
+
+
 def test_rows_take_x_as_floats_every_row_shares():
     # x entries as floats beside (n,) y and theta columns give every node
     # the bits of the pass with x as columns, signs of zero included

@@ -35,7 +35,7 @@ from codiffsp import (
 from codiffsp import codiff, evaluate, evaluate_batch, min_norm_point
 from codiffsp.codiff import TOL_ZERO
 from codiffsp.expectation import max_over_selections
-from codiffsp import model
+from codiffsp import model, penalty
 from codiffsp.penalty import (
     NONDEG_BLOCK,
     NONDEG_WIDENINGS,
@@ -333,13 +333,15 @@ def test_nondeg_rejects_bad_samples_and_seed(kwargs, code):
     assert ei.value.code == code
 
 
-def test_nondeg_widens_radius_when_every_draw_is_feasible():
+def test_nondeg_widens_radius_when_every_draw_is_feasible(monkeypatch):
     # the first round's radius bound 2 (1 + |witness y|) stays feasible here;
     # a tenfold wider round must find infeasible points
     p = generate(1003, d=2, m=2, S=3, l=2, dc=True)
     rep = check_nondegeneracy(p, samples=200, seed=1003)
     assert rep.sampled_points > 0
     assert np.isfinite(rep.min_hull_distance)
+    monkeypatch.setattr(penalty, "NONDEG_WIDENINGS", 0)
+    assert check_nondegeneracy(p, samples=200, seed=1003).sampled_points == 0
 
 
 def test_unique_rows_matches_np_unique():
@@ -349,8 +351,10 @@ def test_unique_rows_matches_np_unique():
         assert np.array_equal(_unique_rows(a), np.unique(a, axis=0))
 
 
-def _scalar_nondeg(prob, samples, seed):
-    """check_nondegeneracy one sample, scenario and constraint at a time."""
+def _scalar_nondeg(prob, samples, seed, ray_norm=np.linalg.norm, hits=None):
+    """check_nondegeneracy one sample, scenario and constraint at a time.
+    ``hits`` collects (distance, sample, scenario) of every infeasible draw
+    of the last round."""
     rng = np.random.default_rng(seed)
     base = prob.witness
     if base is None:
@@ -360,12 +364,15 @@ def _scalar_nondeg(prob, samples, seed):
     scale_r = 2.0 * (1.0 + float(np.linalg.norm(base.y)))
     found, best, wx, wy, ws = 0, math.inf, None, None, -1
     for _round in range(1 + NONDEG_WIDENINGS):
-        for _ in range(samples):
-            r = 10.0 ** rng.uniform(-10.0, math.log10(scale_r))
-            x = prob.A.project(base.x + rng.normal(size=d) * 0.1)
-            for s in range(prob.S):
-                u = rng.normal(size=prob.m)
-                nu = float(np.linalg.norm(u))
+        # the draws of check_nondegeneracy, in its order: every radius, every
+        # x step, then every ray (rays drawn in blocks continue one stream)
+        R = 10.0 ** rng.uniform(-10.0, math.log10(scale_r), size=samples)
+        steps = rng.normal(size=(samples, d)) * 0.1
+        U = rng.normal(size=(samples, prob.S, prob.m))
+        for k, (r, step, rays) in enumerate(zip(R, steps, U)):
+            x = prob.A.project(base.x + step)
+            for s, u in enumerate(rays):
+                nu = float(ray_norm(u))
                 if nu == 0.0:
                     continue
                 y_s = base.y[s] + (r / nu) * u
@@ -386,6 +393,8 @@ def _scalar_nondeg(prob, samples, seed):
                     return float(np.linalg.norm(q)), None
 
                 dist = max_over_selections(sups, hull_dist)[0]
+                if hits is not None:
+                    hits.append((dist, k, s))
                 if dist < best:
                     best, wx, wy, ws = dist, x.copy(), y_s.copy(), s
         if found:
@@ -418,6 +427,22 @@ def test_nondeg_matches_scalar_reference(seed, S, m, samples):
     ref = _scalar_nondeg(p, samples, seed)
     assert type(rep.witness_scenario) is int
     assert _report_bits(rep) == _report_bits(ref)
+
+
+def test_nondeg_reference_cases_keep_their_properties():
+    # the properties named beside the cases above hold for the sample stream
+    p = generate(1014, d=2, m=2, S=3, l=2, dc=True)
+    hits = []
+    rep = _scalar_nondeg(p, 100, 1014, hits=hits)
+    assert sum(dist == rep.min_hull_distance for dist, _k, _s in hits) >= 2
+    p = generate(1000, d=2, m=2, S=20, l=2, dc=True)
+    summed = lambda u: np.sqrt(np.add.reduce(u * u))  # np.linalg.norm(U, axis=-1)'s rule
+    assert _report_bits(_scalar_nondeg(p, 100, 1000, summed)) != _report_bits(
+        _scalar_nondeg(p, 100, 1000))
+    p = generate(1004, d=2, m=2, S=3, l=2, dc=True)
+    hits = []
+    _scalar_nondeg(p, NONDEG_BLOCK + 7, 1004, hits=hits)
+    assert {k // NONDEG_BLOCK for _d, k, _s in hits} == {0, 1}
 
 
 @pytest.mark.parametrize("seed", [1000, 1004])
@@ -494,3 +519,34 @@ def test_nondeg_never_evaluates_point_by_point(monkeypatch):
     assert _report_bits(check_nondegeneracy(p, samples=samples, seed=5)) == want
     # one evaluation per constraint and block, over every (sample, scenario)
     assert rows == [NONDEG_BLOCK * p.S] * p.ell + [7 * p.S] * p.ell
+
+
+@pytest.mark.parametrize("block", [1, 7, NONDEG_BLOCK])
+def test_nondeg_report_does_not_depend_on_the_block(block, monkeypatch):
+    p = generate(1004, d=2, m=2, S=3, l=2, dc=True)
+    want = _report_bits(_scalar_nondeg(p, 60, 1004))
+    monkeypatch.setattr(penalty, "NONDEG_BLOCK", block)
+    assert _report_bits(check_nondegeneracy(p, samples=60, seed=1004)) == want
+
+
+class _CountedGenerator:
+    """A numpy Generator that records the name of every draw."""
+
+    def __init__(self, seed, calls):
+        self._rng, self._calls = np.random.Generator(np.random.PCG64(seed)), calls
+
+    def __getattr__(self, name):
+        self._calls.append(name)
+        return getattr(self._rng, name)
+
+
+@pytest.mark.parametrize("seed, rounds", [(1000, 1), (1003, 2)])
+def test_nondeg_draws_in_bulk(seed, rounds, monkeypatch):
+    p = generate(seed, d=2, m=2, S=3, l=2, dc=True)
+    want = _report_bits(check_nondegeneracy(p, samples=200, seed=seed))
+    calls = []
+    monkeypatch.setattr(penalty, "NONDEG_BLOCK", 64)
+    monkeypatch.setattr(np.random, "default_rng", lambda s: _CountedGenerator(s, calls))
+    assert _report_bits(check_nondegeneracy(p, samples=200, seed=seed)) == want
+    # per round: every radius, every x step, then the rays of each of 4 blocks
+    assert calls == (["uniform", "normal"] + ["normal"] * 4) * rounds
