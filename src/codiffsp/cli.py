@@ -180,6 +180,7 @@ def _cmd_selftest(args) -> int:
     from . import penalty
     from ._minnorm import _least_norm, _segments_least_norm, min_norm_point
     from .codiff import _walk, codiff, codiff_rows
+    from .expr import ROWS_MIN_S
     from .expr import Space, absolute, add, affine, dc, evaluate, evaluate_batch, maximum, quad
     from .model import FirstStageSet, ScenarioSpace, TwoStageProblem
     from .penalty import penalty_integrand
@@ -257,23 +258,25 @@ def _cmd_selftest(args) -> int:
 
     def t_values():
         # evaluate (the float variant of the compiled value functions) and
-        # evaluate_batch (the column variant) agree bit for bit on 16 rows:
-        # the penalized integrand near the witness, and a max whose two
-        # branches tie at 0.0 and -0.0 in either order
+        # evaluate_batch (the column variant from ROWS_MIN_S rows on) agree
+        # bit for bit on 4 * ROWS_MIN_S rows: the penalized integrand near the
+        # witness, and a max whose two branches tie at 0.0 and -0.0 either way
+        n = 4 * ROWS_MIN_S
         prob = generate(11, d=2, m=2, S=5, l=2)
         rng = np.random.default_rng(16)
-        X = prob.witness.x + 0.5 * rng.normal(size=(16, prob.d))
-        Y = np.vstack((prob.witness.y, rng.normal(size=(16 - prob.S, prob.m))))
-        TH = prob.scenarios.params[np.arange(16) % prob.S]
+        X = prob.witness.x + 0.5 * rng.normal(size=(n, prob.d))
+        Y = np.vstack((prob.witness.y, rng.normal(size=(n - prob.S, prob.m))))
+        TH = prob.scenarios.params[np.arange(n) % prob.S]
         sp = Space(d=1, m=1, q=2)
         tie = maximum(affine(sp.dims, -0.0, ct=[1.0, 0.0]), affine(sp.dims, -0.0, ct=[0.0, -1.0]))
-        zeros = np.zeros((16, 1))
-        signs = np.array([[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]] * 4)
+        zeros = np.zeros((n, 1))
+        signs = np.array([[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]] * ROWS_MIN_S)
         for f, rows in ((penalty_integrand(prob, 10.0), (X, Y, TH)), (tie, (zeros, zeros, signs))):
             batch = evaluate_batch(f, *rows)
             one = np.array([evaluate(f, *row) for row in zip(*rows)])
             assert batch.tobytes() == one.tobytes(), "evaluate_batch and evaluate differ"
-        assert np.signbit(batch).tolist() == [False, True, False, True] * 4, "a signed zero moved"
+        assert np.signbit(batch).tolist() == [False, True, False, True] * ROWS_MIN_S, (
+            "a signed zero moved")
 
     dims = Space(d=1, m=1, q=0).dims
 

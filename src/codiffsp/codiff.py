@@ -21,7 +21,7 @@ which branch gaps and atom gradients each one sums, depend on the DAG
 alone.  ``_compile`` therefore runs the rules once per expression
 (``Expr._plan``, cached like its tape) on coefficient rows instead of
 numbers, and ``codiff_rows`` differentiates at N points (X[r], Y[r],
-TH[r]) by that plan in three steps:
+TH[r]), checked and shaped by ``expr._rows``, by that plan in three steps:
 
   1. node values, from ``expr.row_values``: the expression's compiled
      value function, its float variant once per row below expr.ROWS_MIN_S
@@ -66,7 +66,7 @@ import numpy as np
 
 from ._minnorm import inside, min_norm_point
 from .errors import CodiffspError, DimensionMismatch, VertexCapExceeded
-from .expr import Expr, node_values, row_values
+from .expr import Expr, _row_values, _rows, node_values
 
 TOL_ZERO = 1e-9
 MAX_VERTICES = 4096
@@ -89,7 +89,7 @@ class CodiffPair:
                 )
         a = float(self.hypo[:, 0].max())
         b = float(self.hyper[:, 0].min())
-        if abs(a) > TOL_ZERO or abs(b) > TOL_ZERO:
+        if not (abs(a) <= TOL_ZERO and abs(b) <= TOL_ZERO):  # NaN violates it too
             raise CodiffspError(
                 "ZERO_AT_ZERO",
                 f"offset normalization violated: max hypo offset {a}, min hyper offset {b}",
@@ -401,12 +401,13 @@ def _compile(expr: Expr) -> _Plan | None:
 
 
 def _plan_pass(expr: Expr, plan: _Plan, X: np.ndarray, Y: np.ndarray, TH: np.ndarray):
-    """(hypo, hyper, values) at the N rows by the plan: the node values
-    (expr.row_values), the gaps and the quad gradients, then the two
-    gather-sums of _Plan.  The sums run with the rows on the last axis, so
-    every step is one elementwise operation over contiguous runs of N."""
+    """(hypo, hyper, values) at the N rows, which _vertex_blocks has
+    checked, by the plan: the node values (row_values' pass), the gaps and
+    the quad gradients, then the two gather-sums of _Plan.  The sums run
+    with the rows on the last axis, so every step is one elementwise
+    operation over contiguous runs of N."""
     N, (K, n) = Y.shape[0], plan.C.shape
-    v = row_values(expr, X, Y, TH, plan.at)
+    v = _row_values(expr, X, Y, TH, plan.at)
     out = np.empty((K, 1 + n, N))
     off, slope = out[:, 0], out[:, 1:]
     signed = np.concatenate((v, -v))
@@ -436,8 +437,8 @@ def _plan_pass(expr: Expr, plan: _Plan, X: np.ndarray, Y: np.ndarray, TH: np.nda
 
 def codiff_rows(expr: Expr, X, Y, TH) -> list[CodiffPair]:
     """Codifferentials of the DAG at the N points (X[r], Y[r]) in the joint
-    space of dimension d + m, row r with the fixed parameter TH[r]; X, Y and
-    TH are (N, d), (N, m) and (N, q).  Row r has the bits of
+    space of dimension d + m, row r with the fixed parameter TH[r], for any
+    blocks that expr._rows accepts.  Row r has the bits of
     codiff(expr, X[r], Y[r], TH[r])."""
     return _codiff_pairs(_vertex_blocks(expr, X, Y, TH))
 
@@ -449,30 +450,16 @@ def _vertex_blocks(expr: Expr, X, Y, TH) -> list[tuple[slice, np.ndarray, np.nda
     walk, each pruned as _manage prunes it.  rows is the slice of the rows a
     block covers; hypo and hyper are its (len, k1, 1+n) and (len, k2, 1+n)
     vertex arrays and values the DAG's (len,) values at its rows, with
-    evaluate's bits.  X may also be one (d,) row that every row shares."""
-    X = np.asarray(X, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    TH = np.asarray(TH, dtype=np.float64)
-    if X.ndim not in (1, 2) or Y.ndim != 2 or TH.ndim != 2 or not (
-        (X.ndim == 1 or X.shape[0] == Y.shape[0]) and Y.shape[0] == TH.shape[0]
-    ):
-        raise DimensionMismatch(
-            f"row blocks {X.shape}, {Y.shape}, {TH.shape} are not (N, .) arrays of one N"
-        )
-    if expr.dims is not None:
-        d, m, q = expr.dims
-        if (X.shape[-1], Y.shape[1], TH.shape[1]) != (d, m, q):
-            raise DimensionMismatch(
-                f"point blocks ({X.shape[-1]}, {Y.shape[1]}, {TH.shape[1]}) "
-                f"do not match declared dims ({d}, {m}, {q})"
-            )
+    evaluate's bits.  The blocks are checked and shaped by expr._rows."""
+    X, Y, TH = _rows(expr, X, Y, TH)
     N = Y.shape[0]
     if N == 0:
         return []
     plan = expr._plan
     if plan is not None and plan.peak <= min(AUTO_PRUNE_AT, MAX_VERTICES):
         return [(slice(0, N), *_plan_pass(expr, plan, X, Y, TH))]
-    return [(slice(r, r + 1), *_walk(expr, X if X.ndim == 1 else X[r], Y[r], TH[r]))
+    return [(slice(r, r + 1), *_walk(expr, X if X.ndim == 1 else X[r], Y[r],
+                                     TH if TH.ndim == 1 else TH[r]))
             for r in range(N)]
 
 
@@ -500,7 +487,7 @@ def _codiff_pairs(blocks) -> list[CodiffPair]:
     """One CodiffPair per row of _vertex_blocks' blocks, in row order."""
     return [
         CodiffPair(hypo=hypo, hyper=hyper, dim=H.shape[2] - 1)
-        for _rows, H, G, _v in blocks
+        for _r, H, G, _v in blocks
         for hypo, hyper in zip(_freeze(H), _freeze(G))
     ]
 
@@ -509,10 +496,7 @@ def codiff(expr: Expr, x, y=(), theta=()) -> CodiffPair:
     """Codifferential of the DAG at (x, y) in the joint space of dimension
     len(x) + len(y).  theta enters as a fixed parameter.  The one-row call
     of codiff_rows."""
-    x = np.asarray(x, dtype=np.float64).ravel()
-    y = np.asarray(y, dtype=np.float64).ravel()
-    theta = np.asarray(theta, dtype=np.float64).ravel()
-    return codiff_rows(expr, x[None], y[None], theta[None])[0]
+    return codiff_rows(expr, np.ravel(x), np.reshape(y, (1, -1)), np.ravel(theta))[0]
 
 
 def expansion_value(cd: CodiffPair, delta):

@@ -13,11 +13,16 @@ verified against the spectrum when set.
 
 Every node lists its distinct sub-nodes once, in post-order (``Expr._tape``),
 and carries its structural flags (``smooth``, ``convex``, ``affine``), set at
-construction from its children's flags.  ``evaluate`` and ``evaluate_batch``
-return the root's value for one point or for a batch, and ``row_values``
-is the one choice between a float pass per row and one pass on (N,)
-columns, made at ROWS_MIN_S rows.  The codifferential calculus walks the
-same tape once per expression, to compile ``Expr._plan`` (``codiff``).
+construction from its children's flags.  A block of rows, a point
+(x, y_r, theta_r) per row, comes in through five front doors: ``evaluate``
+(one row), ``evaluate_batch`` (the root's values), ``row_values``,
+``TwoStageProblem.scenario_values`` and the codifferential's rows pass
+(``codiff._vertex_blocks``).  Each has its block checked and shaped by
+``_rows``, the one statement of what a block may be, and by nothing else.
+``row_values`` is the one choice between a float pass per row and one pass
+on (N,) columns, made at ROWS_MIN_S rows.  The codifferential calculus
+walks the same tape once per expression, to compile ``Expr._plan``
+(``codiff``).
 
 ``node_values`` evaluates every node by the expression's compiled value
 function, in one of two variants generated from the tape on first use and
@@ -343,19 +348,33 @@ class Space:
 # evaluation
 
 
-def _check_point(dims: Dims | None, x, y, theta):
-    x = np.asarray(x, dtype=np.float64).ravel()
-    y = np.asarray(y, dtype=np.float64).ravel()
-    theta = np.asarray(theta, dtype=np.float64).ravel()
-    if dims is not None:
-        d, m, q = dims
-        if x.shape[0] != d:
-            raise DimensionMismatch(f"x has length {x.shape[0]}, expected {d}")
-        if y.shape[0] != m:
-            raise DimensionMismatch(f"y has length {y.shape[0]}, expected {m}")
-        if theta.shape[0] != q:
-            raise DimensionMismatch(f"theta has length {theta.shape[0]}, expected {q}")
-    return x, y, theta
+def _rows(expr: Expr, X, Y, TH) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The one check and shape of a block of rows (X[r], Y[r], TH[r]) for a
+    rows pass.  X is one (d,) row shared by every row, a (1, d) block or an
+    (N, d) block; Y is (N, m), or (1, m) for every row; TH is one (q,) row,
+    a (1, q) block or an (N, q) block.  N may be 0.  The widths must be
+    expr.dims where it is declared; any other shape is a DimensionMismatch.
+
+    Returns (X, Y, TH) with X (d,) or (N, d), Y (N, m) and TH (q,) or
+    (N, q): a one-row X or TH block becomes its shared row, and a one-row
+    Y is broadcast to N rows, which copies no value."""
+    X = np.asarray(X, dtype=np.float64)
+    Y = np.asarray(Y, dtype=np.float64)
+    TH = np.asarray(TH, dtype=np.float64)
+    counts = {len(a) for a in (X, Y, TH) if a.ndim == 2} - {1}
+    if (X.ndim not in (1, 2) or Y.ndim != 2 or TH.ndim not in (1, 2) or len(counts) > 1
+            or expr.dims is not None
+            and (X.shape[-1], Y.shape[1], TH.shape[-1]) != expr.dims):
+        raise DimensionMismatch(f"row blocks {X.shape}, {Y.shape} and {TH.shape} are not "
+                                f"shared rows or (N, .) blocks of one N over dims {expr.dims}")
+    N = counts.pop() if counts else 1
+    if X.ndim == 2 and len(X) == 1:
+        X = X[0]
+    if TH.ndim == 2 and len(TH) == 1:
+        TH = TH[0]
+    if len(Y) != N:
+        Y = np.broadcast_to(Y, (N, Y.shape[1]))
+    return X, Y, TH
 
 
 _ATOMS = ("affine", "quad")
@@ -468,59 +487,48 @@ def node_values(expr: Expr, w: list, n: int | None = None) -> list:
     return expr._values(w) if n is None else expr._columns(w, n)
 
 
-def row_values(expr: Expr, X: np.ndarray, Y: np.ndarray, TH: np.ndarray,
-               at=(-1,)) -> np.ndarray:
-    """The values of the tape nodes ``at`` at the N rows (X[r], Y[r], TH[r]),
-    a (len(at), N) array, a row per node, with ``evaluate``'s bits in every
-    entry; X may also be one (d,) row that every row shares.
-
-    From ROWS_MIN_S rows on, one node_values pass takes y and theta as (N,)
-    columns and a shared x as floats; below, node_values runs once per row
-    on floats.  An overflow yields inf or nan silently on either path, as it
-    does on floats."""
+def _row_values(expr: Expr, X: np.ndarray, Y: np.ndarray, TH: np.ndarray,
+                at: tuple) -> np.ndarray:
+    """row_values on rows that _rows has already checked and shaped."""
     N = Y.shape[0]
     if N < ROWS_MIN_S:
         xs = [X.tolist()] * N if X.ndim == 1 else X.tolist()
+        ts = [TH.tolist()] * N if TH.ndim == 1 else TH.tolist()
         fn = expr._values
-        rows = [fn(x + y + t) for x, y, t in zip(xs, Y.tolist(), TH.tolist())]
-        return np.array([[v[i] for i in at] for v in rows]).reshape(N, len(at)).T
+        rows = [fn(x + y + t) for x, y, t in zip(xs, Y.tolist(), ts)]
+        return np.array([v[i] for i in at for v in rows]).reshape(len(at), N)
     xs = X.tolist() if X.ndim == 1 else list(X.T)
+    ts = TH.tolist() if TH.ndim == 1 else list(TH.T)
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = node_values(expr, xs + list(Y.T) + list(TH.T), N)
-    return np.stack([vals[i] for i in at])
+        vals = node_values(expr, xs + list(Y.T) + ts, N)
+    return np.array([vals[i] for i in at])
+
+
+def row_values(expr: Expr, X, Y, TH, at=(-1,)) -> np.ndarray:
+    """The values of the tape nodes ``at`` at the N rows (X[r], Y[r], TH[r]),
+    a (len(at), N) array, a row per node, with ``evaluate``'s bits in every
+    entry.  The blocks are checked and shaped by _rows: a shared x or theta
+    row, one-row blocks and N = 0 are all allowed.
+
+    From ROWS_MIN_S rows on, one node_values pass takes y as (N,) columns
+    and a shared x or theta as floats; below, node_values runs once per row
+    on floats.  An overflow yields inf or nan silently on either path, as it
+    does on floats."""
+    return _row_values(expr, *_rows(expr, X, Y, TH), at)
 
 
 def evaluate(expr: Expr, x, y=(), theta=()) -> float:
     """Evaluate the DAG at a single point.  Deterministic, total on finite input."""
-    x, y, theta = _check_point(expr.dims, x, y, theta)
-    return node_values(expr, x.tolist() + y.tolist() + theta.tolist())[-1]
+    x, y, theta = (np.asarray(a, dtype=np.float64).ravel() for a in (x, y, theta))
+    x, Y, theta = _rows(expr, x, y[None], theta)
+    return node_values(expr, x.tolist() + Y[0].tolist() + theta.tolist())[-1]
 
 
 def evaluate_batch(expr: Expr, X, Y, theta) -> np.ndarray:
-    """Vectorized evaluation: X is (N, d), Y is (N, m), theta one (q,) vector
-    shared by every row or an (N, q) block, row r with its own theta.
-
-    Returns values with shape (N,).  Each value is bit-identical to
-    ``evaluate`` at that point, for any N (see ``node_values``).  A block
-    of the wrong width, or of neither N rows nor one, is a DimensionMismatch.
-    """
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    Y = np.atleast_2d(np.asarray(Y, dtype=np.float64))
-    theta = np.asarray(theta, dtype=np.float64)
-    per_row = theta.ndim == 2
-    rows = (X.shape[0], Y.shape[0], theta.shape[0] if per_row else 1)
-    n = max(rows)
-    widths = (X.shape[1], Y.shape[1], theta.shape[1] if per_row else theta.size)
-    if not set(rows) <= {1, n} or expr.dims is not None and widths != tuple(expr.dims):
-        raise DimensionMismatch(f"blocks of {rows} rows and widths {widths}, dims {expr.dims}")
-    if X.shape[0] == 1 and n > 1:
-        X = np.broadcast_to(X, (n, X.shape[1]))
-    if Y.shape[0] == 1 and n > 1:
-        Y = np.broadcast_to(Y, (n, Y.shape[1]))
-    if per_row and theta.shape[0] == 1 and n > 1:
-        theta = np.broadcast_to(theta, (n, theta.shape[1]))
-    w = list(X.T) + list(Y.T) + (list(theta.T) if per_row else theta.ravel().tolist())
-    return np.asarray(node_values(expr, w, n)[-1], dtype=np.float64)
+    """The (N,) values at the rows of (X, Y, theta), each bit-identical to
+    ``evaluate`` at that row: row_values at the root, so the blocks take
+    any shape that _rows accepts."""
+    return row_values(expr, X, Y, theta)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from .expr import (  # ROWS_MIN_S: the scenario count of scenario_values' crosso
     affine,
     constant,
     dc as dc_node,
-    evaluate,
     from_json,
     maximum,
     quad,
@@ -42,8 +41,9 @@ PROB_TOL = 1e-12
 
 def check_int(value, low: int, code: str, name: str) -> None:
     """ValidationError(code) unless value is an integer >= low, as a seed of
-    np.random.default_rng (low = 0) or a count must be."""
-    if not (isinstance(value, numbers.Integral) and value >= low):
+    np.random.default_rng (low = 0) or a count must be; a bool is not one."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= low):
         raise ValidationError(code, f"{name} must be an integer >= {low}, got {value!r}")
 
 
@@ -85,6 +85,8 @@ class ScenarioSpace:
             raise DimensionMismatch(
                 f"params must be ({probs.shape[0]}, q), got {params.shape}"
             )
+        if not np.isfinite(params).all():
+            raise ValidationError("NONFINITE", "scenario params have non-finite entries")
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "params", _freeze(params))
 
@@ -128,6 +130,8 @@ class FirstStageSet:
             c = _freeze(self.center)
             if c.ndim != 1:
                 raise DimensionMismatch("ball center must be a vector")
+            if not np.isfinite(c).all():
+                raise ValidationError("NONFINITE", "ball center has non-finite entries")
             if not self.radius > 0.0:
                 raise ValidationError("A_INVALID", "ball requires radius > 0")
             object.__setattr__(self, "center", c)
@@ -303,9 +307,6 @@ class TwoStageProblem:
         one pass on (S,) columns from ROWS_MIN_S scenarios on and a float
         pass per scenario below."""
         self.check_point(z)
-        if expr.dims not in (None, (self.d, self.m, self.scenarios.q)):
-            raise DimensionMismatch(f"expression over dims {expr.dims}, problem has "
-                                    f"{(self.d, self.m, self.scenarios.q)}")
         return row_values(expr, z.x, z.y, self.scenarios.params)[0]
 
 
@@ -425,8 +426,11 @@ def serialize_point(z: Point) -> dict:
 def load_problem(source) -> TwoStageProblem:
     """Build a fully validated problem from a dict, a JSON text, or a file path."""
     obj = _read_obj(source)
-    d = int(_require(obj, "d"))
-    m = int(_require(obj, "m"))
+    d, m = _require(obj, "d"), _require(obj, "m")
+    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool) and float(v).is_integer()
+               for v in (d, m)):
+        raise ParseError(f"d and m must be integers, got {d!r} and {m!r}")
+    d, m = int(d), int(m)
     sc = _require(obj, "scenarios")
     probs = np.asarray(_require(sc, "probs"), dtype=np.float64)
     S = probs.shape[0] if probs.ndim == 1 else 0
@@ -563,9 +567,7 @@ def generate(
             )
         else:
             raw_g = maximum(rand_affine(1.0), rand_affine(1.0))
-        worst = max(
-            evaluate(raw_g, x_w, y_w[s], params[s]) for s in range(S)
-        )
+        worst = max(row_values(raw_g, x_w, y_w, params)[0].tolist())
         margin = float(rng.uniform(0.3, 0.8))
         g.append(add(raw_g, constant(-(worst + margin))))
 

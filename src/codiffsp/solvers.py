@@ -45,7 +45,7 @@ from .codiff import TOL_ZERO
 from .errors import NotDC, ValidationError, VertexCapExceeded
 from .expectation import ACT_TOL, BlockCodiff, I_expansion, _integrand_codiff, expect
 from .expr import Expr, dc_parts, evaluate_batch, is_convex_struct
-from .model import FirstStageSet, Point, TwoStageProblem
+from .model import FirstStageSet, Point, TwoStageProblem, check_int
 from .penalty import PenaltySpec, _Phi_c_and_phi, penalty_codiff, penalty_integrand
 
 __all__ = [
@@ -83,9 +83,7 @@ class SolveOpts:
 
     def __post_init__(self):
         for name in ("max_iter", "cd_max_iter"):
-            v = getattr(self, name)
-            if not (isinstance(v, numbers.Integral) and v >= 1):
-                raise ValidationError("SOLVE_OPTS", f"{name} must be an integer >= 1, got {v!r}")
+            check_int(getattr(self, name), 1, "SOLVE_OPTS", name)
         for name in ("tol_feas", "tol_stat"):
             v = getattr(self, name)
             if not (isinstance(v, numbers.Real) and math.isfinite(v) and v >= 0.0):

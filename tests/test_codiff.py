@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from codiffsp import (
     CodiffPair,
+    CodiffspError,
     DimensionMismatch,
     Space,
     VertexCapExceeded,
@@ -16,6 +17,7 @@ from codiffsp import (
     add,
     affine,
     codiff,
+    constant,
     dc,
     dirderiv,
     evaluate,
@@ -78,6 +80,13 @@ def test_zero_at_zero_normalization():
         assert abs(cd.hypo[:, 0].max()) <= 1e-12
         assert abs(cd.hyper[:, 0].min()) <= 1e-12
 
+
+
+def test_zero_at_zero_check_refuses_nan_offsets():
+    f = maximum(Space(2, 1, 1).affine(cx=[1, 2]), constant(1.0))
+    with pytest.raises(CodiffspError) as ei:
+        codiff(f, [np.nan, 1.0], [1.0], [1.0])
+    assert ei.value.code == "ZERO_AT_ZERO"
 
 
 def test_offsets_match_evaluate():

@@ -2,6 +2,7 @@
 
 import pickle
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from codiffsp import (
     quad,
     scale,
 )
+from codiffsp.codiff import _vertex_blocks, codiff, codiff_rows
 from codiffsp.expr import (
     _coefficients,
     _value_source,
@@ -33,10 +35,11 @@ from codiffsp.expr import (
     is_convex_struct,
     is_smooth_struct,
     node_values,
+    row_values,
     to_json,
 )
 
-from codiffsp.model import generate
+from codiffsp.model import TwoStageProblem, generate
 from codiffsp.penalty import PenaltySpec, Phi_c, penalty_codiff, penalty_integrand
 from codiffsp.solvers import dc_decompose
 
@@ -272,6 +275,27 @@ def test_batch_takes_a_theta_per_row():
     assert np.signbit(rows).tolist() == [False, True, True, False]
 
 
+def _scenario_values(f, X, Y, TH):
+    # TwoStageProblem.scenario_values with its problem's point check left
+    # out, so the rows reach the one block check as they are given
+    prob = SimpleNamespace(check_point=lambda z: None, scenarios=SimpleNamespace(params=TH))
+    return TwoStageProblem.scenario_values(prob, f, SimpleNamespace(x=X, y=Y))
+
+
+def _rows_pass_values(f, X, Y, TH):
+    # codiff_rows' pairs carry no value; the rows pass under them does
+    return np.array([v for *_b, vals in _vertex_blocks(f, X, Y, TH) for v in vals.tolist()])
+
+
+# every front door of a block of rows, as a function to the (N,) values
+DOORS = {
+    "evaluate_batch": evaluate_batch,
+    "row_values": lambda f, X, Y, TH: row_values(f, X, Y, TH)[0],
+    "scenario_values": _scenario_values,
+    "codiff_rows": _rows_pass_values,
+}
+
+
 @pytest.mark.parametrize("X, Y, theta", [
     (np.ones((3, 3)), np.ones((3, 1)), [1.0]),  # x too wide: no spill into y
     (np.ones((3, 2)), np.ones((3, 2)), [1.0]),
@@ -279,11 +303,47 @@ def test_batch_takes_a_theta_per_row():
     (np.ones((3, 2)), np.ones((3, 1)), np.ones((3, 2))),
     (np.ones((3, 2)), np.ones((2, 1)), [1.0]),  # 3 rows against 2
     (np.ones((3, 2)), np.ones((3, 1)), np.ones((2, 1))),
+    (np.ones((3, 2, 1)), np.ones((3, 1)), [1.0]),  # 3-D blocks
+    (np.ones((3, 2)), np.ones((3, 1, 1)), [1.0]),
 ])
 def test_batch_rejects_blocks_that_do_not_fit(X, Y, theta):
+    # at every front door, codiff_rows included
     f = Space(2, 1, 1).affine(cx=[1, 2], cy=[3], ct=[4])
-    with pytest.raises(DimensionMismatch):
-        evaluate_batch(f, X, Y, theta)
+    for door in (*DOORS.values(), codiff_rows):
+        with pytest.raises(DimensionMismatch):
+            door(f, X, Y, theta)
+
+
+@pytest.mark.parametrize("N", [0, 3, 30])  # 30 >= ROWS_MIN_S: the pass on columns
+@pytest.mark.parametrize("shape", ["blocks", "shared rows", "one-row blocks", "one-row y"])
+def test_front_doors_give_evaluates_bits(shape, N):
+    sp = Space(2, 1, 1)
+    f = maximum(sp.affine(cx=[1, 2], cy=[3], ct=[4]),
+                absolute(sp.affine(-0.5, cx=[1, -1], cy=[2], ct=[-1])),
+                sp.quad(np.eye(3), psd=True))
+    rng = np.random.default_rng(N)
+    X, Y, TH = rng.normal(size=(N, 2)), rng.normal(size=(N, 1)), rng.normal(size=(N, 1))
+    X[::3], TH[1::3] = -0.0, 0.0
+    if shape == "shared rows":
+        X, TH = np.array([0.5, -0.0]), np.array([-0.0])
+    elif shape == "one-row blocks":
+        X, TH = np.array([[0.5, -0.0]]), np.array([[-0.0]])
+    elif shape == "one-row y":
+        Y = np.array([[-0.0]])
+
+    def row(A, r):  # row r of a block, the row itself when it is shared
+        return A if A.ndim == 1 else A[r % A.shape[0]]
+
+    want = [np.float64(evaluate(f, row(X, r), row(Y, r), row(TH, r))).tobytes()
+            for r in range(N)]
+    for name, door in DOORS.items():
+        vals = door(f, X, Y, TH)
+        assert vals.shape == (N,) and [v.tobytes() for v in vals] == want, name
+    pairs = codiff_rows(f, X, Y, TH)
+    assert len(pairs) == N
+    for r, cd in enumerate(pairs):
+        one = codiff(f, row(X, r), row(Y, r), row(TH, r))
+        assert (cd.hypo.tobytes(), cd.hyper.tobytes()) == (one.hypo.tobytes(), one.hyper.tobytes())
 
 
 def test_batch_broadcasts_one_row_blocks():

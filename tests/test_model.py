@@ -81,10 +81,17 @@ def test_load_missing_key():
     (load_problem, dict(MINIMAL, g=5)),
     (load_point, {"x": [0.0], "y": [[1.0], [1.0, 2.0]]}),
     (load_point, {"x": ["zero"], "y": [[1.0]]}),
-], ids=["d", "p", "probs", "c0", "A.lower", "g-not-list", "ragged-y", "text-x"])
+    (load_problem, dict(MINIMAL, d=2.7)),  # not cut to 2
+    (load_problem, dict(MINIMAL, m=True)),
+], ids=["d", "p", "probs", "c0", "A.lower", "g-not-list", "ragged-y", "text-x",
+        "d-fraction", "m-bool"])
 def test_load_malformed_value_is_parse_error(load, source):
     with pytest.raises(ParseError):
         load(source)
+
+
+def test_load_takes_an_integral_float_dimension():
+    assert load_problem(dict(MINIMAL, d=1.0)).d == 1
 
 
 def test_load_from_json_text_and_path(tmp_path):
@@ -120,7 +127,7 @@ def test_generate_is_deterministic():
     )
 
 
-@pytest.mark.parametrize("seed", [-1, 2.5, "7", None])
+@pytest.mark.parametrize("seed", [-1, 2.5, "7", None, True])
 def test_generate_rejects_bad_seed(seed):
     with pytest.raises(ValidationError) as ei:
         generate(seed, d=2, m=1, S=2, l=2)
@@ -281,6 +288,25 @@ def test_p_exponent_validated():
     with pytest.raises(ValidationError) as ei:
         load_problem(dict(MINIMAL, p=0.5))
     assert ei.value.code == "P_EXPONENT"
+
+
+@pytest.mark.parametrize("build", [
+    lambda: ScenarioSpace(probs=[0.5, 0.5], params=[[np.nan], [0.0]]),
+    lambda: ScenarioSpace(probs=[0.5, 0.5], params=[[0.0], [-np.inf]]),
+    lambda: load_problem(dict(MINIMAL, scenarios={"probs": [0.5, 0.5],
+                                                  "params": [[0.0], [np.inf]]})),
+    lambda: FirstStageSet.ball([np.nan, 0.0], 1.0),
+    lambda: FirstStageSet.ball([0.0, np.inf], 1.0),
+], ids=["params-nan", "params-inf", "loaded-params", "center-nan", "center-inf"])
+def test_problem_data_must_be_finite(build):
+    with pytest.raises(ValidationError) as ei:
+        build()
+    assert ei.value.code == "NONFINITE"
+
+
+def test_box_bounds_may_be_infinite():
+    A = FirstStageSet.box([-np.inf, 0.0], [np.inf, 1.0])
+    assert A.project([5.0, 2.0]).tolist() == [5.0, 1.0]
 
 
 def test_scenario_space_rejects_zero_prob():

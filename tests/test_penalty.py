@@ -325,6 +325,8 @@ def test_nondeg_rejects_no_samples():
     ({"seed": -1}, "NONDEG_SEED"),
     ({"seed": 0.5}, "NONDEG_SEED"),
     ({"seed": None}, "NONDEG_SEED"),
+    ({"samples": True}, "NONDEG_SAMPLES"),  # a bool is no count
+    ({"seed": False}, "NONDEG_SEED"),
 ])
 def test_nondeg_rejects_bad_samples_and_seed(kwargs, code):
     g = (affine(SP.dims, -1.0, [0.0], [1.7], []),)

@@ -373,6 +373,7 @@ def test_descent_iteration_cap():
     {"cd_max_iter": -3}, {"cd_max_iter": 0},
     {"tol_stat": float("nan")}, {"tol_stat": -1e-6},
     {"tol_feas": float("inf")}, {"tol_feas": -1.0},
+    {"max_iter": True}, {"cd_max_iter": False},
 ])
 def test_solve_opts_rejects_bad_values(bad):
     with pytest.raises(ValidationError) as ei:
