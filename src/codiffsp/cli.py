@@ -21,6 +21,7 @@ import numpy as np
 from .errors import CodiffspError
 from .expectation import eval_I
 from .model import (
+    FEAS_TOL,
     Point,
     generate,
     is_feasible,
@@ -74,7 +75,7 @@ def _start_point(prob, args) -> Point:
 def _cmd_eval(args) -> int:
     prob = load_problem(args.input)
     z = load_point(args.point)
-    ok, rep = is_feasible(prob, z, tol=args.tol_feas if args.tol_feas is not None else 1e-9)
+    ok, rep = is_feasible(prob, z, tol=args.tol_feas)
     report = {
         "command": "eval",
         "I": eval_I(prob, z),
@@ -357,7 +358,9 @@ def _build_parser() -> argparse.ArgumentParser:
     add_io(sp, point=True)
     sp.add_argument("--penalty", choices=("l1", "dist"), default="l1")
     sp.add_argument("--c", type=float, default=None)
-    sp.add_argument("--tol-feas", dest="tol_feas", type=float, default=None)
+    sp.add_argument("--tol-feas", dest="tol_feas", type=float, default=FEAS_TOL,
+                    help="feasible when x lies in A and max g_i over every scenario is "
+                         "at most this (default %(default)s, certify's)")
     sp.set_defaults(fn=_cmd_eval)
 
     sp = sub.add_parser("solve", help="minimize the penalized objective")
@@ -369,11 +372,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--point-out", dest="point_out", default=None, help="also write the final point")
     sp.add_argument("--max-iter", dest="max_iter", type=int, default=None)
     sp.add_argument("--cd-max-iter", dest="cd_max_iter", type=int, default=None)
-    sp.add_argument("--tol-feas", dest="tol_feas", type=float, default=None)
+    sp.add_argument("--tol-feas", dest="tol_feas", type=float, default=None,
+                    help="escalation's feasibility test: max g_i over every scenario "
+                         f"at most this (default {FEAS_TOL}, certify's)")
     sp.add_argument("--tol-stat", dest="tol_stat", type=float, default=None)
     sp.add_argument("--no-escalate", dest="no_escalate", action="store_true",
                     help="keep c fixed; by default c grows tenfold (at most 5 times) "
-                         "while a solve ends stationary but infeasible")
+                         "while a solve ends stationary with max g_i above --tol-feas")
     sp.set_defaults(fn=_cmd_solve)
 
     sp = sub.add_parser("certify", help="check optimality conditions at a point")

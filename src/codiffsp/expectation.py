@@ -61,6 +61,8 @@ from .model import FirstStageSet, Point, TwoStageProblem
 ACT_TOL = 1e-6
 # max_over_selections scores every selection up to this many, climbs beyond.
 ENUM_CAP = 16
+# The largest norm whose square is a finite float.
+_SQRT_MAX = math.sqrt(np.finfo(np.float64).max)
 
 
 def max_over_selections(sups: list[np.ndarray], score) -> tuple[float, object, bool, int]:
@@ -135,7 +137,11 @@ def joint_rows(probs: np.ndarray, d: int, normals: np.ndarray, V: np.ndarray, sv
     s = sv[j], becomes p_s times its x-part in x and sqrt(p_s) times its
     y-part in y_s's columns, zero elsewhere; so do the scenario rays R, of
     scenarios sr, and A's outward normals (r, d) follow them in x.  scale is
-    the largest |entry| of V' and R', read off the parts they are built of."""
+    the largest |entry| of V' and R', read off the parts they are built of.
+
+    The least-norm point is no longer than a sum of one row per scenario,
+    of norm at most sqrt(d S^2 + S m) * scale: NonFinite refuses rows on
+    which that bound, and so nu's and the certificate's norms, overflow."""
     S, m, k = probs.shape[0], V.shape[1] - d, V.shape[0]
     if R is not None:
         V, sv = np.vstack((V, R)), np.concatenate((sv, sr))
@@ -146,6 +152,8 @@ def joint_rows(probs: np.ndarray, d: int, normals: np.ndarray, V: np.ndarray, sv
     np.put_along_axis(C, d + sv[:, None] * m + np.arange(m), Y, axis=1)
     N = np.hstack((normals, np.zeros((normals.shape[0], S * m))))
     scale = max(float(np.abs(part).max(initial=0.0)) for part in (X, Y, normals))
+    if not scale * math.sqrt(d * S * S + S * m) < _SQRT_MAX:
+        raise NonFinite(f"least-norm rows too large to measure: largest |entry| {scale:.3e}")
     return C[:k], (N if R is None else np.vstack((C[k:], N))), scale
 
 

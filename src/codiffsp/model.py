@@ -7,6 +7,30 @@ randomness, so one expression DAG serves every scenario.
 
 Also provides JSON round-trip (problem and point files), feasibility
 checking, and a seeded random instance generator.
+
+Feasibility is one rule, feas_report: x lies in A within tol and the
+largest g_i(x, y_s, theta_s) over every s and i is at most tol.
+is_feasible and ``codiffsp eval`` apply it at FEAS_TOL by default, the
+solvers escalate c on it at SolveOpts.tol_feas (default FEAS_TOL), and
+check_optimality refuses a candidate on it at FEAS_TOL.
+
+The tolerance ladder (tests/test_model.py::test_tolerance_ladder pins it):
+
+    TOL_ZERO (codiff, 1e-9) gives the zero-offset slices, and so the
+        superdifferential selections.  TOL_ZERO <= ACT_TOL: every slice the
+        descent engine takes holds the zero-offset one.
+    MEMBERSHIP_TOL (_minnorm, 1e-9) decides 0 in a hull, relative to the
+        columns' largest |entry|, at least 1.  MEMBERSHIP_TOL <= tol_stat:
+        on unit-scale columns, reading 0 as inside never hides a nu above
+        tol_stat.
+    ACT_TOL (expectation, 1e-6) is nu's final eps, the certificate's slice,
+        and constraint and face activity: one eps, so that the
+        certificate's set holds nu's shifted slice.
+    tol_stat (SolveOpts, 1e-6) bounds nu(ACT_TOL) at a converged segment,
+        and so every certificate residual when c >= 1 (optimality).
+    FEAS_TOL (here, 1e-6) is the rule's tolerance, shared by the solvers
+        (SolveOpts().tol_feas) and the certificate: a converged solve at the
+        default options ends at a point that check_optimality accepts.
 """
 
 from __future__ import annotations
@@ -37,6 +61,8 @@ from .expr import (  # ROWS_MIN_S: the scenario count of scenario_values' crosso
 )
 
 PROB_TOL = 1e-12
+# The feasibility rule's tolerance (module docstring).
+FEAS_TOL = 1e-6
 
 
 def check_int(value, low: int, code: str, name: str) -> None:
@@ -170,7 +196,7 @@ class FirstStageSet:
             return float(max(0.0, over.max()))
         return float(max(0.0, np.linalg.norm(x - self.center) - self.radius))
 
-    def contains(self, x, tol: float = 1e-9) -> bool:
+    def contains(self, x, tol: float = FEAS_TOL) -> bool:
         return self.violation(np.asarray(x, dtype=np.float64)) <= tol
 
     def project(self, x) -> np.ndarray:
@@ -312,35 +338,35 @@ class TwoStageProblem:
 
 @dataclass(frozen=True)
 class FeasReport:
-    """Outcome of the feasibility check with the argmax violation located."""
+    """Outcome of the feasibility rule with the argmax violation located."""
 
     feasible: bool
     x_violation: float
     max_violation: float  # max_{i,s} g_i(x, y_s, theta_s); -inf when l = 0
     worst_constraint: int  # -1 when l = 0
     worst_scenario: int
+    tol: float
 
 
-def is_feasible(prob: TwoStageProblem, z: Point, tol: float = 1e-9):
-    """(x in A within tol) and (g_i(x, y_s, theta_s) <= tol for all i, s),
-    one scenario_values pass per constraint; the report locates the first
-    largest g_i(x, y_s, theta_s) in constraint-major order."""
+def feas_report(x_violation: float, G: np.ndarray, tol: float = FEAS_TOL) -> FeasReport:
+    """The feasibility rule (module docstring) on A's violation and the
+    (l, S) constraint values G, G[i, s] = g_i(x, y_s, theta_s).  The report
+    locates the first largest value in constraint-major order, the entry
+    that a loop over i, then s, with a strict > keeps; a NaN fails the rule."""
+    if not G.size:
+        return FeasReport(x_violation <= tol, x_violation, -np.inf, -1, -1, tol)
+    i, s = divmod(int(np.argmax(G)), G.shape[1])
+    worst = float(G[i, s])
+    return FeasReport(x_violation <= tol and worst <= tol, x_violation, worst, i, s, tol)
+
+
+def is_feasible(prob: TwoStageProblem, z: Point, tol: float = FEAS_TOL):
+    """(ok, report) of feas_report at z: one scenario_values pass per
+    constraint."""
     prob.check_point(z)
-    xv = prob.A.violation(z.x)
-    worst = -np.inf
-    wi, ws = -1, -1
-    for i, gi in enumerate(prob.g):
-        for s, v in enumerate(prob.scenario_values(gi, z).tolist()):
-            if v > worst:
-                worst, wi, ws = v, i, s
-    ok = xv <= tol and (prob.ell == 0 or worst <= tol)
-    return ok, FeasReport(
-        feasible=ok,
-        x_violation=xv,
-        max_violation=worst,
-        worst_constraint=wi,
-        worst_scenario=ws,
-    )
+    G = np.array([prob.scenario_values(gi, z) for gi in prob.g]).reshape(prob.ell, prob.S)
+    rep = feas_report(prob.A.violation(z.x), G, tol)
+    return rep.feasible, rep
 
 
 # ---------------------------------------------------------------------------

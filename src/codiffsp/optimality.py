@@ -82,11 +82,9 @@ import numpy as np
 
 from ._minnorm import _least_norm
 from .errors import InfeasibleCandidate
-from .model import Point, TwoStageProblem
+from .model import Point, TwoStageProblem, feas_report
 from .expectation import ACT_TOL, _integrand_codiff, block_codiff, joint_rows, max_over_selections
 from .penalty import PenaltySpec, penalty_codiff
-
-FEAS_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -162,7 +160,9 @@ def _worst_selection(d: int, fsets, gsets: list):
 
 
 def check_optimality(prob: TwoStageProblem, c: float, z: Point) -> Certificate:
-    """Verify the multiplier condition at a candidate feasible to FEAS_TOL.
+    """Verify the multiplier condition at a candidate that passes the
+    feasibility rule at FEAS_TOL (model.feas_report: max_{i,s} g_i, the test
+    the solvers escalate c on); InfeasibleCandidate names the worst g_i.
 
     Per scenario the rows are those of the worst superdifferential
     selection, the one of largest y-residual: max_over_selections scores all
@@ -175,17 +175,16 @@ def check_optimality(prob: TwoStageProblem, c: float, z: Point) -> Certificate:
     prob.check_point(z)
     S, d, m, ell = prob.S, prob.d, prob.m, prob.ell
     # one rows pass per function, a row per scenario; the g_i's passes also
-    # give their values, with evaluate's bits, for is_feasible's test: the
-    # first largest g_i value in constraint-major order, -inf when l = 0
+    # give their values, with evaluate's bits, for the feasibility rule
     bg = [_integrand_codiff(prob, gi, z) for gi in prob.g]
-    gv = np.array([np.hstack([v for *_b, v in bc.blocks]) for bc in bg]).reshape(ell, S).T
-    worst = max(gv.T.ravel().tolist(), default=-np.inf)
-    if not (prob.A.violation(z.x) <= FEAS_TOL and worst <= FEAS_TOL):
+    G = np.array([np.hstack([v for *_b, v in bc.blocks]) for bc in bg]).reshape(ell, S)
+    rep = feas_report(prob.A.violation(z.x), G)
+    if not rep.feasible:
         raise InfeasibleCandidate(
-            f"candidate violates feasibility by {worst:.3e} (tolerance {FEAS_TOL:.1e})"
-        )
+            f"max g = {rep.max_violation:.3e} at g[{rep.worst_constraint}] in scenario "
+            f"{rep.worst_scenario}, x off A by {rep.x_violation:.3e} (tolerance {rep.tol:.1e})")
     mf, gm = block_codiff(prob, z).masked(ACT_TOL), [bc.masked(ACT_TOL) for bc in bg]
-    act, Pf = gv >= -ACT_TOL, mf.P  # act: (S, ell)
+    act, Pf = G.T >= -ACT_TOL, mf.P  # act: (S, ell)
     one_g = np.array([mk.one for mk in gm], dtype=bool).reshape(ell, S).T
     Pg = np.array([mk.P for mk in gm]).reshape(ell, S, d + m).transpose(1, 0, 2)
     point = mf.one & (one_g | ~act).all(axis=1)
@@ -224,7 +223,7 @@ def check_optimality(prob: TwoStageProblem, c: float, z: Point) -> Certificate:
         lambdas=lambdas,
         zeta=zeta,
         residual_stationarity=float(np.linalg.norm(q[d:])),
-        residual_complementarity=max(np.abs(lambdas * gv).ravel().tolist(), default=0.0),
+        residual_complementarity=max(np.abs(lambdas * G.T).ravel().tolist(), default=0.0),
         residual_normal_cone=prob.A.normal_residual(z.x, prob.scenarios.probs @ zeta, tol=ACT_TOL),
         stationarity_max=float(np.sqrt(np.vecdot(u[:, d:], u[:, d:])).max()),
         budget_sum=float(lambdas.max(axis=0).sum()) if ell else 0.0,

@@ -18,10 +18,12 @@ eps-active block codifferential plus the normal cone of A
 Both run inside one penalty loop, _solve, which owns the start point, the
 status and the report.  A penalty segment is converged when nu(ACT_TOL) of
 Phi_c, inf_stationarity_measure, is at most tol_stat.  When a segment ends
-stationary (converged or stalled) with phi > tol_feas, the exact-penalty
-result says c is too small: c grows tenfold, at most 5 times, unless
-escalation is off.  Capped segments end the solve as they are.  Both
-solvers' history covers the final penalty segment.
+stationary (converged or stalled) at a point that fails the feasibility
+rule at tol_feas, max_{s,i} g_i(x, y_s, theta_s) > tol_feas
+(model.feas_report, check_optimality's test), the exact-penalty result says
+c is too small: c grows tenfold, at most 5 times, unless escalation is off.
+Capped segments end the solve as they are.  Both solvers' history covers
+the final penalty segment.
 
 Fixed settings, not exposed in SolveOpts: the convex subproblem runs at
 most INNER_ITERS iterations to tolerance INNER_TOL; the Armijo search has
@@ -45,8 +47,9 @@ from .codiff import TOL_ZERO
 from .errors import NotDC, ValidationError, VertexCapExceeded
 from .expectation import ACT_TOL, BlockCodiff, I_expansion, _integrand_codiff, expect
 from .expr import Expr, dc_parts, evaluate_batch, is_convex_struct
-from .model import FirstStageSet, Point, TwoStageProblem, check_int
-from .penalty import PenaltySpec, _Phi_c_and_phi, penalty_codiff, penalty_integrand
+from .model import FEAS_TOL, FirstStageSet, Point, TwoStageProblem, check_int, is_feasible
+from .optimality import _inf_stationarity
+from .penalty import PenaltySpec, _Phi_c_and_phi, penalty_integrand
 
 __all__ = [
     "DCDecomposition",
@@ -75,7 +78,7 @@ class DCDecomposition:
 
 @dataclass(frozen=True)
 class SolveOpts:
-    tol_feas: float = 1e-6
+    tol_feas: float = FEAS_TOL
     max_iter: int = 500
     escalate: bool = True
     tol_stat: float = 1e-6
@@ -100,7 +103,8 @@ class SolveReport:
     # Both solvers: converged iff nu(ACT_TOL) of Phi_c <= tol_stat.  stalled:
     # codiff_descent finds no Armijo step at eps = ACT_TOL; dca_solve takes an
     # outer step without strict decrease.  penalty_escalated(k): k tenfold
-    # raises of c after stationary infeasible segments, still infeasible.
+    # raises of c after stationary segments whose end points had
+    # max_{s,i} g_i > tol_feas, and the final point's still does.
     status: str
     history: tuple[tuple[float, float, float], ...]  # (value, phi, step)
     c_final: float
@@ -262,7 +266,8 @@ def _solve(prob: TwoStageProblem, c: float, z0: Point, opts: SolveOpts | None, r
     runs one segment from z and returns (steps, status, iterations,
     exhaustive) in the shape of _descend, each step's phi that of its
     Phi_c evaluation.  Iterations sum over the segments; the history and
-    the exhaustive flag are the final one's."""
+    the exhaustive flag are the final one's.  is_feasible tests an end
+    point only where it can escalate c or mark the status escalated."""
     opts = opts or SolveOpts()
     prob.check_point(z0)
     z = Point(x=prob.A.project(z0.x), y=z0.y)
@@ -273,12 +278,13 @@ def _solve(prob: TwoStageProblem, c: float, z0: Point, opts: SolveOpts | None, r
         steps, status, it, exhaustive = run(PenaltySpec("l1_max", c_now), z, opts)
         total_iters += it
         z, val, _t, phi = steps[-1]
-        if not (phi > opts.tol_feas and status in ("converged", "stalled")
-                and opts.escalate and escalations < 5):
+        can_raise = opts.escalate and status in ("converged", "stalled")
+        infeasible = (can_raise or escalations > 0) and not is_feasible(prob, z, opts.tol_feas)[0]
+        if not (infeasible and can_raise and escalations < 5):
             break
         escalations += 1
         c_now *= 10.0
-    if phi > opts.tol_feas and escalations > 0:
+    if infeasible and escalations > 0:
         status = f"penalty_escalated({escalations})"
     return SolveReport(
         iterates=total_iters,
@@ -321,8 +327,8 @@ def dca_solve(
                 step = np.hypot(np.linalg.norm(z_new.x - z.x), np.linalg.norm(z_new.y - z.y))
                 steps.append((z_new, v_new, float(step), phi_new))
                 z, val = z_new, v_new
-            nu, _q, exhaustive = penalty_codiff(prob, spec, z).least_norm(prob.A, z.x, ACT_TOL)
-            if nu <= opts.tol_stat:
+            inf, exhaustive = _inf_stationarity(prob, spec.c, z)
+            if -inf <= opts.tol_stat:
                 return steps, "converged", k, exhaustive
             if not moved:
                 return steps, "stalled", k, exhaustive

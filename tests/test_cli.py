@@ -115,6 +115,21 @@ def test_solve_then_certify_round_trip(prob_file, tmp_path):
     assert cert["inf_stationarity"] >= -1e-3
 
 
+@pytest.mark.parametrize("solver", ["dca", "cd"])
+def test_eval_calls_feasible_what_certify_accepts(prob_file, tmp_path, solver):
+    # one rule at one tolerance: the cd end point has max g = 1.1e-8, which
+    # certify accepted while eval, then at 1e-9, called it infeasible
+    pt = tmp_path / "final.json"
+    r = run("solve", "-i", str(prob_file), "--c", "10", "--solver", solver,
+            "--point-out", str(pt))
+    assert r.returncode == 0, r.stderr
+    cert = run("certify", "-i", str(prob_file), "--point", str(pt), "--c", "10")
+    assert cert.returncode == 0, cert.stderr
+    ev = run("eval", "-i", str(prob_file), "--point", str(pt))
+    assert ev.returncode == 0, ev.stderr
+    assert json.loads(ev.stdout)["feasible"] is True
+
+
 def test_certify_residual_is_worst_selection(tmp_path):
     # one scenario on a concave kink: the residual of the worst selection is
     # the rate -inf_stationarity at which f falls

@@ -11,6 +11,11 @@ from codiffsp import (
     CodiffPair,
     CodiffspError,
     DimensionMismatch,
+    FirstStageSet,
+    NonFinite,
+    Point,
+    ScenarioSpace,
+    TwoStageProblem,
     Space,
     VertexCapExceeded,
     absolute,
@@ -31,6 +36,7 @@ from codiffsp import (
 
 from codiffsp.codiff import AUTO_PRUNE_AT, _vertex_blocks, _walk, codiff_rows
 from codiffsp.model import generate
+from codiffsp.optimality import check_optimality, inf_stationarity_measure
 from codiffsp.penalty import PenaltySpec, penalty_codiff
 from codiffsp.solvers import dc_decompose
 
@@ -87,6 +93,44 @@ def test_zero_at_zero_check_refuses_nan_offsets():
     with pytest.raises(CodiffspError) as ei:
         codiff(f, [np.nan, 1.0], [1.0], [1.0])
     assert ei.value.code == "ZERO_AT_ZERO"
+
+
+def test_overflow_is_nonfinite():
+    # finite inputs whose values overflow: inf - inf in the branch gaps, and
+    # quad values past the float range at y = 1e200 * witness y; under this
+    # suite's settings a RuntimeWarning would fail the test too
+    f = maximum(Space(2, 1, 1).affine(cx=[1, 2]), constant(1.0))
+    with pytest.raises(NonFinite, match="scenario 0"):
+        codiff(f, [1e308, 1e308], [1.0], [1.0])
+    p = generate(1000, d=2, m=2, S=3, l=2, dc=True)
+    w = p.witness
+    with pytest.raises(NonFinite):
+        penalty_codiff(p, PenaltySpec("l1_max", 10.0), Point(x=w.x, y=1e200 * w.y)).least_norm(
+            p.A, w.x, 1e-9)
+
+
+def test_overflow_names_the_first_bad_scenario():
+    # scenario 1 of three leaves the float range; the others stay finite
+    p = generate(1000, d=2, m=2, S=3, l=2, dc=True)
+    y = p.witness.y.copy()
+    y[1] *= 1e200
+    with pytest.raises(NonFinite, match="scenario 1"):
+        penalty_codiff(p, PenaltySpec("l1_max", 10.0), Point(x=p.witness.x, y=y))
+
+
+def test_finite_rows_too_large_to_measure_are_nonfinite():
+    # f's slopes 1e100 * z reach 1e160 at x = 1e60 while every value stays
+    # finite; the norm of the least-norm point would overflow
+    sp = Space(d=1, m=1, q=0)
+    g = maximum(sp.affine(-1.0, cy=[1.0]), sp.affine(-2.0, cy=[2.0]))
+    p = TwoStageProblem(d=1, m=1, A=FirstStageSet.free(), f=quad(sp.dims, 1e100 * np.eye(2),
+                        psd=True), g=(g,), scenarios=ScenarioSpace(
+                            probs=np.full(2, 0.5), params=np.zeros((2, 0))))
+    z = Point(x=[1e60], y=[[-1.0], [-2.0]])
+    assert np.isfinite(penalty_codiff(p, PenaltySpec("l1_max", 10.0), z).blocks[0][1]).all()
+    for measure in (inf_stationarity_measure, check_optimality):
+        with pytest.raises(NonFinite, match="too large"):
+            measure(p, 10.0, z)
 
 
 def test_offsets_match_evaluate():

@@ -1,7 +1,9 @@
 """Problem model: validation, feasibility, JSON round-trip, instance generator."""
 
+import ast
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +25,12 @@ from codiffsp import (
     load_problem,
     serialize_problem,
 )
-from codiffsp.model import ROWS_MIN_S, load_point, serialize_point
+from codiffsp import model
+from codiffsp._minnorm import MEMBERSHIP_TOL
+from codiffsp.codiff import TOL_ZERO
+from codiffsp.expectation import ACT_TOL
+from codiffsp.model import FEAS_TOL, ROWS_MIN_S, feas_report, load_point, serialize_point
+from codiffsp.solvers import SolveOpts
 
 MINIMAL = {
     "d": 1,
@@ -202,6 +209,49 @@ def test_is_feasible_boundary_tolerance():
     ok2, rep2 = is_feasible(p, Point(x=[1.0 + 1e-3], y=[[0.0], [0.0]]))
     assert not ok2
     assert rep2.x_violation == pytest.approx(1e-3)
+
+
+def test_feasibility_defaults_to_feas_tol():
+    # max g = 5e-7 lies in (1e-9, FEAS_TOL]: feasible by default, not at 1e-9
+    p = load_problem(MINIMAL)
+    z = Point(x=[1.0], y=[[1.0], [1.0 + 5e-7]])
+    assert is_feasible(p, z) == (True, is_feasible(p, z, FEAS_TOL)[1])
+    ok, rep = is_feasible(p, z, 1e-9)
+    assert not ok and rep.tol == 1e-9 and (rep.worst_constraint, rep.worst_scenario) == (0, 1)
+    assert not is_feasible(p, Point(x=[1.0], y=[[1.0], [1.0 + 2e-6]]))[0]
+    assert p.A.contains([1.0 + 5e-7]) and not p.A.contains([1.0 + 2e-6])
+
+
+def test_feas_report_rule():
+    # the first largest value in constraint-major order; -inf and -1 at l = 0;
+    # a NaN fails the rule
+    G = np.array([[0.0, 3e-7, -1.0], [3e-7, 2e-7, 3e-7]])
+    rep = feas_report(0.0, G)
+    assert rep == model.FeasReport(True, 0.0, 3e-7, 0, 1, FEAS_TOL)
+    assert not feas_report(2e-6, G).feasible
+    assert feas_report(0.0, np.zeros((0, 3))) == model.FeasReport(True, 0.0, -np.inf, -1, -1,
+                                                                 FEAS_TOL)
+    assert not feas_report(0.0, np.array([[0.0, np.nan]])).feasible
+
+
+def test_tolerance_ladder():
+    """The ladder of the model docstring: its values, then its relations."""
+    opts = SolveOpts()
+    assert (TOL_ZERO, MEMBERSHIP_TOL, ACT_TOL, opts.tol_stat, FEAS_TOL) == (
+        1e-9, 1e-9, 1e-6, 1e-6, 1e-6)
+    # the zero-offset slice lies in every eps-slice the engine takes
+    assert TOL_ZERO <= ACT_TOL
+    # 0 read as inside a hull of unit scale never hides nu > tol_stat
+    assert MEMBERSHIP_TOL <= opts.tol_stat
+    # the solvers' feasibility test is the certificate's
+    assert opts.tol_feas == FEAS_TOL
+    # FEAS_TOL is assigned in model alone
+    src = Path(model.__file__).parent
+    owners = [f.stem for f in sorted(src.glob("*.py"))
+              for node in ast.walk(ast.parse(f.read_text()))
+              if isinstance(node, ast.Assign)
+              and any(getattr(t, "id", None) == "FEAS_TOL" for t in node.targets)]
+    assert owners == ["model"]
 
 
 def test_first_stage_set_validation():

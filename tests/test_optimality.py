@@ -9,6 +9,7 @@ from codiffsp import (
     FirstStageSet,
     InfeasibleCandidate,
     Point,
+    ScenarioSpace,
     Space,
     TwoStageProblem,
     ValidationError,
@@ -19,6 +20,7 @@ from codiffsp import (
     constant,
     evaluate,
     generate,
+    is_feasible,
     quad,
     quasidiff,
     scale,
@@ -111,6 +113,37 @@ def test_infeasible_candidate_rejected():
         check_optimality(p, 1.0, Point(x=[0.5], y=[[0.0]]))
     with pytest.raises(InfeasibleCandidate):
         check_optimality(p, 1.0, Point(x=[0.0], y=[[2.0]]))
+
+
+def test_refusal_names_the_worst_constraint_and_scenario():
+    # the message is is_feasible's report: g[1] in scenario 2 is the worst
+    sp = Space(d=1, m=1, q=1)
+    p = TwoStageProblem(d=1, m=1, A=FirstStageSet.free(), f=quad(sp.dims, np.eye(2), psd=True),
+                        g=(sp.affine(-1.0, cy=[1.0]), sp.affine(ct=[1.0])),
+                        scenarios=ScenarioSpace(probs=np.full(3, 1 / 3),
+                                                params=[[-1.0], [-0.5], [3e-6]]))
+    z = Point(x=[0.0], y=[[0.0], [0.0], [1.0 + 2e-6]])
+    _ok, rep = is_feasible(p, z)
+    assert (rep.worst_constraint, rep.worst_scenario) == (1, 2) and not rep.feasible
+    with pytest.raises(InfeasibleCandidate) as ei:
+        check_optimality(p, 10.0, z)
+    assert str(ei.value) == ("[INFEASIBLE_CANDIDATE] max g = 3.000e-06 at g[1] in scenario 2, "
+                             "x off A by 0.000e+00 (tolerance 1.0e-06)")
+
+
+def test_converged_seed_set_points_are_feasible():
+    # every converged S = 3 end point passes the one rule at its default
+    # tolerance, in is_feasible and in check_optimality alike
+    ends = 0
+    for seed in range(1000, 1012):
+        p = generate(seed, d=2, m=2, S=3, l=2, dc=True)
+        for solve in (dca_solve, codiff_descent):
+            rep = solve(p, 10.0, p.witness)
+            if rep.status == "converged":
+                ends += 1
+                assert is_feasible(p, rep.final_point)[0]
+                check_optimality(p, 10.0, rep.final_point)
+    assert ends == 24
 
 
 def test_complementarity_structural():

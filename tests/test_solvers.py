@@ -22,12 +22,14 @@ from codiffsp import (
     evaluate_batch,
     generate,
     inf_stationarity_measure,
+    is_feasible,
     maximum,
     quad,
     scale,
 )
 from codiffsp.codiff import codiff_rows
 from codiffsp.expr import dc_parts
+from codiffsp.optimality import check_optimality
 import codiffsp.solvers as sv
 from codiffsp.solvers import (
     SolveOpts,
@@ -302,6 +304,61 @@ def test_dca_capped_segment_keeps_c():
     assert rep.c_final == 0.01
     assert rep.iterates == 1
     assert rep.final_phi > 1e-6
+
+
+def _one_tight_scenario(S=100):
+    """x in [-1, 1], f = x^2/2 + (y - 1)^2/2, g = y - theta_s with theta_0 = 0
+    and theta_s = 5 otherwise, p_s = 1/S: only scenario 0's constraint can
+    bind, and its violation counts in phi at weight 1/S."""
+    sp = Space(d=1, m=1, q=1)
+    th = np.full((S, 1), 5.0)
+    th[0] = 0.0
+    return TwoStageProblem(d=1, m=1, A=FirstStageSet.box([-1.0], [1.0]),
+                           f=quad(sp.dims, np.eye(2), lin=[0.0, -1.0], c0=0.5, psd=True),
+                           g=(sp.affine(cy=[1.0], ct=[-1.0]),),
+                           scenarios=ScenarioSpace(probs=np.full(S, 1.0 / S), params=th))
+
+
+@pytest.mark.parametrize("solve", [dca_solve, codiff_descent], ids=lambda f: f.__name__)
+def test_escalation_tests_the_largest_constraint_value(solve):
+    # at c = 0.99998 the stationary point has y_0 = 1 - c = 2e-5 > tol_feas
+    # but phi = 2e-7 <= tol_feas: a test on phi stopped there, converged and
+    # refused by the certificate; the max test raises c to 9.9998
+    p = _one_tight_scenario()
+    rep = solve(p, 0.99998, Point(x=[0.0], y=np.zeros((100, 1))))
+    assert rep.status == "converged" and rep.c_final == pytest.approx(9.9998)
+    assert is_feasible(p, rep.final_point)[0]
+    check_optimality(p, rep.c_final, rep.final_point)
+    # without escalation the same solve ends converged, infeasible by max g
+    fixed = solve(p, 0.99998, Point(x=[0.0], y=np.zeros((100, 1))), SolveOpts(escalate=False))
+    assert fixed.status == "converged" and fixed.final_phi <= SolveOpts().tol_feas
+    assert is_feasible(p, fixed.final_point)[1].max_violation == pytest.approx(2e-5)
+
+
+def test_feasibility_is_tested_only_where_it_can_escalate(monkeypatch):
+    # escalate=False, as the one-step DCA benchmark runs, adds no values pass;
+    # a stationary end with escalation on is tested once
+    calls = []
+    monkeypatch.setattr(sv, "is_feasible", lambda *a: calls.append(a) or is_feasible(*a))
+    p = generate(1000, d=2, m=2, S=3, l=2, dc=True)
+    dca_solve(p, 10.0, p.witness, SolveOpts(max_iter=1, escalate=False))
+    codiff_descent(p, 10.0, p.witness, SolveOpts(escalate=False))
+    assert calls == []
+    assert codiff_descent(p, 10.0, p.witness).status == "converged"
+    assert len(calls) == 1 and calls[0][2] == SolveOpts().tol_feas
+
+
+def test_dca_stops_on_the_certifiers_measure(monkeypatch):
+    # dca_solve's stop test is optimality._inf_stationarity, the measure
+    # inf_stationarity_measure and codiffsp certify report
+    seen = []
+    inner = sv._inf_stationarity
+    monkeypatch.setattr(sv, "_inf_stationarity", lambda *a: seen.append(inner(*a)) or seen[-1])
+    p = generate(1000, d=2, m=2, S=3, l=2, dc=True)
+    rep = dca_solve(p, 10.0, p.witness)
+    assert rep.status == "converged" and len(seen) == rep.iterates
+    assert -seen[-1][0] <= SolveOpts().tol_stat < -seen[-2][0]
+    assert seen[-1][0] == inf_stationarity_measure(p, 10.0, rep.final_point)
 
 
 @pytest.mark.parametrize("solve", [dca_solve, codiff_descent], ids=lambda f: f.__name__)
