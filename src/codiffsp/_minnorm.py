@@ -23,13 +23,10 @@ weighted by SIMPLEX_WEIGHT (the weighting method, ch. 22) only to find the
 support; the point is then solved exactly on that support, each block's
 weights held at sum 1 by writing one of its vertices as the pivot.
 
-A block of one vertex is a fixed translation, so it is folded first: the
-one-vertex blocks' sum is added to every vertex of the first block of
-several, or, when every block has one vertex, is the one vertex left.  A
-single block left takes the exact one-block path above, with no
-SIMPLEX_WEIGHT and no support solve; a folded block reports t = 1.  In
-the scenario sums of nu, the descent direction and the certificate's joint
-solve, a scenario off every kink is such a block.
+A one-vertex block (in nu's sums, a scenario off every kink) is a fixed
+translation, folded first: their sum is added to every vertex of the first
+block of several, or is the one vertex left.  A single block left takes
+the exact path above; a folded block reports t = 1.
 
 The segment path.  A caller may declare the layout (``shared``): the first
 d coordinates are shared by every block, the rest split into one run per
@@ -39,10 +36,9 @@ every ray lies in the shared part (A's normals do; the certificate's
 constraint rows, which carry y-parts, do not), the problem separates but
 for the shared part: with ||u||^2 / 2 = max_lam <lam, u> - ||lam||^2 / 2
 on that part, the weight w_b of segment b, vertices a_b + w_b * delta_b,
-is the clip to [0, 1] of
--(<a_b, delta_b>_private + <lam, delta_b>_shared) / ||delta_b||^2 over its
-private part, affine in lam in R^d; the one-vertex blocks are a
-constant translation, not folded; a ray r asks <lam, r> >= 0.  This is the
+is the clip to [0, 1] of -(<a_b, delta_b>_private + <lam, delta_b>_shared)
+/ ||delta_b||^2 over its private part, affine in lam in R^d (one-vertex
+blocks are not folded); a ray r asks <lam, r> >= 0.  This is the
 scenario decomposition of progressive hedging (Rockafellar & Wets, Math.
 Oper. Res. 16, 1991) on the least-norm problem.  A semismooth Newton method
 on lam solves I + sum over free segments of dx dx^T / ||dy||^2 (d x d),
@@ -56,13 +52,9 @@ SEGMENT_KKT_TOL on coordinates scaled to at most 1.  A segment with no
 private part (dy = 0), no settling within SEGMENT_ITERS steps, a singular
 system or a failed check falls back to the NNLS solve above, as do blocks
 of three or more vertices and every call below the crossover, which keep
-its bits.  The crossover was measured per call (timeit, best of 5) on nu's
-problems at boundary points of generate(s, d=2, m=2, S, l=2, dc=True),
-every block a segment: NNLS was faster through 16 segments (207 against
-255 us), the segment path from 18 (244 against 281 us; 237 against 411
-us at 24); on codiff_descent's nu at S = 100 with rays, the paths tied at
-12-15 segments and the segment path won from 16.  At 100 segments it takes
-about 0.3 ms where NNLS took 8-15 ms.
+its bits.  Per call on nu's problems at boundary points of generate(s,
+d=2, m=2, S, l=2, dc=True), NNLS was faster through 16 segments and the
+segment path from 18; at 100 segments it takes 0.3 ms where NNLS took 8-15.
 
 This kernel serves vertex pruning, the joint descent direction and
 stationarity measure, the nondegeneracy constant and the certificate.  "0

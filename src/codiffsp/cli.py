@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CodiffspError
+from .errors import CodiffspError, NonFinite
 from .expectation import eval_I
 from .model import (
     FEAS_TOL,
@@ -37,8 +37,12 @@ from .solvers import SolveOpts, codiff_descent, dca_solve
 _PENALTY_KIND = {"l1": "l1_max", "dist": "dist_p"}
 
 
-def _canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+def _canonical(obj: dict) -> str:
+    try:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+    except ValueError:  # strict JSON has no inf or nan
+        bad = sorted(k for k, v in obj.items() if isinstance(v, float) and not math.isfinite(v))
+        raise NonFinite(f"report value not finite: {', '.join(bad) or 'nested'}") from None
 
 
 def _emit(report: dict, path: str | None) -> None:

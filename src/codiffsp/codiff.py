@@ -270,6 +270,8 @@ def _walk(expr: Expr, x: np.ndarray, y: np.ndarray, th: np.ndarray):
     refused past MAX_VERTICES as _manage says, and the (1,) value.  The path
     of an expression without a plan."""
     z = np.concatenate((x, y))
+    if not (np.isfinite(z).all() and np.isfinite(th).all()):  # the plan path's answer
+        raise CodiffspError("ZERO_AT_ZERO", "non-finite input: codifferential is inconsistent")
     vals = node_values(expr, z.tolist() + th.tolist())
     tape = expr._tape
 
@@ -454,12 +456,11 @@ def _vertex_blocks(expr: Expr, X, Y, TH) -> list[tuple[slice, np.ndarray, np.nda
     vertex arrays and values the DAG's (len,) values at its rows, with
     evaluate's bits.  The blocks are checked and shaped by expr._rows.
 
-    Both paths run with overflow and invalid operations silenced, and the
-    values and vertex arrays are tested once: a row of finite inputs that
-    holds an inf or a NaN overflowed, and NonFinite names the first (row s
-    is scenario s in the expectation layer's passes).  A non-finite input
-    is left to the offset checks (ZERO_AT_ZERO).  Silenced, not raised:
-    under np.errstate(over="raise") a 73 us pass at N = 3 took 15 us more."""
+    Both paths run with overflow and invalid operations silenced (raising
+    cost 15 us on a 73 us pass at N = 3), and the outputs are tested once:
+    a row of finite inputs that holds an inf or a NaN overflowed, and
+    NonFinite names the first.  A non-finite input is ZERO_AT_ZERO: the
+    plan path leaves it to the offset checks, and _walk raises it."""
     X, Y, TH = _rows(expr, X, Y, TH)
     N = Y.shape[0]
     if N == 0:
@@ -485,13 +486,10 @@ def _vertex_blocks(expr: Expr, X, Y, TH) -> list[tuple[slice, np.ndarray, np.nda
 
 
 def _masked_rows(H: np.ndarray, G: np.ndarray, eps: float = TOL_ZERO):
-    """quasidiff(., eps)'s masks over each row's vertices in _vertex_blocks'
-    (N, k1, 1+n) hypo and (N, k2, 1+n) hyper arrays: (sub, sup, one, P).
-    sub keeps the hypo vertices with offset >= -eps, sup the zero-offset
-    hyper vertices; one[r] says row r keeps one vertex in each set, and
-    P[r] is the sum of the slopes of its first kept hypo and hyper
-    vertices, its one shifted slope when one[r].  Raises ZERO_AT_ZERO, as
-    quasidiff does, where a set keeps none."""
+    """(sub, sup, n_sub, n_sup): quasidiff(., eps)'s masks over the rows of
+    _vertex_blocks' hypo and hyper arrays, the hypo vertices with offset >=
+    -eps and the zero-offset hyper vertices, and their counts per row.
+    Raises ZERO_AT_ZERO, as quasidiff does, where a set keeps none."""
     sub = H[:, :, 0] >= -eps
     sup = np.abs(G[:, :, 0]) <= TOL_ZERO
     n_sub, n_sup = sub.sum(axis=1), sup.sum(axis=1)
@@ -499,9 +497,15 @@ def _masked_rows(H: np.ndarray, G: np.ndarray, eps: float = TOL_ZERO):
         raise CodiffspError(
             "ZERO_AT_ZERO", "no zero-offset vertices: codifferential is inconsistent"
         )
+    return sub, sup, n_sub, n_sup
+
+
+def _point_rows(H: np.ndarray, G: np.ndarray, sub, sup, n_sub, n_sup):
+    """(one, P) of _masked_rows' output: row r keeps one vertex in each set
+    where one[r], and P[r], its first kept hypo plus hyper slope, is then that one."""
     j = np.arange(H.shape[0])
     P = H[j, sub.argmax(axis=1), 1:] + G[j, sup.argmax(axis=1), 1:]
-    return sub, sup, (n_sub == 1) & (n_sup == 1), P
+    return (n_sub == 1) & (n_sup == 1), P
 
 
 def _codiff_pairs(blocks) -> list[CodiffPair]:

@@ -7,21 +7,17 @@ solver's penalized or DC part, goes through the same two scenario sums:
 expect for the value and _integrand_codiff for the codifferential, and both
 take DCA's tilt, a linear form per scenario.  _integrand_codiff
 differentiates all S scenarios in one rows pass (``codiff._vertex_blocks``),
-row s being (x, y_s) with theta_s, by the integrand's plan, compiled once
-per expression (``Expr._plan``): node values, the branch gaps and quad
-gradients, then two fixed gather-sums.  For DCA's convex part of a
-generated d = m = l = 2 instance the node values, by the integrand's
-compiled value function, take about 18 of 80 us at S = 3 (a float pass per
-scenario) and 160 of 290 us at S = 100 (one pass on columns); the gathers
-and sums are the rest, and they grow with S.  A BlockCodiff keeps
-the (S, k, 1+n) vertex arrays, less the tilt in the hypo slopes, or one
-block per scenario where the integrand has no plan because it is large
-enough to be pruned.  nu, the step model, DCA's tilt and the certificate
-read one set of masks of them (BlockCodiff.masked); CodiffPairs are built
-only for the one-point surface.  expect takes every scenario's value from
-one pass as well (TwoStageProblem.scenario_values), with the rows pass's
-choice between a float pass per scenario and one pass on columns
-(expr.row_values).
+row s being (x, y_s) with theta_s, by the integrand's compiled plan: node
+values, the branch gaps and quad gradients, then two fixed gather-sums.
+For DCA's convex part of a generated d = m = l = 2 instance the node values
+take about 15 of 55 us at S = 3 (a float pass per scenario) and 100 of 200
+us at S = 100 (one pass on columns); the gathers and sums are the rest.
+The pass's values carry evaluate's bits, so _expected sums them into
+expect's value: DCA's subproblem takes each trial's value and the next
+iteration's codifferential from one pass.  A BlockCodiff keeps the
+(S, k, 1+n) vertex arrays less the tilt, or one block per scenario where
+the integrand is too large for a plan; nu, the step model, DCA's tilt and
+the certificate read one set of masks of them (BlockCodiff.masked).
 
 The hypodifferential of I is the p-weighted Minkowski sum of the scenario
 hypodifferentials, each embedded in the (x, y_s) block of (x, y_1..y_S).
@@ -32,13 +28,10 @@ eps-active vertices plus the normal cone of A: the steepest-descent
 direction and the inf-stationarity measure nu(eps) of the solvers and of
 the certifier; optimality.check_optimality measures the same sum with the
 active constraints' rows as rays.  Both declare the layout to the min-norm
-kernel: the d x-coordinates, where A's normals live, shared by every
-scenario, and y_s private to scenario s, so that a sum of enough two-vertex
-scenario blocks with rays in x alone takes the kernel's segment path (a
-Newton method on the shared part) in place of one NNLS over all.
-Every condition holds for all zero-offset superdifferential selections:
-max_over_selections is the one search for the worst of them, for nu, the
-certificate's residual and the nondegeneracy constant alike.
+kernel (BlockCodiff.least_norm).  Every condition holds for all zero-offset
+superdifferential selections: max_over_selections is the one search for
+the worst of them, for nu, the certificate's residual and the
+nondegeneracy constant alike.
 """
 
 from __future__ import annotations
@@ -51,7 +44,8 @@ from functools import cached_property
 import numpy as np
 
 from ._minnorm import _least_norm, inside
-from .codiff import CodiffPair, _codiff_pairs, _masked_rows, _vertex_blocks, dirderiv, quasidiff
+from .codiff import (CodiffPair, _codiff_pairs, _masked_rows, _point_rows, _vertex_blocks,
+                     dirderiv, quasidiff)
 from .errors import DimensionMismatch, NonFinite
 from .expr import Expr
 from .model import FirstStageSet, Point, TwoStageProblem
@@ -73,6 +67,8 @@ def max_over_selections(sups: list[np.ndarray], score) -> tuple[float, object, b
     set's smallest-norm row and, for at most 5 sweeps, takes each one-set
     change that gains more than 1e-15: a lower bound, never below its start.
     checked counts the calls of score."""
+    if not sups:  # one choice, the empty one: every generated instance's case
+        return *score(()), True, 1
     counts = [W.shape[0] for W in sups]
     if (total := math.prod(counts)) <= ENUM_CAP:
         best = max(map(score, itertools.product(*map(range, counts))), key=lambda t: t[0])
@@ -93,30 +89,30 @@ def max_over_selections(sups: list[np.ndarray], score) -> tuple[float, object, b
     return *best, False, checked
 
 
+@dataclass(frozen=True, eq=False)
 class Masks:
-    """BlockCodiff.masked: _masked_rows' one and P over every scenario, and
-    the hypo slopes with offset >= -eps (sub) and the zero-offset hyper
-    slopes (sup) of every scenario in turn, scenario s's from rows sub_at[s]
-    and sup_at[s] on.  The stacked slopes are built on first read: a
-    certificate whose every scenario is a point selection reads one and P
-    alone.  masks holds (H, G, sub, sup) per block of BlockCodiff.blocks."""
+    """BlockCodiff.masked: the hypo slopes with offset >= -eps (sub) and the
+    zero-offset hyper slopes (sup) of every scenario in turn, scenario s's
+    from rows sub_at[s] and sup_at[s] on, and codiff._point_rows' one and P,
+    each built on first read (nu reads no P).  masks holds (H, G, *_masked_rows)."""
 
-    def __init__(self, masks: tuple, one: np.ndarray, P: np.ndarray):
-        self.masks, self.one, self.P = masks, one, P
+    masks: tuple
 
     @cached_property
     def _stacked(self) -> tuple:
-        parts = [(H[sub, 1:], sub.sum(axis=1), G[sup, 1:], sup.sum(axis=1))
-                 for H, G, sub, sup in self.masks]
+        parts = [(H[sub, 1:], n_sub, G[sup, 1:], n_sup)
+                 for H, G, sub, sup, n_sub, n_sup in self.masks]
         sub, n_sub, sup, n_sup = map(_concat, zip(*parts))
         at = np.zeros((2, n_sub.shape[0] + 1), dtype=np.intp)
         at[0, 1:], at[1, 1:] = n_sub.cumsum(), n_sup.cumsum()
         return sub, at[0], sup, at[1]
 
-    sub = property(lambda self: self._stacked[0])
-    sub_at = property(lambda self: self._stacked[1])
-    sup = property(lambda self: self._stacked[2])
-    sup_at = property(lambda self: self._stacked[3])
+    @cached_property
+    def _points(self) -> tuple:
+        return tuple(map(_concat, zip(*(_point_rows(*mask) for mask in self.masks))))
+
+    sub, sub_at, sup, sup_at = (property(lambda self, i=i: self._stacked[i]) for i in range(4))
+    one, P = (property(lambda self, i=i: self._points[i]) for i in range(2))
 
     def sets(self, s: int) -> tuple[np.ndarray, np.ndarray]:
         """Scenario s's quasidiff(., eps) sub and sup."""
@@ -144,17 +140,16 @@ def joint_rows(probs: np.ndarray, d: int, normals: np.ndarray, V: np.ndarray, sv
     which that bound, and so nu's and the certificate's norms, overflow."""
     S, m, k = probs.shape[0], V.shape[1] - d, V.shape[0]
     if R is not None:
-        V, sv = np.vstack((V, R)), np.concatenate((sv, sr))
-    p = probs[sv][:, None]
-    X, Y = p * V[:, :d], np.sqrt(p) * V[:, d:]
-    C = np.zeros((V.shape[0], d + S * m))
-    C[:, :d] = X
-    np.put_along_axis(C, d + sv[:, None] * m + np.arange(m), Y, axis=1)
-    N = np.hstack((normals, np.zeros((normals.shape[0], S * m))))
-    scale = max(float(np.abs(part).max(initial=0.0)) for part in (X, Y, normals))
+        V, sv = np.concatenate((V, R)), np.concatenate((sv, sr))
+    n, p = V.shape[0], probs[sv][:, None]
+    C = np.zeros((n + normals.shape[0], d + S * m))
+    X, Y = C[:, :d], np.sqrt(p) * V[:, d:]
+    X[:n], X[n:] = p * V[:, :d], normals
+    C[:n, d:].reshape(n, S, m)[np.arange(n), sv] = Y  # a view: row j's y_s block
+    scale = max(float(np.abs(X).max()), float(np.abs(Y).max(initial=0.0)))
     if not scale * math.sqrt(d * S * S + S * m) < _SQRT_MAX:
         raise NonFinite(f"least-norm rows too large to measure: largest |entry| {scale:.3e}")
-    return C[:k], (N if R is None else np.vstack((C[k:], N))), scale
+    return C[:k], C[k:], scale
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,13 +172,7 @@ class BlockCodiff:
 
     def masked(self, eps: float) -> Masks:
         """codiff._masked_rows at eps over every block, in scenario order."""
-        masks, one, P = [], [], []
-        for _rows, H, G, _v in self.blocks:
-            sub, sup, one_b, P_b = _masked_rows(H, G, eps)
-            masks.append((H, G, sub, sup))
-            one.append(one_b)
-            P.append(P_b)
-        return Masks(tuple(masks), _concat(one), _concat(P))
+        return Masks(tuple((H, G, *_masked_rows(H, G, eps)) for _rows, H, G, _v in self.blocks))
 
     def least_norm(self, A: FirstStageSet, x: np.ndarray,
                    eps: float) -> tuple[float, np.ndarray, bool]:
@@ -191,29 +180,24 @@ class BlockCodiff:
         slopes, maximized over the selections w_s of zero-offset hyper vertices.
 
         G_s holds the slopes of scenario s's hypo vertices with offset >= -eps,
-        a tilt included (_integrand_codiff); N is the cone of A's outward
-        normals within eps of x.  A slope g of scenario s acts on a direction
-        h as p_s <g, (h_x, h_ys)>, and directions carry the L2(P) norm
-        ||h||^2 = ||h_x||^2 + sum_s p_s ||h_ys||^2 of the second stage: nu is
-        the dual-norm distance from 0 to D, along -q the eps-active model
-        falls at rate at least nu^2, over the selections max_over_selections
-        searches over the scenarios with several zero-offset hyper vertices
-        (a one-vertex set changes none of its choices); exhaustive is False
-        past ENUM_CAP, where nu is the greedy ascent's lower bound.  When 0
-        lies in D, nu = 0 and q = 0.
+        a tilt included; N is the cone of A's outward normals within eps of x.
+        A slope g of scenario s acts on a direction h as p_s <g, (h_x, h_ys)>,
+        and directions carry the L2(P) norm ||h||^2 = ||h_x||^2 + sum_s p_s
+        ||h_ys||^2: nu is the dual-norm distance from 0 to D, and along -q the
+        eps-active model falls at rate at least nu^2, over the selections of
+        the scenarios with several zero-offset hyper vertices; exhaustive is
+        False past ENUM_CAP, where nu is a lower bound.  When 0 lies in D
+        (_minnorm.inside at joint_rows' scale), nu = 0 and q = 0.
 
-        Each selection's point is one _least_norm call over the joint
-        coordinates (x, y_1..y_S) of joint_rows, whose scale decides whether
-        0 lies in D (_minnorm.inside), with the layout declared (shared=d): x
-        shared by every scenario and by A's normals, y_s private to scenario
-        s.  From _minnorm.SEGMENT_MIN_BLOCKS scenarios of two vertices on
-        (and none of more) that is the kernel's segment path, which agrees
-        with the NNLS solve to rounding, not bit for bit; below it, the NNLS
-        solve's bits.
+        Each selection's point is one _least_norm call in joint_rows'
+        coordinates with the layout declared (shared=d): x shared by every
+        scenario and A's normals, y_s private to scenario s.  From
+        _minnorm.SEGMENT_MIN_BLOCKS two-vertex scenarios on (and none larger)
+        that is the segment path, equal to NNLS to rounding; below, NNLS's bits.
         """
         d, m, S = self.d, self.m, self.S
         mk = self.masked(eps)
-        sizes = np.diff(mk.sub_at)
+        sizes = np.diff(mk.sub_at).tolist()
         rows = np.repeat(np.arange(S), sizes)
         multi = np.flatnonzero(np.diff(mk.sup_at) > 1)
         sups = [mk.sets(s)[1] for s in multi.tolist()]
@@ -222,8 +206,8 @@ class BlockCodiff:
         def nu_of(choice):
             at = mk.sup_at[:-1].copy()  # a scenario's first sup row, or its chosen one
             at[multi] += np.asarray(choice, dtype=np.intp)
-            V, R, scale = joint_rows(self.probs, d, normals, mk.sub + mk.sup[at][rows], rows)
-            q = _least_norm(V, R, sizes.tolist(), shared=d)[0]
+            V, R, scale = joint_rows(self.probs, d, normals, mk.sub + mk.sup[at[rows]], rows)
+            q = _least_norm(V, R, sizes, shared=d)[0]
             if inside(q, scale):
                 q = np.zeros(V.shape[1])
             return float(np.linalg.norm(q)), q
@@ -238,17 +222,15 @@ def expect(
 ) -> float:
     """sum_s p_s integrand(x, y_s, theta_s), less sum_s p_s <tilt[s], (x, y_s)>
     when a tilt (S, d+m) is given; NonFinite names the first scenario whose
-    term is not finite.
+    term is not finite.  The values come from TwoStageProblem.scenario_values
+    with evaluate's bits; cumsum adds the p_s v_s in ascending scenario
+    order, and + 0.0 is the ascending loop's 0.0 start (an all -0.0 sum
+    reads +0.0), so the sum has that loop's bits."""
+    return _expected(prob, prob.scenario_values(integrand, z), z, tilt)
 
-    The values come from TwoStageProblem.scenario_values, with evaluate's
-    bits: one pass on (S,) columns from expr.ROWS_MIN_S scenarios on, and a
-    float pass per scenario below.  The crossover exists because a pass on
-    columns has a fixed cost, about that of 10 float passes, that does not
-    grow with S.  cumsum adds the p_s v_s in ascending scenario order, and
-    + 0.0 is the ascending loop's 0.0 start (an all -0.0 sum reads +0.0), so
-    the sum has that loop's bits.
-    """
-    v = prob.scenario_values(integrand, z)
+
+def _expected(prob: TwoStageProblem, v: np.ndarray, z: Point, tilt: np.ndarray | None) -> float:
+    """expect's sum of the scenario values v (S,) at z."""
     total = float((prob.scenarios.probs * v).cumsum()[-1] + 0.0)
     # every p_s > 0, so a finite total has finite terms
     if not math.isfinite(total) and not (ok := np.isfinite(v)).all():
@@ -277,9 +259,8 @@ def _integrand_codiff(prob: TwoStageProblem, integrand: Expr, z: Point,
     prob.check_point(z)
     blocks = _vertex_blocks(integrand, z.x, z.y, prob.scenarios.params)
     if tilt is not None:
-        # an offset less +0.0 keeps its bits, -0.0 included
-        shift = np.hstack((np.zeros((prob.S, 1)), tilt))
-        blocks = [(rows, H - shift[rows, None], G, v) for rows, H, G, v in blocks]
+        for rows, H, _G, _v in blocks:  # the pass's own arrays, offsets untouched
+            H[:, :, 1:] -= tilt[rows, None]
     return BlockCodiff(blocks=tuple(blocks), probs=prob.scenarios.probs, d=prob.d, m=prob.m)
 
 
@@ -295,17 +276,21 @@ def I_expansion(bc: BlockCodiff, dx, dy):
     if dx.shape[1] != bc.d or dy.shape != (dx.shape[0], bc.S, bc.m):
         raise DimensionMismatch(f"dx {dx.shape[1:]} and dy {dy.shape[1 - stack:]} do not match "
                                 f"d = {bc.d}, S = {bc.S} rows of m = {bc.m}")
+    total = _expansion(bc, np.concatenate((np.broadcast_to(dx, (bc.S, *dx.shape)),
+                                           dy.transpose(1, 0, 2)), axis=2))
+    return total if stack else float(total[0])
+
+
+def _expansion(bc: BlockCodiff, h: np.ndarray) -> np.ndarray:
+    """I_expansion's (K,) values at the directions h (S, K, n), h[s] scenario s's (dx, dy_s)."""
     terms = []
     for rows, H, G, _v in bc.blocks:
-        Y = dy[:, rows].transpose(1, 0, 2)
-        h = np.concatenate((np.broadcast_to(dx, (*Y.shape[:2], bc.d)), Y), axis=2)
-        h = h.transpose(0, 2, 1)  # each block row's (n, K) directions, as expansion_value's
-        up = np.matmul(H[:, :, 1:], h) + H[:, :, :1]
-        dn = np.matmul(G[:, :, 1:], h) + G[:, :, :1]
+        hb = h[rows].transpose(0, 2, 1)  # each block row's (n, K) directions, as expansion_value's
+        up = np.matmul(H[:, :, 1:], hb) + H[:, :, :1]
+        dn = np.matmul(G[:, :, 1:], hb) + G[:, :, :1]
         terms.append(up.max(axis=1) + dn.min(axis=1))
     # + 0.0 as the scalar loop's 0.0 start: an all -0.0 sum reads +0.0
-    total = np.cumsum(bc.probs[:, None] * np.concatenate(terms), axis=0)[-1] + 0.0
-    return total if stack else float(total[0])
+    return np.cumsum(bc.probs[:, None] * _concat(terms), axis=0)[-1] + 0.0
 
 
 def I_dirderiv(prob: TwoStageProblem, z: Point, hx, hy) -> float:

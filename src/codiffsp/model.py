@@ -31,6 +31,13 @@ The tolerance ladder (tests/test_model.py::test_tolerance_ladder pins it):
     FEAS_TOL (here, 1e-6) is the rule's tolerance, shared by the solvers
         (SolveOpts().tol_feas) and the certificate: a converged solve at the
         default options ends at a point that check_optimality accepts.
+    SEGMENT_KKT_TOL (_minnorm, 1e-12) decides whether a segment-path point
+        passes its KKT check or falls back to NNLS.  SEGMENT_KKT_TOL <=
+        MEMBERSHIP_TOL: an accepted point is exact below the 0-in-hull rule.
+    ARMIJO_ROUND (solvers, 1e-14, 45 float eps) decides progress: a smaller
+        decrease, relative to 1 + |value|, is rounding, and the descent stalls.
+    INNER_TOL (solvers, 1e-6) ends DCA's convex subproblem at nu(ACT_TOL)
+        <= INNER_TOL <= tol_stat, no looser than DCA's outer test.
 """
 
 from __future__ import annotations
@@ -71,6 +78,12 @@ def check_int(value, low: int, code: str, name: str) -> None:
     if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
             and value >= low):
         raise ValidationError(code, f"{name} must be an integer >= {low}, got {value!r}")
+
+
+@functools.cache
+def _faces(d: int) -> np.ndarray:
+    """A box's outward normals in R^d, lower faces first; built once per d."""
+    return _freeze(np.vstack((-np.eye(d), np.eye(d))))
 
 
 def _freeze(arr, dtype=np.float64) -> np.ndarray:
@@ -217,15 +230,14 @@ class FirstStageSet:
         """Unit outward normals (r, d) of the faces of A within tol of x; their
         cone is N_A(x) when tol covers only the faces through x."""
         x = np.asarray(x, dtype=np.float64)
-        eye = np.eye(x.shape[0])
         if self.kind == "box":
-            return np.vstack((-eye[x <= self.lower + tol], eye[x >= self.upper - tol]))
+            return _faces(len(x))[np.concatenate((x <= self.lower + tol, x >= self.upper - tol))]
         if self.kind == "ball":
             u = x - self.center
             r = float(np.linalg.norm(u))
             if r >= self.radius - tol and r > 0.0:
                 return (u / r)[None, :]
-        return eye[:0]
+        return np.zeros((0, x.shape[0]))
 
     def normal_residual(self, x, v, tol: float = 1e-9) -> float:
         """Distance from v to -N_A(x), the norm of the tangent-cone projection

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._minnorm import min_norm_point
-from .codiff import TOL_ZERO, _masked_rows, _vertex_blocks
+from .codiff import TOL_ZERO, _masked_rows, _point_rows, _vertex_blocks
 from .errors import Unprojectable, ValidationError
 from .expectation import BlockCodiff, _integrand_codiff, eval_I, expect, max_over_selections
 from .expr import Expr, evaluate_batch
@@ -244,7 +244,8 @@ def _hull_distances(g, active: np.ndarray, X: np.ndarray, Y: np.ndarray,
         rows = np.flatnonzero(col)
         for block, H, G, _v in _vertex_blocks(gi, X[rows], Y[rows], TH[rows]):
             at = rows[block]
-            sub, sup, one, P = _masked_rows(H, G)
+            sub, sup, *counts = _masked_rows(H, G)
+            one, P = _point_rows(H, G, sub, sup, *counts)
             point = single[at] & one
             j = np.flatnonzero(point)
             p = P[j, d:]

@@ -8,10 +8,9 @@ eps-active block codifferential plus the normal cone of A
     dca_solve: difference-of-convex iteration.  The penalized integrand
         splits into convex plus/minus parts; each step linearizes the minus
         part at the current iterate, one mean masked subgradient per
-        scenario (BlockCodiff.masked) as a row of the tilt, and minimizes
-        E[plus] minus that linear tilt with the engine on the problem's own
-        expectation layer (expect, _integrand_codiff).  The engine accepts
-        only strict decreases, so the objective is non-increasing.
+        scenario as a row of the tilt, and minimizes E[plus] minus that
+        tilt with the engine (convex_subsolve), which accepts only strict
+        decreases, so the objective is non-increasing.
 
     codiff_descent: the engine on Phi_c itself.
 
@@ -26,13 +25,11 @@ Capped segments end the solve as they are.  Both solvers' history covers
 the final penalty segment.
 
 Fixed settings, not exposed in SolveOpts: the convex subproblem runs at
-most INNER_ITERS iterations to tolerance INNER_TOL; the Armijo search has
-sufficient-decrease factor ARMIJO_SIGMA, tries t = 2^-k for k up to
-ARMIJO_HALVINGS - 1, and counts no decrease within ARMIJO_ROUND * (1 + |value|)
-as progress.  It starts at the largest such t whose decrease the block
-codifferential's first-order model, offsets included, says passes
-(_model_start), and halves from there; polyhedral pieces make that model
-exact, so most searches take their first trial.
+most INNER_ITERS iterations to INNER_TOL; the Armijo search has factor
+ARMIJO_SIGMA, tries t = 2^-k for k < ARMIJO_HALVINGS and has the rounding
+floor ARMIJO_ROUND (model's tolerance ladder).  It starts at the largest t
+that the first-order model says passes (_model_start), exact on
+polyhedral pieces, so most searches take their first trial.
 """
 
 from __future__ import annotations
@@ -44,8 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codiff import TOL_ZERO
-from .errors import NotDC, ValidationError, VertexCapExceeded
-from .expectation import ACT_TOL, BlockCodiff, I_expansion, _integrand_codiff, expect
+from .errors import NonFinite, NotDC, ValidationError, VertexCapExceeded
+from .expectation import ACT_TOL, BlockCodiff, _expansion, _expected, _integrand_codiff, expect
 from .expr import Expr, dc_parts, evaluate_batch, is_convex_struct
 from .model import FEAS_TOL, FirstStageSet, Point, TwoStageProblem, check_int, is_feasible
 from .optimality import _inf_stationarity
@@ -66,6 +63,7 @@ INNER_TOL = 1e-6
 ARMIJO_SIGMA = 1e-4
 ARMIJO_HALVINGS = 50
 ARMIJO_ROUND = 1e-14
+_TS = 0.5 ** np.arange(ARMIJO_HALVINGS)  # the Armijo steps t = 2^-k
 
 
 @dataclass(frozen=True)
@@ -158,63 +156,60 @@ def _model_start(bc: BlockCodiff, q: np.ndarray, nu: float) -> int:
     Armijo test on the first-order model of the objective along -q, else 0.
 
     The model is the expansion of bc with every vertex, offsets included
-    (I_expansion; a tilt is already in bc's slopes): it holds across the
-    kinks that a step crosses, where the eps-active slice that chose q does
-    not.  It ignores the projection onto A."""
-    ts = 0.5 ** np.arange(ARMIJO_HALVINGS)
-    hx, hY = -q[:bc.d], -q[bc.d:].reshape(bc.S, bc.m)
-    model = I_expansion(bc, ts[:, None] * hx, ts[:, None, None] * hY)
-    passing = np.flatnonzero(model <= -ARMIJO_SIGMA * ts * nu * nu)
+    (I_expansion's, at every t at once; a tilt is already in bc's slopes):
+    it holds across the kinks that a step crosses, where the eps-active
+    slice that chose q does not.  It ignores the projection onto A."""
+    # row s: scenario s's direction -(q_x, q_ys), scaled by every t
+    h = -np.concatenate((np.broadcast_to(q[:bc.d], (bc.S, bc.d)), q[bc.d:].reshape(bc.S, bc.m)), 1)
+    model = _expansion(bc, _TS[:, None] * h[:, None])
+    passing = np.flatnonzero(model <= -ARMIJO_SIGMA * _TS * nu * nu)
     return int(passing[0]) if passing.size else 0
 
 
 def _armijo(value, A: FirstStageSet, z: Point, val: float, q: np.ndarray, nu: float, k0: int):
-    """First (point, value, t, phi) along z - t q, t = 2^-k for k = k0,
+    """First (point, value, t, phi, bc) along z - t q, t = 2^-k for k = k0,
     k0 + 1, ... up to ARMIJO_HALVINGS - 1, that decreases value by at least
-    ARMIJO_SIGMA * t * nu^2, value(z) giving (value, phi); None when none
-    does."""
+    ARMIJO_SIGMA * t * nu^2, value(z) giving (value, phi, bc); None when
+    none does."""
     d = z.x.shape[0]
-    hx = -q[:d]
-    hY = -q[d:].reshape(z.y.shape)
+    hx, hY = -q[:d], -q[d:].reshape(z.y.shape)
     slope = ARMIJO_SIGMA * nu * nu
     noise = ARMIJO_ROUND * (1.0 + abs(val))  # rounding in val, not progress
     for k in range(k0, ARMIJO_HALVINGS):
         t = 0.5**k
         z_t = Point(x=A.project(z.x + t * hx), y=z.y + t * hY)
-        v_t, phi_t = value(z_t)
+        v_t, phi_t, bc_t = value(z_t)
         if v_t < val - max(slope * t, noise):
-            return z_t, v_t, t, phi_t
+            return z_t, v_t, t, phi_t, bc_t
     return None
 
 
 def _descend(prob: TwoStageProblem, integrand: Expr, value, z: Point, tol: float,
              max_iter: int, tilt: np.ndarray | None = None):
     """Armijo descent on value(z) along -q from BlockCodiff.least_norm of the
-    integrand's block codifferential at z, with the tilt in its slopes
-    (_integrand_codiff).
+    integrand's block codifferential at z, with the tilt in its slopes.
 
     eps starts at ACT_TOL * 1e5 = 0.1 and shrinks tenfold, never growing
     back, when no Armijo step passes or nu(eps) <= tol * eps / ACT_TOL: the
     threshold shrinks with eps (Bagirov & Ugon's paired sequences), because
     a vertex up to eps from active can hold nu(eps) near 0 while nu at a
-    finer eps is large.  Every Armijo search starts at the largest step
-    t = 2^-k that the block codifferential's first-order model says passes
-    (_model_start).  value(z) gives (value, phi), phi the penalty term or
-    None.  Returns (steps, status, iterations, exhaustive): steps lists
+    finer eps is large.  value(z) gives (value, phi, bc): phi the penalty
+    term or None, bc the block codifferential at z where value's own rows
+    pass made it, read by the next iteration if z is taken, else None.
+    Returns (steps, status, iterations, exhaustive): steps lists
     (point, value, t, phi), from (z, value, 0.0, phi) at z, one entry per
     accepted step; status is converged (nu(ACT_TOL) <= tol), stalled (no
     step passes at eps = ACT_TOL), vertex_cap (a codifferential outgrew
     codiff.MAX_VERTICES) or iteration_cap; exhaustive is the flag of the
     last nu's selection search (True before any).
     """
-    val, phi = value(z)
+    val, phi, bc = value(z)
     steps = [(z, val, 0.0, phi)]
-    level = 5
-    it = 0
-    exhaustive = True
+    level, it, exhaustive = 5, 0, True
     for it in range(1, max_iter + 1):
         try:
-            bc = _integrand_codiff(prob, integrand, z, tilt)
+            if bc is None:
+                bc = _integrand_codiff(prob, integrand, z, tilt)
         except VertexCapExceeded:
             return steps, "vertex_cap", it, exhaustive
         while True:
@@ -228,8 +223,8 @@ def _descend(prob: TwoStageProblem, integrand: Expr, value, z: Point, tol: float
             if level == 0:
                 return steps, ("converged" if nu <= tol else "stalled"), it, exhaustive
             level -= 1
-        steps.append(step)
-        z, val = step[:2]
+        steps.append(step[:4])
+        z, val, _t, _phi, bc = step
     return steps, "iteration_cap", it, exhaustive
 
 
@@ -243,16 +238,23 @@ def convex_subsolve(prob: TwoStageProblem, integrand: Expr, tilt: np.ndarray, z0
     over A x (R^m)^S from z0 (x projected onto A) with the descent engine:
     at most INNER_ITERS iterations to nu(ACT_TOL) <= INNER_TOL.
 
-    Row s of tilt (S, d+m) is a slope of scenario s.  The problem's own
-    expectation layer takes it, expect for the value and _integrand_codiff
-    for the codifferential, so the model is tilted scenario by scenario.  A
-    vertex cap ends the descent at its last point, so the result never
-    exceeds the objective at the projected start.
+    Row s of tilt (S, d+m) is a slope of scenario s, taken off its hypo
+    slopes.  The start and every Armijo trial run one rows pass, whose
+    values _expected sums to expect's bits and whose BlockCodiff is the
+    next iteration's if the trial is taken.  Where it raises NonFinite or
+    VertexCapExceeded, expect gives the value and the engine meets the
+    error again if it takes the point; a vertex cap ends the descent at its
+    last point, never above the objective at the projected start.
     """
+    def value(z: Point):
+        try:
+            bc = _integrand_codiff(prob, integrand, z, tilt)
+        except (NonFinite, VertexCapExceeded):
+            return expect(prob, integrand, z, tilt), None, None
+        return _expected(prob, np.concatenate([v for *_b, v in bc.blocks]), z, tilt), None, bc
+
     z = Point(x=prob.A.project(z0.x), y=z0.y)
-    steps = _descend(prob, integrand, lambda z: (expect(prob, integrand, z, tilt), None), z,
-                     INNER_TOL, INNER_ITERS, tilt)[0]
-    return steps[-1][0]
+    return _descend(prob, integrand, value, z, INNER_TOL, INNER_ITERS, tilt)[0][-1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +350,7 @@ def codiff_descent(
 
     def run(spec: PenaltySpec, z: Point, opts: SolveOpts):
         return _descend(prob, penalty_integrand(prob, spec.c),
-                        lambda z: _Phi_c_and_phi(prob, spec, z),
+                        lambda z: (*_Phi_c_and_phi(prob, spec, z), None),
                         z, opts.tol_stat, opts.cd_max_iter)
 
     return _solve(prob, c, z0, opts, run)

@@ -4,10 +4,12 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from codiffsp import serialize_point, serialize_problem
-from conftest import concave_kinks, coupled_1d
+from codiffsp import (FirstStageSet, Point, Space, TwoStageProblem, quad, serialize_point,
+                      serialize_problem)
+from conftest import concave_kinks, coupled_1d, one_scenario
 
 CLI = [sys.executable, "-m", "codiffsp.cli"]
 
@@ -231,6 +233,21 @@ def test_missing_input_is_exit_2(tmp_path):
     r = run("check-nondeg", "-i", str(bad))
     assert r.returncode == 2
     assert "[PARSE]" in r.stderr and "Traceback" not in r.stderr
+
+
+def test_eval_overflow_is_a_structured_code(tmp_path):
+    # g = |(x, y)|^2 overflows at y = 1e200 while I = y stays finite: strict
+    # JSON has no inf, so eval ends in NONFINITE, not a ValueError traceback
+    sp = Space(d=1, m=1, q=0)
+    prob = TwoStageProblem(d=1, m=1, A=FirstStageSet.free(), f=sp.affine(cy=[1.0]),
+                           g=(quad(sp.dims, np.eye(2)),), scenarios=one_scenario())
+    pf, pt = tmp_path / "prob.json", tmp_path / "pt.json"
+    pf.write_text(json.dumps(serialize_problem(prob)))
+    pt.write_text(json.dumps(serialize_point(Point(x=[0.0], y=[[1e200]]))))
+    r = run("eval", "-i", str(pf), "--point", str(pt))
+    assert r.returncode == 2 and r.stdout == ""
+    assert "[NONFINITE]" in r.stderr and "max_violation" in r.stderr
+    assert "Traceback" not in r.stderr
 
 
 def test_selftest_passes():

@@ -95,6 +95,18 @@ def test_zero_at_zero_check_refuses_nan_offsets():
     assert ei.value.code == "ZERO_AT_ZERO"
 
 
+def test_walk_refuses_nan_rows_as_the_plan_does():
+    # f has no plan, so rows go through the walk, whose pruning NNLS raised
+    # scipy's ValueError on a NaN; the plan path's answer is ZERO_AT_ZERO
+    p, z = ragged_case()
+    assert p.f._plan is None
+    Y = z.y.copy()
+    Y[1] = np.nan
+    with pytest.raises(CodiffspError) as ei:
+        _vertex_blocks(p.f, z.x, Y, p.scenarios.params)
+    assert ei.value.code == "ZERO_AT_ZERO"
+
+
 def test_overflow_is_nonfinite():
     # finite inputs whose values overflow: inf - inf in the branch gaps, and
     # quad values past the float range at y = 1e200 * witness y; under this

@@ -415,6 +415,19 @@ def test_selection_tie_goes_to_first_in_product_order():
     assert (value, choice, exhaustive, checked) == (3.0, (0, 1), True, 4)
 
 
+def test_no_sets_score_the_empty_choice_once():
+    # every generated instance's case: no scenario has several zero-offset
+    # hyper vertices, so the one choice is scored directly
+    calls = []
+
+    def score(choice):
+        calls.append(choice)
+        return 2.5, "payload"
+
+    assert max_over_selections([], score) == (2.5, "payload", True, 1)
+    assert calls == [()]
+
+
 def test_selection_search_exhaustive_up_to_cap():
     sups = [np.zeros((2, 1))] * 4  # 16 choices
     assert 2 ** 4 == ENUM_CAP

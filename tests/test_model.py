@@ -26,11 +26,11 @@ from codiffsp import (
     serialize_problem,
 )
 from codiffsp import model
-from codiffsp._minnorm import MEMBERSHIP_TOL
+from codiffsp._minnorm import MEMBERSHIP_TOL, SEGMENT_KKT_TOL
 from codiffsp.codiff import TOL_ZERO
 from codiffsp.expectation import ACT_TOL
 from codiffsp.model import FEAS_TOL, ROWS_MIN_S, feas_report, load_point, serialize_point
-from codiffsp.solvers import SolveOpts
+from codiffsp.solvers import ARMIJO_ROUND, INNER_TOL, SolveOpts
 
 MINIMAL = {
     "d": 1,
@@ -245,6 +245,14 @@ def test_tolerance_ladder():
     assert MEMBERSHIP_TOL <= opts.tol_stat
     # the solvers' feasibility test is the certificate's
     assert opts.tol_feas == FEAS_TOL
+    # the kernel and line-search slacks
+    assert (SEGMENT_KKT_TOL, ARMIJO_ROUND, INNER_TOL) == (1e-12, 1e-14, 1e-6)
+    # a segment point passing its KKT check is exact below the membership rule
+    assert SEGMENT_KKT_TOL <= MEMBERSHIP_TOL
+    # the Armijo floor lies above the rounding of a value's few-term sum
+    assert 10 * np.finfo(np.float64).eps <= ARMIJO_ROUND
+    # an inner DCA solve stops no looser than the outer stationarity test
+    assert INNER_TOL <= opts.tol_stat
     # FEAS_TOL is assigned in model alone
     src = Path(model.__file__).parent
     owners = [f.stem for f in sorted(src.glob("*.py"))

@@ -463,6 +463,19 @@ def test_descent_reports_vertex_cap(monkeypatch):
     assert rep.final_value == Phi_c(p, PenaltySpec("l1_max", 10.0), rep.final_point)
 
 
+def test_subsolve_vertex_cap_keeps_its_start(monkeypatch):
+    # past the cap the start's rows pass raises: expect gives its value, the
+    # engine meets the cap again and the subproblem ends where it started
+    monkeypatch.setattr(sys.modules["codiffsp.codiff"], "MAX_VERTICES", 8)
+    p = generate(7, d=2, m=2, S=3, l=2, dc=True)
+    plus = dc_decompose(p, 10.0).plus
+    values = _count_calls(monkeypatch, "expect")
+    z = convex_subsolve(p, plus, np.zeros((3, 4)), p.witness)
+    assert values[0] == 1
+    assert z.x.tobytes() == p.A.project(p.witness.x).tobytes()
+    assert z.y.tobytes() == p.witness.y.tobytes()
+
+
 def test_both_solvers_agree_on_coupled():
     p = coupled_1d()
     z0 = Point(x=[0.0], y=[[0.0]])
@@ -471,16 +484,17 @@ def test_both_solvers_agree_on_coupled():
     assert ra.final_value == pytest.approx(rb.final_value, abs=1e-4)
 
 
-def _count_calls(monkeypatch, name):
-    """Count the calls of solvers' module-level ``name`` (_Phi_c_and_phi or expect)."""
+def _count_calls(monkeypatch, name, module=sv):
+    """Count the calls of a module-level ``name`` of ``module``, solvers by
+    default."""
     calls = [0]
-    inner = getattr(sv, name)
+    inner = getattr(module, name)
 
     def counted(*args):
         calls[0] += 1
         return inner(*args)
 
-    monkeypatch.setattr(sv, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -556,11 +570,36 @@ def test_value_calls_stay_few(monkeypatch):
         p = generate(seed, d=2, m=2, S=3, l=2, dc=True)
         codiff_descent(p, 10.0, p.witness)
     assert calls[0] <= 400
-    calls = _count_calls(monkeypatch, "expect")
+    # the subproblems' trial points, and their starts, each one rows pass
+    calls = _count_calls(monkeypatch, "_expected")
     for seed in range(1000, 1004):
         p = generate(seed, d=2, m=2, S=3, l=2, dc=True)
         dca_solve(p, 10.0, p.witness)
     assert calls[0] <= 1300
+
+
+def test_subsolve_takes_each_codifferential_from_its_trial(monkeypatch):
+    # an accepted trial's rows pass is the next iteration's codifferential:
+    # one pass at the start and one per Armijo trial, and no value pass
+    p = generate(1000, d=2, m=2, S=3, l=2, dc=True)
+    dec = dc_decompose(p, 10.0)
+    mk = sv._integrand_codiff(p, dec.minus, p.witness).masked(sv.TOL_ZERO)
+    tilt = np.add.reduceat(mk.sub, mk.sub_at[:-1]) / np.diff(mk.sub_at)[:, None]
+    passes = _count_calls(monkeypatch, "_vertex_blocks", sys.modules["codiffsp.expectation"])
+    values = _count_calls(monkeypatch, "expect")
+    trials, armijo = [0], sv._armijo
+
+    def record_trials(value, *args):
+        def counted(z):
+            trials[0] += 1
+            return value(z)
+
+        return armijo(counted, *args)
+
+    monkeypatch.setattr(sv, "_armijo", record_trials)
+    convex_subsolve(p, dec.plus, tilt, p.witness)
+    assert trials[0] > 10
+    assert (passes[0], values[0]) == (1 + trials[0], 0)
 
 
 @pytest.mark.parametrize("S, exhaustive", [(4, True), (5, False)])
