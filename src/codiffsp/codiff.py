@@ -541,15 +541,12 @@ def expansion_value(cd: CodiffPair, delta):
 
 def quasidiff(cd: CodiffPair, eps: float = TOL_ZERO) -> QuasidiffPair:
     """The hypo vertices with offset >= -eps and the zero-offset hyper
-    vertices, without their offsets; nonempty by the zero-at-zero
-    normalization.  At the default eps both are the zero-offset slices."""
-    sub = cd.hypo[cd.hypo[:, 0] >= -eps, 1:]
-    sup = cd.hyper[np.abs(cd.hyper[:, 0]) <= TOL_ZERO, 1:]
-    if sub.shape[0] == 0 or sup.shape[0] == 0:
-        raise CodiffspError(
-            "ZERO_AT_ZERO", "no zero-offset vertices: codifferential is inconsistent"
-        )
-    return QuasidiffPair(sub=_freeze(sub), sup=_freeze(sup), dim=cd.dim)
+    vertices, without their offsets: _masked_rows on one row, nonempty by
+    the zero-at-zero normalization.  At the default eps both are the
+    zero-offset slices."""
+    sub, sup, *_counts = _masked_rows(cd.hypo[None], cd.hyper[None], eps)
+    return QuasidiffPair(sub=_freeze(cd.hypo[sub[0], 1:]), sup=_freeze(cd.hyper[sup[0], 1:]),
+                         dim=cd.dim)
 
 
 def dirderiv(qd: QuasidiffPair, h) -> float:

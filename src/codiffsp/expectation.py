@@ -13,8 +13,8 @@ For DCA's convex part of a generated d = m = l = 2 instance the node values
 take about 15 of 55 us at S = 3 (a float pass per scenario) and 100 of 200
 us at S = 100 (one pass on columns); the gathers and sums are the rest.
 The pass's values carry evaluate's bits, so _expected sums them into
-expect's value: DCA's subproblem takes each trial's value and the next
-iteration's codifferential from one pass.  A BlockCodiff keeps the
+expect's value: the descent engine (solvers._value) values every point it
+tries, Phi_c's included, by one pass.  A BlockCodiff keeps the
 (S, k, 1+n) vertex arrays less the tilt, or one block per scenario where
 the integrand is too large for a plan; nu, the step model, DCA's tilt and
 the certificate read one set of masks of them (BlockCodiff.masked).
@@ -44,8 +44,7 @@ from functools import cached_property
 import numpy as np
 
 from ._minnorm import _least_norm, inside
-from .codiff import (CodiffPair, _codiff_pairs, _masked_rows, _point_rows, _vertex_blocks,
-                     dirderiv, quasidiff)
+from .codiff import TOL_ZERO, CodiffPair, _codiff_pairs, _masked_rows, _point_rows, _vertex_blocks
 from .errors import DimensionMismatch, NonFinite
 from .expr import Expr
 from .model import FirstStageSet, Point, TwoStageProblem
@@ -295,13 +294,15 @@ def _expansion(bc: BlockCodiff, h: np.ndarray) -> np.ndarray:
 
 def I_dirderiv(prob: TwoStageProblem, z: Point, hx, hy) -> float:
     """Directional derivative of I at z: the weighted sum of per-scenario
-    directional derivatives along (hx, hy_s)."""
+    directional derivatives along (hx, hy_s), codiff.dirderiv's on Masks.sets."""
     bc = block_codiff(prob, z)
     hx, hy = np.asarray(hx, dtype=np.float64).ravel(), np.asarray(hy, dtype=np.float64)
     if hx.shape[0] != bc.d or hy.shape != (bc.S, bc.m):
         raise DimensionMismatch(f"hx {hx.shape} and hy {hy.shape} do not match d = {bc.d}, "
                                 f"S = {bc.S} rows of m = {bc.m}")
+    mk = bc.masked(TOL_ZERO)
     total = 0.0
-    for s, cd in enumerate(bc.per_scenario):
-        total += float(bc.probs[s]) * dirderiv(quasidiff(cd), np.concatenate((hx, hy[s])))
+    for s in range(bc.S):
+        (sub, sup), h = mk.sets(s), np.concatenate((hx, hy[s]))
+        total += float(bc.probs[s]) * float((sub @ h).max() + (sup @ h).min())
     return total

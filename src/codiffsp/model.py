@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
@@ -78,6 +79,12 @@ def check_int(value, low: int, code: str, name: str) -> None:
     if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
             and value >= low):
         raise ValidationError(code, f"{name} must be an integer >= {low}, got {value!r}")
+
+
+def check_c(c) -> None:
+    """ValidationError(PENALTY_KIND) unless the penalty parameter c is finite and >= 0."""
+    if not (isinstance(c, numbers.Real) and math.isfinite(c) and c >= 0.0):
+        raise ValidationError("PENALTY_KIND", f"penalty c must be finite and >= 0, got {c!r}")
 
 
 @functools.cache
@@ -283,8 +290,8 @@ class TwoStageProblem:
     witness: Point | None = None
 
     def __post_init__(self):
-        if self.d < 1 or self.m < 1:
-            raise ValidationError("DIM_MISMATCH", "d and m must be positive")
+        check_int(self.d, 1, "DIM_MISMATCH", "d")
+        check_int(self.m, 1, "DIM_MISMATCH", "m")
         if not (1.0 < self.p_exponent < np.inf):
             raise ValidationError("P_EXPONENT", "p_exponent must lie in (1, inf)")
         self.A.check_dim(self.d)
@@ -315,7 +322,8 @@ class TwoStageProblem:
     def penalty_integrand(self, c: float) -> Expr:
         """f + c * g_plus, the l1_max penalized integrand, or f when l = 0 or
         c = 0; built once per problem and c, on first use, as g_plus is, so
-        its tape is too."""
+        its tape is too; c passes check_c."""
+        check_c(c)
         if self.ell == 0 or c == 0.0:
             return self.f
         c = float(c)
@@ -544,9 +552,8 @@ def generate(
     lower-order terms.  Each constraint is shifted so the recorded witness
     point is strictly feasible with a positive margin in every scenario.
     """
-    if min(d, m, S) < 1 or l < 0:
-        raise ValidationError("GEN_SPEC", "need d, m, S >= 1 and l >= 0")
-    check_int(seed, 0, "GEN_SPEC", "seed")
+    for name, value, low in (("d", d, 1), ("m", m, 1), ("S", S, 1), ("l", l, 0), ("seed", seed, 0)):
+        check_int(value, low, "GEN_SPEC", name)
     rng = np.random.default_rng(seed)
     q = m
     n = d + m

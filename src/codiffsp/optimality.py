@@ -82,7 +82,7 @@ import numpy as np
 
 from ._minnorm import _least_norm
 from .errors import InfeasibleCandidate
-from .model import Point, TwoStageProblem, feas_report
+from .model import Point, TwoStageProblem, check_c, feas_report
 from .expectation import ACT_TOL, _integrand_codiff, block_codiff, joint_rows, max_over_selections
 from .penalty import PenaltySpec, penalty_codiff
 
@@ -170,8 +170,9 @@ def check_optimality(prob: TwoStageProblem, c: float, z: Point) -> Certificate:
     flagged as a fallback; checked_selections counts the selections scored.
     A point selection (see the module docstring) is read off without a
     search.  One least-norm solve in nu's joint coordinates then gives the
-    multipliers, zeta and the residuals.
+    multipliers, zeta and the residuals.  c must pass model.check_c.
     """
+    check_c(c)
     prob.check_point(z)
     S, d, m, ell = prob.S, prob.d, prob.m, prob.ell
     # one rows pass per function, a row per scenario; the g_i's passes also

@@ -30,7 +30,7 @@ from .codiff import TOL_ZERO, _masked_rows, _point_rows, _vertex_blocks
 from .errors import Unprojectable, ValidationError
 from .expectation import BlockCodiff, _integrand_codiff, eval_I, expect, max_over_selections
 from .expr import Expr, evaluate_batch
-from .model import Point, TwoStageProblem, check_int
+from .model import Point, TwoStageProblem, check_c, check_int
 
 # Rounds of check_nondegeneracy, each with a tenfold radius bound, after a
 # first round that finds no infeasible point.
@@ -51,8 +51,7 @@ class PenaltySpec:
     def __post_init__(self):
         if self.kind not in ("dist_p", "l1_max"):
             raise ValidationError("PENALTY_KIND", f"unknown penalty kind {self.kind!r}")
-        if not (self.c >= 0.0 and math.isfinite(self.c)):
-            raise ValidationError("PENALTY_KIND", "penalty parameter c must be >= 0")
+        check_c(self.c)
 
 
 # ---------------------------------------------------------------------------
@@ -175,20 +174,18 @@ def phi_l1(prob: TwoStageProblem, z: Point) -> float:
 
 
 def Phi_c(prob: TwoStageProblem, spec: PenaltySpec, z: Point) -> float:
-    """Penalized objective eval_I + c * phi."""
-    return _Phi_c_and_phi(prob, spec, z)[0]
-
-
-def _Phi_c_and_phi(prob: TwoStageProblem, spec: PenaltySpec, z: Point) -> tuple[float, float]:
-    """(Phi_c, phi) at z, for the solvers' reports."""
-    phi = phi_dist(prob, z) if spec.kind == "dist_p" else phi_l1(prob, z)
-    return eval_I(prob, z) + spec.c * phi, phi
+    """The penalized objective: for l1_max the expect of f + c * g_plus, one
+    value pass with the bits of the engine's (solvers._value); for dist_p
+    eval_I + c * phi_dist."""
+    if spec.kind == "dist_p":
+        return eval_I(prob, z) + spec.c * phi_dist(prob, z)
+    return expect(prob, penalty_integrand(prob, spec.c), z)
 
 
 def penalty_integrand(prob: TwoStageProblem, c: float) -> Expr:
     """Per-scenario integrand f + c * g_plus of the l1_max penalized
     objective, g_plus = max{0, g_1, ..., g_l}: the problem's own, built once
-    per c (TwoStageProblem.penalty_integrand)."""
+    per c (TwoStageProblem.penalty_integrand), which checks c."""
     return prob.penalty_integrand(c)
 
 

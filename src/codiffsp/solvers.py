@@ -3,7 +3,8 @@
 Both solvers step through one descent engine, _descend: at each iterate an
 Armijo step along -q, q the joint least-norm point of the objective's
 eps-active block codifferential plus the normal cone of A
-(BlockCodiff.least_norm), with eps shrinking from 0.1 to ACT_TOL.
+(BlockCodiff.least_norm), with eps shrinking from 0.1 to ACT_TOL.  One
+rows pass per point (_value) gives its value and the next codifferential.
 
     dca_solve: difference-of-convex iteration.  The penalized integrand
         splits into convex plus/minus parts; each step linearizes the minus
@@ -12,7 +13,7 @@ eps-active block codifferential plus the normal cone of A
         tilt with the engine (convex_subsolve), which accepts only strict
         decreases, so the objective is non-increasing.
 
-    codiff_descent: the engine on Phi_c itself.
+    codiff_descent: the engine on Phi_c itself, E[f + c g_plus].
 
 Both run inside one penalty loop, _solve, which owns the start point, the
 status and the report.  A penalty segment is converged when nu(ACT_TOL) of
@@ -22,7 +23,7 @@ rule at tol_feas, max_{s,i} g_i(x, y_s, theta_s) > tol_feas
 (model.feas_report, check_optimality's test), the exact-penalty result says
 c is too small: c grows tenfold, at most 5 times, unless escalation is off.
 Capped segments end the solve as they are.  Both solvers' history covers
-the final penalty segment.
+the final penalty segment, with phi_l1 taken once per entry.
 
 Fixed settings, not exposed in SolveOpts: the convex subproblem runs at
 most INNER_ITERS iterations to INNER_TOL; the Armijo search has factor
@@ -44,9 +45,9 @@ from .codiff import TOL_ZERO
 from .errors import NonFinite, NotDC, ValidationError, VertexCapExceeded
 from .expectation import ACT_TOL, BlockCodiff, _expansion, _expected, _integrand_codiff, expect
 from .expr import Expr, dc_parts, evaluate_batch, is_convex_struct
-from .model import FEAS_TOL, FirstStageSet, Point, TwoStageProblem, check_int, is_feasible
+from .model import FEAS_TOL, Point, TwoStageProblem, check_int, is_feasible
 from .optimality import _inf_stationarity
-from .penalty import PenaltySpec, _Phi_c_and_phi, penalty_integrand
+from .penalty import PenaltySpec, Phi_c, penalty_integrand, phi_l1
 
 __all__ = [
     "DCDecomposition",
@@ -119,8 +120,6 @@ def dc_decompose(prob: TwoStageProblem, c: float) -> DCDecomposition:
     c, on first success, as the penalized integrand is, so the parts' tapes
     and codifferential plans are too.
     """
-    if c < 0.0:
-        raise NotDC("penalty parameter must be nonnegative")
     c = float(c)
     if c in prob._dc_splits:
         return prob._dc_splits[c]
@@ -166,45 +165,54 @@ def _model_start(bc: BlockCodiff, q: np.ndarray, nu: float) -> int:
     return int(passing[0]) if passing.size else 0
 
 
-def _armijo(value, A: FirstStageSet, z: Point, val: float, q: np.ndarray, nu: float, k0: int):
-    """First (point, value, t, phi, bc) along z - t q, t = 2^-k for k = k0,
-    k0 + 1, ... up to ARMIJO_HALVINGS - 1, that decreases value by at least
-    ARMIJO_SIGMA * t * nu^2, value(z) giving (value, phi, bc); None when
-    none does."""
+def _value(prob: TwoStageProblem, integrand: Expr, z: Point, tilt: np.ndarray | None):
+    """(value, bc) at z: expect's value, less the tilt, summed by _expected
+    from one rows pass, and that pass's BlockCodiff; expect's value and None
+    where the pass raises NonFinite or VertexCapExceeded."""
+    try:
+        bc = _integrand_codiff(prob, integrand, z, tilt)
+    except (NonFinite, VertexCapExceeded):
+        return expect(prob, integrand, z, tilt), None
+    return _expected(prob, np.concatenate([v for *_b, v in bc.blocks]), z, tilt), bc
+
+
+def _armijo(prob: TwoStageProblem, integrand: Expr, tilt: np.ndarray | None, z: Point,
+            val: float, q: np.ndarray, nu: float, k0: int):
+    """First (point, value, t, bc) of _value along z - t q, x projected onto
+    A, t = 2^-k for k0 <= k < ARMIJO_HALVINGS, that decreases the value by
+    at least ARMIJO_SIGMA * t * nu^2; None when none does."""
     d = z.x.shape[0]
     hx, hY = -q[:d], -q[d:].reshape(z.y.shape)
     slope = ARMIJO_SIGMA * nu * nu
     noise = ARMIJO_ROUND * (1.0 + abs(val))  # rounding in val, not progress
     for k in range(k0, ARMIJO_HALVINGS):
         t = 0.5**k
-        z_t = Point(x=A.project(z.x + t * hx), y=z.y + t * hY)
-        v_t, phi_t, bc_t = value(z_t)
+        z_t = Point(x=prob.A.project(z.x + t * hx), y=z.y + t * hY)
+        v_t, bc_t = _value(prob, integrand, z_t, tilt)
         if v_t < val - max(slope * t, noise):
-            return z_t, v_t, t, phi_t, bc_t
+            return z_t, v_t, t, bc_t
     return None
 
 
-def _descend(prob: TwoStageProblem, integrand: Expr, value, z: Point, tol: float,
-             max_iter: int, tilt: np.ndarray | None = None):
-    """Armijo descent on value(z) along -q from BlockCodiff.least_norm of the
-    integrand's block codifferential at z, with the tilt in its slopes.
+def _descend(prob: TwoStageProblem, integrand: Expr, z: Point, tol: float, max_iter: int,
+             tilt: np.ndarray | None = None):
+    """Armijo descent on the expectation of the integrand less the tilt,
+    along -q from BlockCodiff.least_norm of its block codifferential at z.
 
     eps starts at ACT_TOL * 1e5 = 0.1 and shrinks tenfold, never growing
     back, when no Armijo step passes or nu(eps) <= tol * eps / ACT_TOL: the
     threshold shrinks with eps (Bagirov & Ugon's paired sequences), because
     a vertex up to eps from active can hold nu(eps) near 0 while nu at a
-    finer eps is large.  value(z) gives (value, phi, bc): phi the penalty
-    term or None, bc the block codifferential at z where value's own rows
-    pass made it, read by the next iteration if z is taken, else None.
-    Returns (steps, status, iterations, exhaustive): steps lists
-    (point, value, t, phi), from (z, value, 0.0, phi) at z, one entry per
+    finer eps is large.  A taken trial's rows pass (_value) is the next
+    codifferential.  Returns (steps, status, iterations, exhaustive): steps
+    lists (point, value, t), from (z, value, 0.0) at z, one entry per
     accepted step; status is converged (nu(ACT_TOL) <= tol), stalled (no
     step passes at eps = ACT_TOL), vertex_cap (a codifferential outgrew
     codiff.MAX_VERTICES) or iteration_cap; exhaustive is the flag of the
     last nu's selection search (True before any).
     """
-    val, phi, bc = value(z)
-    steps = [(z, val, 0.0, phi)]
+    val, bc = _value(prob, integrand, z, tilt)
+    steps = [(z, val, 0.0)]
     level, it, exhaustive = 5, 0, True
     for it in range(1, max_iter + 1):
         try:
@@ -217,14 +225,14 @@ def _descend(prob: TwoStageProblem, integrand: Expr, value, z: Point, tol: float
             nu, q, exhaustive = bc.least_norm(prob.A, z.x, ACT_TOL * wide)
             step = None
             if nu > tol * wide:
-                step = _armijo(value, prob.A, z, val, q, nu, _model_start(bc, q, nu))
+                step = _armijo(prob, integrand, tilt, z, val, q, nu, _model_start(bc, q, nu))
             if step is not None:
                 break
             if level == 0:
                 return steps, ("converged" if nu <= tol else "stalled"), it, exhaustive
             level -= 1
-        steps.append(step[:4])
-        z, val, _t, _phi, bc = step
+        z, val, t, bc = step
+        steps.append((z, val, t))
     return steps, "iteration_cap", it, exhaustive
 
 
@@ -239,22 +247,11 @@ def convex_subsolve(prob: TwoStageProblem, integrand: Expr, tilt: np.ndarray, z0
     at most INNER_ITERS iterations to nu(ACT_TOL) <= INNER_TOL.
 
     Row s of tilt (S, d+m) is a slope of scenario s, taken off its hypo
-    slopes.  The start and every Armijo trial run one rows pass, whose
-    values _expected sums to expect's bits and whose BlockCodiff is the
-    next iteration's if the trial is taken.  Where it raises NonFinite or
-    VertexCapExceeded, expect gives the value and the engine meets the
-    error again if it takes the point; a vertex cap ends the descent at its
-    last point, never above the objective at the projected start.
+    slopes.  A vertex cap ends the descent at its last point, never above
+    the objective at the projected start.
     """
-    def value(z: Point):
-        try:
-            bc = _integrand_codiff(prob, integrand, z, tilt)
-        except (NonFinite, VertexCapExceeded):
-            return expect(prob, integrand, z, tilt), None, None
-        return _expected(prob, np.concatenate([v for *_b, v in bc.blocks]), z, tilt), None, bc
-
     z = Point(x=prob.A.project(z0.x), y=z0.y)
-    return _descend(prob, integrand, value, z, INNER_TOL, INNER_ITERS, tilt)[0][-1][0]
+    return _descend(prob, integrand, z, INNER_TOL, INNER_ITERS, tilt)[0][-1][0]
 
 
 # ---------------------------------------------------------------------------
@@ -266,10 +263,10 @@ def _solve(prob: TwoStageProblem, c: float, z0: Point, opts: SolveOpts | None, r
     """Minimize Phi_c from z0, x projected onto A, one penalty segment at a
     time, escalating c as the module docstring says.  run(spec, z, opts)
     runs one segment from z and returns (steps, status, iterations,
-    exhaustive) in the shape of _descend, each step's phi that of its
-    Phi_c evaluation.  Iterations sum over the segments; the history and
-    the exhaustive flag are the final one's.  is_feasible tests an end
-    point only where it can escalate c or mark the status escalated."""
+    exhaustive) in the shape of _descend, each value Phi_c's.  Iterations
+    sum over the segments; the history and the exhaustive flag are the
+    final one's.  is_feasible tests an end point only where it can escalate
+    c or mark the status escalated."""
     opts = opts or SolveOpts()
     prob.check_point(z0)
     z = Point(x=prob.A.project(z0.x), y=z0.y)
@@ -279,7 +276,7 @@ def _solve(prob: TwoStageProblem, c: float, z0: Point, opts: SolveOpts | None, r
     while True:
         steps, status, it, exhaustive = run(PenaltySpec("l1_max", c_now), z, opts)
         total_iters += it
-        z, val, _t, phi = steps[-1]
+        z, val, _t = steps[-1]
         can_raise = opts.escalate and status in ("converged", "stalled")
         infeasible = (can_raise or escalations > 0) and not is_feasible(prob, z, opts.tol_feas)[0]
         if not (infeasible and can_raise and escalations < 5):
@@ -288,13 +285,14 @@ def _solve(prob: TwoStageProblem, c: float, z0: Point, opts: SolveOpts | None, r
         c_now *= 10.0
     if infeasible and escalations > 0:
         status = f"penalty_escalated({escalations})"
+    history = tuple((v, phi_l1(prob, z_k), t) for z_k, v, t in steps)
     return SolveReport(
         iterates=total_iters,
         final_point=z,
         final_value=val,
-        final_phi=phi,
+        final_phi=history[-1][1],
         status=status,
-        history=tuple((v, phi_k, t) for _z, v, t, phi_k in steps),
+        history=history,
         c_final=c_now,
         exhaustive=exhaustive,
     )
@@ -316,18 +314,18 @@ def dca_solve(
 
     def run(spec: PenaltySpec, z: Point, opts: SolveOpts):
         dec = dc_decompose(prob, spec.c)
-        val, phi = _Phi_c_and_phi(prob, spec, z)
-        steps = [(z, val, 0.0, phi)]
+        val = Phi_c(prob, spec, z)
+        steps = [(z, val, 0.0)]
         for k in range(1, opts.max_iter + 1):
             # row s: the mean zero-offset subgradient of minus in scenario s
             mk = _integrand_codiff(prob, dec.minus, z).masked(TOL_ZERO)
             tilt = np.add.reduceat(mk.sub, mk.sub_at[:-1]) / np.diff(mk.sub_at)[:, None]
             z_new = convex_subsolve(prob, dec.plus, tilt, z)
-            v_new, phi_new = _Phi_c_and_phi(prob, spec, z_new)
+            v_new = Phi_c(prob, spec, z_new)
             moved = v_new < val
             if moved:
                 step = np.hypot(np.linalg.norm(z_new.x - z.x), np.linalg.norm(z_new.y - z.y))
-                steps.append((z_new, v_new, float(step), phi_new))
+                steps.append((z_new, v_new, float(step)))
                 z, val = z_new, v_new
             inf, exhaustive = _inf_stationarity(prob, spec.c, z)
             if -inf <= opts.tol_stat:
@@ -349,8 +347,6 @@ def codiff_descent(
     taken."""
 
     def run(spec: PenaltySpec, z: Point, opts: SolveOpts):
-        return _descend(prob, penalty_integrand(prob, spec.c),
-                        lambda z: (*_Phi_c_and_phi(prob, spec, z), None),
-                        z, opts.tol_stat, opts.cd_max_iter)
+        return _descend(prob, penalty_integrand(prob, spec.c), z, opts.tol_stat, opts.cd_max_iter)
 
     return _solve(prob, c, z0, opts, run)

@@ -270,6 +270,14 @@ def test_bad_seed_or_samples_is_exit_2(prob_file, argv, code):
     assert code in r.stderr and "Traceback" not in r.stderr
 
 
+def test_certify_negative_c_is_exit_2(prob_file, tmp_path):
+    pt = tmp_path / "pt.json"
+    pt.write_text(json.dumps(json.loads(prob_file.read_text())["witness"]))
+    r = run("certify", "-i", str(prob_file), "--point", str(pt), "--c", "-1")
+    assert r.returncode == 2 and r.stdout == ""
+    assert "[PENALTY_KIND]" in r.stderr and "Traceback" not in r.stderr
+
+
 def test_solve_reports_a_greedy_nu(tmp_path):
     # 32 selections at the start of concave_kinks(5): past ENUM_CAP
     fp = tmp_path / "kinks.json"

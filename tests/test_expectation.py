@@ -22,6 +22,7 @@ from codiffsp import (
     check_nondegeneracy,
     codiff,
     dc,
+    dirderiv,
     evaluate,
     eval_I,
     expansion_value,
@@ -43,7 +44,7 @@ from codiffsp.optimality import check_optimality, inf_stationarity_measure
 from codiffsp.penalty import PenaltySpec, penalty_integrand, phi_l1
 from codiffsp.solvers import SolveOpts, codiff_descent, dca_solve
 
-from conftest import boundary_point, one_sided_richardson, ragged_case, rebind
+from conftest import boundary_point, concave_kinks, one_sided_richardson, ragged_case, rebind
 
 
 def _prob(f, d, m, probs, params):
@@ -132,7 +133,7 @@ def _expect_loop(prob, integrand, z, tilt=None):
 @pytest.mark.parametrize("S", [ROWS_MIN_S - 1, ROWS_MIN_S, 100])
 def test_values_have_the_scenario_loop_bits(S):
     # on either side of the rows crossover: expect with and without a tilt,
-    # phi_l1 and Phi_c
+    # phi_l1 and Phi_c, the scenario loop of the penalized integrand
     spec = PenaltySpec("l1_max", 10.0)
     infeasible = 0
     for seed in (1000, 1001):
@@ -144,7 +145,8 @@ def test_values_have_the_scenario_loop_bits(S):
                       y=p.witness.y + spread * rng.normal(size=(S, 2)))
             I, phi = _expect_loop(p, p.f, z), _expect_loop(p, p.g_plus, z)
             got = [eval_I(p, z), expect(p, p.f, z, tilt), phi_l1(p, z), Phi_c(p, spec, z)]
-            want = [I, _expect_loop(p, p.f, z, tilt), phi, I + spec.c * phi]
+            want = [I, _expect_loop(p, p.f, z, tilt), phi,
+                    _expect_loop(p, penalty_integrand(p, spec.c), z)]
             assert list(map(_bits, got)) == list(map(_bits, want))
             infeasible += phi > 0.0
     assert infeasible >= 2
@@ -262,6 +264,29 @@ def test_dirderiv_examples():
     z = Point(x=[0.0], y=[[0.0], [0.0]])
     assert I_dirderiv(p, z, [0.0], np.zeros((2, 1))) == 0.0
     assert I_dirderiv(p, z, [-2.0], [[5.0], [-1.0]]) == 2.0
+
+
+def _dirderiv_loop(prob, z, hx, hy):
+    """I_dirderiv as the scenario loop it replaced: sum_s p_s
+    dirderiv(quasidiff(pair_s), (hx, hy_s)) in ascending order from 0.0."""
+    bc = block_codiff(prob, z)
+    total = 0.0
+    for s, cd in enumerate(bc.per_scenario):
+        total += float(bc.probs[s]) * dirderiv(quasidiff(cd), np.concatenate((hx, hy[s])))
+    return total
+
+
+def test_dirderiv_reads_the_masked_sets_bit_for_bit():
+    # on one rows-pass block (a generated witness, and concave kinks with
+    # two zero-offset hyper vertices per scenario) and on one block per
+    # scenario (the ragged case, on convex and concave kinks)
+    rng = np.random.default_rng(5)
+    g = generate(31, d=2, m=2, S=4, l=1, dc=True)
+    kinks = concave_kinks(3)
+    for p, z in ((g, g.witness), (kinks, kinks.witness), ragged_case()):
+        for _ in range(20):
+            hx, hy = rng.normal(size=p.d), rng.normal(size=(p.S, p.m))
+            assert I_dirderiv(p, z, hx, hy).hex() == _dirderiv_loop(p, z, hx, hy).hex()
 
 
 def test_dirderiv_smooth_reduction():

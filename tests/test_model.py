@@ -141,6 +141,25 @@ def test_generate_rejects_bad_seed(seed):
     assert ei.value.code == "GEN_SPEC"
 
 
+@pytest.mark.parametrize("name, value", [
+    ("d", 2.5), ("d", True), ("d", 0), ("m", 1.0), ("S", 3.0), ("S", 0), ("l", 1.5), ("l", -1),
+])
+def test_generate_rejects_bad_counts(name, value):
+    spec = dict(d=2, m=1, S=2, l=2)
+    spec[name] = value
+    with pytest.raises(ValidationError) as ei:
+        generate(1, **spec)
+    assert ei.value.code == "GEN_SPEC"
+
+
+@pytest.mark.parametrize("d, m", [(1.0, 1), (True, 1), (0, 1), (1, 2.0), (1, False), (1, -1)])
+def test_problem_dimensions_are_positive_integers(d, m):
+    with pytest.raises(ValidationError) as ei:
+        TwoStageProblem(d=d, m=m, A=FirstStageSet.free(), f=Space(d=1, m=1, q=0).x(0), g=(),
+                        scenarios=ScenarioSpace(probs=[1.0], params=np.zeros((1, 0))))
+    assert ei.value.code == "DIM_MISMATCH"
+
+
 def test_generate_accepts_numpy_integer_seed():
     a = serialize_problem(generate(np.int64(42), d=2, m=1, S=2, l=2))
     assert a == serialize_problem(generate(42, d=2, m=1, S=2, l=2))

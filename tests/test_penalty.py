@@ -35,6 +35,8 @@ from codiffsp import (
 from codiffsp import codiff, evaluate, evaluate_batch, min_norm_point
 from codiffsp.codiff import TOL_ZERO
 from codiffsp.expectation import max_over_selections
+from codiffsp.optimality import check_optimality, inf_stationarity_measure
+from codiffsp.solvers import dc_decompose
 from codiffsp import model, penalty
 from codiffsp.penalty import (
     NONDEG_BLOCK,
@@ -68,6 +70,27 @@ def test_penalty_spec_validation():
     assert ei.value.code == "PENALTY_KIND"
     with pytest.raises(ValidationError):
         PenaltySpec("l1_max", -2.0)
+
+
+_C_ENTRIES = {
+    "TwoStageProblem.penalty_integrand": lambda p, c: p.penalty_integrand(c),
+    "penalty_integrand": penalty_integrand,
+    "PenaltySpec": lambda p, c: PenaltySpec("l1_max", c),
+    "check_optimality": lambda p, c: check_optimality(p, c, p.witness),
+    "dc_decompose": dc_decompose,
+    "inf_stationarity_measure": lambda p, c: inf_stationarity_measure(p, c, p.witness),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_C_ENTRIES))
+@pytest.mark.parametrize("c", [-1.0, math.nan, math.inf])
+def test_bad_c_is_penalty_kind_everywhere(entry, c):
+    # one rule of c: PENALTY_KIND, never a wrong integrand, an unbounded
+    # certificate budget, NOT_DC or NONFINITE
+    p = generate(1000, d=2, m=2, S=3, l=2, dc=True)
+    with pytest.raises(ValidationError) as ei:
+        _C_ENTRIES[entry](p, c)
+    assert ei.value.code == "PENALTY_KIND"
 
 
 def test_phi_dist_feasible_is_zero():

@@ -117,7 +117,7 @@ def test_decompose_scales_with_c():
 def test_decompose_is_built_once_per_problem_and_c(monkeypatch):
     # a second call returns the same split without sampling the identity
     # again, so the parts' tapes and plans are built once; failures are not
-    # kept, and every call raises
+    # kept, and every call raises (a negative c by the one check of c)
     p = generate(3, d=2, m=2, S=3, l=2, dc=True)
     dec = dc_decompose(p, 10.0)
     batches = []
@@ -126,7 +126,7 @@ def test_decompose_is_built_once_per_problem_and_c(monkeypatch):
     assert again is dec and (again.plus, again.minus) == (dec.plus, dec.minus) and batches == []
     assert dc_decompose(p, 5.0) is not dec and len(batches) == 3
     for _ in range(2):
-        with pytest.raises(NotDC):
+        with pytest.raises(ValidationError, match="PENALTY_KIND"):
             dc_decompose(p, -1.0)
     f = maximum(affine(DIMS, 0.0, [1.0], [0.0], []), quad(DIMS, [[0.0, 1.0], [1.0, 0.0]]))
     bad = _free_prob(f)
@@ -501,11 +501,11 @@ def _count_calls(monkeypatch, name, module=sv):
 @pytest.mark.parametrize("x0", [0.3, 3.7, -0.01])
 def test_model_start_is_exact_on_polyhedral(monkeypatch, x0):
     # |x| is polyhedral, so the codifferential's model is exact: every search
-    # accepts its first trial, one Phi_c call per history entry, and takes
+    # accepts its first trial, one valuation per history entry, and takes
     # the step a search from t = 1 takes
     p = abs_free_1d()
     z0 = Point(x=[x0], y=[[0.0]])
-    calls = _count_calls(monkeypatch, "_Phi_c_and_phi")
+    calls = _count_calls(monkeypatch, "_value")
     rep = codiff_descent(p, 1.0, z0)
     assert rep.status == "converged"
     assert calls[0] == len(rep.history)
@@ -520,16 +520,12 @@ def test_model_start_is_exact_with_tilt(monkeypatch, slope, x0):
     # the model every search accepts its first trial
     trials = []
     armijo = sv._armijo
+    calls = _count_calls(monkeypatch, "_value")
 
-    def record_trials(value, *args):
-        calls = [0]
-
-        def counted(z):
-            calls[0] += 1
-            return value(z)
-
-        step = armijo(counted, *args)
-        trials.append(calls[0])
+    def record_trials(*args):
+        before = calls[0]
+        step = armijo(*args)
+        trials.append(calls[0] - before)
         return step
 
     monkeypatch.setattr(sv, "_armijo", record_trials)
@@ -564,14 +560,14 @@ def test_searches_start_at_the_model_step(monkeypatch):
 
 
 def test_value_calls_stay_few(monkeypatch):
-    # counts repeat exactly; a search from t = 1 made 1373 and 2184
-    calls = _count_calls(monkeypatch, "_Phi_c_and_phi")
+    # counts repeat exactly; a search from t = 1 made 1373 and 2184; every
+    # start and trial point is one valuation, a rows pass
+    calls = _count_calls(monkeypatch, "_value")
     for seed in range(1000, 1004):
         p = generate(seed, d=2, m=2, S=3, l=2, dc=True)
         codiff_descent(p, 10.0, p.witness)
     assert calls[0] <= 400
-    # the subproblems' trial points, and their starts, each one rows pass
-    calls = _count_calls(monkeypatch, "_expected")
+    calls[0] = 0
     for seed in range(1000, 1004):
         p = generate(seed, d=2, m=2, S=3, l=2, dc=True)
         dca_solve(p, 10.0, p.witness)
@@ -587,19 +583,45 @@ def test_subsolve_takes_each_codifferential_from_its_trial(monkeypatch):
     tilt = np.add.reduceat(mk.sub, mk.sub_at[:-1]) / np.diff(mk.sub_at)[:, None]
     passes = _count_calls(monkeypatch, "_vertex_blocks", sys.modules["codiffsp.expectation"])
     values = _count_calls(monkeypatch, "expect")
-    trials, armijo = [0], sv._armijo
-
-    def record_trials(value, *args):
-        def counted(z):
-            trials[0] += 1
-            return value(z)
-
-        return armijo(counted, *args)
-
-    monkeypatch.setattr(sv, "_armijo", record_trials)
+    trials = _armijo_trials(monkeypatch)
     convex_subsolve(p, dec.plus, tilt, p.witness)
     assert trials[0] > 10
     assert (passes[0], values[0]) == (1 + trials[0], 0)
+
+
+def _armijo_trials(monkeypatch):
+    """Count the _value calls made inside _armijo: its trial points."""
+    trials, searching, value, armijo = [0], [False], sv._value, sv._armijo
+
+    def counted(*args):
+        trials[0] += searching[0]
+        return value(*args)
+
+    def search(*args):
+        searching[0] = True
+        try:
+            return armijo(*args)
+        finally:
+            searching[0] = False
+
+    monkeypatch.setattr(sv, "_value", counted)
+    monkeypatch.setattr(sv, "_armijo", search)
+    return trials
+
+
+def test_descent_takes_each_codifferential_from_its_trial(monkeypatch):
+    # codiff_descent's twin of the subsolve test: Phi_c's value at the start
+    # and at each Armijo trial is one rows pass of f + c g_plus, whose
+    # codifferential the next iteration reads, and no value pass runs
+    p = generate(1000, d=2, m=2, S=3, l=2, dc=True)
+    spec = PenaltySpec("l1_max", 10.0)
+    passes = _count_calls(monkeypatch, "_vertex_blocks", sys.modules["codiffsp.expectation"])
+    values = _count_calls(monkeypatch, "expect")
+    trials = _armijo_trials(monkeypatch)
+    rep = codiff_descent(p, 10.0, p.witness, SolveOpts(escalate=False))
+    assert rep.status == "converged" and trials[0] > 10
+    assert (passes[0], values[0]) == (1 + trials[0], 0)
+    assert rep.final_value == Phi_c(p, spec, rep.final_point)
 
 
 @pytest.mark.parametrize("S, exhaustive", [(4, True), (5, False)])
