@@ -44,8 +44,8 @@ from __future__ import annotations
 
 import functools
 import json
-import math
 import numbers
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -82,8 +82,8 @@ def check_int(value, low: int, code: str, name: str) -> None:
 
 
 def check_c(c) -> None:
-    """ValidationError(PENALTY_KIND) unless the penalty parameter c is finite and >= 0."""
-    if not (isinstance(c, numbers.Real) and math.isfinite(c) and c >= 0.0):
+    """ValidationError(PENALTY_KIND) unless c is real and 0 <= c <= the largest float."""
+    if not (isinstance(c, numbers.Real) and 0.0 <= c <= sys.float_info.max):
         raise ValidationError("PENALTY_KIND", f"penalty c must be finite and >= 0, got {c!r}")
 
 

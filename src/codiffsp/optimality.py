@@ -236,6 +236,7 @@ def check_optimality(prob: TwoStageProblem, c: float, z: Point) -> Certificate:
 
 def _inf_stationarity(prob: TwoStageProblem, c: float, z: Point) -> tuple[float, bool]:
     """(inf_stationarity_measure, the exhaustive flag of its nu's search)."""
+    check_c(c)
     nu, _q, exhaustive = penalty_codiff(prob, PenaltySpec("l1_max", float(c)), z).least_norm(
         prob.A, z.x, ACT_TOL)
     return (-nu if nu > 0.0 else 0.0), exhaustive

@@ -12,10 +12,9 @@ Two penalty terms are supported:
 The nondegeneracy checker estimates the uniform constant a > 0 bounding
 dist(0, co{sub-vertices of active g_i shifted by a superdifferential
 selection}) from below at infeasible points; positivity of that constant is
-the sufficient condition under which the l1_max penalty is exact.  It draws
-its samples in bulk, so its report does not depend on NONDEG_BLOCK, and reads
+the sufficient condition under which the l1_max penalty is exact.  It reads
 the hull distances off one values pass and one rows pass per constraint and
-block; only a hull of more than one point reaches the min-norm kernel.
+block of samples; only a hull of more than one point reaches min-norm.
 """
 
 from __future__ import annotations
@@ -35,9 +34,8 @@ from .model import Point, TwoStageProblem, check_c, check_int
 # Rounds of check_nondegeneracy, each with a tenfold radius bound, after a
 # first round that finds no infeasible point.
 NONDEG_WIDENINGS = 3
-# Samples whose rays check_nondegeneracy draws and evaluates together; its
-# arrays hold at most NONDEG_BLOCK * S * (m + l) floats beside the round's
-# samples * (1 + d).  The report does not depend on it.
+# Samples whose rays check_nondegeneracy draws and evaluates together, in
+# blocks of NONDEG_BLOCK * S rows.  The report does not depend on it.
 NONDEG_BLOCK = 256
 
 
@@ -205,7 +203,7 @@ def penalty_codiff(prob: TwoStageProblem, spec: PenaltySpec, z: Point) -> BlockC
 
 @dataclass(frozen=True)
 class NondegReport:
-    """Empirical lower bound on the constraint-qualification constant."""
+    """Sampled upper estimate of the constraint-qualification constant a."""
 
     sampled_points: int
     min_hull_distance: float
@@ -273,28 +271,26 @@ def check_nondegeneracy(
     """Sample infeasible points around the witness and report the smallest
     hull distance dist(0, co{y-part sub-vertices of active g_i + w_i}),
     each the largest over the selections w_i (exactness is existential in
-    the selection), as max_over_selections searches them.
+    the selection), as max_over_selections searches them.  A least over
+    samples can only overestimate the infimum a, so the report is an upper
+    estimate: a value bounded away from zero supports (never proves) the
+    uniform nondegeneracy condition behind l1_max exactness.
 
     Each round draws ``samples`` points at log-spaced radii up to a bound,
     2 (1 + ||witness y||) at first; a round that finds no infeasible point
     is followed by another from the same generator with the bound ten times
-    larger, at most NONDEG_WIDENINGS times.  A reported value bounded away
-    from zero supports (never proves) the uniform nondegeneracy condition
-    behind l1_max exactness.
-
-    A round draws every radius, then every x step (projected onto A at
-    once), then the S rays of each block of NONDEG_BLOCK samples; normals
-    drawn in blocks continue one stream, so the report does not depend on
-    NONDEG_BLOCK.  Row k * S + s of a block is sample k in scenario s.  Each
-    constraint is evaluated once over the block's rows (``evaluate_batch``,
-    bit-identical to ``evaluate``), and _hull_distances reads the distances
-    at the infeasible rows.  The witness is the first infeasible row in
-    sample order with the least distance, the row a sequential strict ``<``
-    update keeps.  Ray norms are sqrt(vecdot(u, u)), the bits of
-    ``np.linalg.norm(u)`` of each ray, which ``np.linalg.norm(U, axis=-1)``
-    misses in the last bit on some rays.
-    ``samples`` must be an integer >= 1 (NONDEG_SAMPLES) and ``seed`` an
-    integer >= 0 (NONDEG_SEED).
+    larger, at most NONDEG_WIDENINGS times.  It draws every radius, then
+    every x step (projected onto A at once), then the S rays of each block
+    of NONDEG_BLOCK samples, one stream.  A block's x, y and theta are
+    Fortran-ordered, row k * S + s being sample k in scenario s, so each
+    constraint's evaluate_batch (evaluate's bits) reads contiguous columns;
+    max_i g_i is taken elementwise over the constraints' value arrays, and
+    _hull_distances reads the distances at the infeasible rows.  The witness
+    is the first infeasible row in sample order with the least distance, the
+    row a sequential strict ``<`` keeps.  Ray norms are sqrt(vecdot(u, u)),
+    the bits of ``np.linalg.norm(u)``, which ``np.linalg.norm(U, axis=-1)``
+    misses in the last bit on some rays.  ``samples`` must be an integer
+    >= 1 (NONDEG_SAMPLES) and ``seed`` an integer >= 0 (NONDEG_SEED).
     """
     if prob.ell == 0:
         raise ValidationError("NO_CONSTRAINTS", "nondegeneracy needs l >= 1")
@@ -321,23 +317,24 @@ def check_nondegeneracy(
             U = rng.normal(size=(n, S, m))
             nu = np.sqrt(np.vecdot(U, U))
             drawn = nu != 0.0  # a zero ray has no direction: not a sample
-            Y = base.y + (r[:, None] / np.where(drawn, nu, 1.0))[:, :, None] * U
-            # row k * S + s of the block is sample k in scenario s
-            Xr, Yr, THr = np.repeat(X, S, axis=0), Y.reshape(n * S, m), np.tile(th, (n, 1))
-            vals = np.stack([evaluate_batch(gi, Xr, Yr, THr) for gi in prob.g], axis=1)
-            vmax = vals.max(axis=1)
+            # Fortran-ordered blocks: row k * S + s is sample k in scenario s
+            Xr, THr = np.repeat(X.T, S, axis=1).T, np.tile(th.T, n).T
+            Yr = np.multiply(r[:, None] / np.where(drawn, nu, 1.0), U.transpose(2, 0, 1), order="C")
+            Yr = (Yr + base.y.T[:, None]).reshape(m, n * S).T
+            vals = np.array([evaluate_batch(gi, Xr, Yr, THr) for gi in prob.g])
+            vmax = np.maximum.reduce(vals)
             hits = np.flatnonzero(drawn.ravel() & (vmax > 0.0))
             if hits.shape[0] == 0:
                 continue
             found += hits.shape[0]
             # g_i is active where its offset in max_i g_i's codifferential is zero
-            active = vals[hits] >= vmax[hits, None] - TOL_ZERO
+            active = (vals[:, hits] >= vmax[hits] - TOL_ZERO).T
             dist = _hull_distances(prob.g, active, Xr[hits], Yr[hits], THr[hits])
             h = int(np.argmin(dist))  # the first least distance in sample order
             if dist[h] < best:
                 best = float(dist[h])
                 k, s = divmod(int(hits[h]), S)
-                wx, wy, ws = X[k].copy(), Y[k, s].copy(), s
+                wx, wy, ws = X[k].copy(), Yr[hits[h]].copy(), s
         if found:
             break
         scale_r *= 10.0

@@ -45,7 +45,7 @@ from .codiff import TOL_ZERO
 from .errors import NonFinite, NotDC, ValidationError, VertexCapExceeded
 from .expectation import ACT_TOL, BlockCodiff, _expansion, _expected, _integrand_codiff, expect
 from .expr import Expr, dc_parts, evaluate_batch, is_convex_struct
-from .model import FEAS_TOL, Point, TwoStageProblem, check_int, is_feasible
+from .model import FEAS_TOL, Point, TwoStageProblem, check_c, check_int, is_feasible
 from .optimality import _inf_stationarity
 from .penalty import PenaltySpec, Phi_c, penalty_integrand, phi_l1
 
@@ -120,6 +120,7 @@ def dc_decompose(prob: TwoStageProblem, c: float) -> DCDecomposition:
     c, on first success, as the penalized integrand is, so the parts' tapes
     and codifferential plans are too.
     """
+    check_c(c)
     c = float(c)
     if c in prob._dc_splits:
         return prob._dc_splits[c]
@@ -268,6 +269,7 @@ def _solve(prob: TwoStageProblem, c: float, z0: Point, opts: SolveOpts | None, r
     final one's.  is_feasible tests an end point only where it can escalate
     c or mark the status escalated."""
     opts = opts or SolveOpts()
+    check_c(c)
     prob.check_point(z0)
     z = Point(x=prob.A.project(z0.x), y=z0.y)
     c_now = float(c)

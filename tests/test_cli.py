@@ -273,9 +273,10 @@ def test_bad_seed_or_samples_is_exit_2(prob_file, argv, code):
 def test_certify_negative_c_is_exit_2(prob_file, tmp_path):
     pt = tmp_path / "pt.json"
     pt.write_text(json.dumps(json.loads(prob_file.read_text())["witness"]))
-    r = run("certify", "-i", str(prob_file), "--point", str(pt), "--c", "-1")
-    assert r.returncode == 2 and r.stdout == ""
-    assert "[PENALTY_KIND]" in r.stderr and "Traceback" not in r.stderr
+    for c in ("-1", "1e400"):  # argparse reads 1e400 as inf
+        r = run("certify", "-i", str(prob_file), "--point", str(pt), "--c", c)
+        assert r.returncode == 2 and r.stdout == ""
+        assert "[PENALTY_KIND]" in r.stderr and "Traceback" not in r.stderr
 
 
 def test_solve_reports_a_greedy_nu(tmp_path):

@@ -19,7 +19,9 @@ from codiffsp import (
     add,
     affine,
     check_nondegeneracy,
+    codiff_descent,
     constant,
+    dca_solve,
     dirderiv,
     eval_I,
     generate,
@@ -78,12 +80,14 @@ _C_ENTRIES = {
     "PenaltySpec": lambda p, c: PenaltySpec("l1_max", c),
     "check_optimality": lambda p, c: check_optimality(p, c, p.witness),
     "dc_decompose": dc_decompose,
+    "dca_solve": lambda p, c: dca_solve(p, c, p.witness),
+    "codiff_descent": lambda p, c: codiff_descent(p, c, p.witness),
     "inf_stationarity_measure": lambda p, c: inf_stationarity_measure(p, c, p.witness),
 }
 
 
 @pytest.mark.parametrize("entry", sorted(_C_ENTRIES))
-@pytest.mark.parametrize("c", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("c", [-1.0, math.nan, math.inf, pytest.param(10**400, id="10**400")])
 def test_bad_c_is_penalty_kind_everywhere(entry, c):
     # one rule of c: PENALTY_KIND, never a wrong integrand, an unbounded
     # certificate budget, NOT_DC or NONFINITE
@@ -445,13 +449,23 @@ def _report_bits(rep):
     (1017, 20, 2, 100),
     (1003, 5, 4, 100),
     (1004, 3, 2, NONDEG_BLOCK + 7),  # crosses a block boundary
+    (91000, 100, 2, 12),  # the S = 100 shape, few samples
 ])
-def test_nondeg_matches_scalar_reference(seed, S, m, samples):
-    p = generate(seed, d=2, m=m, S=S, l=2, dc=True)
+def test_nondeg_matches_scalar_reference(seed, S, m, samples, l=2):
+    p = generate(seed, d=2, m=m, S=S, l=l, dc=True)
     rep = check_nondegeneracy(p, samples=samples, seed=seed)
     ref = _scalar_nondeg(p, samples, seed)
     assert type(rep.witness_scenario) is int
     assert _report_bits(rep) == _report_bits(ref)
+
+
+@pytest.mark.parametrize("seed, S, m, l, samples", [
+    (1000, 3, 2, 1, 200),  # max_i g_i over one value array
+    (1001, 5, 2, 3, 200),  # and over three
+    (1002, 20, 3, 3, 60),
+])
+def test_nondeg_matches_scalar_reference_at_one_and_three_constraints(seed, S, m, l, samples):
+    test_nondeg_matches_scalar_reference(seed, S, m, samples, l)
 
 
 def test_nondeg_reference_cases_keep_their_properties():
@@ -468,6 +482,25 @@ def test_nondeg_reference_cases_keep_their_properties():
     hits = []
     _scalar_nondeg(p, NONDEG_BLOCK + 7, 1004, hits=hits)
     assert {k // NONDEG_BLOCK for _d, k, _s in hits} == {0, 1}
+
+
+def test_nondeg_hands_each_tape_contiguous_columns(monkeypatch):
+    # one evaluate_batch call per constraint and block, on Fortran-ordered
+    # blocks whose columns are contiguous, and the report keeps its bits
+    p = generate(1004, d=2, m=2, S=3, l=3, dc=True)
+    want = _report_bits(check_nondegeneracy(p, samples=60, seed=4))
+    calls = []
+
+    def spy(expr, X, Y, TH):
+        calls.append((expr, len(Y)) + tuple(a.flags.f_contiguous for a in (X, Y, TH)))
+        return evaluate_batch(expr, X, Y, TH)
+
+    monkeypatch.setattr(penalty, "NONDEG_BLOCK", 7)
+    assert rebind(monkeypatch, evaluate_batch, spy) > 0
+    assert _report_bits(check_nondegeneracy(p, samples=60, seed=4)) == want
+    # 60 samples of one round in blocks of 7, 7, ..., 4 samples, 3 rows each
+    rows = [7 * 3] * 8 + [4 * 3]
+    assert calls == [(gi, n, True, True, True) for n in rows for gi in p.g]
 
 
 @pytest.mark.parametrize("seed", [1000, 1004])

@@ -5,7 +5,7 @@ the library's results.
 
 Runs from any directory; imports codiffsp from the checkout's ``src`` and
 the benchmark's ``bench/harness.py``, which it only reads.  BLAS is pinned
-to one thread, as ``bench/run.py`` pins it.  Three lines follow, each a
+to one thread, as ``bench/run.py`` pins it.  Four lines follow, each a
 sha256 cut to its first 16 hex digits:
 
     solvers    the 36 S = 3 solver reports: generate(s, d=2, m=2, S=3, l=2,
@@ -18,6 +18,14 @@ sha256 cut to its first 16 hex digits:
     dca_step   harness.canonical of one untimed pass's records over the
                workload's seeds 52000..52119, with failed/attempted.
     wide_eval  the same over seeds 91000..91017.
+    nondeg     check_nondegeneracy(p, samples, seed=s) at 200 and at 600
+               samples, which cross a NONDEG_BLOCK boundary, on p =
+               generate(s, d=2, m=2, S, l=2, dc=True) for s = 52000..52029
+               at S = 3, s = 91000..91005 at S = 100 and s = 1003 at S = 3
+               (whose first round finds no infeasible point); one hash
+               updated per report with repr((sampled_points,
+               min_hull_distance.hex(), witness_scenario)), then the
+               witness x's and y's bytes (b"None" when absent).
 
 It takes about ten seconds on one core.
 """
@@ -68,10 +76,26 @@ def one_pass(name: str, seed: int) -> str:
     return f"{digest} failed {ps.failed} of {ps.attempted}"
 
 
+def nondeg_reports() -> str:
+    h = hashlib.sha256()
+    cases = ([(s, 3) for s in range(52000, 52030)] + [(s, 100) for s in range(91000, 91006)]
+             + [(1003, 3)])
+    for seed, S in cases:
+        p = cs.generate(seed, d=2, m=2, S=S, l=2, dc=True)
+        for samples in (200, 600):
+            r = cs.check_nondegeneracy(p, samples=samples, seed=seed)
+            h.update(repr((r.sampled_points, r.min_hull_distance.hex(),
+                           r.witness_scenario)).encode())
+            for w in (r.witness_x, r.witness_y):
+                h.update(b"None" if w is None else w.tobytes())
+    return _hex16(h)
+
+
 def main() -> int:
     print(f"solvers    {solver_reports()}")
     print(f"dca_step   {one_pass('dca_step', 52000)}")
     print(f"wide_eval  {one_pass('wide_eval', 91000)}")
+    print(f"nondeg     {nondeg_reports()}")
     return 0
 
 
