@@ -17,16 +17,32 @@ change under that scaling.  The active-set solve ends in finitely many
 steps; its optimality conditions are the Wolfe certificate <q, v - q> >= 0
 for every vertex v (and <q, r> >= 0 for every ray r), up to rounding.
 
-Several hulls co(V_1) + ... + co(V_B) + cone(R) take one ones row per
-block.  The blocks' sums then need not share one sigma, so the rows are
+Several hulls co(V_1) + ... + co(V_B) + cone(R).  A one-vertex block (in
+nu's sums, a scenario off every kink) is a fixed translation, folded first
+into their sum, the shift; a folded block reports t = 1.  The product path:
+the sum is itself one hull, co(V_1) + co(V_2) = co{v_1 + v_2 : v_b in V_b},
+so one exact solve as above over the product columns P, the shift plus one
+vertex per block of several in block order, gives q and mu; block b's
+weight on a vertex is the sum of the weights w of the columns that take it,
+a marginal, so V^T t = P^T w.  With one block of several vertices or none
+it is the fold's one solve, bit for bit.  It costs with the product of the
+block sizes, so past PRODUCT_CAP columns the blocks take one ones row each,
 weighted by SIMPLEX_WEIGHT (the weighting method, ch. 22) only to find the
-support; the point is then solved exactly on that support, each block's
-weights held at sum 1 by writing one of its vertices as the pivot.
+support, and the point is solved exactly on that support, each block's
+weights held at sum 1 by a pivot vertex (_on_support).  Per call (us) on
+nu's calls with two or more such blocks at the witness and boundary points
+of generate(1000..1005, d=2, m=2, S=4..12, l=2, dc=True), 2-step DCA
+solves, best of 5 on a 2-vCPU x86 host, one BLAS thread:
 
-A one-vertex block (in nu's sums, a scenario off every kink) is a fixed
-translation, folded first: their sum is added to every vertex of the first
-block of several, or is the one vertex left.  A single block left takes
-the exact path above; a folded block reports t = 1.
+    columns    1-4  5-16  17-32  33-48  49-64  65-128  129-256
+    product     41    48     70     87    107     176      330
+    weighted    85    92    101    105    103     109      118
+
+49-64 ties within noise and keeps the exact path.  On a dca_step bench
+pass (S = 3) 1187 of nu's 2099 calls and 14 of the certificate's 310 take
+the product path and none the weighted one; in the S = 100 seed-set solves
+1723 of nu's 1843 calls take the weighted path, 93 the product path and 6
+the segment path.  min_norm_point (pruning, nondegeneracy) is one block.
 
 The segment path.  A caller may declare the layout (``shared``): the first
 d coordinates are shared by every block, the rest split into one run per
@@ -65,8 +81,12 @@ rounds at about 1e-15 times that entry.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.optimize import nnls
+
+from .errors import DimensionMismatch, NonFinite
 
 # The kernel has no compiled backend; kept as a constant because the
 # benchmark harness records which backend ran.
@@ -76,6 +96,9 @@ MEMBERSHIP_TOL = 1e-9
 # Weight of the per-block ones rows against coordinate rows scaled to at
 # most 1; it only has to put the weighted support on the exact one.
 SIMPLEX_WEIGHT = 1e3
+# Columns up to which blocks of several vertices take the product path, by
+# measurement (see above).
+PRODUCT_CAP = 64
 # Two-vertex blocks from which a call with its layout declared takes the
 # segment path, by measurement (see above).
 SEGMENT_MIN_BLOCKS = 16
@@ -99,7 +122,9 @@ def _least_norm(
     """Return (q, t, mu): q = V^T t + R^T mu of least norm, t on the simplex
     of every block, mu >= 0.  V is (k, n) float64 with k >= 1, its rows split
     into consecutive blocks of the given sizes (default: one block); R is
-    (r, n), r >= 0.  One-vertex blocks are folded into the others first.
+    (r, n), r >= 0.  One-vertex blocks are folded into the others first;
+    blocks of several vertices take the product path up to PRODUCT_CAP
+    columns, the weighted solve past it.
 
     ``shared`` declares the layout: the first ``shared`` coordinates are
     shared by every block, and the other n - shared split into one equal
@@ -114,21 +139,30 @@ def _least_norm(
         out = _segments_least_norm(V, R, sizes, shared)
         if out is not None:
             return out
-    if len(sizes) == 1 or 1 not in sizes:
-        return _blocks_least_norm(V, R, sizes)
-    # a one-vertex block is a fixed translation: add their sum to the first
-    # block of several vertices, or keep it as the one vertex left
-    lone = np.repeat(np.array(sizes) == 1, sizes)
-    shift = V[lone].sum(axis=0)
     multi = [b for b in sizes if b > 1]
-    if not multi:
-        q, _t, mu = _blocks_least_norm(shift[None], R, (1,))
-        return q, np.ones(k), mu
-    W = V[~lone]
-    W[:multi[0]] += shift
-    q, tw, mu = _blocks_least_norm(W, R, multi)
+    weighted = len(multi) > 1 and math.prod(multi) > PRODUCT_CAP
+    # one block is solved as given: the fold's sum would turn its -0.0 into 0.0
+    if len(sizes) == 1 or (weighted and 1 not in sizes):
+        return _blocks_least_norm(V, R, sizes)
+    # the fold: one-vertex blocks are a fixed translation, their sum P
+    lone = np.repeat(np.array(sizes) == 1, sizes)
+    W, P = (V, None) if len(multi) == len(sizes) else (V[~lone], V[lone].sum(axis=0, keepdims=True))
     t = np.ones(k)
-    t[~lone] = tw
+    if weighted:
+        W[:multi[0]] += P[0]
+        q, t[~lone], mu = _blocks_least_norm(W, R, multi)
+        return q, t, mu
+    # the product path: one hull over P plus one vertex per block, in order
+    at, n = 0, V.shape[1]
+    for b in multi:
+        P = W[at:at + b] if P is None else (P[:, None] + W[at:at + b]).reshape(-1, n)
+        at += b
+    q, w, mu = _blocks_least_norm(P, R)
+    if len(multi) > 1:  # each block's weights are the marginals of w
+        w, K = w.reshape(multi), len(multi)
+        w = np.concatenate([w.sum(axis=tuple(a for a in range(K) if a != b)) for b in range(K)])
+    if multi:
+        t[~lone] = w
     return q, t, mu
 
 
@@ -311,11 +345,14 @@ def _on_support(V: np.ndarray, R: np.ndarray, owner: np.ndarray, w: np.ndarray) 
 def min_norm_point(vertices) -> tuple[np.ndarray, np.ndarray]:
     """Return (q, t): q = argmin_{p in co(V)} ||p|| and its simplex coefficients.
 
-    ``vertices`` is a (k, n) array-like of hull vertices.  On return
-    q = V^T t with t >= 0 and sum(t) = 1.
+    ``vertices`` is a (k, n) array-like of hull vertices, k, n >= 1, else
+    DimensionMismatch; NonFinite refuses an entry that is not finite.  On
+    return q = V^T t with t >= 0 and sum(t) = 1.
     """
     V = np.atleast_2d(np.asarray(vertices, dtype=np.float64))
-    if V.shape[0] == 0:
-        raise ValueError("min_norm_point needs at least one vertex")
+    if V.ndim != 2 or 0 in V.shape:
+        raise DimensionMismatch(f"min_norm_point needs a (k, n) array, k, n >= 1, not {V.shape}")
+    if not np.isfinite(V).all():
+        raise NonFinite("min_norm_point's vertices are not all finite")
     q, t, _mu = _least_norm(V, V[:0])
     return q, t

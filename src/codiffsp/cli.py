@@ -183,7 +183,7 @@ def _cmd_generate(args) -> int:
 
 def _cmd_selftest(args) -> int:
     from . import penalty
-    from ._minnorm import _least_norm, _segments_least_norm, min_norm_point
+    from ._minnorm import _blocks_least_norm, _least_norm, _segments_least_norm, min_norm_point
     from .codiff import _walk, codiff, codiff_rows
     from .expr import ROWS_MIN_S
     from .expr import Space, absolute, add, affine, dc, evaluate, evaluate_batch, maximum, quad
@@ -202,21 +202,35 @@ def _cmd_selftest(args) -> int:
         q, _ = min_norm_point(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]))
         assert np.linalg.norm(q) <= 1e-9
 
+    def nu_layout(rng, sizes, d=2, m=2):
+        # rows in nu's layout: d shared coordinates, then m private to each
+        # block, weighted as at p = 1 / B
+        B, owner = len(sizes), np.repeat(np.arange(len(sizes)), sizes)
+        V = np.zeros((owner.size, d + B * m))
+        V[:, :d] = rng.normal(size=(owner.size, d)) / B
+        V[:, d:].reshape(-1, B, m)[np.arange(owner.size), owner] = (
+            rng.normal(size=(owner.size, m)) / np.sqrt(B))
+        return V
+
     def t_segments():
-        # the segment path against the NNLS kernel on 40 seeded blocks of
-        # two vertices, two shared coordinates and two private to each
-        rng = np.random.default_rng(40)
-        d, m, B = 2, 2, 40
-        V = np.zeros((2 * B, d + B * m))
-        V[:, :d] = rng.normal(size=(2 * B, d)) / B
-        for b in range(B):
-            V[2 * b:2 * b + 2, d + b * m:d + (b + 1) * m] = rng.normal(size=(2, m)) / np.sqrt(B)
-        sizes = (2,) * B
-        out = _segments_least_norm(V, V[:0], sizes, d)
+        # the segment path against the NNLS kernel on 40 seeded blocks of two
+        sizes = (2,) * 40
+        V = nu_layout(np.random.default_rng(40), sizes)
+        out = _segments_least_norm(V, V[:0], sizes, 2)
         assert out is not None, "the segment path fell back"
         want = _least_norm(V, V[:0], sizes)[0]
         gap = abs(float(np.linalg.norm(out[0]) - np.linalg.norm(want)))
         assert gap <= 1e-12 * float(np.abs(V).max()), f"|q| differs from NNLS's by {gap:.3g}"
+
+    def t_product():
+        # the product path against the weighted solve on blocks of 1, 2, 2
+        # (seed 31: both segments' weights lie inside (0, 1))
+        sizes = (1, 2, 2)
+        V = nu_layout(np.random.default_rng(31), sizes)
+        got = _least_norm(V, V[:0], sizes, shared=2)[0]
+        want = _blocks_least_norm(V, V[:0], sizes)[0]
+        gap = abs(float(np.linalg.norm(got) - np.linalg.norm(want)))
+        assert gap <= 1e-12 * float(np.abs(V).max()), f"|q| differs from the weighted solve's by {gap:.3g}"
 
     def t_generate_roundtrip():
         prob = generate(3, d=2, m=2, S=3, l=2)
@@ -328,6 +342,7 @@ def _cmd_selftest(args) -> int:
     checks = [
         ("min_norm_point", t_minnorm),
         ("segments", t_segments),
+        ("product", t_product),
         ("generate_roundtrip", t_generate_roundtrip),
         ("solve_and_certify", t_solve_and_certify),
         ("codiff_descent", t_descent),

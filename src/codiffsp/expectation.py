@@ -192,20 +192,26 @@ class BlockCodiff:
         coordinates with the layout declared (shared=d): x shared by every
         scenario and A's normals, y_s private to scenario s.  From
         _minnorm.SEGMENT_MIN_BLOCKS two-vertex scenarios on (and none larger)
-        that is the segment path, equal to NNLS to rounding; below, NNLS's bits.
+        that is the segment path; else the scenarios of several vertices take
+        the product path while their counts multiply to at most
+        _minnorm.PRODUCT_CAP, the weighted solve past it; all agree to rounding.
         """
         d, m, S = self.d, self.m, self.S
         mk = self.masked(eps)
-        sizes = np.diff(mk.sub_at).tolist()
-        rows = np.repeat(np.arange(S), sizes)
-        multi = np.flatnonzero(np.diff(mk.sup_at) > 1)
-        sups = [mk.sets(s)[1] for s in multi.tolist()]
+        n_sub = np.diff(mk.sub_at)
+        sizes, rows = n_sub.tolist(), np.repeat(np.arange(S), n_sub)
+        # with one zero-offset hyper vertex per scenario there is one choice, ()
+        multi = np.flatnonzero(np.diff(mk.sup_at) > 1).tolist() if mk.sup.shape[0] > S else []
+        sups = [mk.sets(s)[1] for s in multi]
         normals = A.normal_rays(x, eps)
 
         def nu_of(choice):
-            at = mk.sup_at[:-1].copy()  # a scenario's first sup row, or its chosen one
-            at[multi] += np.asarray(choice, dtype=np.intp)
-            V, R, scale = joint_rows(self.probs, d, normals, mk.sub + mk.sup[at[rows]], rows)
+            at = rows  # the one sup row of each scenario, or its chosen one
+            if choice:
+                at = mk.sup_at[:-1].copy()
+                at[multi] += choice
+                at = at[rows]
+            V, R, scale = joint_rows(self.probs, d, normals, mk.sub + mk.sup[at], rows)
             q = _least_norm(V, R, sizes, shared=d)[0]
             if inside(q, scale):
                 q = np.zeros(V.shape[1])

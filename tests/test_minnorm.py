@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.optimize import nnls
 
-from codiffsp import _minnorm, min_norm_point
+from codiffsp import (
+    DimensionMismatch, NonFinite, SolveOpts, _minnorm, check_optimality, dca_solve, generate,
+    inf_stationarity_measure, min_norm_point,
+)
 from codiffsp._minnorm import (
-    SEGMENT_MIN_BLOCKS, _first_columns, _least_norm, _segments_least_norm, inside,
+    PRODUCT_CAP, SEGMENT_MIN_BLOCKS, _first_columns, _least_norm, _segments_least_norm, inside,
 )
 
 
@@ -62,6 +65,17 @@ def test_wolfe_certificate(V):
     # optimality: the hull lies on the far side of the supporting hyperplane
     slack = (V - q) @ q
     assert slack.min() >= -1e-8
+
+
+@pytest.mark.parametrize("V, error", [
+    ([[np.nan, 1.0]], NonFinite),
+    ([[np.inf, 1.0], [0.0, 1.0]], NonFinite),
+    (np.zeros((2, 0)), DimensionMismatch),
+    (np.zeros((0, 2)), DimensionMismatch),
+])
+def test_min_norm_point_refuses_bad_vertices(V, error):
+    with pytest.raises(error):
+        min_norm_point(V)
 
 
 def test_blocks_match_minkowski_sum():
@@ -320,3 +334,82 @@ def test_segment_layout_with_a_private_ray(shared_part):
         R[0, :d] = rng.normal(size=d) * scale
     _check_against_minkowski_sum(blocks, R, scale,
                                  lambda V, R, sizes: _least_norm(V, R, sizes, shared=d))
+
+
+def _product_case(rng, multi, lone, rays):
+    """Blocks of the given multi-vertex sizes and `lone` one-vertex blocks,
+    shuffled, with their product columns: _fold_case's draws."""
+    sizes = list(multi) + [1] * lone
+    rng.shuffle(sizes)
+    blocks, R, scale = _fold_case(rng, sizes, rays)
+    P = np.array([sum(c) for c in itertools.product(*blocks)])
+    return blocks, R, scale, P
+
+
+@pytest.mark.parametrize("rays", [0, 2])
+def test_product_path_meets_wolfe_certificate(rays):
+    # independent of any least-norm solve: q is optimal over the product
+    # columns P_j and the rays r iff <q, P_j - q> >= 0 and <q, r> >= 0
+    rng = np.random.default_rng(61 + rays)
+    for _ in range(300):
+        multi = [int(k) for k in rng.integers(2, 5, size=int(rng.integers(2, 4)))]
+        if np.prod(multi) > PRODUCT_CAP:
+            continue
+        blocks, R, scale, P = _product_case(rng, multi, int(rng.integers(0, 3)),
+                                            int(rng.integers(0, rays + 1)))
+        sizes = [b.shape[0] for b in blocks]
+        q, t, mu = _least_norm(np.vstack(blocks), R, sizes)
+        owner = np.repeat(np.arange(len(sizes)), sizes)
+        assert t.min() >= 0.0 and (mu.size == 0 or mu.min() >= 0.0)
+        assert np.allclose(np.bincount(owner, weights=t), 1.0, atol=1e-12)
+        assert np.allclose(q, t @ np.vstack(blocks) + mu @ R, atol=1e-12 * scale)
+        tol = 1e-12 * max(float(np.abs(P).max()), float(np.abs(R).max(initial=0.0))) ** 2
+        assert ((P - q) @ q).min() >= -tol
+        assert (R @ q).min(initial=0.0) >= -tol
+
+
+@pytest.mark.parametrize("lone", [0, 2])
+def test_blocks_past_the_product_cap_match_minkowski_sum(lone):
+    # the weighted solve keeps the single-hull reference over the product
+    rng = np.random.default_rng(67 + lone)
+    for _ in range(40):
+        multi = [int(k) for k in rng.integers(3, 6, size=3)]
+        if np.prod(multi) <= PRODUCT_CAP:
+            multi[0] = PRODUCT_CAP
+        blocks, R, scale, _P = _product_case(rng, multi, lone, int(rng.integers(0, 3)))
+        _check_against_minkowski_sum(blocks, R, scale)
+
+
+@pytest.mark.parametrize("multi, product", [
+    ((8, 8), True), ((5, 13), False), ((4, 4, 4), True), ((PRODUCT_CAP + 1, 2), False),
+])
+def test_path_at_the_product_cap(monkeypatch, multi, product):
+    # PRODUCT_CAP columns take one single-hull solve over the product, one
+    # more takes the weighted solve
+    assert (np.prod(multi) <= PRODUCT_CAP) == product
+    rng = np.random.default_rng(71)
+    blocks, R, scale, _P = _product_case(rng, multi, 1, 1)
+    calls, on_support = [], []
+    real = _minnorm._blocks_least_norm
+    monkeypatch.setattr(_minnorm, "_blocks_least_norm",
+                        lambda V, R, sizes=None: calls.append((V.shape[0], sizes)) or real(V, R, sizes))
+    monkeypatch.setattr(_minnorm, "_on_support",
+                        lambda *a, s=_minnorm._on_support: on_support.append(1) or s(*a))
+    _check_against_minkowski_sum(blocks, R, scale)
+    # the first call is the kernel's own; the reference solve follows
+    rows, sizes = calls[0]
+    assert (rows, sizes is None) == ((int(np.prod(multi)), True) if product else (sum(multi), False))
+    assert bool(on_support) != product
+
+
+def test_one_dca_step_and_its_certificates_skip_the_weighted_solve(monkeypatch):
+    # at S = 3 every multi-block call of nu and of the certificate fits
+    # under PRODUCT_CAP
+    def refuse(*args):
+        raise AssertionError("the weighted solve ran")
+    monkeypatch.setattr(_minnorm, "_on_support", refuse)
+    for seed in range(1000, 1004):
+        prob = generate(seed, d=2, m=2, S=3, l=2, dc=True)
+        rep = dca_solve(prob, 10.0, prob.witness, SolveOpts(max_iter=1, escalate=False))
+        check_optimality(prob, 10.0, rep.final_point)
+        inf_stationarity_measure(prob, 10.0, rep.final_point)
