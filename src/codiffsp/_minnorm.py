@@ -46,7 +46,10 @@ the segment path.  min_norm_point (pruning, nondegeneracy) is one block.
 
 The segment path.  A caller may declare the layout (``shared``): the first
 d coordinates are shared by every block, the rest split into one run per
-block, private to it, as nu's scenario blocks (x, y_s) are.  When every
+block, private to it, as nu's scenario blocks (x, y_s) are.  nu hands
+over only each row's two parts, (x, y_s), and rays in x
+(_layout_least_norm): the segment path reads those, and the dense rows
+are built only for the paths below, which solve on them.  When every
 block has at most two vertices, at least SEGMENT_MIN_BLOCKS have two and
 every ray lies in the shared part (A's normals do; the certificate's
 constraint rows, which carry y-parts, do not), the problem separates but
@@ -74,7 +77,8 @@ segment path from 18; at 100 segments it takes 0.3 ms where NNLS took 8-15.
 
 This kernel serves vertex pruning, the joint descent direction and
 stationarity measure, the nondegeneracy constant and the certificate.  "0
-lies in the set" is one rule (``inside``): ||q|| within MEMBERSHIP_TOL of 0
+lies in the set" is one rule (``inside``, ``_inside`` given the norm and
+the scale): ||q|| within MEMBERSHIP_TOL of 0
 relative to the columns' largest |entry| (at least 1), since the solve
 rounds at about 1e-15 times that entry.
 """
@@ -110,9 +114,13 @@ SEGMENT_KKT_TOL = 1e-12
 
 
 def inside(q: np.ndarray, W: np.ndarray) -> bool:
-    """0 lies in the set whose least-norm point over the columns W is q; W
-    may also be just the columns' largest |entry|."""
-    return float(np.linalg.norm(q)) <= MEMBERSHIP_TOL * max(1.0, float(np.abs(W).max()))
+    """0 lies in the set whose least-norm point over the columns W is q."""
+    return _inside(float(np.linalg.norm(q)), float(np.abs(W).max()))
+
+
+def _inside(norm: float, scale: float) -> bool:
+    """inside's rule on the norm of q and the columns' largest |entry|."""
+    return norm <= MEMBERSHIP_TOL * max(1.0, scale)
 
 
 def _least_norm(
@@ -134,9 +142,8 @@ def _least_norm(
     part take the segment path."""
     k = V.shape[0]
     sizes = (k,) if sizes is None else tuple(sizes)
-    if (shared is not None and sizes.count(2) >= SEGMENT_MIN_BLOCKS
-            and max(sizes) == 2 and not R[:, shared:].any()):
-        out = _segments_least_norm(V, R, sizes, shared)
+    if shared is not None and _segment_ready(sizes) and not R[:, shared:].any():
+        out = _segments_least_norm(*_split(V, R, sizes, shared), sizes)
         if out is not None:
             return out
     multi = [b for b in sizes if b > 1]
@@ -166,22 +173,60 @@ def _least_norm(
     return q, t, mu
 
 
+def _segment_ready(sizes: tuple[int, ...]) -> bool:
+    """The block sizes of the segment path: SEGMENT_MIN_BLOCKS or more of
+    two vertices and none of three or more."""
+    return sizes.count(2) >= SEGMENT_MIN_BLOCKS and max(sizes) == 2
+
+
+def _split(V: np.ndarray, R: np.ndarray, sizes: tuple[int, ...], shared: int):
+    """(W, R_x): the parts of rows V and rays R in the declared layout, as
+    _layout_least_norm takes them; R must be zero past the shared part."""
+    k, B = V.shape[0], len(sizes)
+    owner = np.repeat(np.arange(B), sizes)
+    Y = V[:, shared:].reshape(k, B, -1)[np.arange(k), owner]
+    return np.concatenate((V[:, :shared], Y), axis=1), R[:, :shared]
+
+
+def _layout_least_norm(W: np.ndarray, R: np.ndarray, sizes: tuple[int, ...],
+                       owner: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_least_norm(V, R', sizes, shared=d) in the declared layout, given
+    by its parts: row j of W (k, d + m) holds row j of V's shared part, d =
+    R.shape[1], then the private run of its block owner[j]; R (r, d) holds
+    the rays, all in the shared part.  The segment path reads the parts;
+    the dense rows V (k, d + B m) and rays R' are built only for the paths
+    that solve on them."""
+    sizes = tuple(sizes)
+    if _segment_ready(sizes):
+        out = _segments_least_norm(W, R, sizes)
+        if out is not None:
+            return out
+    (k, n), d, B = W.shape, R.shape[1], len(sizes)
+    V = np.zeros((k, d + B * (n - d)))
+    V[:, :d] = W[:, :d]
+    V[:, d:].reshape(k, B, -1)[np.arange(k), owner] = W[:, d:]
+    Rj = np.zeros((R.shape[0], V.shape[1]))
+    Rj[:, :d] = R
+    return _least_norm(V, Rj, sizes)
+
+
 def _segments_least_norm(
-    V: np.ndarray, R: np.ndarray, sizes: tuple[int, ...], shared: int
+    W: np.ndarray, R: np.ndarray, sizes: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """The segment path of _least_norm (see the module docstring), or None
-    where it falls back: a segment with no private part, no settling within
-    SEGMENT_ITERS steps, a singular system or a failed KKT check."""
-    k, n = V.shape
-    d = shared
+    """The segment path of _least_norm (see the module docstring) on the
+    layout's parts W and R, as _layout_least_norm takes them, or None where
+    it falls back: a segment with no private part, no settling within
+    SEGMENT_ITERS steps, a singular system or a failed KKT check.  q is
+    returned in the dense coordinates: the shared part, then each block's
+    private run."""
+    k, d = W.shape[0], R.shape[1]
+    X, Y = W[:, :d], W[:, d:]
     sz = np.array(sizes)
-    m = (n - d) // sz.shape[0]
     at = np.cumsum(sz) - sz  # every block's first row
     two = sz == 2
     ia, ib = at[two], at[two] + 1
-    cols = d + np.flatnonzero(two)[:, None] * m + np.arange(m)
-    ax, ay, bx, by = V[ia, :d], V[ia[:, None], cols], V[ib, :d], V[ib[:, None], cols]
-    lx = V[at[~two], :d]
+    ax, ay, bx, by = X[ia], Y[ia], X[ib], Y[ib]
+    lx = X[at[~two]]
     # coordinates divided by the largest |entry| the solve reads, rays aside
     sc = max(float(np.abs(np.hstack((ax, ay, bx, by))).max()),
              float(np.abs(lx).max(initial=0.0))) or 1.0
@@ -192,8 +237,8 @@ def _segments_least_norm(
     alpha = np.vecdot(ay, dy)
     x0 = (lx.sum(axis=0) + ax.sum(axis=0)) / sc
     # rays as unit directions U_j: q's x-part gains nu_j U_j, nu_j = mu_j |R_j| / sc
-    rn = np.sqrt(np.vecdot(R[:, :d], R[:, :d]))
-    U = R[rn > 0.0, :d] / rn[rn > 0.0, None]
+    rn = np.sqrt(np.vecdot(R, R))
+    U = R[rn > 0.0] / rn[rn > 0.0, None]
 
     def dual(lam):
         """The dual objective at lam, up to a constant, and the unclipped
@@ -256,9 +301,10 @@ def _segments_least_norm(
     t[ia], t[ib] = 1.0 - w, w
     mu = np.zeros(R.shape[0])
     mu[np.flatnonzero(rn > 0.0)[on]] = nu * sc / rn[rn > 0.0][on]
-    q = t @ V + mu @ R
+    qx, qy = t @ X + mu @ R, np.add.reduceat(t[:, None] * Y, at)  # qy: each block's own
+    q = np.concatenate((qx, qy.ravel()))
     # KKT: no segment's weight and no ray's can move to shorten q
-    qx, qy = q[:d] / sc, q[cols] / sc
+    qx, qy = qx / sc, qy[two] / sc
     slope = dx @ qx + np.vecdot(qy, dy)
     ray = U @ qx
     tol = SEGMENT_KKT_TOL * (1.0 + max(float(np.abs(qx).max()), float(np.abs(qy).max())))

@@ -183,7 +183,9 @@ def _cmd_generate(args) -> int:
 
 def _cmd_selftest(args) -> int:
     from . import penalty
-    from ._minnorm import _blocks_least_norm, _least_norm, _segments_least_norm, min_norm_point
+    from ._minnorm import (
+        _blocks_least_norm, _least_norm, _segments_least_norm, _split, min_norm_point,
+    )
     from .codiff import _walk, codiff, codiff_rows
     from .expr import ROWS_MIN_S
     from .expr import Space, absolute, add, affine, dc, evaluate, evaluate_batch, maximum, quad
@@ -216,7 +218,7 @@ def _cmd_selftest(args) -> int:
         # the segment path against the NNLS kernel on 40 seeded blocks of two
         sizes = (2,) * 40
         V = nu_layout(np.random.default_rng(40), sizes)
-        out = _segments_least_norm(V, V[:0], sizes, 2)
+        out = _segments_least_norm(*_split(V, V[:0], sizes, 2), sizes)
         assert out is not None, "the segment path fell back"
         want = _least_norm(V, V[:0], sizes)[0]
         gap = abs(float(np.linalg.norm(out[0]) - np.linalg.norm(want)))

@@ -493,7 +493,8 @@ def _masked_rows(H: np.ndarray, G: np.ndarray, eps: float = TOL_ZERO):
     sub = H[:, :, 0] >= -eps
     sup = np.abs(G[:, :, 0]) <= TOL_ZERO
     n_sub, n_sup = sub.sum(axis=1), sup.sum(axis=1)
-    if not (n_sub.all() and n_sup.all()):
+    # count_nonzero is the cheap test that every count is positive
+    if np.count_nonzero(n_sub) + np.count_nonzero(n_sup) < 2 * H.shape[0]:
         raise CodiffspError(
             "ZERO_AT_ZERO", "no zero-offset vertices: codifferential is inconsistent"
         )
@@ -550,11 +551,22 @@ def quasidiff(cd: CodiffPair, eps: float = TOL_ZERO) -> QuasidiffPair:
 
 
 def dirderiv(qd: QuasidiffPair, h) -> float:
-    """Directional derivative: max over sub of <v,h> plus min over sup of <w,h>."""
+    """Directional derivative: max over sub of <v,h> plus min over sup of
+    <w,h>, each product by _row_dots."""
     h = np.asarray(h, dtype=np.float64).ravel()
     if h.shape[0] != qd.dim:
         raise DimensionMismatch(f"h has length {h.shape[0]}, expected {qd.dim}")
-    return float((qd.sub @ h).max() + (qd.sup @ h).min())
+    return float(_row_dots(qd.sub, h).max() + _row_dots(qd.sup, h).min())
+
+
+def _row_dots(V: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """<v, h> for every row v of V (..., n), h broadcast against V: the
+    products summed elementwise in ascending column order, so a row's bits
+    do not depend on its position among the rows, as a BLAS product's do."""
+    out = V[..., 0] * h[..., 0]
+    for j in range(1, V.shape[-1]):
+        out = out + V[..., j] * h[..., j]
+    return out
 
 
 def prune(cd: CodiffPair) -> CodiffPair:

@@ -14,24 +14,27 @@ take about 15 of 55 us at S = 3 (a float pass per scenario) and 100 of 200
 us at S = 100 (one pass on columns); the gathers and sums are the rest.
 The pass's values carry evaluate's bits, so _expected sums them into
 expect's value: the descent engine (solvers._value) values every point it
-tries, Phi_c's included, by one pass.  A BlockCodiff keeps the
-(S, k, 1+n) vertex arrays less the tilt, or one block per scenario where
-the integrand is too large for a plan; nu, the step model, DCA's tilt and
-the certificate read one set of masks of them (BlockCodiff.masked).
+tries, Phi_c's included, by one pass.  A BlockCodiff keeps the pass's
+(S, k, 1+n) vertex arrays less the tilt (BlockCodiff.arrays; where the
+integrand is too large for a plan, the walk's one-row blocks padded into
+that layout), and nu, the step model, DCA's tilt, the certificate and
+I_dirderiv read them and their (S, k) masks (codiff._masked_rows).
 
 The hypodifferential of I is the p-weighted Minkowski sum of the scenario
-hypodifferentials, each embedded in the (x, y_s) block of (x, y_1..y_S).
-joint_rows is that embedding, the one both stationarity measures use: p_s
-on a scenario row's x-part and sqrt(p_s) on its y_s part, then A's normals
-in x.  BlockCodiff.least_norm returns its point of least norm over the
-eps-active vertices plus the normal cone of A: the steepest-descent
+hypodifferentials, each embedded in the (x, y_s) block of (x, y_1..y_S):
+p_s on a scenario row's x-part and sqrt(p_s) on its y_s part, then A's
+normals in x.  BlockCodiff.least_norm returns its point of least norm over
+the eps-active vertices plus the normal cone of A: the steepest-descent
 direction and the inf-stationarity measure nu(eps) of the solvers and of
-the certifier; optimality.check_optimality measures the same sum with the
-active constraints' rows as rays.  Both declare the layout to the min-norm
-kernel (BlockCodiff.least_norm).  Every condition holds for all zero-offset
-superdifferential selections: max_over_selections is the one search for
-the worst of them, for nu, the certificate's residual and the
-nondegeneracy constant alike.
+the certifier.  It hands the min-norm kernel the weighted rows as parts, x
+shared by every scenario and y_s private to scenario s
+(_minnorm._layout_least_norm), so the dense (k, d + S m) embedding is
+built only for the kernel paths that solve on it.
+optimality.check_optimality measures the same sum with the active
+constraints' rows, which carry y-parts, as rays in joint_rows' dense
+embedding.  Every condition holds for all zero-offset superdifferential
+selections: max_over_selections is the one search for the worst of them,
+for nu, the certificate's residual and the nondegeneracy constant alike.
 """
 
 from __future__ import annotations
@@ -43,8 +46,8 @@ from functools import cached_property
 
 import numpy as np
 
-from ._minnorm import _least_norm, inside
-from .codiff import TOL_ZERO, CodiffPair, _codiff_pairs, _masked_rows, _point_rows, _vertex_blocks
+from ._minnorm import _inside, _layout_least_norm
+from .codiff import TOL_ZERO, CodiffPair, _codiff_pairs, _masked_rows, _row_dots, _vertex_blocks
 from .errors import DimensionMismatch, NonFinite
 from .expr import Expr
 from .model import FirstStageSet, Point, TwoStageProblem
@@ -88,67 +91,38 @@ def max_over_selections(sups: list[np.ndarray], score) -> tuple[float, object, b
     return *best, False, checked
 
 
-@dataclass(frozen=True, eq=False)
-class Masks:
-    """BlockCodiff.masked: the hypo slopes with offset >= -eps (sub) and the
-    zero-offset hyper slopes (sup) of every scenario in turn, scenario s's
-    from rows sub_at[s] and sup_at[s] on, and codiff._point_rows' one and P,
-    each built on first read (nu reads no P).  masks holds (H, G, *_masked_rows)."""
-
-    masks: tuple
-
-    @cached_property
-    def _stacked(self) -> tuple:
-        parts = [(H[sub, 1:], n_sub, G[sup, 1:], n_sup)
-                 for H, G, sub, sup, n_sub, n_sup in self.masks]
-        sub, n_sub, sup, n_sup = map(_concat, zip(*parts))
-        at = np.zeros((2, n_sub.shape[0] + 1), dtype=np.intp)
-        at[0, 1:], at[1, 1:] = n_sub.cumsum(), n_sup.cumsum()
-        return sub, at[0], sup, at[1]
-
-    @cached_property
-    def _points(self) -> tuple:
-        return tuple(map(_concat, zip(*(_point_rows(*mask) for mask in self.masks))))
-
-    sub, sub_at, sup, sup_at = (property(lambda self, i=i: self._stacked[i]) for i in range(4))
-    one, P = (property(lambda self, i=i: self._points[i]) for i in range(2))
-
-    def sets(self, s: int) -> tuple[np.ndarray, np.ndarray]:
-        """Scenario s's quasidiff(., eps) sub and sup."""
-        a, w = self.sub_at, self.sup_at
-        return self.sub[a[s]:a[s + 1]], self.sup[w[s]:w[s + 1]]
-
-
-def _concat(arrays) -> np.ndarray:
-    """np.concatenate of a sequence of arrays, the array itself when it is
-    the only one."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-
 def joint_rows(probs: np.ndarray, d: int, normals: np.ndarray, V: np.ndarray, sv: np.ndarray,
-               R: np.ndarray | None = None, sr: np.ndarray | None = None):
-    """(V', R', scale): rows over (x, y_s) embedded in the joint coordinates
-    (x, y_1..y_S) of nu and the certificate.  Row j of V, of scenario
-    s = sv[j], becomes p_s times its x-part in x and sqrt(p_s) times its
-    y-part in y_s's columns, zero elsewhere; so do the scenario rays R, of
-    scenarios sr, and A's outward normals (r, d) follow them in x.  scale is
-    the largest |entry| of V' and R', read off the parts they are built of.
+               R: np.ndarray, sr: np.ndarray):
+    """(V', R'): the certificate's rows over (x, y_s) embedded in the joint
+    coordinates (x, y_1..y_S) of nu.  Row j of V, of scenario s = sv[j],
+    becomes p_s times its x-part in x and sqrt(p_s) times its y-part in
+    y_s's columns, zero elsewhere; so do the scenario rays R, of scenarios
+    sr, and A's outward normals (r, d) follow them in x.  _joint_scale
+    checks them."""
+    S, k = probs.shape[0], V.shape[0]
+    W, sv = np.concatenate((V, R)), np.concatenate((sv, sr))
+    n, p = W.shape[0], probs[sv][:, None]
+    W[:, :d] *= p
+    W[:, d:] *= np.sqrt(p)
+    _joint_scale(S, d, W, normals)
+    C = np.zeros((n + normals.shape[0], d + S * (W.shape[1] - d)))
+    C[:n, :d], C[n:, :d] = W[:, :d], normals
+    C[:n, d:].reshape(n, S, -1)[np.arange(n), sv] = W[:, d:]  # a view: row j's y_s block
+    return C[:k], C[k:]
 
-    The least-norm point is no longer than a sum of one row per scenario,
-    of norm at most sqrt(d S^2 + S m) * scale: NonFinite refuses rows on
-    which that bound, and so nu's and the certificate's norms, overflow."""
-    S, m, k = probs.shape[0], V.shape[1] - d, V.shape[0]
-    if R is not None:
-        V, sv = np.concatenate((V, R)), np.concatenate((sv, sr))
-    n, p = V.shape[0], probs[sv][:, None]
-    C = np.zeros((n + normals.shape[0], d + S * m))
-    X, Y = C[:, :d], np.sqrt(p) * V[:, d:]
-    X[:n], X[n:] = p * V[:, :d], normals
-    C[:n, d:].reshape(n, S, m)[np.arange(n), sv] = Y  # a view: row j's y_s block
-    scale = max(float(np.abs(X).max()), float(np.abs(Y).max(initial=0.0)))
-    if not scale * math.sqrt(d * S * S + S * m) < _SQRT_MAX:
+
+def _joint_scale(S: int, d: int, W: np.ndarray, normals: np.ndarray) -> float:
+    """The largest |entry| of the weighted rows W (k, d + m) and of A's
+    normals.  The least-norm point is no longer than a sum of one row per
+    scenario, of norm at most sqrt(d S^2 + S m) * scale: NonFinite refuses
+    rows on which that bound, and so nu's and the certificate's norms,
+    overflow."""
+    scale = float(np.abs(W).max())
+    if normals.shape[0]:
+        scale = max(scale, float(np.abs(normals).max()))
+    if not scale * math.sqrt(d * S * S + S * (W.shape[1] - d)) < _SQRT_MAX:
         raise NonFinite(f"least-norm rows too large to measure: largest |entry| {scale:.3e}")
-    return C[:k], C[k:], scale
+    return scale
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,9 +143,22 @@ class BlockCodiff:
     def per_scenario(self) -> tuple[CodiffPair, ...]:
         return tuple(_codiff_pairs(self.blocks))
 
-    def masked(self, eps: float) -> Masks:
-        """codiff._masked_rows at eps over every block, in scenario order."""
-        return Masks(tuple((H, G, *_masked_rows(H, G, eps)) for _rows, H, G, _v in self.blocks))
+    @cached_property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(H, G): every scenario's (S, k1, 1+n) hypo and (S, k2, 1+n) hyper
+        vertices, the plan pass's own arrays.  The walk's one-row blocks are
+        stacked, padded with rows of zero slope and offset -inf (hypo) or
+        +inf (hyper), which no mask keeps and no max or min takes."""
+        if len(self.blocks) == 1:
+            return self.blocks[0][1:3]
+        out = []
+        for i, fill in ((1, -np.inf), (2, np.inf)):
+            k = max(b[i].shape[1] for b in self.blocks)
+            out.append(np.zeros((self.S, k, 1 + self.d + self.m)))
+            out[-1][:, :, 0] = fill
+            for b in self.blocks:
+                out[-1][b[0], :b[i].shape[1]] = b[i]
+        return tuple(out)
 
     def least_norm(self, A: FirstStageSet, x: np.ndarray,
                    eps: float) -> tuple[float, np.ndarray, bool]:
@@ -186,39 +173,48 @@ class BlockCodiff:
         eps-active model falls at rate at least nu^2, over the selections of
         the scenarios with several zero-offset hyper vertices; exhaustive is
         False past ENUM_CAP, where nu is a lower bound.  When 0 lies in D
-        (_minnorm.inside at joint_rows' scale), nu = 0 and q = 0.
+        (_minnorm._inside at _joint_scale), nu = 0 and q = 0.
 
-        Each selection's point is one _least_norm call in joint_rows'
-        coordinates with the layout declared (shared=d): x shared by every
-        scenario and A's normals, y_s private to scenario s.  From
+        Everything is read off arrays and their codiff._masked_rows at eps:
+        the eps-active rows H[sub, 1:] in scenario order, each plus its selected
+        zero-offset hyper slope (with one per scenario the one choice is ()),
+        weighted as joint_rows weighs them.  Each selection's point is one
+        _minnorm._layout_least_norm call on those rows, x shared by every
+        scenario and A's normals, y_s private to scenario s: from
         _minnorm.SEGMENT_MIN_BLOCKS two-vertex scenarios on (and none larger)
-        that is the segment path; else the scenarios of several vertices take
-        the product path while their counts multiply to at most
-        _minnorm.PRODUCT_CAP, the weighted solve past it; all agree to rounding.
+        the segment path solves on them; else the dense rows are built, and
+        the scenarios of several vertices take the product path while their
+        counts multiply to at most _minnorm.PRODUCT_CAP, the weighted solve
+        past it; all agree to rounding.
         """
-        d, m, S = self.d, self.m, self.S
-        mk = self.masked(eps)
-        n_sub = np.diff(mk.sub_at)
-        sizes, rows = n_sub.tolist(), np.repeat(np.arange(S), n_sub)
-        # with one zero-offset hyper vertex per scenario there is one choice, ()
-        multi = np.flatnonzero(np.diff(mk.sup_at) > 1).tolist() if mk.sup.shape[0] > S else []
-        sups = [mk.sets(s)[1] for s in multi]
-        normals = A.normal_rays(x, eps)
+        d, S = self.d, self.S
+        H, G = self.arrays
+        sub, sup, n_sub, n_sup = _masked_rows(H, G, eps)
+        sv, rows = sub.nonzero()[0], H[sub, 1:]
+        p = self.probs[sv][:, None]
+        root_p, normals, sizes = np.sqrt(p), A.normal_rays(x, eps), n_sub.tolist()
+        if G.shape[1] == 1:  # _masked_rows has checked that each is zero-offset
+            first, multi = G[:, 0, 1:], []
+        else:  # each scenario's first zero-offset one, and those with several
+            first = G[np.arange(S), sup.argmax(axis=1), 1:]
+            multi = np.flatnonzero(n_sup > 1).tolist()
+        sups = [G[s, sup[s], 1:] for s in multi]
 
         def nu_of(choice):
-            at = rows  # the one sup row of each scenario, or its chosen one
+            g = first
             if choice:
-                at = mk.sup_at[:-1].copy()
-                at[multi] += choice
-                at = at[rows]
-            V, R, scale = joint_rows(self.probs, d, normals, mk.sub + mk.sup[at], rows)
-            q = _least_norm(V, R, sizes, shared=d)[0]
-            if inside(q, scale):
-                q = np.zeros(V.shape[1])
-            return float(np.linalg.norm(q)), q
+                g = first.copy()
+                g[multi] = [W[c] for W, c in zip(sups, choice)]
+            W = rows + g[sv]  # weighted as joint_rows weighs its rows
+            W[:, :d] *= p
+            W[:, d:] *= root_p
+            scale = _joint_scale(S, d, W, normals)
+            q = _layout_least_norm(W, normals, sizes, sv)[0]
+            nu = math.sqrt(q @ q)  # np.linalg.norm's bits
+            return (0.0, np.zeros(q.shape[0])) if _inside(nu, scale) else (nu, q)
 
         nu, q, exhaustive, _checked = max_over_selections(sups, nu_of)
-        q[d:] /= np.repeat(np.sqrt(self.probs), m)
+        q[d:].reshape(S, -1)[...] /= np.sqrt(self.probs)[:, None]
         return nu, q, exhaustive
 
 
@@ -281,13 +277,7 @@ def I_expansion(bc: BlockCodiff, dx, dy):
     if dx.shape[1] != bc.d or dy.shape != (dx.shape[0], bc.S, bc.m):
         raise DimensionMismatch(f"dx {dx.shape[1:]} and dy {dy.shape[1 - stack:]} do not match "
                                 f"d = {bc.d}, S = {bc.S} rows of m = {bc.m}")
-    total = _expansion(bc, np.concatenate((np.broadcast_to(dx, (bc.S, *dx.shape)),
-                                           dy.transpose(1, 0, 2)), axis=2))
-    return total if stack else float(total[0])
-
-
-def _expansion(bc: BlockCodiff, h: np.ndarray) -> np.ndarray:
-    """I_expansion's (K,) values at the directions h (S, K, n), h[s] scenario s's (dx, dy_s)."""
+    h = np.concatenate((np.broadcast_to(dx, (bc.S, *dx.shape)), dy.transpose(1, 0, 2)), axis=2)
     terms = []
     for rows, H, G, _v in bc.blocks:
         hb = h[rows].transpose(0, 2, 1)  # each block row's (n, K) directions, as expansion_value's
@@ -295,20 +285,23 @@ def _expansion(bc: BlockCodiff, h: np.ndarray) -> np.ndarray:
         dn = np.matmul(G[:, :, 1:], hb) + G[:, :, :1]
         terms.append(up.max(axis=1) + dn.min(axis=1))
     # + 0.0 as the scalar loop's 0.0 start: an all -0.0 sum reads +0.0
-    return np.cumsum(bc.probs[:, None] * _concat(terms), axis=0)[-1] + 0.0
+    total = np.cumsum(bc.probs[:, None] * np.concatenate(terms), axis=0)[-1] + 0.0
+    return total if stack else float(total[0])
 
 
 def I_dirderiv(prob: TwoStageProblem, z: Point, hx, hy) -> float:
-    """Directional derivative of I at z: the weighted sum of per-scenario
-    directional derivatives along (hx, hy_s), codiff.dirderiv's on Masks.sets."""
+    """Directional derivative of I at z: sum_s p_s dirderiv(quasidiff(pair_s),
+    (hx, hy_s)) in ascending scenario order, from one masked max over the
+    hypo and one masked min over the hyper slopes of every scenario at once,
+    each product by codiff._row_dots, summed as I_expansion sums."""
     bc = block_codiff(prob, z)
     hx, hy = np.asarray(hx, dtype=np.float64).ravel(), np.asarray(hy, dtype=np.float64)
     if hx.shape[0] != bc.d or hy.shape != (bc.S, bc.m):
         raise DimensionMismatch(f"hx {hx.shape} and hy {hy.shape} do not match d = {bc.d}, "
                                 f"S = {bc.S} rows of m = {bc.m}")
-    mk = bc.masked(TOL_ZERO)
-    total = 0.0
-    for s in range(bc.S):
-        (sub, sup), h = mk.sets(s), np.concatenate((hx, hy[s]))
-        total += float(bc.probs[s]) * float((sub @ h).max() + (sup @ h).min())
-    return total
+    H, G = bc.arrays
+    sub, sup, *_counts = _masked_rows(H, G, TOL_ZERO)
+    h = np.concatenate((np.broadcast_to(hx, (bc.S, bc.d)), hy), axis=1)[:, None]
+    up = np.where(sub, _row_dots(H[:, :, 1:], h), -np.inf).max(axis=1)
+    dn = np.where(sup, _row_dots(G[:, :, 1:], h), np.inf).min(axis=1)
+    return float(np.cumsum(bc.probs * (up + dn))[-1] + 0.0)

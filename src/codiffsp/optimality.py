@@ -52,13 +52,14 @@ Two checks at a feasible point z = (x, y_1..y_S):
         exhaustive: hypot(stationarity, normal_cone) <= ||q|| <= nu, up to
         rounding.
 
-        It works on one BlockCodiff per function, the vertex arrays of its
-        rows pass, masked at ACT_TOL as quasidiff(., ACT_TOL) slices them
-        (BlockCodiff.masked); no CodiffPair or QuasidiffPair is built.  A
-        scenario whose f and active g_i each keep one masked vertex in each
-        set is a point selection: its one objective vertex and its rays are
-        read off the arrays and count as one exhaustive selection checked,
-        with no search.  Only the other scenarios go through
+        It works on one BlockCodiff per function, the (S, k, 1+n) vertex
+        arrays of its rows pass (BlockCodiff.arrays), masked at ACT_TOL as
+        quasidiff(., ACT_TOL) slices them (codiff._masked_rows); no
+        CodiffPair or QuasidiffPair is built.  A scenario whose f and
+        active g_i each keep one masked vertex in each set is a point
+        selection: its one objective vertex and its rays are read off the
+        arrays and count as one exhaustive selection checked, with no
+        search.  Only the other scenarios go through
         max_over_selections, on their masked slices.  The joint system is
         assembled from every scenario's rows in one step.
 
@@ -81,6 +82,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._minnorm import _least_norm
+from .codiff import _masked_rows, _point_rows
 from .errors import InfeasibleCandidate
 from .model import Point, TwoStageProblem, check_c, feas_report
 from .expectation import ACT_TOL, _integrand_codiff, block_codiff, joint_rows, max_over_selections
@@ -184,11 +186,17 @@ def check_optimality(prob: TwoStageProblem, c: float, z: Point) -> Certificate:
         raise InfeasibleCandidate(
             f"max g = {rep.max_violation:.3e} at g[{rep.worst_constraint}] in scenario "
             f"{rep.worst_scenario}, x off A by {rep.x_violation:.3e} (tolerance {rep.tol:.1e})")
-    mf, gm = block_codiff(prob, z).masked(ACT_TOL), [bc.masked(ACT_TOL) for bc in bg]
-    act, Pf = G.T >= -ACT_TOL, mf.P  # act: (S, ell)
-    one_g = np.array([mk.one for mk in gm], dtype=bool).reshape(ell, S).T
-    Pg = np.array([mk.P for mk in gm]).reshape(ell, S, d + m).transpose(1, 0, 2)
-    point = mf.one & (one_g | ~act).all(axis=1)
+    # each function's arrays and ACT_TOL masks, and its point rows
+    fn = [(bc.arrays, _masked_rows(*bc.arrays, ACT_TOL)) for bc in [block_codiff(prob, z), *bg]]
+    (one_f, Pf), *pg = [_point_rows(*arrays, *mask) for arrays, mask in fn]
+    act = G.T >= -ACT_TOL  # (S, ell)
+    one_g = np.array([one for one, _P in pg], dtype=bool).reshape(ell, S).T
+    Pg = np.array([P for _one, P in pg]).reshape(ell, S, d + m).transpose(1, 0, 2)
+    point = one_f & (one_g | ~act).all(axis=1)
+
+    def sets(i, s):  # function i's masked (sub, sup) slopes in scenario s
+        (hypo, hyper), (sub, sup, *_n) = fn[i]
+        return hypo[s, sub[s], 1:], hyper[s, sup[s], 1:]
 
     # point scenarios: V_s = Pf[s], R_s the rows Pg[s, i] of the active g_i
     ps, (rs, ri) = np.flatnonzero(point), np.nonzero(act & point[:, None])
@@ -196,8 +204,8 @@ def check_optimality(prob: TwoStageProblem, c: float, z: Point) -> Certificate:
     checked, exhaustive = ps.shape[0], True
     for s in np.flatnonzero(~point).tolist():
         ia = np.flatnonzero(act[s])
-        gsets = [gm[i].sets(s) for i in ia.tolist()]
-        Vs, Rs, chk, exh = _worst_selection(d, mf.sets(s), gsets)
+        gsets = [sets(1 + i, s) for i in ia.tolist()]
+        Vs, Rs, chk, exh = _worst_selection(d, sets(0, s), gsets)
         rows.append((Vs, np.full(Vs.shape[0], s), Rs, np.full(Rs.shape[0], s),
                      np.repeat(ia, [sub.shape[0] for sub, _sup in gsets])))
         checked += chk
@@ -209,8 +217,7 @@ def check_optimality(prob: TwoStageProblem, c: float, z: Point) -> Certificate:
 
     # nu's embedding with the constraint rows as rays: the point's x-part is
     # E[zeta] + n, n in N_A(x), and its y-part the sqrt(p_s) u_s,y
-    Vj, Rj, _scale = joint_rows(prob.scenarios.probs, d, prob.A.normal_rays(z.x, ACT_TOL),
-                                V, sv, R, sr)
+    Vj, Rj = joint_rows(prob.scenarios.probs, d, prob.A.normal_rays(z.x, ACT_TOL), V, sv, R, sr)
     q, t, mu = _least_norm(Vj, Rj, np.bincount(sv, minlength=S).tolist(), shared=d)
     mu = mu[:R.shape[0]]
     lambdas = np.zeros((S, ell))

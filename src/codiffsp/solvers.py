@@ -41,9 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codiff import TOL_ZERO
+from .codiff import TOL_ZERO, _masked_rows
 from .errors import NonFinite, NotDC, ValidationError, VertexCapExceeded
-from .expectation import ACT_TOL, BlockCodiff, _expansion, _expected, _integrand_codiff, expect
+from .expectation import ACT_TOL, BlockCodiff, _expected, _integrand_codiff, expect
 from .expr import Expr, dc_parts, evaluate_batch, is_convex_struct
 from .model import FEAS_TOL, Point, TwoStageProblem, check_c, check_int, is_feasible
 from .optimality import _inf_stationarity
@@ -65,6 +65,7 @@ ARMIJO_SIGMA = 1e-4
 ARMIJO_HALVINGS = 50
 ARMIJO_ROUND = 1e-14
 _TS = 0.5 ** np.arange(ARMIJO_HALVINGS)  # the Armijo steps t = 2^-k
+_ARMIJO_LINE = -ARMIJO_SIGMA * _TS  # the Armijo test's line at every t, per unit nu^2
 
 
 @dataclass(frozen=True)
@@ -158,12 +159,27 @@ def _model_start(bc: BlockCodiff, q: np.ndarray, nu: float) -> int:
     The model is the expansion of bc with every vertex, offsets included
     (I_expansion's, at every t at once; a tilt is already in bc's slopes):
     it holds across the kinks that a step crosses, where the eps-active
-    slice that chose q does not.  It ignores the projection onto A."""
-    # row s: scenario s's direction -(q_x, q_ys), scaled by every t
-    h = -np.concatenate((np.broadcast_to(q[:bc.d], (bc.S, bc.d)), q[bc.d:].reshape(bc.S, bc.m)), 1)
-    model = _expansion(bc, _TS[:, None] * h[:, None])
-    passing = np.flatnonzero(model <= -ARMIJO_SIGMA * _TS * nu * nu)
+    slice that chose q does not.  It ignores the projection onto A.  It
+    reads bc.arrays: each vertex's slope along q is taken once, an (S, k)
+    product, and scaled by every t, exactly, since t is a power of two."""
+    (H, G), S = bc.arrays, bc.S
+    # row s: scenario s's (q_x, q_ys); the model's direction is its negative
+    h = np.empty((S, H.shape[2] - 1, 1))
+    h[:, :bc.d, 0], h[:, bc.d:, 0] = q[:bc.d], q[bc.d:].reshape(S, -1)
+    up = (H[:, :, :1] - np.matmul(H[:, :, 1:], h) * _TS).max(axis=1)
+    dn = (G[:, :, :1] - np.matmul(G[:, :, 1:], h) * _TS).min(axis=1)
+    # + 0.0 as I_expansion's: an all -0.0 sum reads +0.0
+    model = np.cumsum(bc.probs[:, None] * (up + dn), axis=0)[-1] + 0.0
+    passing = np.flatnonzero(model <= _ARMIJO_LINE * nu * nu)
     return int(passing[0]) if passing.size else 0
+
+
+def _mean_slopes(bc: BlockCodiff) -> np.ndarray:
+    """DCA's tilt from the minus part's bc: row s the mean of scenario s's
+    zero-offset hypo slopes, summed in row order."""
+    H, G = bc.arrays
+    sub, _sup, n_sub, _n_sup = _masked_rows(H, G, TOL_ZERO)
+    return np.add.reduceat(H[sub, 1:], np.cumsum(n_sub) - n_sub) / n_sub[:, None]
 
 
 def _value(prob: TwoStageProblem, integrand: Expr, z: Point, tilt: np.ndarray | None):
@@ -319,9 +335,7 @@ def dca_solve(
         val = Phi_c(prob, spec, z)
         steps = [(z, val, 0.0)]
         for k in range(1, opts.max_iter + 1):
-            # row s: the mean zero-offset subgradient of minus in scenario s
-            mk = _integrand_codiff(prob, dec.minus, z).masked(TOL_ZERO)
-            tilt = np.add.reduceat(mk.sub, mk.sub_at[:-1]) / np.diff(mk.sub_at)[:, None]
+            tilt = _mean_slopes(_integrand_codiff(prob, dec.minus, z))
             z_new = convex_subsolve(prob, dec.plus, tilt, z)
             v_new = Phi_c(prob, spec, z_new)
             moved = v_new < val

@@ -1,6 +1,7 @@
 """Expectation functional over finite scenario spaces."""
 
 import dataclasses
+import itertools
 import warnings
 
 import numpy as np
@@ -29,6 +30,7 @@ from codiffsp import (
     generate,
     I_dirderiv,
     I_expansion,
+    minimum,
     Phi_c,
     penalty_codiff,
     quad,
@@ -36,13 +38,15 @@ from codiffsp import (
     scale,
 )
 from codiffsp import _minnorm
-from codiffsp._minnorm import SEGMENT_MIN_BLOCKS, _least_norm, _segments_least_norm
+from codiffsp._minnorm import SEGMENT_MIN_BLOCKS, _least_norm, _segments_least_norm, inside
 from codiffsp.codiff import _vertex_blocks
-from codiffsp.expectation import ACT_TOL, ENUM_CAP, _integrand_codiff, expect, max_over_selections
+from codiffsp.expectation import (
+    ACT_TOL, ENUM_CAP, _integrand_codiff, expect, joint_rows, max_over_selections,
+)
 from codiffsp.model import ROWS_MIN_S
 from codiffsp.optimality import check_optimality, inf_stationarity_measure
 from codiffsp.penalty import PenaltySpec, penalty_integrand, phi_l1
-from codiffsp.solvers import SolveOpts, codiff_descent, dca_solve
+from codiffsp.solvers import SolveOpts, _model_start, codiff_descent, dca_solve
 
 from conftest import boundary_point, concave_kinks, one_sided_richardson, ragged_case, rebind
 
@@ -277,13 +281,16 @@ def _dirderiv_loop(prob, z, hx, hy):
 
 
 def test_dirderiv_reads_the_masked_sets_bit_for_bit():
-    # on one rows-pass block (a generated witness, and concave kinks with
-    # two zero-offset hyper vertices per scenario) and on one block per
+    # on one rows-pass block (a generated witness, generated witnesses and
+    # boundary points at S = 3 and 100, and concave kinks with two
+    # zero-offset hyper vertices per scenario) and on one block per
     # scenario (the ragged case, on convex and concave kinks)
     rng = np.random.default_rng(5)
     g = generate(31, d=2, m=2, S=4, l=1, dc=True)
     kinks = concave_kinks(3)
-    for p, z in ((g, g.witness), (kinks, kinks.witness), ragged_case()):
+    wide = [generate(1000, d=2, m=2, S=S, l=2, dc=True) for S in (3, 100)]
+    cases = [(g, g.witness), (kinks, kinks.witness), ragged_case()]
+    for p, z in cases + [(w, z) for w in wide for z in (w.witness, boundary_point(w, 1000))]:
         for _ in range(20):
             hx, hy = rng.normal(size=p.d), rng.normal(size=(p.S, p.m))
             assert I_dirderiv(p, z, hx, hy).hex() == _dirderiv_loop(p, z, hx, hy).hex()
@@ -475,6 +482,89 @@ def test_greedy_selection_never_below_its_start():
         value, choice, exhaustive, checked = max_over_selections(sups, score)
         assert not exhaustive and calls[0] == start and checked == len(calls)
         assert value == values[choice] >= values[start]
+
+
+def _nu_by_selection(bc, A, x, eps):
+    """[(nu, q)] for every selection of zero-offset hyper vertices, in
+    product order: the scenario pairs' quasidiff(., eps) sets, embedded by
+    joint_rows, one _least_norm each, q then in the L2(P) coordinates."""
+    sets = [quasidiff(cd, eps) for cd in bc.per_scenario]
+    sub = np.vstack([qd.sub for qd in sets])
+    sv = np.repeat(np.arange(bc.S), [qd.sub.shape[0] for qd in sets])
+    normals, out = A.normal_rays(x, eps), []
+    for choice in itertools.product(*[range(qd.sup.shape[0]) for qd in sets]):
+        V = sub + np.array([qd.sup[c] for qd, c in zip(sets, choice)])[sv]
+        Vj, Rj = joint_rows(bc.probs, bc.d, normals, V, sv, V[:0], sv[:0])
+        q = _least_norm(Vj, Rj, np.bincount(sv).tolist(), shared=bc.d)[0]
+        if inside(q, np.vstack((Vj, Rj))):
+            q = np.zeros(q.shape[0])
+        nu = float(np.linalg.norm(q))
+        q[bc.d:] /= np.repeat(np.sqrt(bc.probs), bc.m)
+        out.append((nu, q))
+    return out
+
+
+def _min_of_two_pieces(S):
+    """(problem, point): f = (x^2 + y^2)/2 + min(y - theta, theta - y), with
+    theta_s = 0 on the even scenarios, whose two pieces tie at y_s = 0 (two
+    zero-offset hyper vertices), and 1 on the odd ones."""
+    dims = Space(d=1, m=1, q=1).dims
+    f = add(quad(dims, np.eye(2), psd=True),
+            minimum(affine(dims, cy=[1.0], ct=[-1.0]), affine(dims, cy=[-1.0], ct=[1.0])))
+    th = (np.arange(S) % 2.0)[:, None]
+    p = TwoStageProblem(d=1, m=1, A=FirstStageSet.box([-5.0], [5.0]), f=f, g=(),
+                        scenarios=ScenarioSpace(probs=np.full(S, 1.0 / S), params=th))
+    return p, Point(x=[0.3], y=np.zeros((S, 1)))
+
+
+@pytest.mark.parametrize("case", ["kinks", "min_pieces", "ragged"])
+def test_nu_is_the_largest_over_the_enumerated_selections(case):
+    # the selection search on the vertex arrays against every selection
+    # scored by the per-scenario pipeline, bit for bit; the ragged case is
+    # the walk path, its one-row blocks padded into one array
+    p, z = {"kinks": lambda: (concave_kinks(3), concave_kinks(3).witness),
+            "min_pieces": lambda: _min_of_two_pieces(3), "ragged": ragged_case}[case]()
+    bc = block_codiff(p, z)
+    for eps in (ACT_TOL, 1e-3, 0.1):
+        ref = _nu_by_selection(bc, p.A, z.x, eps)
+        nu, q, exhaustive = bc.least_norm(p.A, z.x, eps)
+        best = max(ref, key=lambda r: r[0])  # the first largest in product order
+        assert exhaustive and len(ref) == {"kinks": 8, "min_pieces": 4, "ragged": 2}[case]
+        assert (nu.hex(), q.tobytes()) == (best[0].hex(), best[1].tobytes())
+
+
+def test_nu_past_the_cap_is_a_lower_bound():
+    # 2^5 selections: the greedy climb is flagged and never above the largest
+    p, z = concave_kinks(5), concave_kinks(5).witness
+    bc = block_codiff(p, z)
+    nu, _q, exhaustive = bc.least_norm(p.A, z.x, ACT_TOL)
+    assert not exhaustive
+    assert 0.0 < nu <= max(r[0] for r in _nu_by_selection(bc, p.A, z.x, ACT_TOL))
+
+
+def _one_row_blocks(bc):
+    """bc with its plan block split into one-row blocks, the walk path's shape."""
+    ((_rows, H, G, v),) = bc.blocks
+    rows = tuple((slice(r, r + 1), H[r:r + 1], G[r:r + 1], v[r:r + 1]) for r in range(bc.S))
+    return dataclasses.replace(bc, blocks=rows)
+
+
+@pytest.mark.parametrize("seed", range(1000, 1012))
+def test_plan_and_walk_layouts_agree_bit_for_bit(seed):
+    # one rows pass's block and the same rows as one-row blocks: nu, q and
+    # the exhaustive flag, and the model step that q starts the search at
+    p = generate(seed, d=2, m=2, S=3, l=2, dc=True)
+    rng = np.random.default_rng(seed)
+    z_off = Point(x=p.A.project(p.witness.x + 0.3 * rng.normal(size=2)),
+                  y=p.witness.y + 0.5 * rng.normal(size=(3, 2)))
+    for z in (p.witness, z_off):
+        plan = penalty_codiff(p, PenaltySpec("l1_max", 10.0), z)
+        walk = _one_row_blocks(plan)
+        for eps in (ACT_TOL, 1e-3, 0.1):
+            nu, q, exhaustive = plan.least_norm(p.A, z.x, eps)
+            nu_w, q_w, exhaustive_w = walk.least_norm(p.A, z.x, eps)
+            assert (nu.hex(), q.tobytes(), exhaustive) == (nu_w.hex(), q_w.tobytes(), exhaustive_w)
+            assert _model_start(plan, q, nu) == _model_start(walk, q, nu)
 
 
 def _kinks_six(seed, S=6):

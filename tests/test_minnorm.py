@@ -14,7 +14,7 @@ from codiffsp import (
     inf_stationarity_measure, min_norm_point,
 )
 from codiffsp._minnorm import (
-    PRODUCT_CAP, SEGMENT_MIN_BLOCKS, _first_columns, _least_norm, _segments_least_norm, inside,
+    PRODUCT_CAP, SEGMENT_MIN_BLOCKS, _first_columns, _least_norm, _segments_least_norm, _split, inside,
 )
 
 
@@ -204,13 +204,18 @@ def _layout_case(rng, sizes, rays, ints=None):
     return blocks, R, d, scale
 
 
+def _segments(V, R, sizes, d):
+    """The segment path on the parts of rows V and rays R in nu's layout."""
+    return _segments_least_norm(*_split(V, R, tuple(sizes), d), tuple(sizes))
+
+
 def _segment_solve(d, ran):
     """A _least_norm that takes the segment path at any block count, NNLS
     where it falls back; ran gets (served, flat) per call, flat when some
     segment has no private part (dy = 0), the one fallback the cases here
     excuse."""
     def solve(V, R, sizes):
-        out = _segments_least_norm(V, R, tuple(sizes), d)
+        out = _segments(V, R, sizes, d)
         at = np.cumsum(sizes) - np.array(sizes)
         a = at[np.array(sizes) == 2]
         ran.append((out is not None, bool((V[a, d:] == V[a + 1, d:]).all(axis=1).any())))
@@ -295,9 +300,9 @@ def test_segment_path_does_not_depend_on_units():
         sizes = [int(k) for k in rng.choice([1, 2, 2], size=40)]
         blocks, R, d, scale = _layout_case(rng, sizes, 2, ints=False)
         V = np.vstack(blocks) / scale
-        q, t, mu = _segments_least_norm(V, R, tuple(sizes), d)
+        q, t, mu = _segments(V, R, sizes, d)
         for unit in (1e-4, 1e4):
-            qu, tu, muu = _segments_least_norm(unit * V, R, tuple(sizes), d)
+            qu, tu, muu = _segments(unit * V, R, sizes, d)
             assert np.abs(qu / unit - q).max() <= 1e-12 * np.abs(V).max()
             assert np.abs(tu - t).max() <= 1e-9 and np.allclose(muu / unit, mu, atol=1e-9)
 
@@ -311,7 +316,7 @@ def test_segment_with_no_private_part_falls_back():
         b = int(rng.integers(SEGMENT_MIN_BLOCKS))
         blocks[b][1, d:] = blocks[b][0, d:]
         V, sizes = np.vstack(blocks), [2] * SEGMENT_MIN_BLOCKS + [1]
-        assert _segments_least_norm(V, R, tuple(sizes), d) is None
+        assert _segments(V, R, sizes, d) is None
         got, want = _least_norm(V, R, sizes, shared=d), _least_norm(V, R, sizes)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 

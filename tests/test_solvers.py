@@ -579,8 +579,7 @@ def test_subsolve_takes_each_codifferential_from_its_trial(monkeypatch):
     # one pass at the start and one per Armijo trial, and no value pass
     p = generate(1000, d=2, m=2, S=3, l=2, dc=True)
     dec = dc_decompose(p, 10.0)
-    mk = sv._integrand_codiff(p, dec.minus, p.witness).masked(sv.TOL_ZERO)
-    tilt = np.add.reduceat(mk.sub, mk.sub_at[:-1]) / np.diff(mk.sub_at)[:, None]
+    tilt = sv._mean_slopes(sv._integrand_codiff(p, dec.minus, p.witness))
     passes = _count_calls(monkeypatch, "_vertex_blocks", sys.modules["codiffsp.expectation"])
     values = _count_calls(monkeypatch, "expect")
     trials = _armijo_trials(monkeypatch)
