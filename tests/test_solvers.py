@@ -27,7 +27,7 @@ from codiffsp import (
     quad,
     scale,
 )
-from codiffsp.codiff import codiff_rows
+from codiffsp.codiff import codiff_rows, quasidiff
 from codiffsp.expr import dc_parts
 from codiffsp.optimality import check_optimality
 import codiffsp.solvers as sv
@@ -39,7 +39,7 @@ from codiffsp.solvers import (
     dca_solve,
 )
 
-from conftest import abs_free_1d, concave_kinks, coupled_1d, one_scenario, smooth_free_1d
+from conftest import abs_free_1d, concave_kinks, coupled_1d, one_scenario, ragged_case, smooth_free_1d
 
 DIMS = Space(d=1, m=1, q=0).dims
 
@@ -533,6 +533,27 @@ def test_model_start_is_exact_with_tilt(monkeypatch, slope, x0):
     z = convex_subsolve(p, p.f, np.array([[slope, 0.0]]), Point(x=[x0], y=[[0.0]]))
     assert abs(z.x[0]) <= 1e-6
     assert len(trials) > 5 and set(trials) == {1}
+
+
+def test_walk_blocks_pad_into_the_model_as_absent_vertices():
+    # an integrand without a plan has one block per scenario, of unequal
+    # counts, padded into one array: the padding rows change no model step
+    # (rows repeating a real vertex in their place give the same k0), and
+    # DCA's tilt is each scenario's mean zero-offset hypo slope
+    p, z = ragged_case()
+    bc = sv._integrand_codiff(p, sv.penalty_integrand(p, 10.0), z)
+    H, G = bc.arrays
+    assert len(bc.blocks) == p.S and np.isinf(H[:, :, 0]).any()
+    same = sv.BlockCodiff(blocks=bc.blocks, probs=bc.probs, d=bc.d, m=bc.m)
+    same.__dict__["arrays"] = tuple(np.where(np.isinf(A[:, :, :1]), A[:, :1], A) for A in (H, G))
+    for eps in (sv.ACT_TOL, 1e-3, 0.1):
+        nu, q, _exhaustive = bc.least_norm(p.A, z.x, eps)
+        assert nu > 0.0
+        for t in (1.0, 1e-3):
+            assert sv._model_start(bc, t * q, nu) == sv._model_start(same, t * q, nu)
+    want = [np.add.reduceat(qd.sub, [0])[0] / qd.sub.shape[0]
+            for qd in map(quasidiff, bc.per_scenario)]
+    assert sv._mean_slopes(bc).tobytes() == np.array(want).tobytes()
 
 
 def test_searches_start_at_the_model_step(monkeypatch):
