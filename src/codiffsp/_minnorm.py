@@ -44,17 +44,18 @@ the product path and none the weighted one; in the S = 100 seed-set solves
 1723 of nu's 1843 calls take the weighted path, 93 the product path and 6
 the segment path.  min_norm_point (pruning, nondegeneracy) is one block.
 
-The segment path.  A caller may declare the layout (``shared``): the first
-d coordinates are shared by every block, the rest split into one run per
-block, private to it, as nu's scenario blocks (x, y_s) are.  nu hands
-over only each row's two parts, (x, y_s), and rays in x
-(_layout_least_norm): the segment path reads those, and the dense rows
-are built only for the paths below, which solve on them.  When every
-block has at most two vertices, at least SEGMENT_MIN_BLOCKS have two and
-every ray lies in the shared part (A's normals do; the certificate's
-constraint rows, which carry y-parts, do not), the problem separates but
-for the shared part: with ||u||^2 / 2 = max_lam <lam, u> - ||lam||^2 / 2
-on that part, the weight w_b of segment b, vertices a_b + w_b * delta_b,
+The segment path.  nu and the certificate hand their blocks over in one
+layout (_layout_least_norm): the first d coordinates are shared by every
+block, and each block has a private run of m more, as the scenario blocks
+(x, y_s) are.  They pass only each row's two parts, (x, y_s), with the
+block that owns it, and each ray alike: the certificate's constraint rows
+are owned by their scenario, and A's normals lie in x and have no owner.
+The segment path reads the parts; the dense rows are built only for the
+paths above, which solve on them.  When every block has at most two
+vertices, at least SEGMENT_MIN_BLOCKS have two and no ray has a nonzero
+private part, the problem separates but for the shared part: with
+||u||^2 / 2 = max_lam <lam, u> - ||lam||^2 / 2 on that part, the weight
+w_b of segment b, vertices a_b + w_b * delta_b,
 is the clip to [0, 1] of -(<a_b, delta_b>_private + <lam, delta_b>_shared)
 / ||delta_b||^2 over its private part, affine in lam in R^d (one-vertex
 blocks are not folded); a ray r asks <lam, r> >= 0.  This is the
@@ -124,28 +125,16 @@ def _inside(norm: float, scale: float) -> bool:
 
 
 def _least_norm(
-    V: np.ndarray, R: np.ndarray, sizes: tuple[int, ...] | None = None,
-    shared: int | None = None,
+    V: np.ndarray, R: np.ndarray, sizes: tuple[int, ...] | None = None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Return (q, t, mu): q = V^T t + R^T mu of least norm, t on the simplex
     of every block, mu >= 0.  V is (k, n) float64 with k >= 1, its rows split
     into consecutive blocks of the given sizes (default: one block); R is
     (r, n), r >= 0.  One-vertex blocks are folded into the others first;
     blocks of several vertices take the product path up to PRODUCT_CAP
-    columns, the weighted solve past it.
-
-    ``shared`` declares the layout: the first ``shared`` coordinates are
-    shared by every block, and the other n - shared split into one equal
-    run per block, in block order, private to it (zero in every other
-    block's rows).  With it, SEGMENT_MIN_BLOCKS or more blocks of two
-    vertices, none of three or more and rays that are zero past the shared
-    part take the segment path."""
+    columns, the weighted solve past it."""
     k = V.shape[0]
     sizes = (k,) if sizes is None else tuple(sizes)
-    if shared is not None and _segment_ready(sizes) and not R[:, shared:].any():
-        out = _segments_least_norm(*_split(V, R, sizes, shared), sizes)
-        if out is not None:
-            return out
     multi = [b for b in sizes if b > 1]
     weighted = len(multi) > 1 and math.prod(multi) > PRODUCT_CAP
     # one block is solved as given: the fold's sum would turn its -0.0 into 0.0
@@ -179,46 +168,41 @@ def _segment_ready(sizes: tuple[int, ...]) -> bool:
     return sizes.count(2) >= SEGMENT_MIN_BLOCKS and max(sizes) == 2
 
 
-def _split(V: np.ndarray, R: np.ndarray, sizes: tuple[int, ...], shared: int):
-    """(W, R_x): the parts of rows V and rays R in the declared layout, as
-    _layout_least_norm takes them; R must be zero past the shared part."""
-    k, B = V.shape[0], len(sizes)
-    owner = np.repeat(np.arange(B), sizes)
-    Y = V[:, shared:].reshape(k, B, -1)[np.arange(k), owner]
-    return np.concatenate((V[:, :shared], Y), axis=1), R[:, :shared]
-
-
-def _layout_least_norm(W: np.ndarray, R: np.ndarray, sizes: tuple[int, ...],
-                       owner: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """_least_norm(V, R', sizes, shared=d) in the declared layout, given
-    by its parts: row j of W (k, d + m) holds row j of V's shared part, d =
-    R.shape[1], then the private run of its block owner[j]; R (r, d) holds
-    the rays, all in the shared part.  The segment path reads the parts;
-    the dense rows V (k, d + B m) and rays R' are built only for the paths
-    that solve on them."""
+def _layout_least_norm(P: np.ndarray, owner: np.ndarray, sizes: tuple[int, ...],
+                       normals: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_least_norm over blocks in the declared layout, given by their parts:
+    the first d = normals.shape[1] coordinates are shared by every block and
+    each block has its own private run of m more.  Row j of P (k + r, d + m)
+    holds a shared part, then its private run in block owner[j]: the first
+    k = sum(sizes) rows are the blocks' vertices, the other r are rays.
+    normals (r0, d) are rays in the shared part alone, of no block; mu lists
+    P's rays, then the normals.  Without a ray that has a private part, and
+    with SEGMENT_MIN_BLOCKS or more blocks of two vertices and none of three
+    or more, the segment path solves on the parts; else the dense rows
+    (k + r, d + B m) are built, rows then rays, for the paths that solve on
+    them.  q is in the dense coordinates."""
     sizes = tuple(sizes)
-    if _segment_ready(sizes):
-        out = _segments_least_norm(W, R, sizes)
+    d, k, n = normals.shape[1], sum(sizes), P.shape[0]
+    if _segment_ready(sizes) and not P[k:, d:].any():
+        out = _segments_least_norm(P[:k], np.concatenate((P[k:, :d], normals)), sizes)
         if out is not None:
             return out
-    (k, n), d, B = W.shape, R.shape[1], len(sizes)
-    V = np.zeros((k, d + B * (n - d)))
-    V[:, :d] = W[:, :d]
-    V[:, d:].reshape(k, B, -1)[np.arange(k), owner] = W[:, d:]
-    Rj = np.zeros((R.shape[0], V.shape[1]))
-    Rj[:, :d] = R
-    return _least_norm(V, Rj, sizes)
+    B, m = len(sizes), P.shape[1] - d
+    C = np.zeros((n + normals.shape[0], d + B * m))
+    C[:n, :d], C[n:, :d] = P[:, :d], normals
+    C[:n, d:].reshape(n, B, m)[np.arange(n), owner] = P[:, d:]  # a view: row j's block
+    return _least_norm(C[:k], C[k:], sizes)
 
 
 def _segments_least_norm(
     W: np.ndarray, R: np.ndarray, sizes: tuple[int, ...]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """The segment path of _least_norm (see the module docstring) on the
-    layout's parts W and R, as _layout_least_norm takes them, or None where
-    it falls back: a segment with no private part, no settling within
-    SEGMENT_ITERS steps, a singular system or a failed KKT check.  q is
-    returned in the dense coordinates: the shared part, then each block's
-    private run."""
+    """The segment path (see the module docstring) on the layout's parts W
+    and the rays R (r, d) in the shared part, as _layout_least_norm hands
+    them over, or None where it falls back: a segment with no private part,
+    no settling within SEGMENT_ITERS steps, a singular system or a failed
+    KKT check.  q is returned in the dense coordinates: the shared part,
+    then each block's private run."""
     k, d = W.shape[0], R.shape[1]
     X, Y = W[:, :d], W[:, d:]
     sz = np.array(sizes)

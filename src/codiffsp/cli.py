@@ -182,15 +182,10 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
-    from . import penalty
-    from ._minnorm import (
-        _blocks_least_norm, _least_norm, _segments_least_norm, _split, min_norm_point,
+    from . import (
+        FirstStageSet, ScenarioSpace, Space, TwoStageProblem, absolute, add, affine, dc,
+        min_norm_point, quad,
     )
-    from .codiff import _walk, codiff, codiff_rows
-    from .expr import ROWS_MIN_S
-    from .expr import Space, absolute, add, affine, dc, evaluate, evaluate_batch, maximum, quad
-    from .model import FirstStageSet, ScenarioSpace, TwoStageProblem
-    from .penalty import penalty_integrand
 
     failures = []
 
@@ -203,36 +198,6 @@ def _cmd_selftest(args) -> int:
     def t_minnorm():
         q, _ = min_norm_point(np.array([[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0]]))
         assert np.linalg.norm(q) <= 1e-9
-
-    def nu_layout(rng, sizes, d=2, m=2):
-        # rows in nu's layout: d shared coordinates, then m private to each
-        # block, weighted as at p = 1 / B
-        B, owner = len(sizes), np.repeat(np.arange(len(sizes)), sizes)
-        V = np.zeros((owner.size, d + B * m))
-        V[:, :d] = rng.normal(size=(owner.size, d)) / B
-        V[:, d:].reshape(-1, B, m)[np.arange(owner.size), owner] = (
-            rng.normal(size=(owner.size, m)) / np.sqrt(B))
-        return V
-
-    def t_segments():
-        # the segment path against the NNLS kernel on 40 seeded blocks of two
-        sizes = (2,) * 40
-        V = nu_layout(np.random.default_rng(40), sizes)
-        out = _segments_least_norm(*_split(V, V[:0], sizes, 2), sizes)
-        assert out is not None, "the segment path fell back"
-        want = _least_norm(V, V[:0], sizes)[0]
-        gap = abs(float(np.linalg.norm(out[0]) - np.linalg.norm(want)))
-        assert gap <= 1e-12 * float(np.abs(V).max()), f"|q| differs from NNLS's by {gap:.3g}"
-
-    def t_product():
-        # the product path against the weighted solve on blocks of 1, 2, 2
-        # (seed 31: both segments' weights lie inside (0, 1))
-        sizes = (1, 2, 2)
-        V = nu_layout(np.random.default_rng(31), sizes)
-        got = _least_norm(V, V[:0], sizes, shared=2)[0]
-        want = _blocks_least_norm(V, V[:0], sizes)[0]
-        gap = abs(float(np.linalg.norm(got) - np.linalg.norm(want)))
-        assert gap <= 1e-12 * float(np.abs(V).max()), f"|q| differs from the weighted solve's by {gap:.3g}"
 
     def t_generate_roundtrip():
         prob = generate(3, d=2, m=2, S=3, l=2)
@@ -255,49 +220,6 @@ def _cmd_selftest(args) -> int:
         prob = generate(5, d=2, m=2, S=2, l=1, dc=False, smooth=True)
         rep = codiff_descent(prob, 10.0, prob.witness)
         assert rep.status == "converged"
-
-    def t_rows_pass():
-        # one rows pass over the scenarios has the bits of codiff at each,
-        # and its compiled plan agrees with the rules walked on each row's
-        # numbers: the same vertices, entries within 1e-13 of the largest
-        prob = generate(11, d=2, m=2, S=5, l=2)
-        f = penalty_integrand(prob, 10.0)
-        x, th = prob.witness.x, prob.scenarios.params
-        y_out = prob.witness.y + 3.0 * np.random.default_rng(11).normal(size=prob.witness.y.shape)
-        assert f._plan is not None, "the penalized integrand has no plan"
-        for y in (prob.witness.y, y_out):
-            rows = codiff_rows(f, np.broadcast_to(x, (prob.S, prob.d)), y, th)
-            for s, cd in enumerate(rows):
-                one = codiff(f, x, y[s], th[s])
-                assert cd.hypo.tobytes() == one.hypo.tobytes(), f"hypo differs in scenario {s}"
-                assert cd.hyper.tobytes() == one.hyper.tobytes(), f"hyper differs in scenario {s}"
-                for got, (want,) in zip((cd.hypo, cd.hyper), _walk(f, x, y[s], th[s])):
-                    assert got.shape == want.shape, f"vertex counts differ in scenario {s}"
-                    gap = float(np.abs(got - want).max())
-                    assert gap <= 1e-13 * float(np.abs(want).max()), (
-                        f"plan and walk differ by {gap:.3g} in scenario {s}")
-
-    def t_values():
-        # evaluate (the float variant of the compiled value functions) and
-        # evaluate_batch (the column variant from ROWS_MIN_S rows on) agree
-        # bit for bit on 4 * ROWS_MIN_S rows: the penalized integrand near the
-        # witness, and a max whose two branches tie at 0.0 and -0.0 either way
-        n = 4 * ROWS_MIN_S
-        prob = generate(11, d=2, m=2, S=5, l=2)
-        rng = np.random.default_rng(16)
-        X = prob.witness.x + 0.5 * rng.normal(size=(n, prob.d))
-        Y = np.vstack((prob.witness.y, rng.normal(size=(n - prob.S, prob.m))))
-        TH = prob.scenarios.params[np.arange(n) % prob.S]
-        sp = Space(d=1, m=1, q=2)
-        tie = maximum(affine(sp.dims, -0.0, ct=[1.0, 0.0]), affine(sp.dims, -0.0, ct=[0.0, -1.0]))
-        zeros = np.zeros((n, 1))
-        signs = np.array([[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]] * ROWS_MIN_S)
-        for f, rows in ((penalty_integrand(prob, 10.0), (X, Y, TH)), (tie, (zeros, zeros, signs))):
-            batch = evaluate_batch(f, *rows)
-            one = np.array([evaluate(f, *row) for row in zip(*rows)])
-            assert batch.tobytes() == one.tobytes(), "evaluate_batch and evaluate differ"
-        assert np.signbit(batch).tolist() == [False, True, False, True] * ROWS_MIN_S, (
-            "a signed zero moved")
 
     dims = Space(d=1, m=1, q=0).dims
 
@@ -328,31 +250,13 @@ def _cmd_selftest(args) -> int:
         assert nu <= -1.0 and cert.residual_stationarity >= 1.0, (
             f"nu {nu:.3g}, stationarity residual {cert.residual_stationarity:.3g}")
 
-    def t_nondeg():
-        # a seeded report keeps its bits at a block of 7 samples
-        prob = generate(1004, d=2, m=2, S=3, l=2, dc=True)
-        want, block = check_nondegeneracy(prob, samples=60, seed=4), penalty.NONDEG_BLOCK
-        try:
-            penalty.NONDEG_BLOCK = 7
-            got = check_nondegeneracy(prob, samples=60, seed=4)
-        finally:
-            penalty.NONDEG_BLOCK = block
-        a, b = ((r.sampled_points, r.min_hull_distance.hex(), r.witness_x.tobytes(),
-                 r.witness_y.tobytes(), r.witness_scenario) for r in (want, got))
-        assert math.isfinite(want.min_hull_distance) and a == b, "moved or not finite"
-
     checks = [
         ("min_norm_point", t_minnorm),
-        ("segments", t_segments),
-        ("product", t_product),
         ("generate_roundtrip", t_generate_roundtrip),
         ("solve_and_certify", t_solve_and_certify),
         ("codiff_descent", t_descent),
-        ("codiff_rows", t_rows_pass),
-        ("values", t_values),
         ("escalation", t_escalation),
         ("selections", t_selections),
-        ("nondeg", t_nondeg),
     ]
     for name, fn in checks:
         check(name, fn)

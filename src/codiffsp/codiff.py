@@ -35,9 +35,10 @@ TH[r]), checked and shaped by ``expr._rows``, by that plan in three steps:
      BLAS threading, and a coefficient 0 never meets an inf.
 
 Every vertex set is an (N, k, 1+n) array, in the vertex order of the rules
-(a Minkowski sum lists A's index outer).  ``_vertex_blocks`` hands out
-these arrays before any CodiffPair is built, for callers that read slices
-of them or shift them first.  ``codiff`` is the one-row call of the same
+(a Minkowski sum lists A's index outer).  A rows pass (``_vertex_blocks``)
+hands out one triple, the hypo and hyper arrays and the (N,) values,
+before any CodiffPair is built, for callers that read slices of them or
+shift them first.  ``codiff`` is the one-row call of the same
 plan, so every row of a rows pass has the bits of ``codiff`` at that
 point.  Values and single-gap offsets have ``evaluate``'s bits: a gap is
 the difference of two values ``evaluate`` returns, and an offset is that
@@ -50,7 +51,16 @@ rules exceeds min(AUTO_PRUNE_AT, MAX_VERTICES), above which a point may
 prune or raise, and where it declares no dims.  Its rows go one at a time
 through ``_walk``, the rules on one point's numbers, which prune past
 AUTO_PRUNE_AT and raise VertexCapExceeded past MAX_VERTICES; ``codiff``
-takes the same path there.
+takes the same path there.  The rows pass pads the walk's rows into the
+same triple: a row of fewer vertices than the most gets rows of zero
+slope and offset -inf (hypo) or +inf (hyper), which no mask keeps and no
+max or min takes, and ``codiff_rows`` drops them again.
+
+Non-finite numbers have one rule on both paths.  A row of finite inputs
+whose vertices or value are not finite overflowed: NonFinite names it.
+A row of non-finite inputs whose vertices are not finite has no
+consistent codifferential: ZERO_AT_ZERO.  The pads are then the only
+non-finite vertex entries a rows pass returns.
 
 Quasidifferentials are the zero-offset slices of a codifferential and
 represent the directional derivative as max plus min of linear forms;
@@ -270,7 +280,7 @@ def _walk(expr: Expr, x: np.ndarray, y: np.ndarray, th: np.ndarray):
     refused past MAX_VERTICES as _manage says, and the (1,) value.  The path
     of an expression without a plan."""
     z = np.concatenate((x, y))
-    if not (np.isfinite(z).all() and np.isfinite(th).all()):  # the plan path's answer
+    if not (np.isfinite(z).all() and np.isfinite(th).all()):  # _vertex_blocks' rule, up front
         raise CodiffspError("ZERO_AT_ZERO", "non-finite input: codifferential is inconsistent")
     vals = node_values(expr, z.tolist() + th.tolist())
     tape = expr._tape
@@ -444,45 +454,53 @@ def codiff_rows(expr: Expr, X, Y, TH) -> list[CodiffPair]:
     space of dimension d + m, row r with the fixed parameter TH[r], for any
     blocks that expr._rows accepts.  Row r has the bits of
     codiff(expr, X[r], Y[r], TH[r])."""
-    return _codiff_pairs(_vertex_blocks(expr, X, Y, TH))
+    return _codiff_pairs(*_vertex_blocks(expr, X, Y, TH)[:2])
 
 
-def _vertex_blocks(expr: Expr, X, Y, TH) -> list[tuple[slice, np.ndarray, np.ndarray, np.ndarray]]:
-    """The vertex arrays at the N rows of (X, Y, TH), shaped as in
-    codiff_rows: [(rows, hypo, hyper, values)], one block over all N rows by
-    the expression's plan or, where it has none, one block per row by the
-    walk, each pruned as _manage prunes it.  rows is the slice of the rows a
-    block covers; hypo and hyper are its (len, k1, 1+n) and (len, k2, 1+n)
-    vertex arrays and values the DAG's (len,) values at its rows, with
-    evaluate's bits.  The blocks are checked and shaped by expr._rows.
-
-    Both paths run with overflow and invalid operations silenced (raising
-    cost 15 us on a 73 us pass at N = 3), and the outputs are tested once:
-    a row of finite inputs that holds an inf or a NaN overflowed, and
-    NonFinite names the first.  A non-finite input is ZERO_AT_ZERO: the
-    plan path leaves it to the offset checks, and _walk raises it."""
+def _vertex_blocks(expr: Expr, X, Y, TH) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(hypo, hyper, values) at the N rows of (X, Y, TH), checked and shaped
+    by expr._rows: the (N, k1, 1+n) and (N, k2, 1+n) vertex arrays and the
+    DAG's (N,) values, with evaluate's bits, by the expression's plan in one
+    pass or, where it has none, by the walk on each row, pruned as _manage
+    prunes and padded as the module docstring says.  Both paths run with
+    overflow and invalid operations silenced (raising cost 15 us on a 73 us
+    pass at N = 3), and every row's output is tested once, by the module
+    docstring's rule for non-finite numbers.  The walk refuses a non-finite
+    row before its rules run, since pruning cannot measure its vertices."""
     X, Y, TH = _rows(expr, X, Y, TH)
-    N = Y.shape[0]
-    if N == 0:
-        return []
     plan = expr._plan
     with np.errstate(over="ignore", invalid="ignore"):
         if plan is not None and plan.peak <= min(AUTO_PRUNE_AT, MAX_VERTICES):
-            blocks = [(slice(0, N), *_plan_pass(expr, plan, X, Y, TH))]
-        else:
-            blocks = [(slice(r, r + 1), *_walk(expr, X if X.ndim == 1 else X[r], Y[r],
-                                               TH if TH.ndim == 1 else TH[r]))
-                      for r in range(N)]
-    for rows, H, G, v in blocks:
-        # counting finite entries is the cheap test; the rows are found on failure
-        if (np.count_nonzero(np.isfinite(H)) + np.count_nonzero(np.isfinite(G))
-                + np.count_nonzero(np.isfinite(v)) < H.size + G.size + v.size):
-            ok = np.isfinite(v) & np.isfinite(H).all(axis=(1, 2)) & np.isfinite(G).all(axis=(1, 2))
-            finite_in = (np.isfinite(Y).all(axis=1) & np.isfinite(X).all(axis=-1)
-                         & np.isfinite(TH).all(axis=-1))[rows]
-            if (over := np.flatnonzero(~ok & finite_in)).size:
-                raise NonFinite(f"codifferential overflows in scenario {rows.start + int(over[0])}")
-    return blocks
+            return _checked(*_plan_pass(expr, plan, X, Y, TH), X, Y, TH)
+        walked = []
+        for r in range(Y.shape[0]):
+            x, th = (X if X.ndim == 1 else X[r]), (TH if TH.ndim == 1 else TH[r])
+            walked.append(_checked(*_walk(expr, x, Y[r], th), x, Y[r:r + 1], th, r))
+    H, G = (np.zeros((len(walked), max((w[i].shape[1] for w in walked), default=1),
+                      1 + X.shape[-1] + Y.shape[1])) for i in (0, 1))
+    H[:, :, 0], G[:, :, 0] = -np.inf, np.inf
+    for r, (h, g, _v) in enumerate(walked):
+        H[r, :h.shape[1]], G[r, :g.shape[1]] = h[0], g[0]
+    return H, G, np.array([v[0] for *_a, v in walked])
+
+
+def _checked(H: np.ndarray, G: np.ndarray, v: np.ndarray, X: np.ndarray, Y: np.ndarray,
+             TH: np.ndarray, at: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(H, G, v), a rows pass's output over the rows at, at + 1, .. of
+    (X, Y, TH), once it passes the module docstring's rule: NonFinite names
+    the first row of finite inputs that overflowed, and ZERO_AT_ZERO
+    refuses a row of non-finite inputs whose vertices are not finite."""
+    # counting finite entries is the cheap test; the rows are found on failure
+    if (np.count_nonzero(np.isfinite(H)) + np.count_nonzero(np.isfinite(G))
+            + np.count_nonzero(np.isfinite(v)) < H.size + G.size + v.size):
+        ok = np.isfinite(H).all(axis=(1, 2)) & np.isfinite(G).all(axis=(1, 2))
+        finite_in = (np.isfinite(Y).all(axis=1) & np.isfinite(X).all(axis=-1)
+                     & np.isfinite(TH).all(axis=-1))
+        if (over := np.flatnonzero(~(ok & np.isfinite(v)) & finite_in)).size:
+            raise NonFinite(f"codifferential overflows in scenario {at + int(over[0])}")
+        if not ok.all():
+            raise CodiffspError("ZERO_AT_ZERO", "non-finite input: codifferential is inconsistent")
+    return H, G, v
 
 
 def _masked_rows(H: np.ndarray, G: np.ndarray, eps: float = TOL_ZERO):
@@ -509,13 +527,15 @@ def _point_rows(H: np.ndarray, G: np.ndarray, sub, sup, n_sub, n_sup):
     return (n_sub == 1) & (n_sup == 1), P
 
 
-def _codiff_pairs(blocks) -> list[CodiffPair]:
-    """One CodiffPair per row of _vertex_blocks' blocks, in row order."""
-    return [
-        CodiffPair(hypo=hypo, hyper=hyper, dim=H.shape[2] - 1)
-        for _r, H, G, _v in blocks
-        for hypo, hyper in zip(_freeze(H), _freeze(G))
-    ]
+def _codiff_pairs(H: np.ndarray, G: np.ndarray) -> list[CodiffPair]:
+    """One CodiffPair per row of _vertex_blocks' hypo and hyper arrays, in
+    row order, less the walk's pad rows."""
+    if not (np.isfinite(H[:, -1:, 0]).all() and np.isfinite(G[:, -1:, 0]).all()):
+        return [CodiffPair(hypo=_freeze(h[np.isfinite(h[:, 0])]),
+                           hyper=_freeze(g[np.isfinite(g[:, 0])]), dim=H.shape[2] - 1)
+                for h, g in zip(H, G)]
+    return [CodiffPair(hypo=hypo, hyper=hyper, dim=H.shape[2] - 1)
+            for hypo, hyper in zip(_freeze(H), _freeze(G))]
 
 
 def codiff(expr: Expr, x, y=(), theta=()) -> CodiffPair:

@@ -15,10 +15,11 @@ us at S = 100 (one pass on columns); the gathers and sums are the rest.
 The pass's values carry evaluate's bits, so _expected sums them into
 expect's value: the descent engine (solvers._value) values every point it
 tries, Phi_c's included, by one pass.  A BlockCodiff keeps the pass's
-(S, k, 1+n) vertex arrays less the tilt (BlockCodiff.arrays; where the
-integrand is too large for a plan, the walk's one-row blocks padded into
-that layout), and nu, the step model, DCA's tilt, the certificate and
-I_dirderiv read them and their (S, k) masks (codiff._masked_rows).
+triple, the (S, k, 1+n) vertex arrays H (less the tilt) and G and the
+values (where the integrand is too large for a plan, the walk's rows
+padded into that layout), and nu, the step model, DCA's tilt, the
+certificate and I_dirderiv read them and their (S, k) masks
+(codiff._masked_rows).
 
 The hypodifferential of I is the p-weighted Minkowski sum of the scenario
 hypodifferentials, each embedded in the (x, y_s) block of (x, y_1..y_S):
@@ -26,13 +27,13 @@ p_s on a scenario row's x-part and sqrt(p_s) on its y_s part, then A's
 normals in x.  BlockCodiff.least_norm returns its point of least norm over
 the eps-active vertices plus the normal cone of A: the steepest-descent
 direction and the inf-stationarity measure nu(eps) of the solvers and of
-the certifier.  It hands the min-norm kernel the weighted rows as parts, x
-shared by every scenario and y_s private to scenario s
-(_minnorm._layout_least_norm), so the dense (k, d + S m) embedding is
-built only for the kernel paths that solve on it.
-optimality.check_optimality measures the same sum with the active
-constraints' rows, which carry y-parts, as rays in joint_rows' dense
-embedding.  Every condition holds for all zero-offset superdifferential
+the certifier.  optimality.check_optimality measures the same sum with the
+active constraints' rows as rays, each owned by its scenario.  Both weigh
+their rows by one step (_joint_scale) and hand the min-norm kernel the
+weighted rows and rays as parts, x shared by every scenario and y_s
+private to scenario s (_minnorm._layout_least_norm), so the dense
+(k, d + S m) embedding is built only for the kernel paths that solve on
+it.  Every condition holds for all zero-offset superdifferential
 selections: max_over_selections is the one search for the worst of them,
 for nu, the certificate's residual and the nondegeneracy constant alike.
 """
@@ -91,32 +92,19 @@ def max_over_selections(sups: list[np.ndarray], score) -> tuple[float, object, b
     return *best, False, checked
 
 
-def joint_rows(probs: np.ndarray, d: int, normals: np.ndarray, V: np.ndarray, sv: np.ndarray,
-               R: np.ndarray, sr: np.ndarray):
-    """(V', R'): the certificate's rows over (x, y_s) embedded in the joint
-    coordinates (x, y_1..y_S) of nu.  Row j of V, of scenario s = sv[j],
-    becomes p_s times its x-part in x and sqrt(p_s) times its y-part in
-    y_s's columns, zero elsewhere; so do the scenario rays R, of scenarios
-    sr, and A's outward normals (r, d) follow them in x.  _joint_scale
-    checks them."""
-    S, k = probs.shape[0], V.shape[0]
-    W, sv = np.concatenate((V, R)), np.concatenate((sv, sr))
-    n, p = W.shape[0], probs[sv][:, None]
+def _joint_scale(S: int, W: np.ndarray, p: np.ndarray, root_p: np.ndarray,
+                 normals: np.ndarray) -> float:
+    """Weigh the rows W (k, d + m) over (x, y_s) in place as nu's joint
+    coordinates (x, y_1..y_S) weigh them: row j, of scenario s, by p[j] =
+    p_s on its x-part and root_p[j] = sqrt(p_s) on its y-part; A's outward
+    normals (r, d) stay as they are.  Returns the largest |entry| of the
+    weighted rows and the normals.  The least-norm point is no longer than
+    a sum of one row per scenario, of norm at most sqrt(d S^2 + S m) *
+    scale: NonFinite refuses rows on which that bound, and so nu's and the
+    certificate's norms, overflow."""
+    d = normals.shape[1]
     W[:, :d] *= p
-    W[:, d:] *= np.sqrt(p)
-    _joint_scale(S, d, W, normals)
-    C = np.zeros((n + normals.shape[0], d + S * (W.shape[1] - d)))
-    C[:n, :d], C[n:, :d] = W[:, :d], normals
-    C[:n, d:].reshape(n, S, -1)[np.arange(n), sv] = W[:, d:]  # a view: row j's y_s block
-    return C[:k], C[k:]
-
-
-def _joint_scale(S: int, d: int, W: np.ndarray, normals: np.ndarray) -> float:
-    """The largest |entry| of the weighted rows W (k, d + m) and of A's
-    normals.  The least-norm point is no longer than a sum of one row per
-    scenario, of norm at most sqrt(d S^2 + S m) * scale: NonFinite refuses
-    rows on which that bound, and so nu's and the certificate's norms,
-    overflow."""
+    W[:, d:] *= root_p
     scale = float(np.abs(W).max())
     if normals.shape[0]:
         scale = max(scale, float(np.abs(normals).max()))
@@ -128,9 +116,12 @@ def _joint_scale(S: int, d: int, W: np.ndarray, normals: np.ndarray) -> float:
 @dataclass(frozen=True, eq=False)
 class BlockCodiff:
     """Scenario-factored codifferential of the expectation integrand: the
-    blocks of codiff._vertex_blocks, a row per scenario, less any tilt."""
+    (hypo, hyper, values) triple of one codiff._vertex_blocks pass, a row
+    per scenario, less any tilt."""
 
-    blocks: tuple
+    H: np.ndarray  # (S, k1, 1+n) hypo vertices, the tilt off their slopes
+    G: np.ndarray  # (S, k2, 1+n) hyper vertices
+    values: np.ndarray  # (S,) the integrand's values, with evaluate's bits
     probs: np.ndarray
     d: int
     m: int
@@ -141,24 +132,7 @@ class BlockCodiff:
 
     @cached_property
     def per_scenario(self) -> tuple[CodiffPair, ...]:
-        return tuple(_codiff_pairs(self.blocks))
-
-    @cached_property
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(H, G): every scenario's (S, k1, 1+n) hypo and (S, k2, 1+n) hyper
-        vertices, the plan pass's own arrays.  The walk's one-row blocks are
-        stacked, padded with rows of zero slope and offset -inf (hypo) or
-        +inf (hyper), which no mask keeps and no max or min takes."""
-        if len(self.blocks) == 1:
-            return self.blocks[0][1:3]
-        out = []
-        for i, fill in ((1, -np.inf), (2, np.inf)):
-            k = max(b[i].shape[1] for b in self.blocks)
-            out.append(np.zeros((self.S, k, 1 + self.d + self.m)))
-            out[-1][:, :, 0] = fill
-            for b in self.blocks:
-                out[-1][b[0], :b[i].shape[1]] = b[i]
-        return tuple(out)
+        return tuple(_codiff_pairs(self.H, self.G))
 
     def least_norm(self, A: FirstStageSet, x: np.ndarray,
                    eps: float) -> tuple[float, np.ndarray, bool]:
@@ -175,11 +149,11 @@ class BlockCodiff:
         False past ENUM_CAP, where nu is a lower bound.  When 0 lies in D
         (_minnorm._inside at _joint_scale), nu = 0 and q = 0.
 
-        Everything is read off arrays and their codiff._masked_rows at eps:
-        the eps-active rows H[sub, 1:] in scenario order, each plus its selected
-        zero-offset hyper slope (with one per scenario the one choice is ()),
-        weighted as joint_rows weighs them.  Each selection's point is one
-        _minnorm._layout_least_norm call on those rows, x shared by every
+        Everything is read off H, G and their codiff._masked_rows at eps:
+        the eps-active rows H[sub, 1:] in scenario order, each plus its
+        selected zero-offset hyper slope (with one per scenario the one
+        choice is ()), weighted by _joint_scale.  Each selection's point is
+        one _minnorm._layout_least_norm call on those rows, x shared by every
         scenario and A's normals, y_s private to scenario s: from
         _minnorm.SEGMENT_MIN_BLOCKS two-vertex scenarios on (and none larger)
         the segment path solves on them; else the dense rows are built, and
@@ -187,8 +161,7 @@ class BlockCodiff:
         counts multiply to at most _minnorm.PRODUCT_CAP, the weighted solve
         past it; all agree to rounding.
         """
-        d, S = self.d, self.S
-        H, G = self.arrays
+        d, S, H, G = self.d, self.S, self.H, self.G
         sub, sup, n_sub, n_sup = _masked_rows(H, G, eps)
         sv, rows = sub.nonzero()[0], H[sub, 1:]
         p = self.probs[sv][:, None]
@@ -205,11 +178,9 @@ class BlockCodiff:
             if choice:
                 g = first.copy()
                 g[multi] = [W[c] for W, c in zip(sups, choice)]
-            W = rows + g[sv]  # weighted as joint_rows weighs its rows
-            W[:, :d] *= p
-            W[:, d:] *= root_p
-            scale = _joint_scale(S, d, W, normals)
-            q = _layout_least_norm(W, normals, sizes, sv)[0]
+            W = rows + g[sv]
+            scale = _joint_scale(S, W, p, root_p, normals)
+            q = _layout_least_norm(W, sv, sizes, normals)[0]
             nu = math.sqrt(q @ q)  # np.linalg.norm's bits
             return (0.0, np.zeros(q.shape[0])) if _inside(nu, scale) else (nu, q)
 
@@ -258,18 +229,17 @@ def _integrand_codiff(prob: TwoStageProblem, integrand: Expr, z: Point,
     in one rows pass with a row per scenario, less <tilt[s], (x, y_s)> as
     in expect: row s of tilt comes off every hypo slope of scenario s."""
     prob.check_point(z)
-    blocks = _vertex_blocks(integrand, z.x, z.y, prob.scenarios.params)
-    if tilt is not None:
-        for rows, H, _G, _v in blocks:  # the pass's own arrays, offsets untouched
-            H[:, :, 1:] -= tilt[rows, None]
-    return BlockCodiff(blocks=tuple(blocks), probs=prob.scenarios.probs, d=prob.d, m=prob.m)
+    H, G, v = _vertex_blocks(integrand, z.x, z.y, prob.scenarios.params)
+    if tilt is not None:  # the pass's own array, offsets untouched
+        H[:, :, 1:] -= tilt[:, None]
+    return BlockCodiff(H=H, G=G, values=v, probs=prob.scenarios.probs, d=prob.d, m=prob.m)
 
 
 def I_expansion(bc: BlockCodiff, dx, dy):
     """First-order expansion of I: sum_s p_s expansion_value(pair_s, (dx, dy_s)),
     in ascending scenario order.  One direction, dx (d,) and dy (S, m), gives
     a float; a stack of K, dx (K, d) and dy (K, S, m), the (K,) values.  A
-    stacked matmul per block and np.cumsum keep the bits of that loop."""
+    stacked matmul and np.cumsum keep the bits of that loop."""
     dx, dy = np.asarray(dx, dtype=np.float64), np.asarray(dy, dtype=np.float64)
     stack = dx.ndim == 2
     if not stack:
@@ -278,14 +248,11 @@ def I_expansion(bc: BlockCodiff, dx, dy):
         raise DimensionMismatch(f"dx {dx.shape[1:]} and dy {dy.shape[1 - stack:]} do not match "
                                 f"d = {bc.d}, S = {bc.S} rows of m = {bc.m}")
     h = np.concatenate((np.broadcast_to(dx, (bc.S, *dx.shape)), dy.transpose(1, 0, 2)), axis=2)
-    terms = []
-    for rows, H, G, _v in bc.blocks:
-        hb = h[rows].transpose(0, 2, 1)  # each block row's (n, K) directions, as expansion_value's
-        up = np.matmul(H[:, :, 1:], hb) + H[:, :, :1]
-        dn = np.matmul(G[:, :, 1:], hb) + G[:, :, :1]
-        terms.append(up.max(axis=1) + dn.min(axis=1))
+    h = h.transpose(0, 2, 1)  # each scenario's (n, K) directions, as expansion_value's
+    up = np.matmul(bc.H[:, :, 1:], h) + bc.H[:, :, :1]
+    dn = np.matmul(bc.G[:, :, 1:], h) + bc.G[:, :, :1]
     # + 0.0 as the scalar loop's 0.0 start: an all -0.0 sum reads +0.0
-    total = np.cumsum(bc.probs[:, None] * np.concatenate(terms), axis=0)[-1] + 0.0
+    total = np.cumsum(bc.probs[:, None] * (up.max(axis=1) + dn.min(axis=1)), axis=0)[-1] + 0.0
     return total if stack else float(total[0])
 
 
@@ -299,7 +266,7 @@ def I_dirderiv(prob: TwoStageProblem, z: Point, hx, hy) -> float:
     if hx.shape[0] != bc.d or hy.shape != (bc.S, bc.m):
         raise DimensionMismatch(f"hx {hx.shape} and hy {hy.shape} do not match d = {bc.d}, "
                                 f"S = {bc.S} rows of m = {bc.m}")
-    H, G = bc.arrays
+    H, G = bc.H, bc.G
     sub, sup, *_counts = _masked_rows(H, G, TOL_ZERO)
     h = np.concatenate((np.broadcast_to(hx, (bc.S, bc.d)), hy), axis=1)[:, None]
     up = np.where(sub, _row_dots(H[:, :, 1:], h), -np.inf).max(axis=1)

@@ -11,9 +11,10 @@ Two checks at a feasible point z = (x, y_1..y_S):
         like nu, constraint activity and N_A(x).  Over lambda >= 0 the sum
         is co(sub f + w) plus the cone of the rows of every sub g_i + w_i.
         The p-weighted sum of these scenario sets plus N_A(x) is measured as
-        nu measures its own: embedded in the joint coordinates (x, y_1..y_S)
-        by expectation.joint_rows, with the rows of the active g_i as rays,
-        in one least-norm solve (_minnorm._least_norm).  Its point q is the
+        nu measures its own, in the joint coordinates (x, y_1..y_S): the
+        rows weighted by expectation._joint_scale, with the rows of the
+        active g_i as rays owned by their scenario, in one least-norm solve
+        (_minnorm._layout_least_norm).  Its point q is the
         sum of the scenario points u_s = t_s V_s + mu_s R_s: the x-part of q
         is E[zeta] + n with zeta_s the x-part of u_s and n in N_A(x), its
         y-part holds sqrt(p_s) times the y-part of u_s, and the ray weights
@@ -53,7 +54,7 @@ Two checks at a feasible point z = (x, y_1..y_S):
         rounding.
 
         It works on one BlockCodiff per function, the (S, k, 1+n) vertex
-        arrays of its rows pass (BlockCodiff.arrays), masked at ACT_TOL as
+        arrays H and G of its rows pass, masked at ACT_TOL as
         quasidiff(., ACT_TOL) slices them (codiff._masked_rows); no
         CodiffPair or QuasidiffPair is built.  A scenario whose f and
         active g_i each keep one masked vertex in each set is a point
@@ -81,11 +82,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._minnorm import _least_norm
+from ._minnorm import _layout_least_norm, _least_norm
 from .codiff import _masked_rows, _point_rows
 from .errors import InfeasibleCandidate
 from .model import Point, TwoStageProblem, check_c, feas_report
-from .expectation import ACT_TOL, _integrand_codiff, block_codiff, joint_rows, max_over_selections
+from .expectation import (
+    ACT_TOL, _integrand_codiff, _joint_scale, block_codiff, max_over_selections,
+)
 from .penalty import PenaltySpec, penalty_codiff
 
 
@@ -180,14 +183,14 @@ def check_optimality(prob: TwoStageProblem, c: float, z: Point) -> Certificate:
     # one rows pass per function, a row per scenario; the g_i's passes also
     # give their values, with evaluate's bits, for the feasibility rule
     bg = [_integrand_codiff(prob, gi, z) for gi in prob.g]
-    G = np.array([np.hstack([v for *_b, v in bc.blocks]) for bc in bg]).reshape(ell, S)
+    G = np.array([bc.values for bc in bg]).reshape(ell, S)
     rep = feas_report(prob.A.violation(z.x), G)
     if not rep.feasible:
         raise InfeasibleCandidate(
             f"max g = {rep.max_violation:.3e} at g[{rep.worst_constraint}] in scenario "
             f"{rep.worst_scenario}, x off A by {rep.x_violation:.3e} (tolerance {rep.tol:.1e})")
     # each function's arrays and ACT_TOL masks, and its point rows
-    fn = [(bc.arrays, _masked_rows(*bc.arrays, ACT_TOL)) for bc in [block_codiff(prob, z), *bg]]
+    fn = [((bc.H, bc.G), _masked_rows(bc.H, bc.G, ACT_TOL)) for bc in [block_codiff(prob, z), *bg]]
     (one_f, Pf), *pg = [_point_rows(*arrays, *mask) for arrays, mask in fn]
     act = G.T >= -ACT_TOL  # (S, ell)
     one_g = np.array([one for one, _P in pg], dtype=bool).reshape(ell, S).T
@@ -215,10 +218,12 @@ def check_optimality(prob: TwoStageProblem, c: float, z: Point) -> Certificate:
     kv, kr = np.argsort(sv, kind="stable"), np.argsort(sr, kind="stable")
     V, sv, R, sr, owner = V[kv], sv[kv], R[kr], sr[kr], owner[kr]
 
-    # nu's embedding with the constraint rows as rays: the point's x-part is
-    # E[zeta] + n, n in N_A(x), and its y-part the sqrt(p_s) u_s,y
-    Vj, Rj = joint_rows(prob.scenarios.probs, d, prob.A.normal_rays(z.x, ACT_TOL), V, sv, R, sr)
-    q, t, mu = _least_norm(Vj, Rj, np.bincount(sv, minlength=S).tolist(), shared=d)
+    # nu's weighting, with the constraint rows as rays: the point's x-part
+    # is E[zeta] + n, n in N_A(x), and its y-part the sqrt(p_s) u_s,y
+    normals, sw = prob.A.normal_rays(z.x, ACT_TOL), np.concatenate((sv, sr))
+    W, p = np.concatenate((V, R)), prob.scenarios.probs[sw][:, None]
+    _joint_scale(S, W, p, np.sqrt(p), normals)
+    q, t, mu = _layout_least_norm(W, sw, np.bincount(sv, minlength=S).tolist(), normals)
     mu = mu[:R.shape[0]]
     lambdas = np.zeros((S, ell))
     np.add.at(lambdas, (sr, owner), mu)

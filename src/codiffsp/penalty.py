@@ -236,19 +236,18 @@ def _hull_distances(g, active: np.ndarray, X: np.ndarray, Y: np.ndarray,
     single = active.sum(axis=1) == 1
     hulls: dict[int, list] = {}  # point -> (subs, sups) of each active g_i, in i order
     for gi, col in zip(g, active.T):
-        rows = np.flatnonzero(col)
-        for block, H, G, _v in _vertex_blocks(gi, X[rows], Y[rows], TH[rows]):
-            at = rows[block]
-            sub, sup, *counts = _masked_rows(H, G)
-            one, P = _point_rows(H, G, sub, sup, *counts)
-            point = single[at] & one
-            j = np.flatnonzero(point)
-            p = P[j, d:]
-            dist[at[j]] = np.sqrt(np.vecdot(p, p))
-            for j in np.flatnonzero(~point).tolist():
-                hulls.setdefault(int(at[j]), []).append(
-                    (_unique_rows(H[j, sub[j], 1 + d:]), _unique_rows(G[j, sup[j], 1 + d:]))
-                )
+        at = np.flatnonzero(col)
+        H, G, _v = _vertex_blocks(gi, X[at], Y[at], TH[at])
+        sub, sup, *counts = _masked_rows(H, G)
+        one, P = _point_rows(H, G, sub, sup, *counts)
+        point = single[at] & one
+        j = np.flatnonzero(point)
+        p = P[j, d:]
+        dist[at[j]] = np.sqrt(np.vecdot(p, p))
+        for j in np.flatnonzero(~point).tolist():
+            hulls.setdefault(int(at[j]), []).append(
+                (_unique_rows(H[j, sub[j], 1 + d:]), _unique_rows(G[j, sup[j], 1 + d:]))
+            )
     for h, sets in hulls.items():
         subs, sups = zip(*sets)
         dist[h] = max_over_selections(sups, lambda w: _hull_dist(subs, sups, w))[0]

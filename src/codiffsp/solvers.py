@@ -160,9 +160,10 @@ def _model_start(bc: BlockCodiff, q: np.ndarray, nu: float) -> int:
     (I_expansion's, at every t at once; a tilt is already in bc's slopes):
     it holds across the kinks that a step crosses, where the eps-active
     slice that chose q does not.  It ignores the projection onto A.  It
-    reads bc.arrays: each vertex's slope along q is taken once, an (S, k)
-    product, and scaled by every t, exactly, since t is a power of two."""
-    (H, G), S = bc.arrays, bc.S
+    reads bc.H and bc.G: each vertex's slope along q is taken once, an
+    (S, k) product, and scaled by every t, exactly, since t is a power of
+    two."""
+    H, G, S = bc.H, bc.G, bc.S
     # row s: scenario s's (q_x, q_ys); the model's direction is its negative
     h = np.empty((S, H.shape[2] - 1, 1))
     h[:, :bc.d, 0], h[:, bc.d:, 0] = q[:bc.d], q[bc.d:].reshape(S, -1)
@@ -177,9 +178,8 @@ def _model_start(bc: BlockCodiff, q: np.ndarray, nu: float) -> int:
 def _mean_slopes(bc: BlockCodiff) -> np.ndarray:
     """DCA's tilt from the minus part's bc: row s the mean of scenario s's
     zero-offset hypo slopes, summed in row order."""
-    H, G = bc.arrays
-    sub, _sup, n_sub, _n_sup = _masked_rows(H, G, TOL_ZERO)
-    return np.add.reduceat(H[sub, 1:], np.cumsum(n_sub) - n_sub) / n_sub[:, None]
+    sub, _sup, n_sub, _n_sup = _masked_rows(bc.H, bc.G, TOL_ZERO)
+    return np.add.reduceat(bc.H[sub, 1:], np.cumsum(n_sub) - n_sub) / n_sub[:, None]
 
 
 def _value(prob: TwoStageProblem, integrand: Expr, z: Point, tilt: np.ndarray | None):
@@ -190,7 +190,7 @@ def _value(prob: TwoStageProblem, integrand: Expr, z: Point, tilt: np.ndarray | 
         bc = _integrand_codiff(prob, integrand, z, tilt)
     except (NonFinite, VertexCapExceeded):
         return expect(prob, integrand, z, tilt), None
-    return _expected(prob, np.concatenate([v for *_b, v in bc.blocks]), z, tilt), bc
+    return _expected(prob, bc.values, z, tilt), bc
 
 
 def _armijo(prob: TwoStageProblem, integrand: Expr, tilt: np.ndarray | None, z: Point,

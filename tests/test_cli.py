@@ -254,7 +254,7 @@ def test_selftest_passes():
     r = run("selftest")
     assert r.returncode == 0, r.stderr
     rep = json.loads(r.stdout)
-    assert rep["passed"] == 11 and rep["failed"] == []
+    assert rep["passed"] == 6 and rep["failed"] == []
 
 
 @pytest.mark.parametrize("argv, code", [

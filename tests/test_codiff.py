@@ -95,6 +95,20 @@ def test_zero_at_zero_check_refuses_nan_offsets():
     assert ei.value.code == "ZERO_AT_ZERO"
 
 
+def test_non_finite_input_is_zero_at_zero_in_a_rows_pass():
+    # max(x0, x1) at x0 = -inf: the plan pass's gap x0 - max is -inf, an
+    # offset that is not finite; the rows pass refuses it as the walk does,
+    # alone or beside a finite row
+    sp = Space(2, 1, 1)
+    f = maximum(sp.affine(cx=[1.0, 0.0]), sp.affine(cx=[0.0, 1.0]))
+    assert f._plan is not None
+    for call in (lambda: codiff(f, [-np.inf, 0.0], [1.0], [1.0]),
+                 lambda: codiff_rows(f, [[1.0, 0.0], [-np.inf, 0.0]], [[1.0], [1.0]], [1.0])):
+        with pytest.raises(CodiffspError) as ei:
+            call()
+        assert ei.value.code == "ZERO_AT_ZERO"
+
+
 def test_walk_refuses_nan_rows_as_the_plan_does():
     # f has no plan, so rows go through the walk, whose pruning NNLS raised
     # scipy's ValueError on a NaN; the plan path's answer is ZERO_AT_ZERO
@@ -139,7 +153,7 @@ def test_finite_rows_too_large_to_measure_are_nonfinite():
                         psd=True), g=(g,), scenarios=ScenarioSpace(
                             probs=np.full(2, 0.5), params=np.zeros((2, 0))))
     z = Point(x=[1e60], y=[[-1.0], [-2.0]])
-    assert np.isfinite(penalty_codiff(p, PenaltySpec("l1_max", 10.0), z).blocks[0][1]).all()
+    assert np.isfinite(penalty_codiff(p, PenaltySpec("l1_max", 10.0), z).H).all()
     for measure in (inf_stationarity_measure, check_optimality):
         with pytest.raises(NonFinite, match="too large"):
             measure(p, 10.0, z)
@@ -362,16 +376,16 @@ def test_rows_match_one_point_codiff():
 def test_rows_values_have_evaluate_bits():
     # the values a rows pass hands back, one pass or row by row when ragged
     for f, X, Y, TH in random_rows_cases(40):
-        vals = np.hstack([v for *_b, v in _vertex_blocks(f, X, Y, TH)])
+        vals = _vertex_blocks(f, X, Y, TH)[2]
         assert vals.shape == (X.shape[0],) and len(codiff_rows(f, X, Y, TH)) == X.shape[0]
         want = [evaluate(f, x, y, th) for x, y, th in zip(X, Y, TH)]
         assert vals.tobytes() == np.array(want).tobytes()
 
 
 def test_rows_take_a_shared_x_with_the_bits_of_repeated_rows():
-    # x as one (d,) row every row shares: the blocks, values and their
-    # shapes of the pass over x repeated, where the root is in x alone and
-    # where the sets outgrow a rows pass (one block per row)
+    # x as one (d,) row every row shares: the vertex arrays, values and
+    # their shapes of the pass over x repeated, where the root is in x alone
+    # and where the sets outgrow a rows pass (the walk's padded rows)
     rng = np.random.default_rng(5)
     cases = [(f, X[0], Y, TH) for f, X, Y, TH in random_rows_cases(20)]
     sp = Space(d=2, m=1, q=1)
@@ -382,11 +396,8 @@ def test_rows_take_a_shared_x_with_the_bits_of_repeated_rows():
     for f, x, Y, TH in cases:
         shared = _vertex_blocks(f, x, Y, TH)
         rows = _vertex_blocks(f, np.repeat(x[None], Y.shape[0], axis=0), Y, TH)
-        assert len(shared) == len(rows)
-        for a, b in zip(shared, rows):
-            assert a[0] == b[0]
-            for u, v in zip(a[1:], b[1:]):
-                assert np.shape(u) == np.shape(v) and np.asarray(u).tobytes() == np.asarray(v).tobytes()
+        for u, v in zip(shared, rows, strict=True):
+            assert u.shape == v.shape and u.tobytes() == v.tobytes()
 
 
 def _fan(sp, phase, k):
@@ -509,12 +520,11 @@ def test_plan_matches_the_walk(source):
     cases = random_rows_cases(40) if source == "random" else _generated_cases(int(source[2:]))
     planned = 0
     for f, X, Y, TH in cases:
-        blocks = _vertex_blocks(f, X, Y, TH)
+        H, G, v = _vertex_blocks(f, X, Y, TH)
         if f._plan is None:
-            assert len(blocks) == Y.shape[0]
+            assert v.shape == (Y.shape[0],)
             continue
         planned += 1
-        ((_rows, H, G, v),) = blocks
         for r, (h, g, w) in enumerate(_walked_rows(f, X, Y, TH)):
             for got, want in ((H[r], h[0]), (G[r], g[0])):
                 assert got.shape == want.shape
@@ -531,7 +541,8 @@ def test_generated_rows_passes_never_walk(monkeypatch):
     monkeypatch.setattr(sys.modules["codiffsp.codiff"], "_walk", walk)
     for S in (3, 100):
         for f, x, Y, TH in _generated_cases(S):
-            assert len(_vertex_blocks(f, x, Y, TH)) == 1
+            H, G, _v = _vertex_blocks(f, x, Y, TH)
+            assert np.isfinite(H).all() and np.isfinite(G).all()  # no pad rows
             codiff(f, x, Y[0], TH[0])
         p = generate(1000, d=2, m=2, S=S, l=2, dc=True)
         penalty_codiff(p, PenaltySpec("l1_max", 10.0), p.witness).least_norm(p.A, p.witness.x, 1e-6)

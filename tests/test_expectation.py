@@ -41,7 +41,7 @@ from codiffsp import _minnorm
 from codiffsp._minnorm import SEGMENT_MIN_BLOCKS, _least_norm, _segments_least_norm, inside
 from codiffsp.codiff import _vertex_blocks
 from codiffsp.expectation import (
-    ACT_TOL, ENUM_CAP, _integrand_codiff, expect, joint_rows, max_over_selections,
+    ACT_TOL, ENUM_CAP, _integrand_codiff, expect, max_over_selections,
 )
 from codiffsp.model import ROWS_MIN_S
 from codiffsp.optimality import check_optimality, inf_stationarity_measure
@@ -226,8 +226,8 @@ def _expansion_loop(bc, dx, dy):
 
 
 def test_expansion_stack_matches_one_direction():
-    # bit for bit with the scenario loop, on one rows-pass block and on one
-    # block per scenario; one direction and a stack call BLAS differently
+    # bit for bit with the scenario loop, on the plan's pass and on the
+    # walk's padded rows; one direction and a stack call BLAS differently
     p = generate(31, d=2, m=2, S=4, l=1, dc=True)
     rng = np.random.default_rng(2)
     for p, z in ((p, p.witness), ragged_case()):
@@ -239,7 +239,7 @@ def test_expansion_stack_matches_one_direction():
             one = I_expansion(bc, dx, dy)
             assert one.hex() == _expansion_loop(bc, dx, dy).hex()
             assert one == pytest.approx(v, rel=1e-12, abs=1e-12)
-    assert len(bc.blocks) == p.S  # the ragged case: one block per scenario
+    assert p.f._plan is None and np.isinf(bc.H[:, :, 0]).any()  # the ragged case: padded
 
 
 def test_directions_without_S_rows_of_m_are_refused():
@@ -367,12 +367,12 @@ def _bits(*objs):
 
 
 def _one_point_blocks(expr, X, Y, TH):
-    """The rows pass's vertex arrays built one row at a time, as the scenario
-    loop of one codiff call per row that the rows pass replaced; X is (N, d)
-    or the (d,) x every row shares."""
+    """The rows pass's triple built one row at a time, as the scenario loop
+    of one codiff call per row that the rows pass replaced; X is (N, d) or
+    the (d,) x every row shares.  No rows differentiate no point."""
     X = np.broadcast_to(X, (len(Y), np.shape(X)[-1]))
-    return [(slice(r, r + 1), *_vertex_blocks(expr, X[r:r + 1], Y[r:r + 1], TH[r:r + 1])[0][1:])
-            for r in range(len(Y))]
+    rows = [_vertex_blocks(expr, X[r:r + 1], Y[r:r + 1], TH[r:r + 1]) for r in range(len(Y))]
+    return tuple(map(np.concatenate, zip(*rows))) if rows else _vertex_blocks(expr, X, Y, TH)
 
 
 def test_scenario_layers_never_differentiate_point_by_point(monkeypatch):
@@ -486,16 +486,22 @@ def test_greedy_selection_never_below_its_start():
 
 def _nu_by_selection(bc, A, x, eps):
     """[(nu, q)] for every selection of zero-offset hyper vertices, in
-    product order: the scenario pairs' quasidiff(., eps) sets, embedded by
-    joint_rows, one _least_norm each, q then in the L2(P) coordinates."""
+    product order: the scenario pairs' quasidiff(., eps) sets, each row of
+    scenario s embedded in the joint coordinates (x, y_1..y_S) as p_s times
+    its x-part and sqrt(p_s) times its y-part in y_s's columns, A's normals
+    in x, one _least_norm each, q then in the L2(P) coordinates."""
     sets = [quasidiff(cd, eps) for cd in bc.per_scenario]
     sub = np.vstack([qd.sub for qd in sets])
     sv = np.repeat(np.arange(bc.S), [qd.sub.shape[0] for qd in sets])
     normals, out = A.normal_rays(x, eps), []
+    d, k, p = bc.d, sv.shape[0], bc.probs[sv][:, None]
+    Rj = np.hstack((normals, np.zeros((normals.shape[0], bc.S * bc.m))))
     for choice in itertools.product(*[range(qd.sup.shape[0]) for qd in sets]):
         V = sub + np.array([qd.sup[c] for qd, c in zip(sets, choice)])[sv]
-        Vj, Rj = joint_rows(bc.probs, bc.d, normals, V, sv, V[:0], sv[:0])
-        q = _least_norm(Vj, Rj, np.bincount(sv).tolist(), shared=bc.d)[0]
+        Vj = np.zeros((k, d + bc.S * bc.m))
+        Vj[:, :d] = p * V[:, :d]
+        Vj[:, d:].reshape(k, bc.S, bc.m)[np.arange(k), sv] = np.sqrt(p) * V[:, d:]
+        q = _least_norm(Vj, Rj, np.bincount(sv).tolist())[0]
         if inside(q, np.vstack((Vj, Rj))):
             q = np.zeros(q.shape[0])
         nu = float(np.linalg.norm(q))
@@ -542,24 +548,31 @@ def test_nu_past_the_cap_is_a_lower_bound():
     assert 0.0 < nu <= max(r[0] for r in _nu_by_selection(bc, p.A, z.x, ACT_TOL))
 
 
-def _one_row_blocks(bc):
-    """bc with its plan block split into one-row blocks, the walk path's shape."""
-    ((_rows, H, G, v),) = bc.blocks
-    rows = tuple((slice(r, r + 1), H[r:r + 1], G[r:r + 1], v[r:r + 1]) for r in range(bc.S))
-    return dataclasses.replace(bc, blocks=rows)
+def _padded(bc, pads=2):
+    """bc with pad rows after every scenario's vertices, as the walk pads a
+    row of fewer vertices than the most: zero slope and offset -inf (hypo)
+    or +inf (hyper)."""
+    def pad(A, fill):
+        out = np.zeros((A.shape[0], A.shape[1] + pads, A.shape[2]))
+        out[:, :A.shape[1]] = A
+        out[:, A.shape[1]:, 0] = fill
+        return out
+    return dataclasses.replace(bc, H=pad(bc.H, -np.inf), G=pad(bc.G, np.inf))
 
 
 @pytest.mark.parametrize("seed", range(1000, 1012))
 def test_plan_and_walk_layouts_agree_bit_for_bit(seed):
-    # one rows pass's block and the same rows as one-row blocks: nu, q and
-    # the exhaustive flag, and the model step that q starts the search at
+    # one rows pass's triple and the same triple plus pad rows: nu, q and
+    # the exhaustive flag, the model step that q starts the search at, and
+    # the scenario pairs
     p = generate(seed, d=2, m=2, S=3, l=2, dc=True)
     rng = np.random.default_rng(seed)
     z_off = Point(x=p.A.project(p.witness.x + 0.3 * rng.normal(size=2)),
                   y=p.witness.y + 0.5 * rng.normal(size=(3, 2)))
     for z in (p.witness, z_off):
         plan = penalty_codiff(p, PenaltySpec("l1_max", 10.0), z)
-        walk = _one_row_blocks(plan)
+        walk = _padded(plan)
+        assert _bits(walk.per_scenario) == _bits(plan.per_scenario)
         for eps in (ACT_TOL, 1e-3, 0.1):
             nu, q, exhaustive = plan.least_norm(p.A, z.x, eps)
             nu_w, q_w, exhaustive_w = walk.least_norm(p.A, z.x, eps)
@@ -651,7 +664,7 @@ def test_nu_below_the_crossover_keeps_the_nnls_bits(monkeypatch):
     assert not served
     at()
     assert served
-    rebind(monkeypatch, _least_norm, lambda V, R, sizes=None, shared=None: _least_norm(V, R, sizes))
+    monkeypatch.setattr(_minnorm, "SEGMENT_MIN_BLOCKS", 10**9)
     want = below()
     assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
     assert got[1].tobytes() == want[1].tobytes() and got[2] == want[2]

@@ -284,7 +284,7 @@ def _scenario_values(f, X, Y, TH):
 
 def _rows_pass_values(f, X, Y, TH):
     # codiff_rows' pairs carry no value; the rows pass under them does
-    return np.array([v for *_b, vals in _vertex_blocks(f, X, Y, TH) for v in vals.tolist()])
+    return _vertex_blocks(f, X, Y, TH)[2]
 
 
 # every front door of a block of rows, as a function to the (N,) values

@@ -14,7 +14,8 @@ from codiffsp import (
     inf_stationarity_measure, min_norm_point,
 )
 from codiffsp._minnorm import (
-    PRODUCT_CAP, SEGMENT_MIN_BLOCKS, _first_columns, _least_norm, _segments_least_norm, _split, inside,
+    PRODUCT_CAP, SEGMENT_MIN_BLOCKS, _first_columns, _layout_least_norm, _least_norm,
+    _segments_least_norm, inside,
 )
 
 
@@ -204,9 +205,25 @@ def _layout_case(rng, sizes, rays, ints=None):
     return blocks, R, d, scale
 
 
+def _parts(V, sizes, d):
+    """(W, owner): the parts of rows V in nu's layout, row j's d shared
+    coordinates and then the private run of its block owner[j]."""
+    k, B = V.shape[0], len(sizes)
+    owner = np.repeat(np.arange(B), sizes)
+    return np.hstack((V[:, :d], V[:, d:].reshape(k, B, -1)[np.arange(k), owner])), owner
+
+
 def _segments(V, R, sizes, d):
-    """The segment path on the parts of rows V and rays R in nu's layout."""
-    return _segments_least_norm(*_split(V, R, tuple(sizes), d), tuple(sizes))
+    """The segment path on the parts of rows V and rays R in nu's layout;
+    R lies in the shared part."""
+    return _segments_least_norm(_parts(V, sizes, d)[0], R[:, :d], tuple(sizes))
+
+
+def _layout(V, R, sizes, d):
+    """_layout_least_norm on the parts of rows V in nu's layout, with R's
+    rays, which lie in the shared part, as A's normals."""
+    W, owner = _parts(V, sizes, d)
+    return _layout_least_norm(W, owner, sizes, R[:, :d])
 
 
 def _segment_solve(d, ran):
@@ -268,9 +285,8 @@ def test_segment_path_with_zero_inside():
 
 @pytest.mark.parametrize("rays", [0, 1, 2])
 def test_segment_path_past_the_crossover_calls_no_nnls(monkeypatch, rays):
-    # 40 blocks, a third of one vertex, through _least_norm with the layout
-    # declared: never an nnls call, and the NNLS kernel's point to 1e-12 of
-    # the scale
+    # 40 blocks, a third of one vertex, through _layout_least_norm: never an
+    # nnls call, and the NNLS kernel's point to 1e-12 of the scale
     rng = np.random.default_rng(41 + rays)
     cases = []
     for _ in range(60):
@@ -281,7 +297,7 @@ def test_segment_path_past_the_crossover_calls_no_nnls(monkeypatch, rays):
     calls = []
     monkeypatch.setattr(_minnorm, "nnls", lambda *a: calls.append(1) or nnls(*a))
     for (V, R, sizes, d, scale), (q0, _t0, _mu0) in zip(cases, want):
-        q, t, mu = _least_norm(V, R, sizes, shared=d)
+        q, t, mu = _layout(V, R, sizes, d)
         owner = np.repeat(np.arange(len(sizes)), sizes)
         assert t.min() >= 0.0 and (mu.size == 0 or mu.min() >= 0.0)
         assert np.allclose(np.bincount(owner, weights=t), 1.0, atol=1e-12)
@@ -317,15 +333,16 @@ def test_segment_with_no_private_part_falls_back():
         blocks[b][1, d:] = blocks[b][0, d:]
         V, sizes = np.vstack(blocks), [2] * SEGMENT_MIN_BLOCKS + [1]
         assert _segments(V, R, sizes, d) is None
-        got, want = _least_norm(V, R, sizes, shared=d), _least_norm(V, R, sizes)
+        got, want = _layout(V, R, sizes, d), _least_norm(V, R, sizes)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
 
 @pytest.mark.parametrize("shared_part", [False, True])
 def test_segment_layout_with_a_private_ray(shared_part):
-    # the certificate's constraint rows are rays with y-parts: a ray with a
-    # private part is not the segment path's, so the input, not the caller,
-    # sends the call to NNLS, and it matches the Minkowski sum
+    # the certificate's constraint rows are rays with y-parts, passed as
+    # parts owned by their block: a ray with a private part is not the
+    # segment path's, so the input, not the caller, sends the call to NNLS,
+    # and it matches the Minkowski sum
     rng = np.random.default_rng(53 + shared_part)
     sizes = [2] * SEGMENT_MIN_BLOCKS + [1]
     blocks, _R, d, scale = _layout_case(rng, sizes, 0, ints=False)
@@ -337,8 +354,14 @@ def test_segment_layout_with_a_private_ray(shared_part):
     R[0, d + b * m:d + (b + 1) * m] = -q0[d + b * m:d + (b + 1) * m]
     if shared_part:
         R[0, :d] = rng.normal(size=d) * scale
-    _check_against_minkowski_sum(blocks, R, scale,
-                                 lambda V, R, sizes: _least_norm(V, R, sizes, shared=d))
+
+    def solve(V, R, sizes):
+        W, owner = _parts(V, sizes, d)
+        ray = np.hstack((R[:, :d], R[:, d + b * m:d + (b + 1) * m]))
+        return _layout_least_norm(np.vstack((W, ray)), np.append(owner, b), sizes,
+                                  np.zeros((0, d)))
+
+    _check_against_minkowski_sum(blocks, R, scale, solve)
 
 
 def _product_case(rng, multi, lone, rays):

@@ -25,7 +25,8 @@ from codiffsp import (
     quasidiff,
     scale,
 )
-from codiffsp._minnorm import _blocks_least_norm, _least_norm
+from codiffsp import _minnorm
+from codiffsp._minnorm import SEGMENT_MIN_BLOCKS, _blocks_least_norm, _least_norm
 from codiffsp.codiff import CodiffPair, _vertex_blocks, codiff_rows
 from codiffsp.expectation import ACT_TOL, max_over_selections
 from codiffsp.optimality import Certificate, check_optimality, inf_stationarity_measure
@@ -348,7 +349,7 @@ def _scenario_by_scenario(prob, c, z):
     S, d, m, ell = prob.S, prob.d, prob.m, prob.ell
     X, Y, TH = np.broadcast_to(z.x, (S, d)), z.y, prob.scenarios.params
     cg = [codiff_rows(gi, X, Y, TH) for gi in prob.g]
-    gv = [np.hstack([v for *_b, v in _vertex_blocks(gi, X, Y, TH)]) for gi in prob.g]
+    gv = [_vertex_blocks(gi, X, Y, TH)[2] for gi in prob.g]
     cf = codiff_rows(prob.f, X, Y, TH)
     gvals = [[float(v[s]) for v in gv] for s in range(S)]
     Vs, Rs, owners, checked, exhaustive = [], [], [], [], []
@@ -443,7 +444,7 @@ def test_certificate_has_the_bits_of_the_scenario_loop(monkeypatch, kind):
     cases = {"point": _point_only_cases, "mixed": _mixed_cases,
              "ragged": lambda: [ragged_case()]}[kind]()
     assert rebind(monkeypatch, _least_norm,
-                  lambda V, R, sizes=None, shared=None: _blocks_least_norm(V, R, sizes)) > 0
+                  lambda V, R, sizes=None: _blocks_least_norm(V, R, sizes)) > 0
     for p, z in cases:
         cert = check_optimality(p, 10.0, z)
         assert _cert_bits(cert) == _cert_bits(_scenario_by_scenario(p, 10.0, z))
@@ -452,8 +453,7 @@ def test_certificate_has_the_bits_of_the_scenario_loop(monkeypatch, kind):
         elif kind == "mixed":
             assert cert.checked_selections > p.S
         else:
-            X = np.broadcast_to(z.x, (p.S, p.d))
-            assert len(_vertex_blocks(p.f, X, z.y, p.scenarios.params)) == p.S
+            assert p.f._plan is None  # the walk's padded rows
             assert cert.checked_selections > p.S and cert.lambdas[2, 0] >= 0.0
 
 
@@ -469,3 +469,47 @@ def test_point_selections_build_no_pairs_and_search_nothing(monkeypatch):
         assert rebind(monkeypatch, orig, per_scenario) > 0
     assert [_cert_bits(check_optimality(p, 10.0, z)) for z in points] == want
     assert check_optimality(p, 10.0, points[1]).lambdas.max() > 0.0
+
+
+def _kinked_segments(constrained, S=SEGMENT_MIN_BLOCKS):
+    """(problem, point): f = (x^2 + y^2)/2 + |y - theta| with every y_s on
+    its kink theta_s, two ACT_TOL-active hypo vertices per scenario and one
+    hyper vertex; constrained adds g = y - theta, active everywhere, whose
+    rows are rays with a y-part."""
+    rng = np.random.default_rng(17)
+    dims = Space(d=1, m=1, q=1).dims
+    f = add(quad(dims, np.eye(2), psd=True), absolute(affine(dims, cy=[1.0], ct=[-1.0])))
+    g = (affine(dims, cy=[1.0], ct=[-1.0]),) if constrained else ()
+    th = rng.normal(size=(S, 1))
+    p = TwoStageProblem(d=1, m=1, A=FirstStageSet.box([-5.0], [5.0]), f=f, g=g,
+                        scenarios=ScenarioSpace(probs=rng.dirichlet(np.ones(S)), params=th))
+    return p, Point(x=[0.3], y=th.copy())
+
+
+@pytest.mark.parametrize("constrained", [False, True])
+def test_certificate_routes_segments_by_its_rays(monkeypatch, constrained):
+    # SEGMENT_MIN_BLOCKS two-vertex scenarios: without a ray the certificate
+    # reaches the segment path and agrees with NNLS to rounding; a
+    # constraint row with a y-part sends the same call to NNLS
+    p, z = _kinked_segments(constrained)
+    with monkeypatch.context() as mp:
+        mp.setattr(_minnorm, "SEGMENT_MIN_BLOCKS", 10**9)
+        want = check_optimality(p, 10.0, z)
+    served, real = [], _minnorm._segments_least_norm
+
+    def spy(*args):
+        out = real(*args)
+        served.append(out is not None)
+        return out
+
+    monkeypatch.setattr(_minnorm, "_segments_least_norm", spy)
+    got = check_optimality(p, 10.0, z)
+    assert served == ([] if constrained else [True])
+    assert got.checked_selections == want.checked_selections == p.S
+    assert got.residual_stationarity > 0.1
+    for a, b in ((got.zeta, want.zeta), (got.lambdas, want.lambdas)):
+        assert np.allclose(a, b, rtol=0.0, atol=1e-12)
+    for key, r in got.residuals.items():
+        assert abs(r - want.residuals[key]) <= 1e-12 * (1.0 + r)
+    if constrained:
+        assert _cert_bits(got) == _cert_bits(want)

@@ -1,5 +1,6 @@
 """DC decomposition, the DCA loop, descent on the penalized codifferential."""
 
+import dataclasses
 import sys
 
 import numpy as np
@@ -536,16 +537,16 @@ def test_model_start_is_exact_with_tilt(monkeypatch, slope, x0):
 
 
 def test_walk_blocks_pad_into_the_model_as_absent_vertices():
-    # an integrand without a plan has one block per scenario, of unequal
-    # counts, padded into one array: the padding rows change no model step
+    # an integrand without a plan is walked row by row, unequal vertex
+    # counts padded into one array: the padding rows change no model step
     # (rows repeating a real vertex in their place give the same k0), and
     # DCA's tilt is each scenario's mean zero-offset hypo slope
     p, z = ragged_case()
-    bc = sv._integrand_codiff(p, sv.penalty_integrand(p, 10.0), z)
-    H, G = bc.arrays
-    assert len(bc.blocks) == p.S and np.isinf(H[:, :, 0]).any()
-    same = sv.BlockCodiff(blocks=bc.blocks, probs=bc.probs, d=bc.d, m=bc.m)
-    same.__dict__["arrays"] = tuple(np.where(np.isinf(A[:, :, :1]), A[:, :1], A) for A in (H, G))
+    integrand = sv.penalty_integrand(p, 10.0)
+    bc = sv._integrand_codiff(p, integrand, z)
+    assert integrand._plan is None and np.isinf(bc.H[:, :, 0]).any()
+    same = dataclasses.replace(bc, **{k: np.where(np.isinf(A[:, :, :1]), A[:, :1], A)
+                                      for k, A in (("H", bc.H), ("G", bc.G))})
     for eps in (sv.ACT_TOL, 1e-3, 0.1):
         nu, q, _exhaustive = bc.least_norm(p.A, z.x, eps)
         assert nu > 0.0
