@@ -34,6 +34,13 @@ TH[r]), checked and shaped by ``expr._rows``, by that plan in three steps:
      over the terms, never BLAS), so a row's bits do not depend on N or on
      BLAS threading, and a coefficient 0 never meets an inf.
 
+A plan vertex sums signed branch gaps and atom gradients, so it is the
+increment of one branch function, a signed sum of atoms; with its Hessian
+H_v = sum_t qc[v, t] Q of its quad atoms the expansion is exact, not only
+to o(|D|): f(z + D) - f(z) is the max over hypo of a + <v, D> + <D, H_v D> / 2
+plus the min over hyper of the same, for every D.  A walk's pruning keeps
+only the first-order expansion.
+
 Every vertex set is an (N, k, 1+n) array, in the vertex order of the rules
 (a Minkowski sum lists A's index outer).  A rows pass (``_vertex_blocks``)
 hands out one triple, the hypo and hyper arrays and the (N,) values,
@@ -315,8 +322,10 @@ class _Plan(NamedTuple):
     Padding terms, at least one per vertex, read gap[len(ga)] and
     qgrad[len(quads)], both -0.0, with coefficient 1.0: they add -0.0, which
     changes no bit.  oc and qc are shaped to broadcast over a last axis of
-    rows.  peak is the largest vertex set or Minkowski product the rules
-    built."""
+    rows.  qt is the (K, len(quads)) table whose nonzero entries qi and qc
+    list, and hq holds each quad atom's Q, flattened to a row: vertex r's
+    Hessian is sum_j qt[r, j] Q_j.  peak is the largest vertex set or
+    Minkowski product the rules built."""
 
     at: tuple
     ga: np.ndarray
@@ -326,6 +335,8 @@ class _Plan(NamedTuple):
     quads: tuple
     qi: np.ndarray
     qc: np.ndarray
+    qt: np.ndarray
+    hq: np.ndarray
     C: np.ndarray
     k1: int
     peak: int
@@ -406,10 +417,13 @@ def _compile(expr: Expr) -> _Plan | None:
     ga, gb = (np.array([col[slot[k][0]] + len(at) * slot[k][1] for slot in slots],
                        dtype=np.intp) for k in (0, 1))
     oi, oc = _terms(R[:, :width])
-    qi, qc = _terms(R[:, width:width + nq])
-    return _Plan(at=tuple(at), ga=ga, gb=gb, oi=oi, oc=oc[..., None],
-                 quads=tuple(tape[i][0] for i in quads), qi=qi, qc=qc[..., None, None],
-                 C=R[:, width + nq:], k1=hypo.shape[0], peak=peak)
+    qt = R[:, width:width + nq]
+    qi, qc = _terms(qt)
+    atoms = tuple(tape[i][0] for i in quads)
+    hq = np.array([e.Q.ravel() for e in atoms]).reshape(nq, n * n)
+    return _Plan(at=tuple(at), ga=ga, gb=gb, oi=oi, oc=oc[..., None], quads=atoms, qi=qi,
+                 qc=qc[..., None, None], qt=qt, hq=hq, C=R[:, width + nq:], k1=hypo.shape[0],
+                 peak=peak)
 
 
 def _plan_pass(expr: Expr, plan: _Plan, X: np.ndarray, Y: np.ndarray, TH: np.ndarray):
@@ -468,9 +482,9 @@ def _vertex_blocks(expr: Expr, X, Y, TH) -> tuple[np.ndarray, np.ndarray, np.nda
     docstring's rule for non-finite numbers.  The walk refuses a non-finite
     row before its rules run, since pruning cannot measure its vertices."""
     X, Y, TH = _rows(expr, X, Y, TH)
-    plan = expr._plan
+    plan = _pass_plan(expr)
     with np.errstate(over="ignore", invalid="ignore"):
-        if plan is not None and plan.peak <= min(AUTO_PRUNE_AT, MAX_VERTICES):
+        if plan is not None:
             return _checked(*_plan_pass(expr, plan, X, Y, TH), X, Y, TH)
         walked = []
         for r in range(Y.shape[0]):
@@ -482,6 +496,13 @@ def _vertex_blocks(expr: Expr, X, Y, TH) -> tuple[np.ndarray, np.ndarray, np.nda
     for r, (h, g, _v) in enumerate(walked):
         H[r, :h.shape[1]], G[r, :g.shape[1]] = h[0], g[0]
     return H, G, np.array([v[0] for *_a, v in walked])
+
+
+def _pass_plan(expr: Expr) -> _Plan | None:
+    """The plan a rows pass of expr runs, or None where it walks: where
+    expr has no plan, or min(AUTO_PRUNE_AT, MAX_VERTICES) is below its peak."""
+    plan = expr._plan
+    return plan if plan is not None and plan.peak <= min(AUTO_PRUNE_AT, MAX_VERTICES) else None
 
 
 def _checked(H: np.ndarray, G: np.ndarray, v: np.ndarray, X: np.ndarray, Y: np.ndarray,

@@ -48,7 +48,8 @@ from functools import cached_property
 import numpy as np
 
 from ._minnorm import _inside, _layout_least_norm
-from .codiff import TOL_ZERO, CodiffPair, _codiff_pairs, _masked_rows, _row_dots, _vertex_blocks
+from .codiff import (TOL_ZERO, CodiffPair, _codiff_pairs, _masked_rows, _pass_plan, _Plan,
+                     _row_dots, _vertex_blocks)
 from .errors import DimensionMismatch, NonFinite
 from .expr import Expr
 from .model import FirstStageSet, Point, TwoStageProblem
@@ -117,7 +118,8 @@ def _joint_scale(S: int, W: np.ndarray, p: np.ndarray, root_p: np.ndarray,
 class BlockCodiff:
     """Scenario-factored codifferential of the expectation integrand: the
     (hypo, hyper, values) triple of one codiff._vertex_blocks pass, a row
-    per scenario, less any tilt."""
+    per scenario, less any tilt, and the plan the pass ran (None where it
+    walked), whose vertex Hessians the step model reads."""
 
     H: np.ndarray  # (S, k1, 1+n) hypo vertices, the tilt off their slopes
     G: np.ndarray  # (S, k2, 1+n) hyper vertices
@@ -125,6 +127,7 @@ class BlockCodiff:
     probs: np.ndarray
     d: int
     m: int
+    plan: _Plan | None = None
 
     @property
     def S(self) -> int:
@@ -232,7 +235,8 @@ def _integrand_codiff(prob: TwoStageProblem, integrand: Expr, z: Point,
     H, G, v = _vertex_blocks(integrand, z.x, z.y, prob.scenarios.params)
     if tilt is not None:  # the pass's own array, offsets untouched
         H[:, :, 1:] -= tilt[:, None]
-    return BlockCodiff(H=H, G=G, values=v, probs=prob.scenarios.probs, d=prob.d, m=prob.m)
+    return BlockCodiff(H=H, G=G, values=v, probs=prob.scenarios.probs, d=prob.d, m=prob.m,
+                       plan=_pass_plan(integrand))
 
 
 def I_expansion(bc: BlockCodiff, dx, dy):

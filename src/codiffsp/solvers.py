@@ -27,10 +27,15 @@ the final penalty segment, with phi_l1 taken once per entry.
 
 Fixed settings, not exposed in SolveOpts: the convex subproblem runs at
 most INNER_ITERS iterations to INNER_TOL; the Armijo search has factor
-ARMIJO_SIGMA, tries t = 2^-k for k < ARMIJO_HALVINGS and has the rounding
-floor ARMIJO_ROUND (model's tolerance ladder).  It starts at the largest t
-that the first-order model says passes (_model_start), exact on
-polyhedral pieces, so most searches take their first trial.
+ARMIJO_SIGMA, tries t = 2^-k for -ARMIJO_DOUBLINGS <= k < ARMIJO_HALVINGS
+and has the rounding floor ARMIJO_ROUND (model's tolerance ladder).  It
+starts where the model of the objective along -q says (_model_start).  On
+rows from a compiled plan the model adds each vertex's Hessian and is
+exact on the plan's quadratic pieces, so the search starts at the grid
+step of least model value among those that pass, which may exceed 1; on
+walked rows it is the first-order model, and the search starts at the
+largest step t <= 1 that passes.  The model ignores the projection onto
+A.  Most searches take their first trial.
 """
 
 from __future__ import annotations
@@ -41,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codiff import TOL_ZERO, _masked_rows
+from .codiff import TOL_ZERO, _masked_rows, _Plan
 from .errors import NonFinite, NotDC, ValidationError, VertexCapExceeded
 from .expectation import ACT_TOL, BlockCodiff, _expected, _integrand_codiff, expect
 from .expr import Expr, dc_parts, evaluate_batch, is_convex_struct
@@ -63,8 +68,9 @@ INNER_ITERS = 300
 INNER_TOL = 1e-6
 ARMIJO_SIGMA = 1e-4
 ARMIJO_HALVINGS = 50
+ARMIJO_DOUBLINGS = 10
 ARMIJO_ROUND = 1e-14
-_TS = 0.5 ** np.arange(ARMIJO_HALVINGS)  # the Armijo steps t = 2^-k
+_TS = 0.5 ** np.arange(-ARMIJO_DOUBLINGS, ARMIJO_HALVINGS)  # the Armijo steps t = 2^-k
 _ARMIJO_LINE = -ARMIJO_SIGMA * _TS  # the Armijo test's line at every t, per unit nu^2
 
 
@@ -152,27 +158,61 @@ def dc_decompose(prob: TwoStageProblem, c: float) -> DCDecomposition:
 # ---------------------------------------------------------------------------
 
 
-def _model_start(bc: BlockCodiff, q: np.ndarray, nu: float) -> int:
-    """The smallest k < ARMIJO_HALVINGS whose step t = 2^-k passes the
-    Armijo test on the first-order model of the objective along -q, else 0.
-
-    The model is the expansion of bc with every vertex, offsets included
-    (I_expansion's, at every t at once; a tilt is already in bc's slopes):
-    it holds across the kinks that a step crosses, where the eps-active
-    slice that chose q does not.  It ignores the projection onto A.  It
-    reads bc.H and bc.G: each vertex's slope along q is taken once, an
-    (S, k) product, and scaled by every t, exactly, since t is a power of
-    two."""
-    H, G, S = bc.H, bc.G, bc.S
+def _model(bc: BlockCodiff, q: np.ndarray) -> tuple[slice, np.ndarray]:
+    """(grid, model): the model's change of the objective at z - t q for the
+    steps t of _TS[grid], all of them on a plan's rows, t <= 1 on walked
+    ones.  It is the expansion of bc with every vertex, offsets included
+    (I_expansion's; a tilt is already in bc's slopes), plus on a plan's
+    rows each vertex's 1/2 t^2 <q_s, H_v q_s> (_curvature), which makes it
+    exact along the line (codiff module docstring) across every kink; a
+    walk may prune vertices, so its rows get the first-order part alone.
+    It ignores the projection onto A.  Each slope along q is taken once and
+    scaled by every t exactly, t being a power of two."""
+    H, G, S, plan = bc.H, bc.G, bc.S, bc.plan
+    grid = slice(None) if plan is not None else slice(ARMIJO_DOUBLINGS, None)
+    ts = _TS[grid]
     # row s: scenario s's (q_x, q_ys); the model's direction is its negative
     h = np.empty((S, H.shape[2] - 1, 1))
     h[:, :bc.d, 0], h[:, bc.d:, 0] = q[:bc.d], q[bc.d:].reshape(S, -1)
-    up = (H[:, :, :1] - np.matmul(H[:, :, 1:], h) * _TS).max(axis=1)
-    dn = (G[:, :, :1] - np.matmul(G[:, :, 1:], h) * _TS).min(axis=1)
+    k1 = H.shape[1]
+    if plan is None:
+        half = np.zeros((S, k1 + G.shape[1], 1))
+    else:
+        half = 0.5 * _curvature(plan, h[:, :, 0]).T[:, :, None]
+    at = half * ts
+    for A, rows in ((H, at[:, :k1]), (G, at[:, k1:])):
+        # vertex (a, v) at every t, a + t (t half - <v, q_s>), in place; with
+        # half 0 it has the bits of a - t <v, q_s> but for the sign of a zero
+        rows -= np.matmul(A[:, :, 1:], h)
+        rows *= ts
+        rows += A[:, :, :1]
     # + 0.0 as I_expansion's: an all -0.0 sum reads +0.0
-    model = np.cumsum(bc.probs[:, None] * (up + dn), axis=0)[-1] + 0.0
-    passing = np.flatnonzero(model <= _ARMIJO_LINE * nu * nu)
-    return int(passing[0]) if passing.size else 0
+    return grid, np.cumsum(bc.probs[:, None] * (at[:, :k1].max(axis=1) + at[:, k1:].min(axis=1)),
+                           axis=0)[-1] + 0.0
+
+
+def _curvature(plan: _Plan, h: np.ndarray) -> np.ndarray:
+    """(K, S): <h_s, H_v h_s> for every vertex v of the plan and row s of h
+    (S, n), H_v = sum_j qt[v, j] Q_j, from each quad atom's <h_s, Q_j h_s>.
+    Both sums are elementwise products summed over a middle axis, in order,
+    never BLAS, so their bits do not depend on BLAS threading."""
+    hh = (h[:, :, None] * h[:, None, :]).reshape(h.shape[0], -1).T
+    return (plan.qt[:, :, None] * (plan.hq[:, :, None] * hh).sum(axis=1)).sum(axis=1)
+
+
+def _model_start(bc: BlockCodiff, q: np.ndarray, nu: float) -> int:
+    """The k at which the Armijo search along -q starts, t = 2^-k on _model's
+    grid: for a plan's rows, whose model is exact, the step of least model
+    value among those that pass the Armijo test on it, so a step may exceed
+    1 (k >= -ARMIJO_DOUBLINGS); for walked rows, the largest step t <= 1
+    that passes.  0 where none passes."""
+    grid, model = _model(bc, q)
+    passing = model <= _ARMIJO_LINE[grid] * nu * nu
+    if not passing.any():
+        return 0
+    if bc.plan is None:
+        return int(np.argmax(passing))
+    return int(np.argmin(np.where(passing, model, np.inf))) - ARMIJO_DOUBLINGS
 
 
 def _mean_slopes(bc: BlockCodiff) -> np.ndarray:
@@ -196,8 +236,9 @@ def _value(prob: TwoStageProblem, integrand: Expr, z: Point, tilt: np.ndarray | 
 def _armijo(prob: TwoStageProblem, integrand: Expr, tilt: np.ndarray | None, z: Point,
             val: float, q: np.ndarray, nu: float, k0: int):
     """First (point, value, t, bc) of _value along z - t q, x projected onto
-    A, t = 2^-k for k0 <= k < ARMIJO_HALVINGS, that decreases the value by
-    at least ARMIJO_SIGMA * t * nu^2; None when none does."""
+    A, t = 2^-k for k0 <= k < ARMIJO_HALVINGS (k0 >= -ARMIJO_DOUBLINGS, so
+    t may exceed 1), that decreases the value by at least
+    ARMIJO_SIGMA * t * nu^2; None when none does."""
     d = z.x.shape[0]
     hx, hY = -q[:d], -q[d:].reshape(z.y.shape)
     slope = ARMIJO_SIGMA * nu * nu

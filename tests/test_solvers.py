@@ -8,6 +8,7 @@ import pytest
 
 from codiffsp import (
     FirstStageSet,
+    I_expansion,
     NotDC,
     PenaltySpec,
     Phi_c,
@@ -16,6 +17,7 @@ from codiffsp import (
     Space,
     TwoStageProblem,
     ValidationError,
+    absolute,
     add,
     affine,
     dc,
@@ -499,19 +501,75 @@ def _count_calls(monkeypatch, name, module=sv):
     return calls
 
 
-@pytest.mark.parametrize("x0", [0.3, 3.7, -0.01])
-def test_model_start_is_exact_on_polyhedral(monkeypatch, x0):
-    # |x| is polyhedral, so the codifferential's model is exact: every search
-    # accepts its first trial, one valuation per history entry, and takes
-    # the step a search from t = 1 takes
-    p = abs_free_1d()
-    z0 = Point(x=[x0], y=[[0.0]])
+def _descends_on_an_exact_model(monkeypatch, p, z0):
+    """codiff_descent on p from z0 (A free, so no projection acts) where the
+    model is exact: at every grid step, t up to 2^ARMIJO_DOUBLINGS, it is
+    Phi's change along -q to 1e-12 relative, so every search accepts its
+    first trial, one valuation per history entry, and takes the grid step
+    of least true value among those the Armijo test passes."""
+    searches, armijo = [], sv._armijo
     calls = _count_calls(monkeypatch, "_value")
+
+    def recorded(*args):
+        before = calls[0]
+        step = armijo(*args)
+        searches.append((args, calls[0] - before, step))
+        return step
+
+    monkeypatch.setattr(sv, "_armijo", recorded)
     rep = codiff_descent(p, 1.0, z0)
     assert rep.status == "converged"
     assert calls[0] == len(rep.history)
-    monkeypatch.setattr(sv, "_model_start", lambda *args: 0)
-    assert codiff_descent(p, 1.0, z0).history == rep.history
+    assert searches and all(trials == 1 for _args, trials, _step in searches)
+    for (prob, integrand, tilt, z, val, q, nu, _k0), _trials, step in searches:
+        grid, model = sv._model(sv._integrand_codiff(prob, integrand, z, tilt), q)
+        ts = sv._TS[grid]
+        assert ts[0] == 2.0**sv.ARMIJO_DOUBLINGS
+        true = np.array([sv.expect(prob, integrand, Point(x=z.x - t * q[:1], y=z.y - t * q[1:]),
+                                   tilt) for t in ts]) - val
+        assert np.all(np.abs(model - true) <= 1e-12 * np.maximum(1.0, abs(val + true)))
+        passing = true < -sv.ARMIJO_SIGMA * ts * nu * nu
+        assert step[2] == ts[np.argmin(np.where(passing, true, np.inf))]
+
+
+@pytest.mark.parametrize("x0", [0.3, 3.7, -0.01])
+def test_model_start_is_exact_on_polyhedral(monkeypatch, x0):
+    # |x| is polyhedral, so the codifferential's model is exact
+    _descends_on_an_exact_model(monkeypatch, abs_free_1d(), Point(x=[x0], y=[[0.0]]))
+
+
+def _kinked_quads():
+    """A free, one scenario: f = max(q1, q2) + |x - y|, q1 and q2 convex
+    quadratics; a plan with quad atoms on both sides of a kink."""
+    f = add(maximum(quad(DIMS, [[2.0, 0.0], [0.0, 1.0]], lin=[-1.0, 0.5]),
+                    quad(DIMS, [[1.0, 0.5], [0.5, 3.0]], lin=[1.0, -2.0], c0=0.3)),
+            absolute(affine(DIMS, 0.0, [1.0], [-1.0], [])))
+    return TwoStageProblem(d=1, m=1, A=FirstStageSet.free(), f=f, g=(),
+                           scenarios=one_scenario())
+
+
+@pytest.mark.parametrize("case, z0", [
+    ("smooth", (-3.0, 4.0)), ("smooth", (10.0, -7.0)),
+    ("kinked", (3.0, -2.0)), ("kinked", (-1.5, 2.5)),
+])
+def test_model_start_is_exact_on_quadratic_pieces(monkeypatch, case, z0):
+    # with each plan vertex's Hessian the model is exact on quad atoms too,
+    # smooth or across a kink
+    p = {"smooth": smooth_free_1d, "kinked": _kinked_quads}[case]()
+    _descends_on_an_exact_model(monkeypatch, p, Point(x=[z0[0]], y=[[z0[1]]]))
+
+
+def _first_order_start(bc, q, nu):
+    """The start rule of a walked pass, written out: the smallest k >= 0
+    whose t = 2^-k passes the Armijo test on bc's first-order expansion
+    along -q (I_expansion), else 0."""
+    d, S = bc.d, bc.S
+    for k in range(sv.ARMIJO_HALVINGS):
+        t = 0.5**k
+        model = I_expansion(bc, -t * q[:d], -t * q[d:].reshape(S, -1))
+        if model <= -sv.ARMIJO_SIGMA * t * nu * nu:
+            return k
+    return 0
 
 
 @pytest.mark.parametrize("x0", [3.7, -2.2, 0.3])
@@ -557,6 +615,48 @@ def test_walk_blocks_pad_into_the_model_as_absent_vertices():
     assert sv._mean_slopes(bc).tobytes() == np.array(want).tobytes()
 
 
+def _walked_starts(monkeypatch):
+    """Check every _model_start call against _first_order_start, with
+    _curvature refusing to run; returns the calls' bc.plan values."""
+    plans, model_start = [], sv._model_start
+
+    def checked(bc, q, nu):
+        plans.append(bc.plan)
+        k = model_start(bc, q, nu)
+        assert k == _first_order_start(bc, q, nu) and k >= 0
+        return k
+
+    def refuse(*args):
+        raise AssertionError("curvature gathered on walked rows")
+
+    monkeypatch.setattr(sv, "_model_start", checked)
+    monkeypatch.setattr(sv, "_curvature", refuse)
+    return plans
+
+
+def test_walked_rows_keep_the_first_order_start(monkeypatch):
+    # an integrand without a plan is walked: no curvature, and the search
+    # starts at the largest t <= 1 that its first-order model passes
+    plans = _walked_starts(monkeypatch)
+    p, z = ragged_case()
+    codiff_descent(p, 10.0, z, SolveOpts(cd_max_iter=30))
+    assert plans and set(plans) == {None}
+
+
+def test_walked_plan_keeps_the_first_order_start(monkeypatch):
+    # a plan's pass walks once AUTO_PRUNE_AT falls below its peak; the walk
+    # prunes, so its rows carry no plan and no curvature.  (A MAX_VERTICES
+    # below the peak makes the walk raise instead, before any model start:
+    # test_descent_reports_vertex_cap.)
+    p = generate(1000, d=2, m=2, S=3, l=2, dc=True)
+    integrand = sv.penalty_integrand(p, 10.0)
+    assert integrand._plan.peak > 4
+    plans = _walked_starts(monkeypatch)
+    monkeypatch.setattr(sys.modules["codiffsp.codiff"], "AUTO_PRUNE_AT", 4)
+    codiff_descent(p, 10.0, p.witness, SolveOpts(cd_max_iter=30))
+    assert plans and set(plans) == {None}
+
+
 def test_searches_start_at_the_model_step(monkeypatch):
     # on a kinked S = 3 instance some searches start below t = 1, and each
     # accepts the model's step or a later halving of it
@@ -582,18 +682,34 @@ def test_searches_start_at_the_model_step(monkeypatch):
 
 
 def test_value_calls_stay_few(monkeypatch):
-    # counts repeat exactly; a search from t = 1 made 1373 and 2184; every
-    # start and trial point is one valuation, a rows pass
+    # counts repeat exactly: 228 and 647 with the exact model's start; a
+    # search from t = 1 made 1373 and 2184, the first-order model's start
+    # 195 and 931; every start and trial point is one valuation, a rows pass
     calls = _count_calls(monkeypatch, "_value")
     for seed in range(1000, 1004):
         p = generate(seed, d=2, m=2, S=3, l=2, dc=True)
         codiff_descent(p, 10.0, p.witness)
-    assert calls[0] <= 400
+    assert calls[0] <= 250
     calls[0] = 0
     for seed in range(1000, 1004):
         p = generate(seed, d=2, m=2, S=3, l=2, dc=True)
         dca_solve(p, 10.0, p.witness)
-    assert calls[0] <= 1300
+    assert calls[0] <= 710
+
+
+@pytest.mark.parametrize("seed", range(1000, 1004))
+def test_descent_converges_on_a_scaled_objective(seed):
+    # f scaled by 1e-3 and c = 0.01 keep the minimizers and scale Phi_c by
+    # 1e-3: steps past 1 reach them, where steps t <= 1 hit the iteration
+    # cap; check_optimality accepts the end point, and its value is the
+    # scale-1 solve's, scaled, to within the absolute tol_stat
+    p = generate(seed, d=2, m=2, S=3, l=2, dc=True)
+    small = dataclasses.replace(p, f=scale(1e-3, p.f))
+    rep = codiff_descent(small, 0.01, small.witness)
+    assert rep.status == "converged" and rep.c_final == 0.01
+    check_optimality(small, rep.c_final, rep.final_point)
+    unit = codiff_descent(p, 10.0, p.witness)
+    assert rep.final_value == pytest.approx(1e-3 * unit.final_value, abs=SolveOpts().tol_stat)
 
 
 def test_subsolve_takes_each_codifferential_from_its_trial(monkeypatch):

@@ -14,7 +14,9 @@ sha256 cut to its first 16 hex digits:
                SolveOpts(max_iter=1, escalate=False), in that order per
                seed; one hash updated per report with repr((status,
                iterates, value.hex(), phi.hex(), c_final.hex(), exhaustive,
-               hex history)), then x's bytes, then y's bytes.
+               hex history)), then x's bytes, then y's bytes.  The
+               line ends with the total iterations of the full solves,
+               codiff_descent's (cd) and dca_solve's at SolveOpts() (dca).
     dca_step   harness.canonical of one untimed pass's records over the
                workload's seeds 52000..52119, with failed/attempted.
     wide_eval  the same over seeds 91000..91017.
@@ -54,18 +56,21 @@ def _hex16(h) -> str:
 
 def solver_reports() -> str:
     h = hashlib.sha256()
-    runs = ((cs.dca_solve, cs.SolveOpts()), (cs.codiff_descent, cs.SolveOpts()),
-            (cs.dca_solve, cs.SolveOpts(max_iter=1, escalate=False)))
+    runs = (("dca", cs.dca_solve, cs.SolveOpts()), ("cd", cs.codiff_descent, cs.SolveOpts()),
+            (None, cs.dca_solve, cs.SolveOpts(max_iter=1, escalate=False)))
+    iterations = {"cd": 0, "dca": 0}
     for seed in range(1000, 1012):
         p = cs.generate(seed, d=2, m=2, S=3, l=2, dc=True)
-        for solve, opts in runs:
+        for name, solve, opts in runs:
             r = solve(p, 10.0, p.witness, opts)
+            if name:
+                iterations[name] += r.iterates
             h.update(repr((r.status, r.iterates, r.final_value.hex(), r.final_phi.hex(),
                            r.c_final.hex(), r.exhaustive,
                            [[float(v).hex() for v in e] for e in r.history])).encode())
             h.update(r.final_point.x.tobytes())
             h.update(r.final_point.y.tobytes())
-    return _hex16(h)
+    return f"{_hex16(h)} iterations cd {iterations['cd']} dca {iterations['dca']}"
 
 
 def one_pass(name: str, seed: int) -> str:
